@@ -20,10 +20,3 @@ def data_dir(override: Optional[Path] = None) -> Path:
         return Path(env)
     return Path(str(resources.files("tla"))) / "data"
 
-
-def read_asset_text(relpath: str, override: Optional[Path] = None) -> Optional[str]:
-    """Read a UTF-8 asset file, or None if it does not exist."""
-    path = data_dir(override) / relpath
-    if not path.is_file():
-        return None
-    return path.read_text(encoding="utf-8")

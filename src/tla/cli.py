@@ -9,10 +9,8 @@ built-in default); unknown flags and unknown config keys are errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional
 
@@ -24,14 +22,15 @@ from .analyze import (
     render_report,
 )
 from .corpus import (
+    CLEAN_HEADER,
     CSV_HEADER,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
     SentimentLabel,
     read_dataset_csv,
-    validate_tweet,
+    read_table,
     write_dataset_csv,
+    write_table,
 )
 from .errors import TlaError
 from .ingest import QuerySpec, compile_query, read_jsonl
@@ -42,23 +41,12 @@ from .synth import synthetic_corpus
 
 CONFIG_FILENAME = "tla.conf"
 
-#: Intermediate (unlabeled) CSV schema produced by `clean` and `identify`.
-CLEAN_HEADER = ("id", "lang", "text", "tokens")
-
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
 class UsageError(TlaError):
     pass
-
-
-@dataclass
-class CleanRow:
-    id: str
-    lang: LanguageCode
-    text: str
-    tokens: list
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -285,13 +273,6 @@ def _cmd_query(ns, out, err) -> int:
     return 0
 
 
-def _open_csv_writer(path: Optional[str], out: IO[str]):
-    if path is None:
-        return csv.writer(out, lineterminator="\n"), None
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return csv.writer(handle, lineterminator="\n"), handle
-
-
 def _cmd_clean(ns, out, err) -> int:
     _require(ns.input is not None, "clean requires --input")
     table = StopwordTable.load_bundled()
@@ -303,83 +284,24 @@ def _cmd_clean(ns, out, err) -> int:
             lang = tweet.lang_hint if tweet.lang_hint is not None else ns.lang
             if lang is None:
                 raise TlaError(
-                    f"tweet {tweet.id}: record has no lang field and no --lang fallback was given"
+                    f"{ns.input}: tweet {tweet.id}: record has no lang field "
+                    "and no --lang fallback was given"
                 )
             tokens = preprocess_tweet(tweet.text, lang, table)
             rows.append((tweet.id, lang.value, tweet.text, " ".join(tokens)))
 
-    writer, handle = _open_csv_writer(ns.output, out)
-    try:
-        writer.writerow(CLEAN_HEADER)
-        writer.writerows(rows)
-    finally:
-        if handle is not None:
-            handle.close()
+    if ns.output is None:
+        write_table(out, CLEAN_HEADER, rows)
+    else:
+        with open(ns.output, "w", encoding="utf-8", newline="") as sink:
+            write_table(sink, CLEAN_HEADER, rows)
     print(f"{len(rows)} rows", file=err)
     return 0
 
 
-def _read_clean_csv(path: str) -> list[CleanRow]:
-    rows: list[CleanRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TlaError(f"{path}: empty file, expected header "
-                           f"{','.join(CLEAN_HEADER)}") from None
-        if tuple(header) != CLEAN_HEADER:
-            raise TlaError(
-                f"{path}: line 1: expected header {','.join(CLEAN_HEADER)}, got {header!r}"
-            )
-        for record in reader:
-            line = reader.line_num
-            if not record:
-                continue
-            if len(record) != len(CLEAN_HEADER):
-                raise TlaError(
-                    f"{path}: line {line}: expected {len(CLEAN_HEADER)} fields, "
-                    f"got {len(record)}"
-                )
-            tweet_id, lang_field, text, tokens_field = record
-            try:
-                lang = LanguageCode.parse(lang_field)
-            except ValueError as exc:
-                raise TlaError(f"{path}: line {line}: {exc}") from None
-            tokens = tokens_field.split(" ") if tokens_field else []
-            rows.append(CleanRow(id=tweet_id, lang=lang, text=text, tokens=tokens))
-    return rows
-
-
-def _read_corpus_csv(path: str) -> list:
-    """Accept either the cleaned or the labeled CSV schema as training data."""
-    pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise TlaError(f"{path}: empty corpus file") from None
-        if header not in (CLEAN_HEADER, CSV_HEADER):
-            raise TlaError(
-                f"{path}: line 1: expected the cleaned or labeled CSV header, got {header!r}"
-            )
-        for record in reader:
-            line = reader.line_num
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise TlaError(
-                    f"{path}: line {line}: expected {len(header)} fields, got {len(record)}"
-                )
-            try:
-                lang = LanguageCode.parse(record[1])
-            except ValueError as exc:
-                raise TlaError(f"{path}: line {line}: {exc}") from None
-            pairs.append((record[2], lang))
-    if not pairs:
-        raise TlaError(f"{path}: corpus file has no data rows")
-    return pairs
+def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
+    with open(path, "rb") as source:
+        return [row for _, row in read_table(source, headers)]
 
 
 def _cmd_train(ns, out, err) -> int:
@@ -390,7 +312,10 @@ def _cmd_train(ns, out, err) -> int:
         "train-langid takes --corpus or --synthetic, not both",
     )
     if ns.corpus is not None:
-        pairs = _read_corpus_csv(ns.corpus)
+        rows = _read_rows(ns.corpus, (CLEAN_HEADER, CSV_HEADER))
+        if not rows:
+            raise TlaError(f"{ns.corpus}: corpus file has no data rows")
+        pairs = [(row.text, row.lang) for row in rows]
     else:
         per_language = ns.synthetic if ns.synthetic is not None else 200
         pairs = synthetic_corpus(per_language, seed=ns.seed)
@@ -429,20 +354,23 @@ def _cmd_identify(ns, out, err) -> int:
         print(f"{code.value}\t{confidence:.4f}", file=out)
         return 0
 
-    rows = _read_clean_csv(ns.input)
+    rows = _read_rows(ns.input)
     predictions = [predictor.predict(row.text) for row in rows]
     if ns.output is not None:
-        with open(ns.output, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CLEAN_HEADER)
-            for row, (code, _) in zip(rows, predictions):
-                writer.writerow((row.id, code.value, row.text, " ".join(row.tokens)))
+        table = StopwordTable.load_bundled()
+        for row, (code, _) in zip(rows, predictions):
+            if code is not row.lang:  # tokenizer and stopwords depend on the language
+                row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
+        with open(ns.output, "w", encoding="utf-8", newline="") as sink:
+            write_table(sink, CLEAN_HEADER, (
+                (row.id, row.lang.value, row.text, " ".join(row.tokens)) for row in rows
+            ))
         print(f"{len(rows)} rows", file=err)
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("id", "lang", "confidence"))
-        for row, (code, confidence) in zip(rows, predictions):
-            writer.writerow((row.id, code.value, f"{confidence:.4f}"))
+        write_table(out, ("id", "lang", "confidence"), (
+            (row.id, code.value, f"{confidence:.4f}")
+            for row, (code, confidence) in zip(rows, predictions)
+        ))
     return 0
 
 
@@ -451,25 +379,22 @@ def _cmd_label(ns, out, err) -> int:
     _require(ns.out_dir is not None, "label requires --out-dir")
     tie = SentimentLabel.parse(ns.tie_label)
 
+    # Every dataset is built before the first file is opened, so a bad input
+    # leaves no partial output behind.
+    lexicons: dict = {}
     groups: dict = {}
-    for row in _read_clean_csv(ns.input):
-        groups.setdefault(row.lang, []).append(row)
+    with open(ns.input, "rb") as source:
+        for _, row in read_table(source):
+            if row.lang not in lexicons:
+                lexicons[row.lang] = load_bundled_lexicon(row.lang)
+            label = label_sentiment(row.tokens, lexicons[row.lang], tie)
+            groups.setdefault(row.lang, []).append(row.labeled(label))
+    datasets = [LabeledDataset(language=lang, rows=tuple(rows)) for lang, rows in groups.items()]
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for lang, rows in groups.items():
-        lexicon = load_bundled_lexicon(lang)
-        labeled = [
-            LabeledTweet(
-                raw=validate_tweet({"id": row.id, "text": row.text}),
-                language=lang,
-                tokens=row.tokens,
-                label=label_sentiment(row.tokens, lexicon, tie),
-            )
-            for row in rows
-        ]
-        dataset = LabeledDataset(language=lang, rows=tuple(labeled))
-        path = out_dir / f"{lang.value}.csv"
+    for dataset in datasets:
+        path = out_dir / f"{dataset.language.value}.csv"
         with open(path, "wb") as sink:
             count = write_dataset_csv(dataset, sink)
         print(f"{path}: {count} rows", file=err)

@@ -1,4 +1,4 @@
-"""Core domain types, validation, and the labeled-dataset CSV format."""
+"""Core domain types, validation, and the CSV codec of the cleaned and labeled tables."""
 
 from __future__ import annotations
 
@@ -7,13 +7,16 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import TlaError
+from .errors import LineError, TlaError
 
 MAX_TWEET_LENGTH = 280
 
-CSV_HEADER = ("id", "lang", "text", "tokens", "label")
+#: The cleaned table written by `clean` and `identify`.
+CLEAN_HEADER = ("id", "lang", "text", "tokens")
+#: The labeled dataset table: the cleaned table plus the sentiment label.
+CSV_HEADER = CLEAN_HEADER + ("label",)
 
 
 class LanguageCode(str, Enum):
@@ -109,7 +112,23 @@ def validate_token(token: str) -> str:
 
 
 def validate_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
-    return tuple(validate_token(t) for t in tokens)
+    """Check a row of tokens against the token rules with one comparison.
+
+    The joined row splits back into the tokens iff none is empty or holds
+    whitespace, and is lowercase iff every token is: lowercasing is per
+    character except for capital sigma, which never maps to itself.  Only a
+    failing row is checked token by token, to name the offending token.
+    """
+    tokens = tuple(tokens)
+    try:
+        joined = " ".join(tokens)
+        valid = joined == joined.lower() and joined.split() == list(tokens)
+    except TypeError:
+        valid = False
+    if not valid:
+        for token in tokens:
+            validate_token(token)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -243,6 +262,21 @@ class LabeledDataset:
         return len(self.rows)
 
 
+@dataclass
+class CleanRow:
+    """One row of the cleaned table (``CLEAN_HEADER``); rows of the labeled
+    table (``CSV_HEADER``) also carry their ``label``."""
+
+    id: str
+    lang: LanguageCode
+    text: str
+    tokens: tuple[str, ...]
+    label: Optional[SentimentLabel] = None
+
+    def labeled(self, label: SentimentLabel) -> LabeledTweet:
+        return LabeledTweet(RawTweet(self.id, self.text), self.lang, self.tokens, label)
+
+
 class DatasetWriteError(TlaError):
     """Sink failure while emitting a dataset CSV, attributed to a row index."""
 
@@ -251,17 +285,14 @@ class DatasetWriteError(TlaError):
         super().__init__(f"failed writing row {row_index}: {cause}")
 
 
-class DatasetReadError(TlaError):
-    """Base for dataset CSV parse errors; carries a 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class DatasetReadError(LineError):
+    """Base for CSV table parse errors; carries a 1-based line number."""
 
 
 class BadHeaderError(DatasetReadError):
-    def __init__(self, header):
-        super().__init__(1, f"expected header {','.join(CSV_HEADER)}, got {header!r}")
+    def __init__(self, header, expected=(CSV_HEADER,)):
+        wanted = " or ".join(",".join(names) for names in expected)
+        super().__init__(1, f"expected header {wanted}, got {header!r}")
 
 
 class BadLabelError(DatasetReadError):
@@ -286,40 +317,110 @@ class DuplicateIdError(DatasetReadError):
         super().__init__(line, f"duplicate id {tweet_id!r}")
 
 
+def write_table(sink: IO[str], header: tuple, rows: Iterable[Sequence[str]]) -> int:
+    """Write ``header`` and then one record per row of string fields.
+
+    RFC 4180 quoting, LF line endings.  Returns the number of data rows
+    written; a sink failure becomes a DatasetWriteError naming the row.
+    """
+    writer = csv.writer(sink, lineterminator="\n")
+    count = 0
+    try:
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            count += 1
+    except OSError as exc:
+        raise DatasetWriteError(count, exc) from exc
+    return count
+
+
+def read_table(
+    source: IO[bytes], headers: tuple = (CLEAN_HEADER,)
+) -> Iterator[tuple[int, CleanRow]]:
+    """Lazily yield ``(line, row)`` per nonblank record of a UTF-8 CSV table
+    whose header is one of ``headers``.
+
+    Each row is checked here, once: field count, language, label, nonempty id
+    and text, ids unique within a language, and the token rules; the tweet
+    length limit is an ingest policy and is not.  Errors name the line and,
+    if the source has a ``name``, its path.
+    """
+    reader = csv.reader(line.decode("utf-8") for line in source)
+    try:
+        header = tuple(next(reader, ()))
+        if header not in headers:
+            raise BadHeaderError(header or None, headers)
+        labeled = header == CSV_HEADER
+        seen: dict = {}  # language -> ids
+        for record in reader:
+            if not record:
+                continue
+            line = reader.line_num
+            if len(record) != len(header):
+                raise DatasetReadError(
+                    line, f"expected {len(header)} fields, got {len(record)}"
+                )
+            tweet_id, lang_field, text, tokens_field = record[:4]
+            try:
+                lang = LanguageCode.parse(lang_field)
+            except ValueError:
+                raise BadLanguageError(line, lang_field) from None
+            label = None
+            if labeled:
+                try:
+                    label = SentimentLabel.parse(record[4])
+                except ValueError:
+                    raise BadLabelError(line, record[4]) from None
+            if not tweet_id:
+                raise DatasetReadError(line, "empty id")
+            if not text.strip():
+                raise DatasetReadError(line, "empty text")
+            ids = seen.setdefault(lang, set())
+            if tweet_id in ids:
+                raise DuplicateIdError(line, tweet_id)
+            ids.add(tweet_id)
+            try:
+                tokens = validate_tokens(tokens_field.split(" ") if tokens_field else ())
+            except ValueError as exc:
+                raise DatasetReadError(line, str(exc)) from None
+            yield line, CleanRow(tweet_id, lang, text, tokens, label)
+    except UnicodeDecodeError as exc:  # line_num counts the lines before the bad one
+        error = DatasetReadError(reader.line_num + 1, f"invalid UTF-8: {exc.reason}")
+        raise _located(error, source) from None
+    except csv.Error as exc:
+        raise _located(DatasetReadError(reader.line_num, str(exc)), source) from None
+    except DatasetReadError as exc:
+        raise _located(exc, source)
+
+
+def _located(exc: DatasetReadError, source) -> DatasetReadError:
+    exc.path = getattr(source, "name", None)
+    return exc
+
+
 def write_dataset_csv(dataset: LabeledDataset, sink: IO[bytes]) -> int:
     """Write a dataset as UTF-8 CSV (header id,lang,text,tokens,label).
 
     Tokens are space-joined; RFC 4180 quoting; LF line endings.  Returns the
     number of data rows written.
     """
-    wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="")
-    writer = csv.writer(wrapper, lineterminator="\n")
-    count = 0
+    # write_through hands each record to the sink as it is written, without
+    # flushing the sink, so a failing write is attributed to its row.
+    wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="", write_through=True)
     try:
-        try:
-            writer.writerow(CSV_HEADER)
-            wrapper.flush()
-        except OSError as exc:
-            raise DatasetWriteError(0, exc) from exc
-        for i, row in enumerate(dataset.rows):
-            try:
-                writer.writerow(
-                    (
-                        row.raw.id,
-                        row.language.value,
-                        row.raw.text,
-                        " ".join(row.tokens),
-                        row.label.value,
-                    )
-                )
-                wrapper.flush()
-            except OSError as exc:
-                raise DatasetWriteError(i, exc) from exc
-            count += 1
+        return write_table(
+            wrapper,
+            CSV_HEADER,
+            (
+                (row.raw.id, row.language.value, row.raw.text, " ".join(row.tokens),
+                 row.label.value)
+                for row in dataset.rows
+            ),
+        )
     finally:
         # Hand the buffer back without closing the caller's sink.
         wrapper.detach()
-    return count
 
 
 def read_dataset_csv(
@@ -331,60 +432,15 @@ def read_dataset_csv(
     be recovered from the fixed schema; when given alongside data rows it must
     agree with them.
     """
-    wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
-        reader = csv.reader(wrapper)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadHeaderError(None) from None
-        if tuple(header) != CSV_HEADER:
-            raise BadHeaderError(header)
-
-        rows: list[LabeledTweet] = []
-        seen_ids: set[str] = set()
-        dataset_language = language
-        for record in reader:
-            line = reader.line_num
-            if not record:
-                continue
-            if len(record) != len(CSV_HEADER):
-                raise DatasetReadError(
-                    line, f"expected {len(CSV_HEADER)} fields, got {len(record)}"
-                )
-            tweet_id, lang_field, text, tokens_field, label_field = record
-
-            try:
-                lang = LanguageCode.parse(lang_field)
-            except ValueError:
-                raise BadLanguageError(line, lang_field) from None
-            if dataset_language is None:
-                dataset_language = lang
-            elif lang != dataset_language:
-                raise MixedLanguagesError(line, dataset_language, lang)
-
-            try:
-                label = SentimentLabel.parse(label_field)
-            except ValueError:
-                raise BadLabelError(line, label_field) from None
-
-            if tweet_id in seen_ids:
-                raise DuplicateIdError(line, tweet_id)
-            seen_ids.add(tweet_id)
-
-            tokens = tokens_field.split(" ") if tokens_field else []
-            try:
-                raw = validate_tweet({"id": tweet_id, "text": text})
-                rows.append(
-                    LabeledTweet(raw=raw, language=lang, tokens=tokens, label=label)
-                )
-            except (TweetValidationError, ValueError) as exc:
-                raise DatasetReadError(line, str(exc)) from exc
-
+    rows: list[LabeledTweet] = []
+    dataset_language = language
+    for line, row in read_table(source, (CSV_HEADER,)):
         if dataset_language is None:
-            raise DatasetReadError(
-                1, "empty dataset file and no expected language supplied"
-            )
-        return LabeledDataset(language=dataset_language, rows=tuple(rows))
-    finally:
-        wrapper.detach()
+            dataset_language = row.lang
+        elif row.lang != dataset_language:
+            raise _located(MixedLanguagesError(line, dataset_language, row.lang), source)
+        rows.append(row.labeled(row.label))
+    if dataset_language is None:
+        error = DatasetReadError(1, "empty dataset file and no expected language supplied")
+        raise _located(error, source)
+    return LabeledDataset(language=dataset_language, rows=tuple(rows))

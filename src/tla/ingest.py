@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .corpus import LanguageCode, RawTweet, TweetValidationError, validate_tweet
-from .errors import TlaError
+from .errors import LineError
 
 #: JSONL field names, following the export convention of the scraping tool.
 FIELD_MAP = {
@@ -52,12 +52,8 @@ def compile_query(spec: QuerySpec) -> str:
     return " ".join(parts)
 
 
-class JsonlError(TlaError):
+class JsonlError(LineError):
     """Base for line-delimited JSON ingest errors; carries a line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 class MalformedLineError(JsonlError):
@@ -85,22 +81,35 @@ def read_jsonl(
 ) -> Iterator[RawTweet]:
     """Lazily yield validated tweets from line-delimited JSON.
 
-    One record per nonblank line; unknown fields are ignored.  Bad lines are
-    errors unless ``skip_bad_lines`` is set, in which case they are dropped.
+    One record per nonblank line; unknown fields and a leading byte order
+    mark are ignored.  Bad lines, invalid UTF-8 included, are errors naming
+    the line (and the source's ``name``) unless ``skip_bad_lines`` drops them.
     """
     for line_num, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if not line.strip():
-            continue
         try:
-            yield _parse_record(line, line_num, lenient=lenient)
-        except JsonlError:
-            if not skip_bad_lines:
-                raise
+            tweet = _parse_record(line, line_num, lenient=lenient)
+        except JsonlError as exc:
+            if skip_bad_lines:
+                continue
+            exc.path = getattr(source, "name", None)
+            raise
+        if tweet is not None:
+            yield tweet
 
 
-def _parse_record(line: str, line_num: int, *, lenient: bool) -> RawTweet:
+def _parse_record(
+    line: Union[bytes, str], line_num: int, *, lenient: bool
+) -> Optional[RawTweet]:
+    """The tweet on one line, or None for a blank line."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLineError(line_num, f"invalid UTF-8: {exc.reason}") from None
+    if line_num == 1:
+        line = line.removeprefix("\ufeff")
+    if not line.strip():
+        return None
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -16,7 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Optional, Protocol, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -642,12 +642,6 @@ def evaluate_model(
         confusion[order[truth], order[predicted]] += 1
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion
-
-
-class LanguagePredictor(Protocol):
-    """Seam for alternative identifier backends (only the forest ships here)."""
-
-    def predict(self, text: str) -> tuple[LanguageCode, float]: ...
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,16 @@
+import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tla
 from tla.cli import run
 from tla.corpus import LanguageCode, read_dataset_csv
+from tla.preprocess import StopwordTable, preprocess_tweet
 
 JSONL = (
     '{"id":"1","text":"The best day ever","lang":"en","likeCount":9100,"replyCount":3}\n'
@@ -321,3 +328,137 @@ class TestDataDirOverride:
         assert code == 0
         # "best" now a stopword, "the" no longer one
         assert out.splitlines()[1] == "1,en,the best day,the day"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(tla.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tla", "query", "--lang", "en"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "min_faves:9000 filter:has_engagement lang:en\n"
+
+
+def _csv(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+class TestStageContracts:
+    def test_lenient_tweet_goes_through_the_chain(self, model_file, tmp_path):
+        text = ("what a good day " * 30)[:360]
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"id":"1","text":"%s","lang":"en"}\n' % text, encoding="utf-8")
+        cleaned, identified = tmp_path / "clean.csv", tmp_path / "identified.csv"
+        out_dir = tmp_path / "labeled"
+        with pytest.warns(UserWarning, match=r"TextTooLong\(360\)"):
+            assert invoke("clean", "--lenient", "--input", str(src),
+                          "--output", str(cleaned))[0] == 0
+        code, _, err = invoke("identify", "--model", str(model_file), "--input",
+                              str(cleaned), "--output", str(identified))
+        assert code == 0, err
+        code, _, err = invoke("label", "--input", str(identified), "--out-dir", str(out_dir))
+        [labeled] = out_dir.glob("*.csv")
+        assert (code, err) == (0, f"{labeled}: 1 rows\n")
+        code, out, err = invoke("analyze", "--format", "csv", "--input", str(labeled))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[1] == "1"
+
+    def test_failing_label_writes_no_file(self, tmp_path):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n1,en,good day,good day\n"
+                           "2,es,hola,hola\n2,es,hola,hola\n", encoding="utf-8")
+        out_dir = tmp_path / "labeled"
+        code, out, err = invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == f"error: {cleaned}: line 4: duplicate id '2'\n"
+        assert not (out_dir / "en.csv").exists()
+
+    def test_written_tokens_match_the_written_language(self, model_file, tmp_path):
+        src = tmp_path / "t.jsonl"
+        src.write_text(
+            JSONL
+            + '{"id":"4","text":"今天天气很好我们去公园散步吧","lang":"en"}\n'
+            + '{"id":"5","text":"we walked to the market on saturday","lang":"zh"}\n',
+            encoding="utf-8",
+        )
+        cleaned, identified = tmp_path / "clean.csv", tmp_path / "identified.csv"
+        assert invoke("clean", "--input", str(src), "--output", str(cleaned))[0] == 0
+        code, _, err = invoke("identify", "--model", str(model_file), "--input",
+                              str(cleaned), "--output", str(identified))
+        assert code == 0, err
+        table = StopwordTable.load_bundled()
+        for path in (cleaned, identified):
+            for tweet_id, lang, text, tokens in _csv(path)[1:]:
+                assert tokens == " ".join(preprocess_tweet(text, LanguageCode(lang), table))
+        before = {row[0]: row for row in _csv(cleaned)[1:]}
+        after = {row[0]: row for row in _csv(identified)[1:]}
+        assert (after["4"][1], after["4"][3]) == ("zh", "今 天 天 气 很 好 我 们 去 公 园 散 步 吧")
+        assert (after["5"][1], after["5"][3]) == ("en", "walked market saturday")
+        kept = [tweet_id for tweet_id in before if after[tweet_id][1] == before[tweet_id][1]]
+        assert kept
+        assert all(after[tweet_id] == before[tweet_id] for tweet_id in kept)
+
+
+VALID_ROW = b"1,en,good day,good day"
+CSV_DEFECTS = {
+    "bad_language": (b"2,xx,hola,hola", 3, "bad language code 'xx'"),
+    "uppercase_token": (b"2,en,Hi,Hi", 3, "token is not lowercase: 'Hi'"),
+    "duplicate_id": (VALID_ROW, 3, "duplicate id '1'"),
+    "field_count": (b"2,en,hi", 3, "fields, got"),
+    "invalid_utf8": (b"2,en,\xff,x", 3, "invalid UTF-8"),
+}
+
+
+def _stage_argv(stage, path, tmp_path, model_file):
+    return {
+        "identify": ["identify", "--model", str(model_file), "--input", str(path)],
+        "label": ["label", "--input", str(path), "--out-dir", str(tmp_path / "labeled")],
+        "analyze": ["analyze", "--input", str(path)],
+        "train-langid": ["train-langid", "--seed", "1", "--trees", "2",
+                         "--output", str(tmp_path / "m.tlam"), "--corpus", str(path)],
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", ["identify", "label", "analyze", "train-langid"])
+@pytest.mark.parametrize("defect", [*CSV_DEFECTS, "bad_header"])
+def test_csv_data_errors_name_file_and_line(stage, defect, model_file, tmp_path):
+    labeled = stage == "analyze"
+    header = b"id,lang,text,tokens" + (b",label" if labeled else b"")
+    if defect == "bad_header":
+        data, line, message = b"id,lang,text\n", 1, "expected header"
+    else:
+        record, line, message = CSV_DEFECTS[defect]
+        suffix = b",Positive" if labeled else b""
+        data = b"\n".join([header, VALID_ROW + suffix, record + suffix]) + b"\n"
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    code, out, err = invoke(*_stage_argv(stage, path, tmp_path, model_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: line {line}: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "labeled").exists()
+
+
+class TestCleanErrors:
+    def test_invalid_utf8_names_path_and_line(self, tmp_path):
+        src = tmp_path / "t.jsonl"
+        src.write_bytes(JSONL.encode() + b'{"id":"4","text":"\xff","lang":"en"}\n')
+        code, _, err = invoke("clean", "--input", str(src))
+        assert code == 1
+        assert err.startswith(f"error: {src}: line 4: malformed JSON: invalid UTF-8")
+        code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
+        assert (code, err) == (0, "3 rows\n")
+        assert len(out.splitlines()) == 4
+
+    def test_leading_bom_keeps_the_first_record(self, tmp_path):
+        src = tmp_path / "t.jsonl"
+        src.write_bytes(b"\xef\xbb\xbf" + JSONL.encode())
+        code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
+        assert (code, err) == (0, "3 rows\n")
+        assert out.splitlines()[1] == "1,en,The best day ever,best day ever"

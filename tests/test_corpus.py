@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tla.corpus import (
+    CLEAN_HEADER,
     CSV_HEADER,
     BadHeaderError,
     BadLabelError,
@@ -20,8 +21,12 @@ from tla.corpus import (
     TweetLengthWarning,
     TweetValidationError,
     read_dataset_csv,
+    read_table,
+    validate_token,
+    validate_tokens,
     validate_tweet,
     write_dataset_csv,
+    write_table,
 )
 
 from conftest import random_dataset
@@ -291,3 +296,106 @@ class TestReadDatasetCsv:
 
     def test_header_fields_are_fixed(self):
         assert CSV_HEADER == ("id", "lang", "text", "tokens", "label")
+
+
+#: Characters at the edges of the token rules: whitespace that str.split()
+#: and str.isspace() agree on, context-dependent and multi-character
+#: lowercasing, and plain letters.
+TOKEN_CHARS = ["a", "Z", "\t", " ", "\x1c", "\u3000", "\u00a0", "\u03a3", "\u03c2",
+               "\u03c3", "\u0130", "\u00df", "\u1e9e", "1", "\u4e2d"]
+TOKENS = st.one_of(
+    st.sampled_from(["", "\t", "\x1c", "\u3000", "\u03a3", "\u03c2"]),
+    st.text(st.sampled_from(TOKEN_CHARS), max_size=4),
+    st.text(max_size=3),
+)
+
+
+def _token_rules_hold(tokens) -> bool:
+    try:
+        for token in tokens:
+            validate_token(token)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidateTokens:
+    @given(st.lists(TOKENS, max_size=5))
+    def test_row_check_agrees_with_per_token_check(self, tokens):
+        if _token_rules_hold(tokens):
+            assert validate_tokens(tokens) == tuple(tokens)
+        else:
+            with pytest.raises(ValueError):
+                validate_tokens(tokens)
+
+    @pytest.mark.parametrize("token, message", [
+        ("", "empty token: ''"),
+        ("a b", "token contains whitespace: 'a b'"),
+        ("a\u3000b", "token contains whitespace: 'a\\u3000b'"),
+        ("\u03a3", "token is not lowercase: '\u03a3'"),
+    ])
+    def test_names_the_offending_token(self, token, message):
+        with pytest.raises(ValueError) as exc:
+            validate_tokens(["ok", token, "fine"])
+        assert str(exc.value) == message
+
+    def test_non_string_token(self):
+        with pytest.raises(ValueError, match="empty token"):
+            validate_tokens(["ok", None])
+
+
+def _table(data: bytes, headers=(CLEAN_HEADER,)):
+    return list(read_table(io.BytesIO(data), headers))
+
+
+class TestTableCodec:
+    def test_cleaned_rows(self):
+        [(line, row)] = _table(b"id,lang,text,tokens\n\n1,zh,\xe4\xb8\xad\xe6\x96\x87,\xe4\xb8\xad \xe6\x96\x87\n")
+        assert line == 3
+        assert (row.id, row.lang, row.text, row.tokens, row.label) == (
+            "1", LanguageCode.ZH, "中文", ("中", "文"), None)
+
+    def test_either_schema_when_allowed(self):
+        both = (CLEAN_HEADER, CSV_HEADER)
+        [(_, row)] = _table(b"id,lang,text,tokens,label\n1,en,hi,hi,Negative\n", both)
+        assert row.label is SentimentLabel.NEGATIVE
+        assert len(_table(b"id,lang,text,tokens\n1,en,hi,hi\n", both)) == 1
+        with pytest.raises(BadHeaderError, match="id,lang,text,tokens or id,lang"):
+            _table(b"id,text\n", both)
+
+    def test_length_limit_not_checked(self):
+        text = "x" * 360
+        data = f"id,lang,text,tokens\n1,en,{text},{text}\n".encode()
+        assert _table(data)[0][1].text == text
+
+    @pytest.mark.parametrize("record, line, message", [
+        (b"1,en,hi\n", 2, "expected 4 fields, got 3"),
+        (b",en,hi,hi\n", 2, "empty id"),
+        (b"1,en, ,\n", 2, "empty text"),
+        (b"1,en,Hi,Hi\n", 2, "token is not lowercase: 'Hi'"),
+        (b"1,en,a  b,a  b\n", 2, "empty token"),
+        (b"1,en,hi,hi\n2,en,hi,hi\n1,en,hi,hi\n", 4, "duplicate id '1'"),
+        (b"1,en,\xff,x\n", 2, "invalid UTF-8"),
+        (b'1,en,"hi\nthere",hi\n2,xx,hi,hi\n', 4, "bad language code 'xx'"),
+        (b"1,en,a\rb,ab\n", 2, "new-line character"),
+    ])
+    def test_row_errors_name_path_and_line(self, tmp_path, record, line, message):
+        path = tmp_path / "clean.csv"
+        path.write_bytes(b"id,lang,text,tokens\n" + record)
+        with open(path, "rb") as source, pytest.raises(DatasetReadError) as exc:
+            list(read_table(source))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"{path}: line {line}: ")
+        assert message in str(exc.value)
+
+    def test_same_id_in_two_languages(self):
+        assert len(_table(b"id,lang,text,tokens\n1,en,hi,hi\n1,es,hola,hola\n")) == 2
+
+    def test_write_table_round_trip(self):
+        sink = io.StringIO()
+        rows = [("1", "en", 'say "hi", then\nleave', "say hi leave")]
+        assert write_table(sink, CLEAN_HEADER, rows) == 1
+        data = sink.getvalue()
+        assert data == 'id,lang,text,tokens\n1,en,"say ""hi"", then\nleave",say hi leave\n'
+        [(_, row)] = _table(data.encode())
+        assert (row.text, row.tokens) == (rows[0][2], ("say", "hi", "leave"))

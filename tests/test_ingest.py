@@ -139,6 +139,30 @@ class TestReadJsonl:
         [tweet] = list(read_jsonl(io.BytesIO(b'{"id":"1","text":"caf\xc3\xa9"}\n')))
         assert tweet.text == "café"
 
+    def test_invalid_utf8_is_a_bad_line(self):
+        data = b'{"id":"1","text":"a"}\n{"id":"2","text":"\xff"}\n{"id":"3","text":"c"}\n'
+        with pytest.raises(MalformedLineError) as exc:
+            list(read_jsonl(io.BytesIO(data)))
+        assert exc.value.line == 2
+        assert "UTF-8" in str(exc.value)
+        tweets = list(read_jsonl(io.BytesIO(data), skip_bad_lines=True))
+        assert [t.id for t in tweets] == ["1", "3"]
+
+    @pytest.mark.parametrize("skip_bad_lines", [False, True])
+    def test_bom_before_first_record_dropped(self, skip_bad_lines):
+        data = b'\xef\xbb\xbf{"id":"1","text":"a"}\n{"id":"2","text":"b"}\n'
+        tweets = list(read_jsonl(io.BytesIO(data), skip_bad_lines=skip_bad_lines))
+        assert [t.id for t in tweets] == ["1", "2"]
+        [tweet] = _read('\ufeff{"id":"1","text":"a"}\n', skip_bad_lines=skip_bad_lines)
+        assert tweet.id == "1"
+
+    def test_error_names_the_source_path(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(b'{"id":"1","text":"a"}\n{oops\n')
+        with open(path, "rb") as source, pytest.raises(MalformedLineError) as exc:
+            list(read_jsonl(source))
+        assert str(exc.value).startswith(f"{path}: line 2: malformed JSON")
+
     def test_laziness(self):
         def lines():
             yield '{"id":"1","text":"a"}\n'
