@@ -7,8 +7,8 @@ per-language analysis table, as a library plus a `tla` command-line tool.
 
 from .corpus import (
     LANGUAGE_ORDER,
+    CleanRow,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
     RawTweet,
     SentimentLabel,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import IO, Optional
@@ -24,6 +25,7 @@ from .analyze import (
 from .corpus import (
     CLEAN_HEADER,
     CSV_HEADER,
+    CleanRow,
     LabeledDataset,
     LanguageCode,
     SentimentLabel,
@@ -234,14 +236,16 @@ def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] =
     except SystemExit as exc:
         return _exit_code(exc)
 
-    try:
-        return ns.func(ns, out, err)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 2
-    except (TlaError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=err)
+        try:
+            return ns.func(ns, out, err)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=err)
+            return 2
+        except (TlaError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=err)
+            return 1
 
 
 def _exit_code(exc: SystemExit) -> int:
@@ -288,7 +292,7 @@ def _cmd_clean(ns, out, err) -> int:
                     "and no --lang fallback was given"
                 )
             tokens = preprocess_tweet(tweet.text, lang, table)
-            rows.append((tweet.id, lang.value, tweet.text, " ".join(tokens)))
+            rows.append(CleanRow(tweet.id, lang, tweet.text, tokens).fields())
 
     if ns.output is None:
         write_table(out, CLEAN_HEADER, rows)
@@ -362,9 +366,7 @@ def _cmd_identify(ns, out, err) -> int:
             if code is not row.lang:  # tokenizer and stopwords depend on the language
                 row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
         with open(ns.output, "w", encoding="utf-8", newline="") as sink:
-            write_table(sink, CLEAN_HEADER, (
-                (row.id, row.lang.value, row.text, " ".join(row.tokens)) for row in rows
-            ))
+            write_table(sink, CLEAN_HEADER, (row.fields() for row in rows))
         print(f"{len(rows)} rows", file=err)
     else:
         write_table(out, ("id", "lang", "confidence"), (
@@ -387,8 +389,8 @@ def _cmd_label(ns, out, err) -> int:
         for _, row in read_table(source):
             if row.lang not in lexicons:
                 lexicons[row.lang] = load_bundled_lexicon(row.lang)
-            label = label_sentiment(row.tokens, lexicons[row.lang], tie)
-            groups.setdefault(row.lang, []).append(row.labeled(label))
+            row.label = label_sentiment(row.tokens, lexicons[row.lang], tie)
+            groups.setdefault(row.lang, []).append(row)
     datasets = [LabeledDataset(language=lang, rows=tuple(rows)) for lang, rows in groups.items()]
 
     out_dir = Path(ns.out_dir)

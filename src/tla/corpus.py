@@ -221,51 +221,14 @@ def validate_tweet(candidate, *, lenient: bool = False) -> RawTweet:
     )
 
 
-@dataclass(frozen=True)
-class LabeledTweet:
-    """A tweet plus its language, preprocessed tokens, and sentiment label."""
-
-    raw: RawTweet
-    language: LanguageCode
-    tokens: tuple[str, ...]
-    label: SentimentLabel
-
-    def __post_init__(self):
-        if not isinstance(self.language, LanguageCode):
-            raise ValueError(f"language must be a LanguageCode, got {self.language!r}")
-        if not isinstance(self.label, SentimentLabel):
-            raise ValueError(f"label must be a SentimentLabel, got {self.label!r}")
-        object.__setattr__(self, "tokens", validate_tokens(self.tokens))
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """A homogeneous-language collection of labeled tweets with unique ids."""
-
-    language: LanguageCode
-    rows: tuple[LabeledTweet, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        seen: set[str] = set()
-        for i, row in enumerate(self.rows):
-            if row.language != self.language:
-                raise ValueError(
-                    f"row {i}: language {row.language} does not match dataset "
-                    f"language {self.language}"
-                )
-            if row.raw.id in seen:
-                raise ValueError(f"row {i}: duplicate id {row.raw.id!r}")
-            seen.add(row.raw.id)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 @dataclass
 class CleanRow:
-    """One row of the cleaned table (``CLEAN_HEADER``); rows of the labeled
-    table (``CSV_HEADER``) also carry their ``label``."""
+    """One row of the cleaned table (``CLEAN_HEADER``) and, once its
+    ``label`` is set, of the labeled table (``CSV_HEADER``).
+
+    Construction checks the language, the label and the token rules; the row
+    stays mutable, so a stage relabels it in place instead of rebuilding it.
+    """
 
     id: str
     lang: LanguageCode
@@ -273,8 +236,43 @@ class CleanRow:
     tokens: tuple[str, ...]
     label: Optional[SentimentLabel] = None
 
-    def labeled(self, label: SentimentLabel) -> LabeledTweet:
-        return LabeledTweet(RawTweet(self.id, self.text), self.lang, self.tokens, label)
+    def __post_init__(self):
+        if not isinstance(self.lang, LanguageCode):
+            raise ValueError(f"language must be a LanguageCode, got {self.lang!r}")
+        if self.label is not None and not isinstance(self.label, SentimentLabel):
+            raise ValueError(f"label must be a SentimentLabel, got {self.label!r}")
+        self.tokens = validate_tokens(self.tokens)
+
+    def fields(self) -> tuple[str, ...]:
+        """The row's CSV fields: those of ``CLEAN_HEADER``, then the label if set."""
+        fields = (self.id, self.lang.value, self.text, " ".join(self.tokens))
+        return fields if self.label is None else fields + (self.label.value,)
+
+
+@dataclass(frozen=True)
+class LabeledDataset:
+    """A homogeneous-language collection of labeled rows with unique ids."""
+
+    language: LanguageCode
+    rows: tuple[CleanRow, ...] = field(default=())
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        seen: set[str] = set()
+        for i, row in enumerate(self.rows):
+            if row.lang != self.language:
+                raise ValueError(
+                    f"row {i}: language {row.lang} does not match dataset "
+                    f"language {self.language}"
+                )
+            if row.label is None:
+                raise ValueError(f"row {i}: no label")
+            if row.id in seen:
+                raise ValueError(f"row {i}: duplicate id {row.id!r}")
+            seen.add(row.id)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 class DatasetWriteError(TlaError):
@@ -342,7 +340,7 @@ def read_table(
     whose header is one of ``headers``.
 
     Each row is checked here, once: field count, language, label, nonempty id
-    and text, ids unique within a language, and the token rules; the tweet
+    and text, ids unique within the file, and the token rules; the tweet
     length limit is an ingest policy and is not.  Errors name the line and,
     if the source has a ``name``, its path.
     """
@@ -352,7 +350,7 @@ def read_table(
         if header not in headers:
             raise BadHeaderError(header or None, headers)
         labeled = header == CSV_HEADER
-        seen: dict = {}  # language -> ids
+        seen: set[str] = set()
         for record in reader:
             if not record:
                 continue
@@ -376,15 +374,15 @@ def read_table(
                 raise DatasetReadError(line, "empty id")
             if not text.strip():
                 raise DatasetReadError(line, "empty text")
-            ids = seen.setdefault(lang, set())
-            if tweet_id in ids:
+            if tweet_id in seen:
                 raise DuplicateIdError(line, tweet_id)
-            ids.add(tweet_id)
+            seen.add(tweet_id)
+            tokens = tokens_field.split(" ") if tokens_field else ()
             try:
-                tokens = validate_tokens(tokens_field.split(" ") if tokens_field else ())
+                row = CleanRow(tweet_id, lang, text, tokens, label)
             except ValueError as exc:
                 raise DatasetReadError(line, str(exc)) from None
-            yield line, CleanRow(tweet_id, lang, text, tokens, label)
+            yield line, row
     except UnicodeDecodeError as exc:  # line_num counts the lines before the bad one
         error = DatasetReadError(reader.line_num + 1, f"invalid UTF-8: {exc.reason}")
         raise _located(error, source) from None
@@ -409,15 +407,7 @@ def write_dataset_csv(dataset: LabeledDataset, sink: IO[bytes]) -> int:
     # flushing the sink, so a failing write is attributed to its row.
     wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="", write_through=True)
     try:
-        return write_table(
-            wrapper,
-            CSV_HEADER,
-            (
-                (row.raw.id, row.language.value, row.raw.text, " ".join(row.tokens),
-                 row.label.value)
-                for row in dataset.rows
-            ),
-        )
+        return write_table(wrapper, CSV_HEADER, (row.fields() for row in dataset.rows))
     finally:
         # Hand the buffer back without closing the caller's sink.
         wrapper.detach()
@@ -432,14 +422,14 @@ def read_dataset_csv(
     be recovered from the fixed schema; when given alongside data rows it must
     agree with them.
     """
-    rows: list[LabeledTweet] = []
+    rows: list[CleanRow] = []
     dataset_language = language
     for line, row in read_table(source, (CSV_HEADER,)):
         if dataset_language is None:
             dataset_language = row.lang
         elif row.lang != dataset_language:
             raise _located(MixedLanguagesError(line, dataset_language, row.lang), source)
-        rows.append(row.labeled(row.label))
+        rows.append(row)
     if dataset_language is None:
         error = DatasetReadError(1, "empty dataset file and no expected language supplied")
         raise _located(error, source)

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .corpus import LanguageCode, RawTweet, TweetValidationError, validate_tweet
+from .corpus import (
+    LanguageCode,
+    RawTweet,
+    TweetLengthWarning,
+    TweetValidationError,
+    validate_tweet,
+)
 from .errors import LineError
 
 #: JSONL field names, following the export convention of the scraping tool.
@@ -73,6 +80,11 @@ class InvalidRecordError(JsonlError):
         super().__init__(line, "; ".join(self.violations))
 
 
+class DuplicateIdError(JsonlError):
+    def __init__(self, line: int, tweet_id: str):
+        super().__init__(line, f"duplicate id {tweet_id!r}")
+
+
 def read_jsonl(
     source: Union[IO[bytes], IO[str]],
     *,
@@ -82,25 +94,37 @@ def read_jsonl(
     """Lazily yield validated tweets from line-delimited JSON.
 
     One record per nonblank line; unknown fields and a leading byte order
-    mark are ignored.  Bad lines, invalid UTF-8 included, are errors naming
-    the line (and the source's ``name``) unless ``skip_bad_lines`` drops them.
+    mark are ignored.  Bad lines, invalid UTF-8 and a repeated id included,
+    are errors naming the line (and the source's ``name``) unless
+    ``skip_bad_lines`` drops them; of records sharing an id the first is kept.
+    A lenient length warning names the line too.
     """
+    path = getattr(source, "name", None)
+    seen: set[str] = set()
     for line_num, line in enumerate(source, start=1):
         try:
-            tweet = _parse_record(line, line_num, lenient=lenient)
+            tweet = _parse_record(line, line_num, lenient=lenient, path=path, seen=seen)
         except JsonlError as exc:
             if skip_bad_lines:
                 continue
-            exc.path = getattr(source, "name", None)
+            exc.path = path
             raise
         if tweet is not None:
+            seen.add(tweet.id)
             yield tweet
 
 
 def _parse_record(
-    line: Union[bytes, str], line_num: int, *, lenient: bool
+    line: Union[bytes, str],
+    line_num: int,
+    *,
+    lenient: bool,
+    path: Optional[str],
+    seen: set[str],
 ) -> Optional[RawTweet]:
-    """The tweet on one line, or None for a blank line."""
+    """The tweet on one line, or None for a blank line; an id in ``seen`` is
+    an error.  Lenient warnings of a kept tweet are reissued with the path and
+    line in front."""
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
@@ -136,9 +160,20 @@ def _parse_record(
         candidate[field] = value
 
     try:
-        return validate_tweet(candidate, lenient=lenient)
+        if lenient:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TweetLengthWarning)
+                tweet = validate_tweet(candidate, lenient=True)
+        else:
+            tweet, caught = validate_tweet(candidate), ()
     except TweetValidationError as exc:
         raise InvalidRecordError(line_num, exc.violations) from exc
+    if tweet.id in seen:
+        raise DuplicateIdError(line_num, tweet.id)
+    for warning in caught:
+        where = f"line {line_num}" if path is None else f"{path}: line {line_num}"
+        warnings.warn(f"{where}: {warning.message}", warning.category)
+    return tweet
 
 
 def filter_trending(tweets: Iterable[RawTweet], spec: QuerySpec) -> list[RawTweet]:

@@ -307,37 +307,6 @@ def _best_split_dense(values: np.ndarray, y: np.ndarray, n_classes: int):
     return col, (v + nxt) / 2.0
 
 
-def best_split(
-    samples: Sequence[tuple[FeatureVector, int]],
-    candidate_features: Sequence[int],
-) -> Optional[tuple[int, float]]:
-    """Best (feature, threshold) over the candidates, or None if no split helps.
-
-    Absent sparse entries count as 0.  Ties break toward the lowest feature
-    index, then the lowest threshold.
-    """
-    if not samples:
-        raise EmptySamplesError("best_split needs at least one sample")
-    candidates = sorted(set(int(f) for f in candidate_features))
-    if not candidates:
-        return None
-    column_of = {f: j for j, f in enumerate(candidates)}
-    n, m = len(samples), len(candidates)
-    values = np.zeros((n, m), dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    for i, (vec, cls) in enumerate(samples):
-        y[i] = cls
-        for f, count in vec.items():
-            j = column_of.get(f)
-            if j is not None:
-                values[i, j] = count
-    result = _best_split_dense(values, y, int(y.max()) + 1)
-    if result is None:
-        return None
-    col, threshold = result
-    return candidates[col], threshold
-
-
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from tla.corpus import (
+    CleanRow,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
-    RawTweet,
     SentimentLabel,
 )
+from tla.langid import EmptySamplesError, _best_split_dense
 
 settings.register_profile(
     "suite",
@@ -93,10 +94,10 @@ def random_dataset(rng: random.Random, language: LanguageCode = None) -> Labeled
     lang = language if language is not None else rng.choice(list(LanguageCode))
     rows = []
     for i in range(rng.randint(0, 8)):
-        raw = RawTweet(id=f"{i}-{rng.randrange(10**6)}", text=random_tweet_text(rng))
+        tweet_id, text = f"{i}-{rng.randrange(10**6)}", random_tweet_text(rng)
         tokens = tuple(random_token(rng) for _ in range(rng.randint(0, 6)))
         label = rng.choice([SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE])
-        rows.append(LabeledTweet(raw=raw, language=lang, tokens=tokens, label=label))
+        rows.append(CleanRow(tweet_id, lang, text, tokens, label))
     return LabeledDataset(language=lang, rows=tuple(rows))
 
 
@@ -105,10 +106,39 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+def best_split(samples, candidate_features):
+    """Best (feature, threshold) over the candidates, or None if no split helps.
+
+    Runs the forest's split search, ``tla.langid._best_split_dense``, on
+    sparse samples (feature -> count dicts with a class index each).  Absent
+    sparse entries count as 0.  Ties break toward the lowest feature index,
+    then the lowest threshold.
+    """
+    if not samples:
+        raise EmptySamplesError("best_split needs at least one sample")
+    candidates = sorted(set(int(f) for f in candidate_features))
+    if not candidates:
+        return None
+    column_of = {f: j for j, f in enumerate(candidates)}
+    values = np.zeros((len(samples), len(candidates)), dtype=np.int64)
+    y = np.empty(len(samples), dtype=np.int64)
+    for i, (vec, cls) in enumerate(samples):
+        y[i] = cls
+        for f, count in vec.items():
+            j = column_of.get(f)
+            if j is not None:
+                values[i, j] = count
+    result = _best_split_dense(values, y, int(y.max()) + 1)
+    if result is None:
+        return None
+    col, threshold = result
+    return candidates[col], threshold
+
+
 def exhaustive_best_split(samples, candidate_features):
     """Independent split-search oracle: exact rationals, brute enumeration.
 
-    Same contract as tla.langid.best_split: minimize weighted child Gini over
+    Same contract as best_split: minimize weighted child Gini over
     all (feature, midpoint) pairs, ties to lowest feature then lowest
     threshold, None when no split strictly reduces the parent impurity.
     """

@@ -17,10 +17,9 @@ import pytest
 from tla.analyze import truncate_pct
 from tla.cli import run as cli_run
 from tla.corpus import (
+    CleanRow,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
-    RawTweet,
     SentimentLabel,
     read_dataset_csv,
     write_dataset_csv,
@@ -29,7 +28,6 @@ from tla.ingest import QuerySpec, compile_query
 from tla.langid import (
     ForestParams,
     ForestPredictor,
-    best_split,
     evaluate_model,
     fit_nb,
     predict_language,
@@ -41,7 +39,13 @@ from tla.preprocess import StopwordTable, clean_text, preprocess_tweet
 from tla.sentiment import DuplicateTokenWarning, Lexicon, label_sentiment, load_lexicon, score_tokens
 from tla.synth import synthetic_corpus, synthetic_split
 
-from conftest import SCRIPT_LETTERS, exhaustive_best_split, random_dataset, random_script_text
+from conftest import (
+    SCRIPT_LETTERS,
+    best_split,
+    exhaustive_best_split,
+    random_dataset,
+    random_script_text,
+)
 
 ACCEPTANCE_SEED = 20240901
 
@@ -87,8 +91,7 @@ def _dataset_with_counts(lang, positive, negative):
     rows = []
     for i in range(positive + negative):
         label = SentimentLabel.POSITIVE if i < positive else SentimentLabel.NEGATIVE
-        rows.append(LabeledTweet(raw=RawTweet(id=str(i), text=f"t{i}"), language=lang,
-                                 tokens=(f"t{i}",), label=label))
+        rows.append(CleanRow(str(i), lang, f"t{i}", (f"t{i}",), label))
     return LabeledDataset(language=lang, rows=tuple(rows))
 
 

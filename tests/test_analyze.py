@@ -13,10 +13,9 @@ from tla.analyze import (
     truncate_pct,
 )
 from tla.corpus import (
+    CleanRow,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
-    RawTweet,
     SentimentLabel,
 )
 
@@ -57,14 +56,7 @@ def dataset_with_counts(lang: LanguageCode, positive: int, negative: int) -> Lab
     rows = []
     for i in range(positive + negative):
         label = SentimentLabel.POSITIVE if i < positive else SentimentLabel.NEGATIVE
-        rows.append(
-            LabeledTweet(
-                raw=RawTweet(id=str(i), text=f"t{i}"),
-                language=lang,
-                tokens=(f"t{i}",),
-                label=label,
-            )
-        )
+        rows.append(CleanRow(str(i), lang, f"t{i}", (f"t{i}",), label))
     return LabeledDataset(language=lang, rows=tuple(rows))
 
 

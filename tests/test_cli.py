@@ -3,11 +3,13 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import tla
+import tla.corpus
 from tla.cli import run
 from tla.corpus import LanguageCode, read_dataset_csv
 from tla.preprocess import StopwordTable, preprocess_tweet
@@ -354,9 +356,9 @@ class TestStageContracts:
         src.write_text('{"id":"1","text":"%s","lang":"en"}\n' % text, encoding="utf-8")
         cleaned, identified = tmp_path / "clean.csv", tmp_path / "identified.csv"
         out_dir = tmp_path / "labeled"
-        with pytest.warns(UserWarning, match=r"TextTooLong\(360\)"):
-            assert invoke("clean", "--lenient", "--input", str(src),
-                          "--output", str(cleaned))[0] == 0
+        code, _, err = invoke("clean", "--lenient", "--input", str(src),
+                              "--output", str(cleaned))
+        assert (code, err) == (0, f"warning: {src}: line 1: TextTooLong(360)\n1 rows\n")
         code, _, err = invoke("identify", "--model", str(model_file), "--input",
                               str(cleaned), "--output", str(identified))
         assert code == 0, err
@@ -376,6 +378,39 @@ class TestStageContracts:
         assert code == 1
         assert err == f"error: {cleaned}: line 4: duplicate id '2'\n"
         assert not (out_dir / "en.csv").exists()
+
+    def test_lenient_warning_leaves_warning_state_unchanged(self, tmp_path):
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"id":"1","text":"%s","lang":"en"}\n' % ("x" * 300), encoding="utf-8")
+        before = (warnings.showwarning, list(warnings.filters))
+        code, _, err = invoke("clean", "--lenient", "--input", str(src))
+        assert (code, err) == (0, f"warning: {src}: line 1: TextTooLong(300)\n1 rows\n")
+        assert (warnings.showwarning, list(warnings.filters)) == before
+
+    def test_repeated_id_is_a_bad_clean_line(self, tmp_path):
+        src = tmp_path / "dup.jsonl"
+        src.write_text('{"id":"1","text":"good day to you","lang":"en"}\n'
+                       '{"id":"1","text":"good day to you","lang":"fr"}\n', encoding="utf-8")
+        code, out, err = invoke("clean", "--input", str(src))
+        assert (code, out, err) == (1, "", f"error: {src}: line 2: duplicate id '1'\n")
+        code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
+        assert (code, err) == (0, "1 rows\n")
+        assert out.splitlines()[1:] == ["1,en,good day to you,good day"]
+
+    @pytest.mark.parametrize("stage", ["identify", "label"])
+    def test_same_id_in_two_languages_is_rejected(self, stage, model_file, tmp_path):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n1,en,good day to you,good day\n"
+                           "1,fr,good day to you,good day to you\n", encoding="utf-8")
+        output = tmp_path / "out"
+        argv = {
+            "identify": ["identify", "--model", str(model_file), "--input", str(cleaned),
+                         "--output", str(output)],
+            "label": ["label", "--input", str(cleaned), "--out-dir", str(output)],
+        }[stage]
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", f"error: {cleaned}: line 3: duplicate id '1'\n")
+        assert not output.exists()
 
     def test_written_tokens_match_the_written_language(self, model_file, tmp_path):
         src = tmp_path / "t.jsonl"
@@ -401,6 +436,38 @@ class TestStageContracts:
         kept = [tweet_id for tweet_id in before if after[tweet_id][1] == before[tweet_id][1]]
         assert kept
         assert all(after[tweet_id] == before[tweet_id] for tweet_id in kept)
+
+
+class TestOneTokenCheckPerRow:
+    ROWS = 6
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        check = tla.corpus.validate_tokens
+
+        def counting(tokens):
+            calls.append(tokens)
+            return check(tokens)
+
+        monkeypatch.setattr(tla.corpus, "validate_tokens", counting)
+        return calls
+
+    def _rows(self, langs, label=""):
+        return "".join(f"{i},{langs[i % len(langs)]},good day,good day{label}\n"
+                       for i in range(self.ROWS))
+
+    def test_read_dataset_csv(self, calls):
+        data = "id,lang,text,tokens,label\n" + self._rows(("en",), ",Positive")
+        assert len(read_dataset_csv(io.BytesIO(data.encode()))) == self.ROWS
+        assert len(calls) == self.ROWS
+
+    def test_label(self, calls, tmp_path):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n" + self._rows(("en", "es")), encoding="utf-8")
+        code, _, err = invoke("label", "--input", str(cleaned), "--out-dir", str(tmp_path / "l"))
+        assert code == 0, err
+        assert len(calls) == self.ROWS
 
 
 VALID_ROW = b"1,en,good day,good day"

@@ -9,11 +9,11 @@ from tla.corpus import (
     BadHeaderError,
     BadLabelError,
     BadLanguageError,
+    CleanRow,
     DatasetReadError,
     DatasetWriteError,
     DuplicateIdError,
     LabeledDataset,
-    LabeledTweet,
     LanguageCode,
     MixedLanguagesError,
     RawTweet,
@@ -116,39 +116,33 @@ class TestValidateTweet:
 
 class TestLabeledTypes:
     def test_token_rules_enforced(self):
-        raw = RawTweet(id="1", text="Hi")
         for bad in [("",), ("UPPER",), ("two words",), ("tab\tsep",)]:
             with pytest.raises(ValueError):
-                LabeledTweet(raw=raw, language=LanguageCode.EN, tokens=bad,
-                             label=SentimentLabel.POSITIVE)
+                CleanRow("1", LanguageCode.EN, "Hi", bad, SentimentLabel.POSITIVE)
 
     def test_dataset_language_homogeneity(self):
-        row = LabeledTweet(
-            raw=RawTweet(id="1", text="hoi"),
-            language=LanguageCode.NL,
-            tokens=("hoi",),
-            label=SentimentLabel.POSITIVE,
-        )
+        row = CleanRow("1", LanguageCode.NL, "hoi", ("hoi",), SentimentLabel.POSITIVE)
         with pytest.raises(ValueError, match="does not match dataset language"):
             LabeledDataset(language=LanguageCode.EN, rows=(row,))
 
     def test_dataset_unique_ids(self):
         def row(tweet_id):
-            return LabeledTweet(
-                raw=RawTweet(id=tweet_id, text="hi"),
-                language=LanguageCode.EN,
-                tokens=("hi",),
-                label=SentimentLabel.NEGATIVE,
-            )
+            return CleanRow(tweet_id, LanguageCode.EN, "hi", ("hi",), SentimentLabel.NEGATIVE)
 
         with pytest.raises(ValueError, match="duplicate id"):
             LabeledDataset(language=LanguageCode.EN, rows=(row("7"), row("7")))
 
+    def test_dataset_rows_are_labeled(self):
+        row = CleanRow("1", LanguageCode.EN, "hi", ("hi",))
+        with pytest.raises(ValueError, match="row 0: no label"):
+            LabeledDataset(language=LanguageCode.EN, rows=(row,))
+        row.label = SentimentLabel.POSITIVE
+        assert len(LabeledDataset(language=LanguageCode.EN, rows=(row,))) == 1
+
 
 def _row(tweet_id="1", text="hello there", tokens=("hello", "there"),
          label=SentimentLabel.POSITIVE, lang=LanguageCode.EN):
-    return LabeledTweet(raw=RawTweet(id=tweet_id, text=text), language=lang,
-                        tokens=tokens, label=label)
+    return CleanRow(tweet_id, lang, text, tokens, label)
 
 
 def _write(dataset) -> bytes:
@@ -274,7 +268,7 @@ class TestReadDatasetCsv:
         data = b"id,lang,text,tokens,label\r\n1,en,hi,hi,Positive\r\n"
         dataset = read_dataset_csv(io.BytesIO(data))
         assert len(dataset) == 1
-        assert dataset.rows[0].raw.text == "hi"
+        assert dataset.rows[0].text == "hi"
 
     def test_header_only_needs_language(self):
         data = b"id,lang,text,tokens,label\n"
@@ -389,7 +383,8 @@ class TestTableCodec:
         assert message in str(exc.value)
 
     def test_same_id_in_two_languages(self):
-        assert len(_table(b"id,lang,text,tokens\n1,en,hi,hi\n1,es,hola,hola\n")) == 2
+        with pytest.raises(DuplicateIdError, match="line 3: duplicate id '1'"):
+            _table(b"id,lang,text,tokens\n1,en,hi,hi\n1,es,hola,hola\n")
 
     def test_write_table_round_trip(self):
         sink = io.StringIO()

@@ -6,6 +6,7 @@ import pytest
 
 from tla.corpus import LanguageCode, RawTweet, TweetLengthWarning
 from tla.ingest import (
+    DuplicateIdError,
     InvalidRecordError,
     MalformedLineError,
     MissingFieldError,
@@ -134,6 +135,32 @@ class TestReadJsonl:
         with pytest.warns(TweetLengthWarning):
             [tweet] = _read(line, lenient=True)
         assert len(tweet.text) == 281
+
+    def test_lenient_warning_names_path_and_line(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text('{"id":"1","text":"a"}\n{"id":"2","text":"%s"}\n' % ("x" * 281))
+        with open(path, "rb") as source, pytest.warns(TweetLengthWarning) as record:
+            assert len(list(read_jsonl(source, lenient=True))) == 2
+        assert [str(w.message) for w in record] == [f"{path}: line 2: TextTooLong(281)"]
+
+    def test_repeated_id_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(b'{"id":"1","text":"a"}\n{"id":"2","text":"b"}\n{"id":1,"text":"c"}\n')
+        with open(path, "rb") as source, pytest.raises(DuplicateIdError) as exc:
+            list(read_jsonl(source))
+        assert str(exc.value) == f"{path}: line 3: duplicate id '1'"
+        with open(path, "rb") as source:
+            tweets = list(read_jsonl(source, skip_bad_lines=True))
+        assert [(t.id, t.text) for t in tweets] == [("1", "a"), ("2", "b")]
+
+    def test_skipped_line_does_not_claim_its_id(self):
+        data = '{"id":"1","text":""}\n{"id":"1","text":"b"}\n'
+        assert [t.text for t in _read(data, skip_bad_lines=True)] == ["b"]
+
+    def test_skipped_repeat_gives_no_length_warning(self, recwarn):
+        data = '{"id":"1","text":"a"}\n{"id":"1","text":"%s"}\n' % ("x" * 281)
+        assert [t.text for t in _read(data, skip_bad_lines=True, lenient=True)] == ["a"]
+        assert not recwarn.list
 
     def test_accepts_bytes_source(self):
         [tweet] = list(read_jsonl(io.BytesIO(b'{"id":"1","text":"caf\xc3\xa9"}\n')))

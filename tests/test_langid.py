@@ -17,7 +17,6 @@ from tla.langid import (
     ForestParams,
     NgramVectorizer,
     UnsupportedVersionError,
-    best_split,
     evaluate_model,
     extract_char_ngrams,
     fit_forest,
@@ -33,7 +32,7 @@ from tla.langid import (
     vectorize,
 )
 
-from conftest import exhaustive_best_split
+from conftest import best_split, exhaustive_best_split
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
 
