@@ -3,7 +3,8 @@
     train-langid -> clean -> identify -> label -> analyze
 
 Every step is a `tla` subcommand run in-process here; the same invocations
-work verbatim from a shell.  Intermediate artifacts land in a temp directory.
+work verbatim from a shell.  Intermediate artifacts land in a temp directory,
+removed at the end.
 """
 
 import sys
@@ -15,7 +16,8 @@ from tla.corpus import LanguageCode
 from tla.synth import synthetic_corpus
 
 SEED = 42
-work = Path(tempfile.mkdtemp(prefix="tla-demo-"))
+work_dir = tempfile.TemporaryDirectory(prefix="tla-demo-")  # also removed if a step fails
+work = Path(work_dir.name)
 print(f"working directory: {work}")
 
 
@@ -53,3 +55,4 @@ tla("label", "--input", str(identified), "--out-dir", str(labeled))
 
 tla("analyze", "--format", "plain", "--input",
     *sorted(str(p) for p in labeled.iterdir()))
+work_dir.cleanup()

@@ -29,7 +29,6 @@ from .langid import (
     fit_forest,
     fit_nb,
     fit_vectorizer,
-    gini_impurity,
     load_model,
     predict_language,
     predict_nb,

@@ -350,6 +350,7 @@ def _cmd_identify(ns, out, err) -> int:
         (ns.text is None) != (ns.input is None),
         "identify requires exactly one of --text or --input",
     )
+    _require(ns.text is None or ns.output is None, "identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
         predictor = ForestPredictor.load(source)
 

@@ -12,6 +12,7 @@ byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -41,10 +42,6 @@ class EmptyCorpusError(TlaError):
 
 
 class EmptyVocabularyError(TlaError):
-    pass
-
-
-class AllZeroError(TlaError):
     pass
 
 
@@ -165,17 +162,6 @@ def vectorize(vectorizer: NgramVectorizer, text: str) -> FeatureVector:
     return counts
 
 
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """1 - sum(p_i^2) over the class distribution; 0 iff the node is pure."""
-    counts = list(class_counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"negative class count in {counts}")
-    total = sum(counts)
-    if total == 0:
-        raise AllZeroError("gini impurity of an all-zero count vector is undefined")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
-
-
 @dataclass(frozen=True)
 class ForestParams:
     """Hyperparameters; features_per_split of None means ceil(sqrt(V)) at fit."""
@@ -234,10 +220,6 @@ class DecisionTree:
             else:
                 i = self.right[i]
         return self.value[i]
-
-    @property
-    def max_feature(self) -> int:
-        return max(self.feature)
 
 
 @dataclass(frozen=True)
@@ -375,6 +357,33 @@ def _grow_tree(
     )
 
 
+def _sample_matrix(
+    samples: Sequence[tuple[FeatureVector, LanguageCode]],
+    n_features: Optional[int],
+) -> tuple[tuple[LanguageCode, ...], np.ndarray, np.ndarray]:
+    """The sorted class list, the dense (n, n_features) count matrix and the
+    class index of each sample.
+
+    ``n_features`` defaults to the highest observed feature index + 1; an
+    index outside 0..n_features-1 is a ValueError.
+    """
+    classes = tuple(sorted({lang for _, lang in samples}))
+    class_index = {lang: i for i, lang in enumerate(classes)}
+    if n_features is None:
+        n_features = 1 + max(
+            (max(vec) for vec, _ in samples if vec), default=-1
+        )
+    X = np.zeros((len(samples), n_features), dtype=np.int32)
+    y = np.empty(len(samples), dtype=np.int64)
+    for i, (vec, lang) in enumerate(samples):
+        y[i] = class_index[lang]
+        if vec and not (0 <= min(vec) and max(vec) < n_features):
+            f = min(vec) if min(vec) < 0 else max(vec)
+            raise ValueError(f"sample {i}: feature index {f} out of range")
+        X[i, list(vec)] = list(vec.values())
+    return classes, X, y
+
+
 def fit_forest(
     samples: Sequence[tuple[FeatureVector, LanguageCode]],
     params: ForestParams,
@@ -390,22 +399,8 @@ def fit_forest(
     """
     if not samples:
         raise EmptySamplesError("fit_forest needs at least one sample")
-    classes = tuple(sorted({lang for _, lang in samples}))
-    class_index = {lang: i for i, lang in enumerate(classes)}
-
-    if n_features is None:
-        n_features = 1 + max(
-            (max(vec) for vec, _ in samples if vec), default=-1
-        )
-    n = len(samples)
-    X = np.zeros((n, n_features), dtype=np.int32)
-    y = np.empty(n, dtype=np.int64)
-    for i, (vec, lang) in enumerate(samples):
-        y[i] = class_index[lang]
-        for f, count in vec.items():
-            if not 0 <= f < n_features:
-                raise ValueError(f"sample {i}: feature index {f} out of range")
-            X[i, f] = count
+    classes, X, y = _sample_matrix(samples, n_features)
+    n_features = X.shape[1]
 
     if params.features_per_split is not None:
         m_features = min(params.features_per_split, n_features)
@@ -455,26 +450,15 @@ def fit_nb(
         raise EmptySamplesError("fit_nb needs at least one sample")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    classes = tuple(sorted({lang for _, lang in samples}))
-    class_index = {lang: i for i, lang in enumerate(classes)}
-    if n_features is None:
-        n_features = 1 + max(
-            (max(vec) for vec, _ in samples if vec), default=-1
-        )
-
-    k = len(classes)
-    class_counts = np.zeros(k, dtype=np.float64)
-    feature_counts = np.zeros((k, n_features), dtype=np.float64)
-    for vec, lang in samples:
-        c = class_index[lang]
-        class_counts[c] += 1
-        for f, count in vec.items():
-            feature_counts[c, f] += count
-
+    classes, X, y = _sample_matrix(samples, n_features)
+    class_counts = np.bincount(y, minlength=len(classes)).astype(np.float64)
+    feature_counts = np.stack(
+        [X[y == c].sum(axis=0, dtype=np.float64) for c in range(len(classes))]
+    )
     log_priors = np.log(class_counts / len(samples))
     totals = feature_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log(
-        (feature_counts + alpha) / (totals + alpha * n_features)
+        (feature_counts + alpha) / (totals + alpha * X.shape[1])
     )
     return NBModel(classes, log_priors, log_likelihood, alpha)
 
@@ -502,42 +486,42 @@ def predict_nb(model: NBModel, x: FeatureVector) -> LanguageCode:
     return model.classes[best_index]
 
 
-def _canonical_payload(model: ForestModel, vectorizer: NgramVectorizer) -> bytes:
-    payload = {
-        "classes": [c.value for c in model.classes],
-        "params": {
-            "num_trees": model.params.num_trees,
-            "max_depth": model.params.max_depth,
-            "min_samples_split": model.params.min_samples_split,
-            "features_per_split": model.params.features_per_split,
-            "seed": model.params.seed,
-        },
-        "trees": [
-            {
-                "feature": list(t.feature),
-                "threshold": list(t.threshold),
-                "left": list(t.left),
-                "right": list(t.right),
-                "value": list(t.value),
-            }
-            for t in model.trees
-        ],
-        "vectorizer": {
-            "n_min": vectorizer.n_min,
-            "n_max": vectorizer.n_max,
-            "min_doc_freq": vectorizer.min_doc_freq,
-            "vocabulary": vectorizer.vocabulary,
-        },
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return text.encode("utf-8")
-
-
 def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes]) -> int:
-    """Write magic, version byte, and the canonical JSON payload; returns bytes."""
-    blob = MODEL_MAGIC + bytes([MODEL_VERSION]) + _canonical_payload(model, vectorizer)
+    """Write magic, version byte, and the canonical JSON payload; returns bytes.
+
+    The payload is ``model``'s fields plus ``vectorizer``; each dataclass is
+    encoded as its ``vars``, an object keyed by its field names
+    (``dataclasses.asdict`` would deep-copy every tree node first).
+    """
+    payload = {**vars(model), "vectorizer": vectorizer}
+    text = json.dumps(payload, default=vars, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+    blob = MODEL_MAGIC + bytes([MODEL_VERSION]) + text.encode("utf-8")
     sink.write(blob)
     return len(blob)
+
+
+# JSON -> field value, by the field's annotation; other fields are taken as
+# they are, and the dataclass checks them.
+_DECODERS = {
+    "ForestParams": lambda spec: _from_json(ForestParams, spec),
+    "tuple[LanguageCode, ...]": lambda codes: tuple(map(LanguageCode.parse, codes)),
+    "tuple[DecisionTree, ...]": lambda specs: tuple(_from_json(DecisionTree, t) for t in specs),
+    "tuple[int, ...]": tuple,
+    "tuple[float, ...]": lambda values: tuple(map(float, values)),
+}
+
+
+def _from_json(cls, spec):
+    """``cls`` built from a JSON object whose keys are exactly its field names."""
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    if not isinstance(spec, dict) or spec.keys() != set(names):
+        raise CorruptPayloadError(f"{cls.__name__} needs exactly the keys {names}")
+    return cls(**{
+        f.name: _DECODERS[f.type](spec[f.name]) if f.type in _DECODERS else spec[f.name]
+        for f in fields
+    })
 
 
 def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
@@ -554,41 +538,18 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayloadError(str(exc)) from exc
 
+    if not isinstance(payload, dict):
+        raise CorruptPayloadError("payload is not a JSON object")
     try:
-        vec_spec = payload["vectorizer"]
-        vectorizer = NgramVectorizer(
-            n_min=vec_spec["n_min"],
-            n_max=vec_spec["n_max"],
-            min_doc_freq=vec_spec["min_doc_freq"],
-            vocabulary=vec_spec["vocabulary"],
-        )
-        params_spec = payload["params"]
-        params = ForestParams(
-            num_trees=params_spec["num_trees"],
-            max_depth=params_spec["max_depth"],
-            min_samples_split=params_spec["min_samples_split"],
-            features_per_split=params_spec["features_per_split"],
-            seed=params_spec["seed"],
-        )
-        classes = tuple(LanguageCode.parse(c) for c in payload["classes"])
-        trees = tuple(
-            DecisionTree(
-                feature=tuple(t["feature"]),
-                threshold=tuple(float(x) for x in t["threshold"]),
-                left=tuple(t["left"]),
-                right=tuple(t["right"]),
-                value=tuple(t["value"]),
-            )
-            for t in payload["trees"]
-        )
-        model = ForestModel(params=params, classes=classes, trees=trees)
-    except (KeyError, TypeError, ValueError) as exc:
+        vectorizer = _from_json(NgramVectorizer, payload.pop("vectorizer", None))
+        model = _from_json(ForestModel, payload)
+    except (TypeError, ValueError) as exc:
         raise CorruptPayloadError(str(exc)) from exc
 
     for t, tree in enumerate(model.trees):
-        if tree.max_feature >= vectorizer.size:
+        if max(tree.feature) >= vectorizer.size:
             raise CorruptPayloadError(
-                f"tree {t} references feature {tree.max_feature} "
+                f"tree {t} references feature {max(tree.feature)} "
                 f"beyond vocabulary size {vectorizer.size}"
             )
     return model, vectorizer
@@ -604,10 +565,9 @@ def evaluate_model(
         raise EmptyTestSetError("evaluate_model needs a nonempty test set")
     order = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
     confusion = np.zeros((len(LANGUAGE_ORDER), len(LANGUAGE_ORDER)), dtype=np.int64)
+    predictor = ForestPredictor(vectorizer=vectorizer, model=model)
     for text, truth in test:
-        predicted, _ = predict_language(
-            model, vectorize(vectorizer, normalize_for_langid(text))
-        )
+        predicted, _ = predictor.predict(text)
         confusion[order[truth], order[predicted]] += 1
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion

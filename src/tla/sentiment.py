@@ -15,15 +15,11 @@ from typing import IO, Iterable, Optional, Union
 
 from .assets import data_dir
 from .corpus import LanguageCode, SentimentLabel, validate_token
-from .errors import TlaError
+from .errors import LineError
 
 
-class LexiconError(TlaError):
+class LexiconError(LineError):
     """Base for lexicon parse errors; carries a 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 class BadWeightError(LexiconError):
@@ -59,35 +55,40 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
     """Parse TSV lines ``token<TAB>weight``; ``#`` and blank lines are ignored.
 
     A duplicated token keeps its last weight and triggers DuplicateTokenWarning.
+    Errors name the line and the source's ``name``, if it has one.
     """
     weights: dict = {}
-    for line_num, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        stripped = line.strip("\n\r")
-        if not stripped.strip() or stripped.lstrip().startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
-            raise LexiconError(line_num, "expected token<TAB>weight")
-        token, weight_text = parts[0], parts[1].strip()
-        try:
-            validate_token(token)
-        except ValueError as exc:
-            raise BadTokenError(line_num, token, str(exc)) from None
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise BadWeightError(line_num, weight_text) from None
-        if not math.isfinite(weight) or weight == 0:
-            raise BadWeightError(line_num, weight_text)
-        if token in weights:
-            warnings.warn(
-                f"line {line_num}: duplicate token {token!r}, keeping last entry",
-                DuplicateTokenWarning,
-                stacklevel=2,
-            )
-        weights[token] = weight
+    try:
+        for line_num, line in enumerate(source, start=1):
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            stripped = line.strip("\n\r")
+            if not stripped.strip() or stripped.lstrip().startswith("#"):
+                continue
+            parts = stripped.split("\t")
+            if len(parts) != 2:
+                raise LexiconError(line_num, "expected token<TAB>weight")
+            token, weight_text = parts[0], parts[1].strip()
+            try:
+                validate_token(token)
+            except ValueError as exc:
+                raise BadTokenError(line_num, token, str(exc)) from None
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise BadWeightError(line_num, weight_text) from None
+            if not math.isfinite(weight) or weight == 0:
+                raise BadWeightError(line_num, weight_text)
+            if token in weights:
+                warnings.warn(
+                    f"line {line_num}: duplicate token {token!r}, keeping last entry",
+                    DuplicateTokenWarning,
+                    stacklevel=2,
+                )
+            weights[token] = weight
+    except LexiconError as exc:
+        exc.path = getattr(source, "name", None)
+        raise
     return Lexicon(language=lang, weights=weights)
 
 

@@ -173,10 +173,14 @@ class TestTrainAndIdentify:
         assert lang == "en"
         assert 0.0 < float(confidence) <= 1.0
 
-    def test_identify_requires_text_xor_input(self, model_file):
+    def test_identify_requires_text_xor_input(self, model_file, tmp_path):
         assert invoke("identify", "--model", str(model_file))[0] == 2
         assert invoke("identify", "--model", str(model_file), "--text", "x",
                       "--input", "y.csv")[0] == 2
+        output = tmp_path / "y.csv"
+        assert invoke("identify", "--model", str(model_file), "--text", "x",
+                      "--output", str(output))[0] == 2
+        assert not output.exists()
 
     def test_identify_bad_model_file(self, tmp_path):
         bad = tmp_path / "bad.tlam"
@@ -330,6 +334,18 @@ class TestDataDirOverride:
         assert code == 0
         # "best" now a stopword, "the" no longer one
         assert out.splitlines()[1] == "1,en,the best day,the day"
+
+    def test_bad_lexicon_names_its_file(self, tmp_path, monkeypatch):
+        lexicon = tmp_path / "lexicons" / "en.tsv"
+        lexicon.parent.mkdir()
+        lexicon.write_text("good\tnotanumber\n", encoding="utf-8")
+        src = tmp_path / "clean.csv"
+        src.write_text("id,lang,text,tokens\n1,en,good day,good day\n", encoding="utf-8")
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        code, _, err = invoke("label", "--input", str(src), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {lexicon}: line 1: bad weight 'notanumber'")
+        assert not (tmp_path / "out").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from tla.corpus import LanguageCode
 from tla.langid import (
-    AllZeroError,
     BadMagicError,
     CorruptPayloadError,
     EmptyCorpusError,
@@ -22,7 +21,6 @@ from tla.langid import (
     fit_forest,
     fit_nb,
     fit_vectorizer,
-    gini_impurity,
     load_model,
     normalize_for_langid,
     predict_language,
@@ -114,33 +112,6 @@ class TestVectorize:
             grams = extract_char_ngrams(text, v.n_min, v.n_max)
             in_vocab = sum(1 for g in grams if g in v.vocabulary)
             assert sum(vectorize(v, text).values()) == in_vocab
-
-
-class TestGiniImpurity:
-    @pytest.mark.parametrize(
-        "counts,expected",
-        [([5, 0], 0.0), ([1, 1], 0.5), ([1, 1, 1, 1], 0.75), ([10], 0.0)],
-    )
-    def test_examples(self, counts, expected):
-        assert gini_impurity(counts) == pytest.approx(expected, abs=1e-12)
-
-    def test_all_zero(self):
-        with pytest.raises(AllZeroError):
-            gini_impurity([0, 0, 0])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gini_impurity([3, -1])
-
-    def test_bounds(self, rng):
-        for _ in range(200):
-            k = rng.randint(1, 6)
-            counts = [rng.randint(0, 9) for _ in range(k)]
-            if sum(counts) == 0:
-                counts[0] = 1
-            g = gini_impurity(counts)
-            assert 0.0 <= g <= 1.0 - 1.0 / k + 1e-12
-            assert (g == 0.0) == (sum(1 for c in counts if c) == 1)
 
 
 def _samples(values, classes, feature=0):
@@ -352,6 +323,16 @@ class TestNaiveBayes:
         with pytest.raises(EmptySamplesError):
             fit_nb([])
 
+    def test_feature_index_out_of_range(self):
+        # the same check as fit_forest's: -1 must not count into the last column
+        fits = (fit_nb, lambda samples, n_features: fit_forest(
+            samples, ForestParams(num_trees=1), n_features=n_features))
+        for fit in fits:
+            for bad in (-1, 2):
+                samples = [({0: 1, bad: 5}, EN), ({1: 2}, ES)]
+                with pytest.raises(ValueError, match=f"feature index {bad} out of range"):
+                    fit(samples, n_features=2)
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -369,6 +350,7 @@ class TestModelSerialization:
         sink.seek(0)
         loaded_model, loaded_v = load_model(sink)
         assert loaded_v == v
+        assert loaded_model == model
         rng = random.Random(11)
         for _ in range(1000):
             x = {f: rng.randint(1, 5) for f in range(v.size) if rng.random() < 0.3}
@@ -406,11 +388,26 @@ class TestModelSerialization:
         model, v = trained
         sink = io.BytesIO()
         save_model(model, v, sink)
-        payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
-        payload["vectorizer"]["vocabulary"] = {"a": 0, "c": 2}
-        blob = b"TLAM\x01" + json.dumps(payload).encode("utf-8")
+        corruptions = [
+            lambda p: p["vectorizer"].update(vocabulary={"a": 0, "c": 2}),
+            lambda p: p.pop("vectorizer"),
+            lambda p: p.update(extra=1),
+            lambda p: p["params"].pop("num_trees"),
+            lambda p: p["params"].update(extra=1),
+            lambda p: p["vectorizer"].pop("min_doc_freq"),
+            lambda p: p["vectorizer"].update(extra=1),
+            lambda p: p["trees"][0].pop("threshold"),
+            lambda p: p["trees"][-1].update(extra=[]),
+            lambda p: p.update(trees=[[]]),
+        ]
+        for corrupt in corruptions:
+            payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
+            corrupt(payload)
+            blob = b"TLAM\x01" + json.dumps(payload).encode("utf-8")
+            with pytest.raises(CorruptPayloadError):
+                load_model(io.BytesIO(blob))
         with pytest.raises(CorruptPayloadError):
-            load_model(io.BytesIO(blob))
+            load_model(io.BytesIO(b"TLAM\x01[]"))
 
     def test_feature_beyond_vocabulary(self, trained):
         model, v = trained
