@@ -2,8 +2,6 @@
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error.  Results go to
 the output stream, errors and per-step line counts to the error stream.
-Defaults may come from a ``tla.conf`` key=value file (flag > config file >
-built-in default); unknown flags and unknown config keys are errors.
 """
 
 from __future__ import annotations
@@ -41,26 +39,17 @@ from .preprocess import StopwordTable, preprocess_tweet
 from .sentiment import label_sentiment, load_bundled_lexicon
 from .synth import synthetic_corpus
 
-CONFIG_FILENAME = "tla.conf"
-
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-
 
 class UsageError(TlaError):
     pass
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tla",
         description="Multilingual tweet corpus pipeline.",
     )
-    parser.add_argument(
-        "--config", metavar="PATH", help=f"key=value config file (default ./{CONFIG_FILENAME})"
-    )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    commands: dict = {}
 
     p = subparsers.add_parser("query", help="print the compiled search-query string")
     p.add_argument("--lang", type=LanguageCode.parse, metavar="CODE")
@@ -70,7 +59,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p.add_argument("--max-results", type=int, default=500)
     p.set_defaults(func=_cmd_query)
-    commands["query"] = p
 
     p = subparsers.add_parser("clean", help="JSONL tweets in, cleaned token CSV out")
     p.add_argument("--input", metavar="PATH", help="line-delimited JSON export")
@@ -89,7 +77,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="downgrade the 280-character limit to a warning",
     )
     p.set_defaults(func=_cmd_clean)
-    commands["clean"] = p
 
     p = subparsers.add_parser(
         "train-langid", help="train the language identifier and write a model file"
@@ -111,7 +98,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--ngram-max", type=int, default=3)
     p.add_argument("--min-df", type=int, default=2)
     p.set_defaults(func=_cmd_train)
-    commands["train-langid"] = p
 
     p = subparsers.add_parser(
         "identify", help="predict language and confidence with a trained model"
@@ -125,7 +111,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="with --input: rewrite the lang column with predictions",
     )
     p.set_defaults(func=_cmd_identify)
-    commands["identify"] = p
 
     p = subparsers.add_parser(
         "label", help="sentiment-label a cleaned CSV into per-language datasets"
@@ -139,100 +124,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="label used when the lexicon score is exactly zero",
     )
     p.set_defaults(func=_cmd_label)
-    commands["label"] = p
 
     p = subparsers.add_parser("analyze", help="per-language sentiment table")
     p.add_argument("--input", nargs="+", metavar="PATH", help="labeled dataset CSV(s)")
     p.add_argument("--format", choices=REPORT_FORMATS, default="plain")
     p.add_argument("--output", metavar="PATH", help="report destination (default stdout)")
     p.set_defaults(func=_cmd_analyze)
-    commands["analyze"] = p
 
-    return parser, commands
-
-
-def _load_config(path: Path) -> dict:
-    values: dict = {}
-    for line_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}: line {line_num}: expected key=value")
-        key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config(config: dict, commands: dict) -> None:
-    for key, raw in config.items():
-        owners = []
-        for name, sub in commands.items():
-            action = next(
-                (a for a in sub._actions if a.dest == key and a.dest != "help"), None
-            )
-            if action is not None:
-                owners.append((name, sub, action))
-        if not owners:
-            raise UsageError(f"unknown config key: {key}")
-        for name, sub, action in owners:
-            if action.nargs in ("+", "*"):
-                raise UsageError(f"config key {key} is not settable from a file")
-            if isinstance(action, argparse.BooleanOptionalAction) or isinstance(
-                action.const, bool
-            ):
-                lowered = raw.lower()
-                if lowered in _TRUE_WORDS:
-                    value = True
-                elif lowered in _FALSE_WORDS:
-                    value = False
-                else:
-                    raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
-            elif action.choices is not None and raw not in action.choices:
-                raise UsageError(
-                    f"config key {key}: invalid choice {raw!r} "
-                    f"(choose from {', '.join(map(str, action.choices))})"
-                )
-            elif action.type is not None:
-                try:
-                    value = action.type(raw)
-                except (TypeError, ValueError) as exc:
-                    raise UsageError(f"config key {key}: {exc}") from exc
-            else:
-                value = raw
-            sub.set_defaults(**{key: value})
+    return parser
 
 
 def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] = None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-
-    prescan = argparse.ArgumentParser(add_help=False)
-    prescan.add_argument("--config")
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            pre_ns, _ = prescan.parse_known_args(argv)
-    except SystemExit as exc:
-        return _exit_code(exc)
-
-    parser, commands = _build_parser()
-    try:
-        if pre_ns.config is not None:
-            config_path = Path(pre_ns.config)
-            if not config_path.is_file():
-                raise UsageError(f"config file not found: {config_path}")
-            _apply_config(_load_config(config_path), commands)
-        elif Path(CONFIG_FILENAME).is_file():
-            _apply_config(_load_config(Path(CONFIG_FILENAME)), commands)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 2
-
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            ns = parser.parse_args(argv)
+            ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return _exit_code(exc)
 

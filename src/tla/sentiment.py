@@ -55,13 +55,17 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
     """Parse TSV lines ``token<TAB>weight``; ``#`` and blank lines are ignored.
 
     A duplicated token keeps its last weight and triggers DuplicateTokenWarning.
-    Errors name the line and the source's ``name``, if it has one.
+    Errors and warnings name the line and the source's ``name``, if it has one.
     """
+    path = getattr(source, "name", None)
     weights: dict = {}
     try:
         for line_num, line in enumerate(source, start=1):
             if isinstance(line, bytes):
-                line = line.decode("utf-8")
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LexiconError(line_num, f"invalid UTF-8: {exc.reason}") from None
             stripped = line.strip("\n\r")
             if not stripped.strip() or stripped.lstrip().startswith("#"):
                 continue
@@ -80,14 +84,15 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
             if not math.isfinite(weight) or weight == 0:
                 raise BadWeightError(line_num, weight_text)
             if token in weights:
+                where = f"line {line_num}" if path is None else f"{path}: line {line_num}"
                 warnings.warn(
-                    f"line {line_num}: duplicate token {token!r}, keeping last entry",
+                    f"{where}: duplicate token {token!r}, keeping last entry",
                     DuplicateTokenWarning,
                     stacklevel=2,
                 )
             weights[token] = weight
     except LexiconError as exc:
-        exc.path = getattr(source, "name", None)
+        exc.path = path
         raise
     return Lexicon(language=lang, weights=weights)
 
@@ -99,7 +104,7 @@ def load_bundled_lexicon(
     path = data_dir(override_dir) / "lexicons" / f"{lang.value}.tsv"
     if not path.is_file():
         return Lexicon(language=lang, weights={})
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         return load_lexicon(handle, lang)
 
 

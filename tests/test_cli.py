@@ -276,51 +276,29 @@ class TestLabelAndAnalyze:
         assert report.read_text(encoding="utf-8").splitlines()[1].startswith("English,")
 
 
-class TestConfigFile:
-    def test_config_sets_defaults(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "tla.conf").write_text("min_faves=123\n", encoding="utf-8")
-        code, out, _ = invoke("query", "--lang", "en")
-        assert code == 0
-        assert out == "min_faves:123 filter:has_engagement lang:en\n"
-
-    def test_flag_overrides_config(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "tla.conf").write_text("min_faves=123\n", encoding="utf-8")
-        code, out, _ = invoke("query", "--lang", "en", "--min-faves", "9")
-        assert out == "min_faves:9 filter:has_engagement lang:en\n"
-
-    def test_explicit_config_path(self, tmp_path):
+class TestArgvOnly:
+    def test_config_flag_is_usage_error(self, tmp_path):
         conf = tmp_path / "other.conf"
-        conf.write_text("has-engagement=false\nmin_faves=0\n", encoding="utf-8")
-        code, out, _ = invoke("--config", str(conf), "query", "--lang", "sv")
-        assert code == 0
-        assert out == "lang:sv\n"
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("frumious=1\n", encoding="utf-8")
-        code, _, err = invoke("--config", str(conf), "query", "--lang", "en")
+        conf.write_text("min_faves=0\n", encoding="utf-8")
+        code, out, err = invoke("--config", str(conf), "query", "--lang", "en")
         assert code == 2
-        assert "frumious" in err
+        assert out == ""
+        assert "usage" in err
 
-    def test_bad_config_value_is_usage_error(self, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("min_faves=lots\n", encoding="utf-8")
-        code, _, err = invoke("--config", str(conf), "query", "--lang", "en")
-        assert code == 2
+    def test_tla_conf_in_working_directory_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "tla.conf"
+        conf.write_text("min_faves=5\ntrees=1\n", encoding="utf-8")
+        code, out, _ = invoke("query", "--lang", "en")
+        assert (code, out) == (0, "min_faves:9000 filter:has_engagement lang:en\n")
 
-    def test_missing_config_file(self, tmp_path):
-        code, _, err = invoke("--config", str(tmp_path / "nope.conf"), "query",
-                              "--lang", "en")
-        assert code == 2
-        assert "not found" in err
-
-    def test_malformed_config_line(self, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("just a line\n", encoding="utf-8")
-        code, _, err = invoke("--config", str(conf), "query", "--lang", "en")
-        assert code == 2
+        argv = ("train-langid", "--synthetic", "10", "--seed", "7", "--max-depth", "3")
+        assert invoke(*argv, "--output", "with_conf.tlam")[0] == 0
+        conf.unlink()
+        assert invoke(*argv, "--output", "without_conf.tlam")[0] == 0
+        assert (tmp_path / "with_conf.tlam").read_bytes() == (
+            tmp_path / "without_conf.tlam"
+        ).read_bytes()
 
 
 class TestDataDirOverride:
@@ -335,17 +313,41 @@ class TestDataDirOverride:
         # "best" now a stopword, "the" no longer one
         assert out.splitlines()[1] == "1,en,the best day,the day"
 
-    def test_bad_lexicon_names_its_file(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _label_with_lexicon(tmp_path, monkeypatch, content):
         lexicon = tmp_path / "lexicons" / "en.tsv"
         lexicon.parent.mkdir()
-        lexicon.write_text("good\tnotanumber\n", encoding="utf-8")
+        lexicon.write_bytes(content)
         src = tmp_path / "clean.csv"
         src.write_text("id,lang,text,tokens\n1,en,good day,good day\n", encoding="utf-8")
         monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
         code, _, err = invoke("label", "--input", str(src), "--out-dir", str(tmp_path / "out"))
+        return lexicon, code, err
+
+    def test_bad_lexicon_names_its_file(self, tmp_path, monkeypatch):
+        lexicon, code, err = self._label_with_lexicon(
+            tmp_path, monkeypatch, b"good\tnotanumber\n"
+        )
         assert code == 1
         assert err.startswith(f"error: {lexicon}: line 1: bad weight 'notanumber'")
         assert not (tmp_path / "out").exists()
+
+    def test_invalid_utf8_lexicon_names_its_file_and_line(self, tmp_path, monkeypatch):
+        lexicon, code, err = self._label_with_lexicon(
+            tmp_path, monkeypatch, b"good\t1\nb\xffd\t-1\n"
+        )
+        assert code == 1
+        assert err == f"error: {lexicon}: line 2: invalid UTF-8: invalid start byte\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_lexicon_token_warning_names_its_file(self, tmp_path, monkeypatch):
+        lexicon, code, err = self._label_with_lexicon(
+            tmp_path, monkeypatch, b"good\t1\ngood\t2\n"
+        )
+        assert code == 0, err
+        assert err.splitlines()[0] == (
+            f"warning: {lexicon}: line 2: duplicate token 'good', keeping last entry"
+        )
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

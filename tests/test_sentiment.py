@@ -67,6 +67,12 @@ class TestLoadLexicon:
         lexicon = load_lexicon(io.BytesIO("хорошо\t1.5\n".encode("utf-8")), LanguageCode.RU)
         assert lexicon.weights == {"хорошо": 1.5}
 
+    def test_invalid_utf8_is_a_lexicon_error(self):
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(io.BytesIO(b"good\t1\nb\xffd\t-1\n"), EN)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: invalid UTF-8: invalid start byte"
+
     def test_lexicon_type_validation(self):
         with pytest.raises(ValueError):
             Lexicon(language=EN, weights={"good": float("nan")})
