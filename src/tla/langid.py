@@ -7,7 +7,9 @@ with stopwords retained (stopwords are strong language discriminators).
 
 Training is a pure function of (sample order, parameters): bootstrap rows and
 candidate features come from a per-tree generator, so repeated fits serialize
-byte-identically.
+byte-identically.  The samples are held once as a sparse column store (no
+n x V matrix); each tree node builds its class histogram from the nonzeros of
+its candidate features only.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -242,30 +245,107 @@ class ForestModel:
                 raise ValueError(f"tree {t} leaf class index out of range")
 
 
-def _best_split_dense(values: np.ndarray, y: np.ndarray, n_classes: int):
-    """Exhaustive split search over a dense (n_samples, n_features) count block.
+class _Columns(NamedTuple):
+    """Training samples as a compressed sparse column store.
 
-    Thresholds are midpoints between consecutive distinct observed values;
-    returns (column, threshold) minimizing weighted child Gini, ties broken by
-    first column then lowest threshold, or None when nothing beats the parent.
+    Feature ``f``'s nonzero counts sit at ``indptr[f]:indptr[f + 1]`` of
+    ``rows`` (sample indices, ascending) and ``counts`` (the narrowest unsigned
+    dtype that holds the largest count); ``y`` is each sample's class index.
     """
-    n, m = values.shape
-    if n == 0 or m == 0:
-        return None
-    values = values.astype(np.int64, copy=False)
-    vmax = int(values.max())
-    if vmax == int(values.min()):
-        return None
-    stride = vmax + 1
-    k = n_classes
 
-    flat = (np.arange(m, dtype=np.int64) * stride)[None, :] * k + values * k + y[:, None]
-    hist = np.bincount(flat.ravel(), minlength=m * stride * k).reshape(m, stride, k)
+    classes: tuple[LanguageCode, ...]
+    y: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
 
+
+def _column_store(
+    samples: Sequence[tuple[FeatureVector, LanguageCode]],
+    n_features: Optional[int],
+) -> _Columns:
+    """The sorted class list and the samples' sparse column store.
+
+    ``n_features`` defaults to the highest observed feature index + 1; an
+    index outside 0..n_features-1 or a negative count is a ValueError.
+    """
+    classes = tuple(sorted({lang for _, lang in samples}))
+    class_index = {lang: i for i, lang in enumerate(classes)}
+    y = np.array([class_index[lang] for _, lang in samples], dtype=np.int64)
+    sizes = [len(vec) for vec, _ in samples]
+    nnz = sum(sizes)
+    features = np.fromiter(chain.from_iterable(vec for vec, _ in samples), np.int64, nnz)
+    counts = np.fromiter(
+        chain.from_iterable(vec.values() for vec, _ in samples), np.int64, nnz
+    )
+    rows = np.repeat(np.arange(len(samples)), sizes)
+    if n_features is None:
+        n_features = int(features.max()) + 1 if nnz else 0
+    bad = np.flatnonzero((features < 0) | (features >= n_features))
+    if bad.size:
+        at = bad[0]
+        raise ValueError(f"sample {rows[at]}: feature index {features[at]} out of range")
+    bad = np.flatnonzero(counts < 0)
+    if bad.size:
+        at = bad[0]
+        raise ValueError(
+            f"sample {rows[at]}: feature {features[at]} has negative count {counts[at]}"
+        )
+    order = np.argsort(features, kind="stable")
+    indptr = np.zeros(n_features + 1, dtype=np.int64)
+    np.cumsum(np.bincount(features, minlength=n_features), out=indptr[1:])
+    dtype = np.min_scalar_type(int(counts.max()) if nnz else 0)
+    return _Columns(classes, y, indptr, rows[order], counts[order].astype(dtype))
+
+
+def _node_histogram(
+    columns: _Columns, idx: np.ndarray, cand: np.ndarray, totals: np.ndarray
+) -> Optional[np.ndarray]:
+    """The node's (m, vmax + 1, k) class histogram over candidate columns.
+
+    ``hist[j, v, c]`` counts the node's samples ``idx`` (bootstrap repeats
+    included) of class ``c`` that read ``v`` in column ``cand[j]``.  Only the
+    candidates' nonzeros are read, each weighted by its row's multiplicity in
+    ``idx``; the zero bucket is the node's class ``totals`` minus the nonzero
+    buckets.  None when every candidate value at the node is 0.
+    """
+    y, indptr = columns.y, columns.indptr
+    starts = indptr[cand]
+    lengths = indptr[cand + 1] - starts
+    ends = np.cumsum(lengths)
+    # store position of every candidate nonzero, column after column
+    pos = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    col = np.repeat(np.arange(cand.size), lengths)
+    rows = columns.rows[pos]
+    weight = np.bincount(idx, minlength=y.size)[rows]
+    keep = np.flatnonzero(weight)
+    if keep.size == 0:
+        return None
+    rows, weight, col = rows[keep], weight[keep], col[keep]
+    values = columns.counts[pos[keep]].astype(np.int64)
+    stride = int(values.max()) + 1
+    k = totals.size
+    flat = (col * stride + values) * k + y[rows]
+    hist = np.bincount(flat, weights=weight, minlength=cand.size * stride * k)
+    hist = hist.astype(np.int64).reshape(cand.size, stride, k)
+    hist[:, 0] += totals - hist.sum(axis=1)
+    return hist
+
+
+def _best_split_hist(hist: np.ndarray, totals: np.ndarray, n: int):
+    """Exhaustive split search over an (m, stride, k) class histogram.
+
+    ``hist[j, v, c]`` counts the node's samples of class ``c`` whose value in
+    candidate column ``j`` is ``v``; ``totals`` are the node's class counts and
+    ``n`` its sample count.  Thresholds are midpoints between consecutive
+    distinct observed values; returns (column, threshold) minimizing weighted
+    child Gini, ties broken by first column then lowest threshold, or None
+    when nothing beats the parent.
+    """
+    stride = hist.shape[1]
     cum = hist.cumsum(axis=1)
     n_left = cum.sum(axis=2)
     sum_l2 = (cum * cum).sum(axis=2)
-    totals = np.bincount(y, minlength=k).astype(np.int64)
     rem = totals[None, None, :] - cum
     sum_r2 = (rem * rem).sum(axis=2)
     n_right = n - n_left
@@ -290,14 +370,14 @@ def _best_split_dense(values: np.ndarray, y: np.ndarray, n_classes: int):
 
 
 def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
+    columns: _Columns,
     n_classes: int,
     rng: np.random.Generator,
     params: ForestParams,
     m_features: int,
 ) -> DecisionTree:
-    n_samples, n_features = X.shape
+    y, indptr = columns.y, columns.indptr
+    n_samples, n_features = y.size, indptr.size - 1
     boot = rng.integers(0, n_samples, size=n_samples)
 
     feature: list[int] = []
@@ -318,9 +398,9 @@ def _grow_tree(
             else:
                 right[parent] = pos
 
-        counts = np.bincount(y[idx], minlength=n_classes)
-        majority = int(np.argmax(counts))
-        pure = int(counts.max()) == idx.size
+        totals = np.bincount(y[idx], minlength=n_classes)
+        majority = int(np.argmax(totals))
+        pure = int(totals.max()) == idx.size
         at_depth_limit = params.max_depth is not None and depth >= params.max_depth
         split = None
         if not (pure or at_depth_limit or idx.size < params.min_samples_split or m_features == 0):
@@ -330,7 +410,8 @@ def _grow_tree(
                 )
             else:
                 cand = np.arange(n_features)
-            found = _best_split_dense(X[np.ix_(idx, cand)], y[idx], n_classes)
+            hist = _node_histogram(columns, idx, cand, totals)
+            found = None if hist is None else _best_split_hist(hist, totals, idx.size)
             if found is not None:
                 split = (int(cand[found[0]]), found[1])
 
@@ -343,7 +424,10 @@ def _grow_tree(
             continue
 
         f, thr = split
-        go_left = X[idx, f] <= thr
+        nonzero = slice(indptr[f], indptr[f + 1])
+        column = np.zeros(n_samples, dtype=columns.counts.dtype)
+        column[columns.rows[nonzero]] = columns.counts[nonzero]
+        go_left = column[idx] <= thr
         feature.append(f)
         threshold.append(thr)
         left.append(-1)
@@ -355,33 +439,6 @@ def _grow_tree(
     return DecisionTree(
         tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value)
     )
-
-
-def _sample_matrix(
-    samples: Sequence[tuple[FeatureVector, LanguageCode]],
-    n_features: Optional[int],
-) -> tuple[tuple[LanguageCode, ...], np.ndarray, np.ndarray]:
-    """The sorted class list, the dense (n, n_features) count matrix and the
-    class index of each sample.
-
-    ``n_features`` defaults to the highest observed feature index + 1; an
-    index outside 0..n_features-1 is a ValueError.
-    """
-    classes = tuple(sorted({lang for _, lang in samples}))
-    class_index = {lang: i for i, lang in enumerate(classes)}
-    if n_features is None:
-        n_features = 1 + max(
-            (max(vec) for vec, _ in samples if vec), default=-1
-        )
-    X = np.zeros((len(samples), n_features), dtype=np.int32)
-    y = np.empty(len(samples), dtype=np.int64)
-    for i, (vec, lang) in enumerate(samples):
-        y[i] = class_index[lang]
-        if vec and not (0 <= min(vec) and max(vec) < n_features):
-            f = min(vec) if min(vec) < 0 else max(vec)
-            raise ValueError(f"sample {i}: feature index {f} out of range")
-        X[i, list(vec)] = list(vec.values())
-    return classes, X, y
 
 
 def fit_forest(
@@ -399,8 +456,8 @@ def fit_forest(
     """
     if not samples:
         raise EmptySamplesError("fit_forest needs at least one sample")
-    classes, X, y = _sample_matrix(samples, n_features)
-    n_features = X.shape[1]
+    columns = _column_store(samples, n_features)
+    n_features = columns.indptr.size - 1
 
     if params.features_per_split is not None:
         m_features = min(params.features_per_split, n_features)
@@ -412,8 +469,8 @@ def fit_forest(
     trees = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(derive_seed(params.seed, t)))
-        trees.append(_grow_tree(X, y, len(classes), rng, params, m_features))
-    return ForestModel(params=params, classes=classes, trees=tuple(trees))
+        trees.append(_grow_tree(columns, len(columns.classes), rng, params, m_features))
+    return ForestModel(params=params, classes=columns.classes, trees=tuple(trees))
 
 
 def predict_language(
@@ -450,17 +507,21 @@ def fit_nb(
         raise EmptySamplesError("fit_nb needs at least one sample")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    classes, X, y = _sample_matrix(samples, n_features)
-    class_counts = np.bincount(y, minlength=len(classes)).astype(np.float64)
-    feature_counts = np.stack(
-        [X[y == c].sum(axis=0, dtype=np.float64) for c in range(len(classes))]
-    )
+    columns = _column_store(samples, n_features)
+    k, n_features = len(columns.classes), columns.indptr.size - 1
+    feature = np.repeat(np.arange(n_features), np.diff(columns.indptr))
+    feature_counts = np.bincount(
+        columns.y[columns.rows] * n_features + feature,
+        weights=columns.counts,
+        minlength=k * n_features,
+    ).reshape(k, n_features)
+    class_counts = np.bincount(columns.y, minlength=k).astype(np.float64)
     log_priors = np.log(class_counts / len(samples))
     totals = feature_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log(
-        (feature_counts + alpha) / (totals + alpha * X.shape[1])
+        (feature_counts + alpha) / (totals + alpha * n_features)
     )
-    return NBModel(classes, log_priors, log_likelihood, alpha)
+    return NBModel(columns.classes, log_priors, log_likelihood, alpha)
 
 
 def predict_nb(model: NBModel, x: FeatureVector) -> LanguageCode:

@@ -13,7 +13,7 @@ from pathlib import Path
 import re
 from typing import Iterable, Mapping, Optional
 
-from .assets import data_dir
+from .assets import data_dir, read_utf8
 from .corpus import LanguageCode
 
 _TAG_RE = re.compile(r"<[^<>]*>")
@@ -117,7 +117,8 @@ class StopwordTable:
         """Load ``stopwords/<code>.txt`` for every language that ships a list.
 
         Files are UTF-8, one token per line; ``#`` lines are comments.
-        Languages without a file map to the empty set.
+        Languages without a file map to the empty set.  Invalid UTF-8 is a
+        LineError naming the file and line.
         """
         base = data_dir(override_dir) / "stopwords"
         table: dict[LanguageCode, list[str]] = {}
@@ -126,7 +127,7 @@ class StopwordTable:
             if not path.is_file():
                 continue
             words = []
-            for line in path.read_text(encoding="utf-8").splitlines():
+            for line in read_utf8(path).splitlines():
                 line = line.strip()
                 if line and not line.startswith("#"):
                     words.append(line)

@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .assets import data_dir
+from .assets import data_dir, read_utf8
 from .corpus import LanguageCode
 from .errors import TlaError
 from .langid import derive_seed, normalize_for_langid
@@ -30,11 +30,14 @@ class MissingSeedError(TlaError):
 def load_seed_units(
     lang: LanguageCode, override_dir: Optional[Path] = None
 ) -> list[str]:
-    """Read and normalize the language's seed text, split into shuffle units."""
+    """Read and normalize the language's seed text, split into shuffle units.
+
+    Invalid UTF-8 is a LineError naming the file and line.
+    """
     path = data_dir(override_dir) / "seeds" / f"{lang.value}.txt"
     if not path.is_file():
         raise MissingSeedError(lang, path)
-    normalized = normalize_for_langid(path.read_text(encoding="utf-8"))
+    normalized = normalize_for_langid(read_utf8(path))
     units = tokenize(normalized, lang)
     if len(units) < 2:
         raise MissingSeedError(lang, path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -14,7 +15,13 @@ from tla.corpus import (
     LanguageCode,
     SentimentLabel,
 )
-from tla.langid import EmptySamplesError, _best_split_dense
+from tla.langid import (
+    DecisionTree,
+    EmptySamplesError,
+    ForestModel,
+    _best_split_hist,
+    derive_seed,
+)
 
 settings.register_profile(
     "suite",
@@ -106,13 +113,22 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+def dense_histogram(values, y, n_classes):
+    """The (m, vmax + 1, k) class histogram of a dense (n, m) count block."""
+    m = values.shape[1]
+    stride = int(values.max()) + 1
+    k = n_classes
+    flat = (np.arange(m, dtype=np.int64) * stride)[None, :] * k + values * k + y[:, None]
+    return np.bincount(flat.ravel(), minlength=m * stride * k).reshape(m, stride, k)
+
+
 def best_split(samples, candidate_features):
     """Best (feature, threshold) over the candidates, or None if no split helps.
 
-    Runs the forest's split search, ``tla.langid._best_split_dense``, on
-    sparse samples (feature -> count dicts with a class index each).  Absent
-    sparse entries count as 0.  Ties break toward the lowest feature index,
-    then the lowest threshold.
+    Builds the candidates' class histogram from sparse samples (feature ->
+    count dicts with a class index each) and runs the forest's split kernel,
+    ``tla.langid._best_split_hist``, on it.  Absent sparse entries count as
+    0.  Ties break toward the lowest feature index, then the lowest threshold.
     """
     if not samples:
         raise EmptySamplesError("best_split needs at least one sample")
@@ -128,11 +144,139 @@ def best_split(samples, candidate_features):
             j = column_of.get(f)
             if j is not None:
                 values[i, j] = count
-    result = _best_split_dense(values, y, int(y.max()) + 1)
+    k = int(y.max()) + 1
+    hist = dense_histogram(values, y, k)
+    result = _best_split_hist(hist, np.bincount(y, minlength=k), len(samples))
     if result is None:
         return None
     col, threshold = result
     return candidates[col], threshold
+
+
+# A dense reference grower: the whole (n, n_features) count matrix, each
+# node's block gathered with ``np.ix_`` and searched on its own.  ``fit_forest``
+# must reproduce its trees node for node.
+
+def _reference_best_split(values, y, n_classes):
+    """Exhaustive split search over a dense (n_samples, n_features) block."""
+    n, m = values.shape
+    if n == 0 or m == 0:
+        return None
+    values = values.astype(np.int64, copy=False)
+    vmax = int(values.max())
+    if vmax == int(values.min()):
+        return None
+    stride = vmax + 1
+    k = n_classes
+
+    hist = dense_histogram(values, y, k)
+    cum = hist.cumsum(axis=1)
+    n_left = cum.sum(axis=2)
+    sum_l2 = (cum * cum).sum(axis=2)
+    totals = np.bincount(y, minlength=k).astype(np.int64)
+    rem = totals[None, None, :] - cum
+    sum_r2 = (rem * rem).sum(axis=2)
+    n_right = n - n_left
+
+    observed = hist.sum(axis=2) > 0
+    valid = observed & (n_right > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = sum_l2 / np.maximum(n_left, 1) + sum_r2 / np.maximum(n_right, 1)
+    q = np.where(valid, q, -np.inf)
+
+    eps = 1e-9 * n
+    parent_q = float((totals * totals).sum()) / n
+    q_best = float(q.max())
+    if not q_best > parent_q + eps:
+        return None
+
+    pos = int(np.argmax(q >= q_best - eps))
+    col, v = divmod(pos, stride)
+    observed_values = np.nonzero(observed[col])[0]
+    nxt = int(observed_values[observed_values > v][0])
+    return col, (v + nxt) / 2.0
+
+
+def _reference_grow_tree(X, y, n_classes, rng, params, m_features):
+    n_samples, n_features = X.shape
+    boot = rng.integers(0, n_samples, size=n_samples)
+    feature, threshold, left, right, value = [], [], [], [], []
+    stack = [(boot, 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        pos = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = pos
+            else:
+                right[parent] = pos
+
+        counts = np.bincount(y[idx], minlength=n_classes)
+        majority = int(np.argmax(counts))
+        pure = int(counts.max()) == idx.size
+        at_depth_limit = params.max_depth is not None and depth >= params.max_depth
+        split = None
+        if not (pure or at_depth_limit or idx.size < params.min_samples_split or m_features == 0):
+            if m_features < n_features:
+                cand = np.sort(
+                    rng.choice(n_features, size=m_features, replace=False, shuffle=False)
+                )
+            else:
+                cand = np.arange(n_features)
+            found = _reference_best_split(X[np.ix_(idx, cand)], y[idx], n_classes)
+            if found is not None:
+                split = (int(cand[found[0]]), found[1])
+
+        if split is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(majority)
+            continue
+
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        value.append(-1)
+        stack.append((idx[~go_left], depth + 1, pos, False))
+        stack.append((idx[go_left], depth + 1, pos, True))
+
+    return DecisionTree(
+        tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value)
+    )
+
+
+def reference_fit_forest(samples, params, n_features=None):
+    """``fit_forest`` on the dense (n, n_features) count matrix."""
+    classes = tuple(sorted({lang for _, lang in samples}))
+    class_index = {lang: i for i, lang in enumerate(classes)}
+    if n_features is None:
+        n_features = 1 + max((max(vec) for vec, _ in samples if vec), default=-1)
+    X = np.zeros((len(samples), n_features), dtype=np.int32)
+    y = np.empty(len(samples), dtype=np.int64)
+    for i, (vec, lang) in enumerate(samples):
+        y[i] = class_index[lang]
+        X[i, list(vec)] = list(vec.values())
+
+    if params.features_per_split is not None:
+        m_features = min(params.features_per_split, n_features)
+    else:
+        m_features = math.isqrt(n_features)
+        if m_features * m_features < n_features:
+            m_features += 1
+    trees = tuple(
+        _reference_grow_tree(
+            X, y, len(classes),
+            np.random.Generator(np.random.PCG64(derive_seed(params.seed, t))),
+            params, m_features,
+        )
+        for t in range(params.num_trees)
+    )
+    return ForestModel(params=params, classes=classes, trees=trees)
 
 
 def exhaustive_best_split(samples, candidate_features):

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -348,6 +349,30 @@ class TestDataDirOverride:
         assert err.splitlines()[0] == (
             f"warning: {lexicon}: line 2: duplicate token 'good', keeping last entry"
         )
+
+    def test_invalid_utf8_stopwords_names_its_file_and_line(self, tmp_path, monkeypatch):
+        stopwords = tmp_path / "stopwords" / "en.txt"
+        stopwords.parent.mkdir()
+        stopwords.write_bytes(b"the\nb\xffd\n")
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"id":"1","text":"the best day","lang":"en"}\n', encoding="utf-8")
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        code, out, err = invoke("clean", "--input", str(src), "--output", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert err == f"error: {stopwords}: line 2: invalid UTF-8: invalid start byte\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_invalid_utf8_seed_names_its_file_and_line(self, tmp_path, monkeypatch):
+        shutil.copytree(Path(tla.__file__).parent / "data" / "seeds", tmp_path / "seeds")
+        seed = tmp_path / "seeds" / "fr.txt"
+        seed.write_bytes(b"le chat\nle chien\nla b\xc3te\n")
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        model = tmp_path / "m.tlam"
+        code, _, err = invoke("train-langid", "--synthetic", "5", "--seed", "7",
+                              "--output", str(model))
+        assert code == 1
+        assert err == f"error: {seed}: line 3: invalid UTF-8: invalid continuation byte\n"
+        assert not model.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -35,6 +35,14 @@ CHAIN_TRAIN_ARGV = (
 
 MODEL_DIGEST = "68433e8a4023c670bc5f8fe9e65da0f86d7a5293061f87cd3fd88df18085f4eb"
 
+#: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
+#: 6,351, 50 full-depth trees.
+BENCH_TRAIN_ARGV = (
+    "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
+    "--output", "bench.tlam",
+)
+BENCH_MODEL_DIGEST = "3a4cc53b39d0f050faff31ff5d246aac2a3a983bf60ab79f9d4fb98b0b84310b"
+
 CHAIN_DIGESTS = {
     "identify.stdout": "d7a2c8d0b533e7f1bffdd8ee462577672b69dbe03c7eef9400e7e8c499d57b7c",
     "chain.tlam": "b2567b5af3f11457409a57a0074b351764f4bfcbfb25d141698b60b3ef1e94e1",
@@ -113,6 +121,12 @@ def test_model_digest(work):
     _tla(*TRAIN_ARGV)
     _assert_digests({"model.tlam": (work / "model.tlam").read_bytes()},
                     {"model.tlam": MODEL_DIGEST})
+
+
+def test_bench_model_digest(work):
+    _tla(*BENCH_TRAIN_ARGV)
+    _assert_digests({"bench.tlam": (work / "bench.tlam").read_bytes()},
+                    {"bench.tlam": BENCH_MODEL_DIGEST})
 
 
 def test_chain_digests(work):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from tla.langid import (
     vectorize,
 )
 
-from conftest import best_split, exhaustive_best_split
+from tla.synth import synthetic_corpus
+
+from conftest import best_split, exhaustive_best_split, reference_fit_forest
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
 
@@ -241,6 +244,50 @@ class TestFitForest:
         with pytest.raises(EmptySamplesError):
             fit_forest([], ForestParams())
 
+    @pytest.mark.parametrize("seed, params, n_features, max_count", [
+        (1, ForestParams(num_trees=4, seed=11), None, 5),
+        (2, ForestParams(num_trees=3, max_depth=2, seed=12), None, 5),
+        (3, ForestParams(num_trees=3, features_per_split=40, seed=13), None, 5),
+        (4, ForestParams(num_trees=5, features_per_split=1, seed=14), None, 5),
+        (5, ForestParams(num_trees=3, min_samples_split=12, seed=15), None, 5),
+        (6, ForestParams(num_trees=3, seed=16), 45, 300),
+        (7, ForestParams(num_trees=2, seed=17), 0, 0),
+        (8, ForestParams(num_trees=2, features_per_split=3, seed=18), 9, 0),
+    ])
+    def test_matches_dense_reference_grower(self, seed, params, n_features, max_count):
+        # Random class-skewed sparse vectors over 30 features (max_count 0
+        # gives all-empty vectors); every tree must equal, node for node, the
+        # one the dense reference grows from the same generator.
+        rng = random.Random(seed)
+        langs = list(LanguageCode)[:4]
+        samples = []
+        for i in range(rng.randint(40, 80)):
+            c = i % len(langs)
+            vec = {}
+            if max_count:
+                for f in range(30):
+                    if rng.random() < (0.5 if f % len(langs) == c else 0.15):
+                        vec[f] = rng.randint(1, max_count)
+            samples.append((vec, langs[c]))
+        expected = reference_fit_forest(samples, params, n_features)
+        assert fit_forest(samples, params, n_features) == expected
+
+    def test_fit_memory_stays_bounded(self):
+        # A dense n x V int32 count matrix alone would take 77.5 MiB here
+        # (3,200 texts, vocabulary 6,351); the sparse column store keeps the
+        # fit's peak allocation well below it.
+        normalized = [(normalize_for_langid(text), lang)
+                      for text, lang in synthetic_corpus(200, seed=42)]
+        v = fit_vectorizer(normalized)
+        samples = [(vectorize(v, text), lang) for text, lang in normalized]
+        tracemalloc.start()
+        try:
+            fit_forest(samples, ForestParams(num_trees=3, seed=42), n_features=v.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"fit_forest peak {peak / 2**20:.1f} MiB"
+
 
 class TestPredictLanguage:
     def test_single_class_confidence_one(self):
@@ -332,6 +379,13 @@ class TestNaiveBayes:
                 samples = [({0: 1, bad: 5}, EN), ({1: 2}, ES)]
                 with pytest.raises(ValueError, match=f"feature index {bad} out of range"):
                     fit(samples, n_features=2)
+
+    def test_negative_count_rejected(self):
+        # counts are stored unsigned, so a negative one must not wrap around
+        samples = [({0: 1, 1: -3}, EN), ({1: 2}, ES)]
+        for fit in (fit_nb, lambda s: fit_forest(s, ForestParams(num_trees=1))):
+            with pytest.raises(ValueError, match="sample 0: feature 1 has negative count -3"):
+                fit(samples)
 
 
 @pytest.fixture(scope="module")
