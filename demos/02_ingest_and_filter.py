@@ -1,7 +1,7 @@
 """Ingest an offline JSONL tweet export and apply the trending filter.
 
-Ingestion validates every record (ids, text length, counts) and carries line
-numbers on every error; the filter keeps liked, replied-to tweets up to the
+Ingestion validates every record (ids, text length, counts) and yields each
+with its line number, which every error carries too; the filter keeps liked, replied-to tweets up to the
 result cap, preserving input order.
 """
 
@@ -17,11 +17,12 @@ EXPORT = """\
 {"id":"105","text":"小さな鳥が橋に集まる","lang":"ja","likeCount":9800,"replyCount":2}
 """
 
-tweets = list(read_jsonl(io.StringIO(EXPORT)))
-print(f"ingested {len(tweets)} tweets")
-for t in tweets:
-    print(f"  {t.id}: lang={t.lang_hint and t.lang_hint.value} "
+records = list(read_jsonl(io.StringIO(EXPORT)))
+print(f"ingested {len(records)} tweets")
+for line, t in records:
+    print(f"  line {line}: {t.id}: lang={t.lang_hint and t.lang_hint.value} "
           f"likes={t.like_count} replies={t.reply_count}")
+tweets = [t for _, t in records]
 
 spec = QuerySpec(language=LanguageCode.EN, min_faves=9000, max_results=500)
 trending = filter_trending(tweets, spec)

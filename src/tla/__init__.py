@@ -8,7 +8,6 @@ per-language analysis table, as a library plus a `tla` command-line tool.
 from .corpus import (
     LANGUAGE_ORDER,
     CleanRow,
-    LabeledDataset,
     LanguageCode,
     RawTweet,
     SentimentLabel,

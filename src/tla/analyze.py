@@ -7,11 +7,11 @@ with trailing zeros and a trailing decimal point trimmed: 391/457 displays as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .corpus import LANGUAGE_ORDER, LabeledDataset, LanguageCode, SentimentLabel
+from .corpus import LANGUAGE_ORDER, CleanRow, LanguageCode, SentimentLabel
 from .errors import TlaError
 
 REPORT_HEADER = (
@@ -25,10 +25,6 @@ REPORT_FORMATS = ("csv", "markdown", "plain")
 
 
 class ZeroDenominatorError(TlaError):
-    pass
-
-
-class EmptyDatasetError(TlaError):
     pass
 
 
@@ -68,14 +64,6 @@ class AnalysisRow:
             )
 
     @property
-    def positive_pct(self) -> Fraction:
-        return Fraction(100 * self.positive_count, self.total)
-
-    @property
-    def negative_pct(self) -> Fraction:
-        return Fraction(100 * self.negative_count, self.total)
-
-    @property
     def positive_display(self) -> str:
         return truncate_pct(self.positive_count, self.total)
 
@@ -104,34 +92,20 @@ class AnalysisReport:
         return cls(rows=tuple(ordered))
 
 
-def aggregate_dataset(dataset: LabeledDataset) -> AnalysisRow:
-    """Count labels in one dataset."""
-    if not dataset.rows:
-        raise EmptyDatasetError(f"dataset for {dataset.language} has no rows")
-    positive = sum(1 for row in dataset.rows if row.label is SentimentLabel.POSITIVE)
-    return AnalysisRow(
-        language=dataset.language,
-        total=len(dataset.rows),
-        positive_count=positive,
-        negative_count=len(dataset.rows) - positive,
-    )
-
-
-def merge_rows(rows: Iterable[AnalysisRow]) -> list[AnalysisRow]:
-    """Sum counts of rows sharing a language (multiple files per language)."""
-    by_lang: dict[LanguageCode, AnalysisRow] = {}
-    for row in rows:
-        existing = by_lang.get(row.language)
-        if existing is None:
-            by_lang[row.language] = row
-        else:
-            by_lang[row.language] = AnalysisRow(
-                language=row.language,
-                total=existing.total + row.total,
-                positive_count=existing.positive_count + row.positive_count,
-                negative_count=existing.negative_count + row.negative_count,
-            )
-    return list(by_lang.values())
+def aggregate_dataset(rows: Iterable[CleanRow]) -> AnalysisReport:
+    """Count labels per language over labeled rows of any languages, in one
+    pass; a language may come from several files.  An unlabeled row is a
+    ValueError."""
+    counts = Counter((row.lang, row.label) for row in rows)
+    report_rows = []
+    for lang in LANGUAGE_ORDER:
+        if counts[lang, None]:
+            raise ValueError(f"{counts[lang, None]} unlabeled {lang} row(s)")
+        positive = counts[lang, SentimentLabel.POSITIVE]
+        negative = counts[lang, SentimentLabel.NEGATIVE]
+        if positive + negative:
+            report_rows.append(AnalysisRow(lang, positive + negative, positive, negative))
+    return AnalysisReport(tuple(report_rows))
 
 
 def _row_cells(row: AnalysisRow) -> tuple[str, str, str, str]:

@@ -13,18 +13,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import IO, Optional
 
-from .analyze import (
-    REPORT_FORMATS,
-    AnalysisReport,
-    aggregate_dataset,
-    merge_rows,
-    render_report,
-)
+from .analyze import REPORT_FORMATS, aggregate_dataset, render_report
 from .corpus import (
     CLEAN_HEADER,
     CSV_HEADER,
     CleanRow,
-    LabeledDataset,
     LanguageCode,
     SentimentLabel,
     read_dataset_csv,
@@ -32,7 +25,7 @@ from .corpus import (
     write_dataset_csv,
     write_table,
 )
-from .errors import TlaError
+from .errors import LineError, TlaError
 from .ingest import QuerySpec, compile_query, read_jsonl
 from .langid import ForestParams, ForestPredictor, train_identifier
 from .preprocess import StopwordTable, preprocess_tweet
@@ -190,15 +183,15 @@ def _cmd_clean(ns, out, err) -> int:
     table = StopwordTable.load_bundled()
     rows = []
     with open(ns.input, "rb") as source:
-        for tweet in read_jsonl(
+        for line, tweet in read_jsonl(
             source, skip_bad_lines=ns.skip_bad_lines, lenient=ns.lenient
         ):
             lang = tweet.lang_hint if tweet.lang_hint is not None else ns.lang
             if lang is None:
-                raise TlaError(
-                    f"{ns.input}: tweet {tweet.id}: record has no lang field "
-                    "and no --lang fallback was given"
-                )
+                error = LineError(line, f"tweet {tweet.id}: record has no lang field "
+                                  "and no --lang fallback was given")
+                error.path = ns.input
+                raise error
             tokens = preprocess_tweet(tweet.text, lang, table)
             rows.append(CleanRow(tweet.id, lang, tweet.text, tokens).fields())
 
@@ -290,7 +283,7 @@ def _cmd_label(ns, out, err) -> int:
     _require(ns.out_dir is not None, "label requires --out-dir")
     tie = SentimentLabel.parse(ns.tie_label)
 
-    # Every dataset is built before the first file is opened, so a bad input
+    # Every row is labeled before the first file is opened, so a bad input
     # leaves no partial output behind.
     lexicons: dict = {}
     groups: dict = {}
@@ -300,26 +293,27 @@ def _cmd_label(ns, out, err) -> int:
                 lexicons[row.lang] = load_bundled_lexicon(row.lang)
             row.label = label_sentiment(row.tokens, lexicons[row.lang], tie)
             groups.setdefault(row.lang, []).append(row)
-    datasets = [LabeledDataset(language=lang, rows=tuple(rows)) for lang, rows in groups.items()]
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for dataset in datasets:
-        path = out_dir / f"{dataset.language.value}.csv"
+    for lang, rows in groups.items():
+        path = out_dir / f"{lang.value}.csv"
         with open(path, "wb") as sink:
-            count = write_dataset_csv(dataset, sink)
+            count = write_dataset_csv(rows, sink)
         print(f"{path}: {count} rows", file=err)
     return 0
 
 
+def _labeled_rows(paths):
+    """The rows of each labeled file in turn, with one file open at a time."""
+    for path in paths:
+        with open(path, "rb") as source:
+            yield from read_dataset_csv(source)
+
+
 def _cmd_analyze(ns, out, err) -> int:
     _require(ns.input, "analyze requires --input")
-    rows = []
-    for path in ns.input:
-        with open(path, "rb") as source:
-            rows.append(aggregate_dataset(read_dataset_csv(source)))
-    report = AnalysisReport.from_rows(merge_rows(rows))
-    text = render_report(report, ns.format)
+    text = render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format)
     if ns.output is not None:
         Path(ns.output).write_text(text, encoding="utf-8")
     else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -249,32 +249,6 @@ class CleanRow:
         return fields if self.label is None else fields + (self.label.value,)
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """A homogeneous-language collection of labeled rows with unique ids."""
-
-    language: LanguageCode
-    rows: tuple[CleanRow, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        seen: set[str] = set()
-        for i, row in enumerate(self.rows):
-            if row.lang != self.language:
-                raise ValueError(
-                    f"row {i}: language {row.lang} does not match dataset "
-                    f"language {self.language}"
-                )
-            if row.label is None:
-                raise ValueError(f"row {i}: no label")
-            if row.id in seen:
-                raise ValueError(f"row {i}: duplicate id {row.id!r}")
-            seen.add(row.id)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 class DatasetWriteError(TlaError):
     """Sink failure while emitting a dataset CSV, attributed to a row index."""
 
@@ -322,11 +296,14 @@ def write_table(sink: IO[str], header: tuple, rows: Iterable[Sequence[str]]) -> 
     written; a sink failure becomes a DatasetWriteError naming the row.
     """
     writer = csv.writer(sink, lineterminator="\n")
+    # Before Python 3.12 the writer leaves a field holding a bare CR unquoted,
+    # and the reader then rejects it; such a row has all its fields quoted.
+    quote_all = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
     count = 0
     try:
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            (quote_all if "\r" in "".join(row) else writer).writerow(row)
             count += 1
     except OSError as exc:
         raise DatasetWriteError(count, exc) from exc
@@ -397,40 +374,47 @@ def _located(exc: DatasetReadError, source) -> DatasetReadError:
     return exc
 
 
-def write_dataset_csv(dataset: LabeledDataset, sink: IO[bytes]) -> int:
-    """Write a dataset as UTF-8 CSV (header id,lang,text,tokens,label).
+def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[bytes]) -> int:
+    """Write labeled rows as UTF-8 CSV (header id,lang,text,tokens,label).
 
     Tokens are space-joined; RFC 4180 quoting; LF line endings.  Returns the
-    number of data rows written.
+    number of data rows written.  An unlabeled row is a ValueError, raised
+    when the writer reaches it.  One language per file and unique ids are
+    checked where the table is read, by :func:`read_dataset_csv`.
     """
     # write_through hands each record to the sink as it is written, without
     # flushing the sink, so a failing write is attributed to its row.
     wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="", write_through=True)
     try:
-        return write_table(wrapper, CSV_HEADER, (row.fields() for row in dataset.rows))
+        return write_table(wrapper, CSV_HEADER, _labeled_fields(rows))
     finally:
         # Hand the buffer back without closing the caller's sink.
         wrapper.detach()
 
 
+def _labeled_fields(rows: Iterable[CleanRow]) -> Iterator[tuple[str, ...]]:
+    for i, row in enumerate(rows):
+        if row.label is None:
+            raise ValueError(f"row {i}: no label")
+        yield row.fields()
+
+
 def read_dataset_csv(
     source: IO[bytes], language: Optional[LanguageCode] = None
-) -> LabeledDataset:
-    """Read a dataset CSV written by :func:`write_dataset_csv`.
+) -> Iterator[CleanRow]:
+    """Lazily yield the rows of a CSV written by :func:`write_dataset_csv`.
 
-    ``language`` is only required for header-only files, whose language cannot
-    be recovered from the fixed schema; when given alongside data rows it must
-    agree with them.
+    Every row has the language of the first one, or ``language`` if given.
+    A header-only file yields nothing when ``language`` is given and is an
+    error otherwise: the fixed schema cannot recover its language.
     """
-    rows: list[CleanRow] = []
-    dataset_language = language
+    expected = language
     for line, row in read_table(source, (CSV_HEADER,)):
-        if dataset_language is None:
-            dataset_language = row.lang
-        elif row.lang != dataset_language:
-            raise _located(MixedLanguagesError(line, dataset_language, row.lang), source)
-        rows.append(row)
-    if dataset_language is None:
+        if expected is None:
+            expected = row.lang
+        elif row.lang != expected:
+            raise _located(MixedLanguagesError(line, expected, row.lang), source)
+        yield row
+    if expected is None:
         error = DatasetReadError(1, "empty dataset file and no expected language supplied")
         raise _located(error, source)
-    return LabeledDataset(language=dataset_language, rows=tuple(rows))

@@ -90,8 +90,9 @@ def read_jsonl(
     *,
     skip_bad_lines: bool = False,
     lenient: bool = False,
-) -> Iterator[RawTweet]:
-    """Lazily yield validated tweets from line-delimited JSON.
+) -> Iterator[tuple[int, RawTweet]]:
+    """Lazily yield ``(line, tweet)`` per validated record of line-delimited
+    JSON, the line 1-based, as :func:`tla.corpus.read_table` does.
 
     One record per nonblank line; unknown fields and a leading byte order
     mark are ignored.  Bad lines, invalid UTF-8 and a repeated id included,
@@ -111,7 +112,7 @@ def read_jsonl(
             raise
         if tweet is not None:
             seen.add(tweet.id)
-            yield tweet
+            yield line_num, tweet
 
 
 def _parse_record(

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, settings
 
 from tla.corpus import (
     CleanRow,
-    LabeledDataset,
     LanguageCode,
     SentimentLabel,
 )
@@ -96,8 +95,10 @@ def random_tweet_text(rng: random.Random) -> str:
             return text
 
 
-def random_dataset(rng: random.Random, language: LanguageCode = None) -> LabeledDataset:
-    """A valid dataset with default engagement fields (CSV-representable)."""
+def random_dataset(
+    rng: random.Random, language: LanguageCode = None
+) -> tuple[LanguageCode, list[CleanRow]]:
+    """A language and 0-8 labeled rows in it with unique ids (CSV-representable)."""
     lang = language if language is not None else rng.choice(list(LanguageCode))
     rows = []
     for i in range(rng.randint(0, 8)):
@@ -105,7 +106,7 @@ def random_dataset(rng: random.Random, language: LanguageCode = None) -> Labeled
         tokens = tuple(random_token(rng) for _ in range(rng.randint(0, 6)))
         label = rng.choice([SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE])
         rows.append(CleanRow(tweet_id, lang, text, tokens, label))
-    return LabeledDataset(language=lang, rows=tuple(rows))
+    return lang, rows
 
 
 @pytest.fixture()

@@ -18,7 +18,6 @@ from tla.analyze import truncate_pct
 from tla.cli import run as cli_run
 from tla.corpus import (
     CleanRow,
-    LabeledDataset,
     LanguageCode,
     SentimentLabel,
     read_dataset_csv,
@@ -87,12 +86,12 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _dataset_with_counts(lang, positive, negative):
+def _rows_with_counts(lang, positive, negative):
     rows = []
     for i in range(positive + negative):
         label = SentimentLabel.POSITIVE if i < positive else SentimentLabel.NEGATIVE
         rows.append(CleanRow(str(i), lang, f"t{i}", (f"t{i}",), label))
-    return LabeledDataset(language=lang, rows=tuple(rows))
+    return rows
 
 
 def test_criterion_1_table_reproduction(tmp_path):
@@ -109,11 +108,10 @@ def test_criterion_1_table_reproduction(tmp_path):
             ]
             assert len(matches) == 1, f"{code}: non-unique split {matches}"
             positive = matches[0]
-            dataset = _dataset_with_counts(LanguageCode.parse(code), positive,
-                                           total - positive)
+            rows = _rows_with_counts(LanguageCode.parse(code), positive, total - positive)
             path = tmp_path / f"{code}.csv"
             with open(path, "wb") as sink:
-                write_dataset_csv(dataset, sink)
+                write_dataset_csv(rows, sink)
             paths.append(str(path))
 
         exit_code, out, err = invoke("analyze", "--format", "csv", "--input", *paths)
@@ -271,12 +269,12 @@ def test_criterion_7_round_trips(default_training):
         start = time.perf_counter()
         rng = random.Random(ACCEPTANCE_SEED)
         for _ in range(500):
-            dataset = random_dataset(rng)
+            language, rows = random_dataset(rng)
             sink = io.BytesIO()
-            write_dataset_csv(dataset, sink)
+            write_dataset_csv(rows, sink)
             first = sink.getvalue()
-            recovered = read_dataset_csv(io.BytesIO(first), dataset.language)
-            assert recovered == dataset
+            recovered = list(read_dataset_csv(io.BytesIO(first), language))
+            assert recovered == rows
             sink2 = io.BytesIO()
             write_dataset_csv(recovered, sink2)
             assert sink2.getvalue() == first

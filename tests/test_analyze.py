@@ -5,16 +5,13 @@ import pytest
 from tla.analyze import (
     AnalysisReport,
     AnalysisRow,
-    EmptyDatasetError,
     ZeroDenominatorError,
     aggregate_dataset,
-    merge_rows,
     render_report,
     truncate_pct,
 )
 from tla.corpus import (
     CleanRow,
-    LabeledDataset,
     LanguageCode,
     SentimentLabel,
 )
@@ -52,12 +49,12 @@ def derive_split(total: int, positive_display: str, negative_display: str) -> in
     return matches[0]
 
 
-def dataset_with_counts(lang: LanguageCode, positive: int, negative: int) -> LabeledDataset:
+def rows_with_counts(lang: LanguageCode, positive: int, negative: int) -> list[CleanRow]:
     rows = []
     for i in range(positive + negative):
         label = SentimentLabel.POSITIVE if i < positive else SentimentLabel.NEGATIVE
         rows.append(CleanRow(str(i), lang, f"t{i}", (f"t{i}",), label))
-    return LabeledDataset(language=lang, rows=tuple(rows))
+    return rows
 
 
 class TestTruncatePct:
@@ -109,7 +106,6 @@ class TestAnalysisRow:
     def test_exact_fraction_percentages(self):
         row = AnalysisRow(language=LanguageCode.RU, total=213, positive_count=134,
                           negative_count=79)
-        assert row.positive_pct == Fraction(13400, 213)
         assert row.positive_display == "62.91"
         assert row.negative_display == "37.08"
 
@@ -125,16 +121,12 @@ class TestAnalysisRow:
 
 class TestAggregate:
     def test_english_row(self):
-        row = aggregate_dataset(dataset_with_counts(LanguageCode.EN, 334, 166))
+        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 334, 166)).rows
         assert (row.total, row.positive_display, row.negative_display) == (500, "66.8", "33.2")
 
     def test_single_positive(self):
-        row = aggregate_dataset(dataset_with_counts(LanguageCode.EN, 1, 0))
+        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 1, 0)).rows
         assert (row.total, row.positive_display, row.negative_display) == (1, "100", "0")
-
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
-            aggregate_dataset(LabeledDataset(language=LanguageCode.EN))
 
     def test_aggregate_inverts_construction(self, rng):
         for _ in range(50):
@@ -142,8 +134,25 @@ class TestAggregate:
             positive, negative = rng.randint(0, 20), rng.randint(0, 20)
             if positive + negative == 0:
                 positive = 1
-            row = aggregate_dataset(dataset_with_counts(lang, positive, negative))
+            [row] = aggregate_dataset(rows_with_counts(lang, positive, negative)).rows
             assert (row.positive_count, row.negative_count) == (positive, negative)
+
+    def test_languages_interleaved_in_one_pass(self):
+        zh = rows_with_counts(LanguageCode.ZH, 2, 1)
+        en = rows_with_counts(LanguageCode.EN, 1, 3)
+        interleaved = [row for pair in zip(zh, en) for row in pair] + en[3:]
+        report = aggregate_dataset(iter(interleaved))
+        assert [(r.language, r.positive_count, r.negative_count) for r in report.rows] == [
+            (LanguageCode.EN, 1, 3), (LanguageCode.ZH, 2, 1)]
+
+    def test_no_rows_no_report_rows(self):
+        assert aggregate_dataset([]).rows == ()
+
+    def test_unlabeled_row_rejected(self):
+        rows = rows_with_counts(LanguageCode.EN, 1, 1)
+        rows[1].label = None
+        with pytest.raises(ValueError, match="1 unlabeled en row"):
+            aggregate_dataset(rows)
 
 
 class TestReport:
@@ -164,12 +173,6 @@ class TestReport:
         row = AnalysisRow(language=LanguageCode.EN, total=1, positive_count=1, negative_count=0)
         with pytest.raises(ValueError):
             AnalysisReport(rows=(row, row))
-
-    def test_merge_rows_sums_counts(self):
-        a = AnalysisRow(language=LanguageCode.EN, total=3, positive_count=2, negative_count=1)
-        b = AnalysisRow(language=LanguageCode.EN, total=2, positive_count=0, negative_count=2)
-        [merged] = merge_rows([a, b])
-        assert (merged.total, merged.positive_count, merged.negative_count) == (5, 2, 3)
 
 
 class TestRenderReport:

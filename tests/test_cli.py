@@ -1,13 +1,16 @@
 import csv
 import io
+import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tla
 import tla.corpus
@@ -103,10 +106,12 @@ class TestClean:
 
     def test_missing_lang_hint_without_fallback(self, tmp_path):
         src = tmp_path / "tweets.jsonl"
-        src.write_text('{"id":"1","text":"hello"}\n', encoding="utf-8")
-        code, _, err = invoke("clean", "--input", str(src))
-        assert code == 1
-        assert "no lang field" in err
+        src.write_text('{"id":"1","text":"hi","lang":"en"}\n{"id":"2","text":"hello"}\n',
+                       encoding="utf-8")
+        message = (f"error: {src}: line 2: tweet 2: record has no lang field "
+                   "and no --lang fallback was given\n")
+        for skip in ([], ["--skip-bad-lines"]):
+            assert invoke("clean", "--input", str(src), *skip) == (1, "", message)
 
     def test_lang_fallback(self, tmp_path):
         src = tmp_path / "tweets.jsonl"
@@ -232,9 +237,9 @@ class TestLabelAndAnalyze:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["en.csv", "es.csv", "ru.csv"]
         with open(out_dir / "en.csv", "rb") as handle:
-            dataset = read_dataset_csv(handle)
-        assert dataset.language is LanguageCode.EN
-        assert dataset.rows[0].label.value == "Positive"  # "best" is positive
+            [row] = read_dataset_csv(handle)
+        assert row.lang is LanguageCode.EN
+        assert row.label.value == "Positive"  # "best" is positive
 
     def test_tie_label_flag(self, tmp_path):
         src = tmp_path / "t.jsonl"
@@ -245,8 +250,8 @@ class TestLabelAndAnalyze:
         invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir),
                "--tie-label", "Negative")
         with open(out_dir / "en.csv", "rb") as handle:
-            dataset = read_dataset_csv(handle)
-        assert dataset.rows[0].label.value == "Negative"
+            [row] = read_dataset_csv(handle)
+        assert row.label.value == "Negative"
 
     def test_analyze_end_of_chain(self, cleaned, tmp_path):
         out_dir = tmp_path / "labeled"
@@ -257,6 +262,17 @@ class TestLabelAndAnalyze:
         lines = out.splitlines()
         assert lines[0].startswith("Language,")
         assert [line.split(",")[0] for line in lines[1:]] == ["English", "Spanish", "Russian"]
+
+    def test_analyze_sums_files_of_one_language(self, tmp_path):
+        header = "id,lang,text,tokens,label\n"
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(header + "1,en,good,good,Positive\n2,en,bad,bad,Negative\n",
+                         encoding="utf-8")
+        second.write_text(header + "1,en,good,good,Positive\n", encoding="utf-8")
+        code, out, err = invoke("analyze", "--format", "csv", "--input", str(first),
+                                str(second))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["English,3,66.66,33.33"]
 
     def test_analyze_deterministic(self, cleaned, tmp_path):
         out_dir = tmp_path / "labeled"
@@ -392,6 +408,32 @@ def _csv(path):
         return list(csv.reader(handle))
 
 
+def _run_chain(text, model_file, work):
+    """Exit codes of clean, identify --output, label and analyze --format csv
+    on a one-tweet JSONL, stopping at the first failure, and the report."""
+    src = work / "t.jsonl"
+    src.write_text(json.dumps({"id": "1", "text": text, "lang": "en"}) + "\n",
+                   encoding="utf-8")
+    cleaned, identified, out_dir = work / "clean.csv", work / "identified.csv", work / "l"
+    stages = [
+        ["clean", "--input", str(src), "--output", str(cleaned)],
+        ["identify", "--model", str(model_file), "--input", str(cleaned),
+         "--output", str(identified)],
+        ["label", "--input", str(identified), "--out-dir", str(out_dir)],
+        ["analyze", "--format", "csv", "--input"],
+    ]
+    codes, out = [], ""
+    for argv in stages:
+        if argv[0] == "analyze":
+            argv += sorted(str(path) for path in out_dir.glob("*.csv"))
+        code, out, err = invoke(*argv)
+        assert "Traceback" not in err
+        codes.append(code)
+        if code != 0:
+            break
+    return codes, out
+
+
 class TestStageContracts:
     def test_lenient_tweet_goes_through_the_chain(self, model_file, tmp_path):
         text = ("what a good day " * 30)[:360]
@@ -411,6 +453,16 @@ class TestStageContracts:
         code, out, err = invoke("analyze", "--format", "csv", "--input", str(labeled))
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[1] == "1"
+
+    @settings(max_examples=100)
+    @example("good a\rb day")
+    @given(st.text(st.characters(blacklist_categories=("Cs",))))
+    def test_whatever_clean_accepts_the_chain_accepts(self, model_file, text):
+        with tempfile.TemporaryDirectory() as work:
+            codes, report = _run_chain(text, model_file, Path(work))
+        if codes[0] == 0:
+            assert codes == [0, 0, 0, 0]
+            assert report.splitlines()[1].split(",")[1] == "1"
 
     def test_failing_label_writes_no_file(self, tmp_path):
         cleaned = tmp_path / "clean.csv"
@@ -502,7 +554,7 @@ class TestOneTokenCheckPerRow:
 
     def test_read_dataset_csv(self, calls):
         data = "id,lang,text,tokens,label\n" + self._rows(("en",), ",Positive")
-        assert len(read_dataset_csv(io.BytesIO(data.encode()))) == self.ROWS
+        assert len(list(read_dataset_csv(io.BytesIO(data.encode())))) == self.ROWS
         assert len(calls) == self.ROWS
 
     def test_label(self, calls, tmp_path):

@@ -13,7 +13,6 @@ from tla.corpus import (
     DatasetReadError,
     DatasetWriteError,
     DuplicateIdError,
-    LabeledDataset,
     LanguageCode,
     MixedLanguagesError,
     RawTweet,
@@ -120,71 +119,53 @@ class TestLabeledTypes:
             with pytest.raises(ValueError):
                 CleanRow("1", LanguageCode.EN, "Hi", bad, SentimentLabel.POSITIVE)
 
-    def test_dataset_language_homogeneity(self):
-        row = CleanRow("1", LanguageCode.NL, "hoi", ("hoi",), SentimentLabel.POSITIVE)
-        with pytest.raises(ValueError, match="does not match dataset language"):
-            LabeledDataset(language=LanguageCode.EN, rows=(row,))
-
-    def test_dataset_unique_ids(self):
-        def row(tweet_id):
-            return CleanRow(tweet_id, LanguageCode.EN, "hi", ("hi",), SentimentLabel.NEGATIVE)
-
-        with pytest.raises(ValueError, match="duplicate id"):
-            LabeledDataset(language=LanguageCode.EN, rows=(row("7"), row("7")))
-
-    def test_dataset_rows_are_labeled(self):
-        row = CleanRow("1", LanguageCode.EN, "hi", ("hi",))
-        with pytest.raises(ValueError, match="row 0: no label"):
-            LabeledDataset(language=LanguageCode.EN, rows=(row,))
-        row.label = SentimentLabel.POSITIVE
-        assert len(LabeledDataset(language=LanguageCode.EN, rows=(row,))) == 1
-
 
 def _row(tweet_id="1", text="hello there", tokens=("hello", "there"),
          label=SentimentLabel.POSITIVE, lang=LanguageCode.EN):
     return CleanRow(tweet_id, lang, text, tokens, label)
 
 
-def _write(dataset) -> bytes:
+def _write(rows) -> bytes:
     sink = io.BytesIO()
-    write_dataset_csv(dataset, sink)
+    write_dataset_csv(rows, sink)
     return sink.getvalue()
+
+
+def _read(data: bytes, language=None) -> list:
+    return list(read_dataset_csv(io.BytesIO(data), language))
 
 
 class TestWriteDatasetCsv:
     def test_empty_dataset_header_only(self):
         sink = io.BytesIO()
-        count = write_dataset_csv(LabeledDataset(language=LanguageCode.EN), sink)
+        count = write_dataset_csv([], sink)
         assert count == 0
         assert sink.getvalue() == b"id,lang,text,tokens,label\n"
 
     def test_rfc4180_quoting(self):
-        data = _write(LabeledDataset(
-            language=LanguageCode.EN, rows=(_row(text='a,"b"', tokens=("a", "b")),)
-        ))
+        data = _write([_row(text='a,"b"', tokens=("a", "b"))])
         assert b'"a,""b"""' in data
 
     def test_three_rows_four_lines(self):
-        dataset = LabeledDataset(
-            language=LanguageCode.EN,
-            rows=tuple(_row(tweet_id=str(i)) for i in range(3)),
-        )
         sink = io.BytesIO()
-        assert write_dataset_csv(dataset, sink) == 3
+        assert write_dataset_csv([_row(tweet_id=str(i)) for i in range(3)], sink) == 3
         assert sink.getvalue().count(b"\n") == 4
 
     def test_lf_line_endings_and_literal_labels(self):
-        dataset = LabeledDataset(
-            language=LanguageCode.EN,
-            rows=(_row(tweet_id="1"), _row(tweet_id="2", label=SentimentLabel.NEGATIVE)),
-        )
-        data = _write(dataset)
+        data = _write([_row(tweet_id="1"), _row(tweet_id="2", label=SentimentLabel.NEGATIVE)])
         assert b"\r" not in data
         assert b",Positive\n" in data and b",Negative\n" in data
 
+    def test_unlabeled_row_rejected(self):
+        row = CleanRow("1", LanguageCode.EN, "hi", ("hi",))
+        with pytest.raises(ValueError, match="row 1: no label"):
+            _write([_row(tweet_id="0"), row])
+        row.label = SentimentLabel.POSITIVE
+        assert _write([row]).endswith(b"1,en,hi,hi,Positive\n")
+
     def test_sink_kept_open(self):
         sink = io.BytesIO()
-        write_dataset_csv(LabeledDataset(language=LanguageCode.EN), sink)
+        write_dataset_csv([], sink)
         assert not sink.closed
 
     def test_sink_failure_carries_row_index(self):
@@ -199,42 +180,45 @@ class TestWriteDatasetCsv:
                     raise OSError("disk full")
                 return super().write(data)
 
-        dataset = LabeledDataset(
-            language=LanguageCode.EN,
-            rows=tuple(_row(tweet_id=str(i)) for i in range(3)),
-        )
         with pytest.raises(DatasetWriteError) as exc:
-            write_dataset_csv(dataset, FlakySink())
+            write_dataset_csv([_row(tweet_id=str(i)) for i in range(3)], FlakySink())
         assert exc.value.row_index == 1
 
 
 class TestReadDatasetCsv:
     def test_round_trip_example(self, rng):
-        dataset = random_dataset(rng, LanguageCode.FR)
-        data = _write(dataset)
-        assert read_dataset_csv(io.BytesIO(data), LanguageCode.FR) == dataset
+        language, rows = random_dataset(rng, LanguageCode.FR)
+        assert _read(_write(rows), language) == rows
 
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_property(self, seed):
         import random as _random
 
-        dataset = random_dataset(_random.Random(seed))
-        recovered = read_dataset_csv(io.BytesIO(_write(dataset)), dataset.language)
-        assert recovered == dataset
+        language, rows = random_dataset(_random.Random(seed))
+        assert _read(_write(rows), language) == rows
 
     @given(st.integers(0, 2**32 - 1))
     def test_write_read_write_byte_identical(self, seed):
         import random as _random
 
-        dataset = random_dataset(_random.Random(seed))
-        first = _write(dataset)
-        second = _write(read_dataset_csv(io.BytesIO(first), dataset.language))
-        assert first == second
+        language, rows = random_dataset(_random.Random(seed))
+        first = _write(rows)
+        assert _write(_read(first, language)) == first
+
+    def test_rows_are_yielded_before_a_later_error(self):
+        data = (b"id,lang,text,tokens,label\n"
+                b"1,en,hi,hi,Positive\n"
+                b"2,en,hi\n")
+        rows = read_dataset_csv(io.BytesIO(data))
+        assert next(rows).id == "1"
+        with pytest.raises(DatasetReadError, match="expected 5 fields, got 3") as exc:
+            next(rows)
+        assert exc.value.line == 3
 
     def test_bad_label(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi,Neutral\n"
         with pytest.raises(BadLabelError) as exc:
-            read_dataset_csv(io.BytesIO(data))
+            _read(data)
         assert exc.value.line == 2
         assert exc.value.value == "Neutral"
 
@@ -243,13 +227,13 @@ class TestReadDatasetCsv:
                 b"1,en,hi,hi,Positive\n"
                 b"2,fr,salut,salut,Positive\n")
         with pytest.raises(MixedLanguagesError) as exc:
-            read_dataset_csv(io.BytesIO(data))
+            _read(data)
         assert exc.value.line == 3
 
     def test_bad_language(self):
         data = b"id,lang,text,tokens,label\n1,xx,hi,hi,Positive\n"
         with pytest.raises(BadLanguageError) as exc:
-            read_dataset_csv(io.BytesIO(data))
+            _read(data)
         assert exc.value.code == "xx"
 
     def test_duplicate_id(self):
@@ -257,35 +241,33 @@ class TestReadDatasetCsv:
                 b"1,en,hi,hi,Positive\n"
                 b"1,en,yo,yo,Negative\n")
         with pytest.raises(DuplicateIdError) as exc:
-            read_dataset_csv(io.BytesIO(data))
+            _read(data)
         assert exc.value.line == 3
 
     def test_bad_header(self):
         with pytest.raises(BadHeaderError):
-            read_dataset_csv(io.BytesIO(b"id,language,text,tokens,label\n"))
+            _read(b"id,language,text,tokens,label\n")
 
     def test_crlf_accepted(self):
         data = b"id,lang,text,tokens,label\r\n1,en,hi,hi,Positive\r\n"
-        dataset = read_dataset_csv(io.BytesIO(data))
-        assert len(dataset) == 1
-        assert dataset.rows[0].text == "hi"
+        [row] = _read(data)
+        assert row.text == "hi"
 
     def test_header_only_needs_language(self):
         data = b"id,lang,text,tokens,label\n"
         with pytest.raises(DatasetReadError, match="no expected language"):
-            read_dataset_csv(io.BytesIO(data))
-        dataset = read_dataset_csv(io.BytesIO(data), LanguageCode.TH)
-        assert dataset == LabeledDataset(language=LanguageCode.TH)
+            _read(data)
+        assert _read(data, LanguageCode.TH) == []
 
     def test_expected_language_mismatch(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi,Positive\n"
         with pytest.raises(MixedLanguagesError):
-            read_dataset_csv(io.BytesIO(data), LanguageCode.FR)
+            _read(data, LanguageCode.FR)
 
     def test_wrong_arity_reports_line(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi\n"
         with pytest.raises(DatasetReadError) as exc:
-            read_dataset_csv(io.BytesIO(data))
+            _read(data)
         assert exc.value.line == 2
 
     def test_header_fields_are_fixed(self):
@@ -394,3 +376,12 @@ class TestTableCodec:
         assert data == 'id,lang,text,tokens\n1,en,"say ""hi"", then\nleave",say hi leave\n'
         [(_, row)] = _table(data.encode())
         assert (row.text, row.tokens) == (rows[0][2], ("say", "hi", "leave"))
+
+    def test_bare_cr_round_trip(self):
+        sink = io.StringIO()
+        rows = [("1", "en", "good a\rb day", "good b day"), ("2", "en", "plain", "plain")]
+        assert write_table(sink, CLEAN_HEADER, rows) == 2
+        data = sink.getvalue()
+        assert data == ('id,lang,text,tokens\n"1","en","good a\rb day","good b day"\n'
+                        "2,en,plain,plain\n")
+        assert [row.fields() for _, row in _table(data.encode())] == rows

@@ -65,8 +65,12 @@ class TestCompileQuery:
             QuerySpec(language="en")
 
 
+def _tweets(source, **kwargs):
+    return [tweet for _, tweet in read_jsonl(source, **kwargs)]
+
+
 def _read(data: str, **kwargs):
-    return list(read_jsonl(io.StringIO(data), **kwargs))
+    return _tweets(io.StringIO(data), **kwargs)
 
 
 class TestReadJsonl:
@@ -140,7 +144,7 @@ class TestReadJsonl:
         path = tmp_path / "tweets.jsonl"
         path.write_text('{"id":"1","text":"a"}\n{"id":"2","text":"%s"}\n' % ("x" * 281))
         with open(path, "rb") as source, pytest.warns(TweetLengthWarning) as record:
-            assert len(list(read_jsonl(source, lenient=True))) == 2
+            assert len(_tweets(source, lenient=True)) == 2
         assert [str(w.message) for w in record] == [f"{path}: line 2: TextTooLong(281)"]
 
     def test_repeated_id_is_a_bad_line(self, tmp_path):
@@ -150,7 +154,7 @@ class TestReadJsonl:
             list(read_jsonl(source))
         assert str(exc.value) == f"{path}: line 3: duplicate id '1'"
         with open(path, "rb") as source:
-            tweets = list(read_jsonl(source, skip_bad_lines=True))
+            tweets = _tweets(source, skip_bad_lines=True)
         assert [(t.id, t.text) for t in tweets] == [("1", "a"), ("2", "b")]
 
     def test_skipped_line_does_not_claim_its_id(self):
@@ -163,7 +167,7 @@ class TestReadJsonl:
         assert not recwarn.list
 
     def test_accepts_bytes_source(self):
-        [tweet] = list(read_jsonl(io.BytesIO(b'{"id":"1","text":"caf\xc3\xa9"}\n')))
+        [tweet] = _tweets(io.BytesIO(b'{"id":"1","text":"caf\xc3\xa9"}\n'))
         assert tweet.text == "café"
 
     def test_invalid_utf8_is_a_bad_line(self):
@@ -172,13 +176,13 @@ class TestReadJsonl:
             list(read_jsonl(io.BytesIO(data)))
         assert exc.value.line == 2
         assert "UTF-8" in str(exc.value)
-        tweets = list(read_jsonl(io.BytesIO(data), skip_bad_lines=True))
+        tweets = _tweets(io.BytesIO(data), skip_bad_lines=True)
         assert [t.id for t in tweets] == ["1", "3"]
 
     @pytest.mark.parametrize("skip_bad_lines", [False, True])
     def test_bom_before_first_record_dropped(self, skip_bad_lines):
         data = b'\xef\xbb\xbf{"id":"1","text":"a"}\n{"id":"2","text":"b"}\n'
-        tweets = list(read_jsonl(io.BytesIO(data), skip_bad_lines=skip_bad_lines))
+        tweets = _tweets(io.BytesIO(data), skip_bad_lines=skip_bad_lines)
         assert [t.id for t in tweets] == ["1", "2"]
         [tweet] = _read('\ufeff{"id":"1","text":"a"}\n', skip_bad_lines=skip_bad_lines)
         assert tweet.id == "1"
@@ -196,7 +200,12 @@ class TestReadJsonl:
             raise AssertionError("second line should not be consumed")
 
         iterator = read_jsonl(lines())
-        assert next(iterator).id == "1"
+        assert next(iterator)[1].id == "1"
+
+    def test_yields_each_tweet_with_its_line(self):
+        data = '{"id":"1","text":"a"}\n\n{"id":"2"}\n{"id":"3","text":"c"}\n'
+        pairs = read_jsonl(io.StringIO(data), skip_bad_lines=True)
+        assert [(line, tweet.id) for line, tweet in pairs] == [(1, "1"), (4, "3")]
 
 
 def _tweet(tweet_id, likes, replies=1):
