@@ -7,16 +7,20 @@ the output stream, errors and per-step line counts to the error stream.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Iterator, Optional
 
 from .analyze import REPORT_FORMATS, aggregate_dataset, render_report
 from .corpus import (
     CLEAN_HEADER,
     CSV_HEADER,
+    LANGUAGE_ORDER,
     CleanRow,
     LanguageCode,
     SentimentLabel,
@@ -27,7 +31,7 @@ from .corpus import (
 )
 from .errors import LineError, TlaError
 from .ingest import QuerySpec, compile_query, read_jsonl
-from .langid import ForestParams, ForestPredictor, train_identifier
+from .langid import CHUNK_ROWS, ForestParams, ForestPredictor, train_identifier
 from .preprocess import StopwordTable, preprocess_tweet
 from .sentiment import label_sentiment, load_bundled_lexicon
 from .synth import synthetic_corpus
@@ -178,11 +182,38 @@ def _cmd_query(ns, out, err) -> int:
     return 0
 
 
+@contextmanager
+def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
+    """A text sink whose contents reach ``path`` (or ``out``) only if the
+    block succeeds.
+
+    A file is written beside its target and renamed over it, so a failed run
+    leaves neither a temporary file nor a changed target, and the target may
+    also be the input being read.  Output meant for ``out`` is held in memory
+    and written at the end.
+    """
+    if path is None:
+        buffer = io.StringIO()
+        yield buffer
+        out.write(buffer.getvalue())
+        return
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    sink = open(temporary, "x", encoding="utf-8", newline="")
+    try:
+        with sink:
+            yield sink
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_clean(ns, out, err) -> int:
     _require(ns.input is not None, "clean requires --input")
     table = StopwordTable.load_bundled()
-    rows = []
-    with open(ns.input, "rb") as source:
+
+    def cleaned(source):
         for line, tweet in read_jsonl(
             source, skip_bad_lines=ns.skip_bad_lines, lenient=ns.lenient
         ):
@@ -193,14 +224,11 @@ def _cmd_clean(ns, out, err) -> int:
                 error.path = ns.input
                 raise error
             tokens = preprocess_tweet(tweet.text, lang, table)
-            rows.append(CleanRow(tweet.id, lang, tweet.text, tokens).fields())
+            yield CleanRow(tweet.id, lang, tweet.text, tokens).fields()
 
-    if ns.output is None:
-        write_table(out, CLEAN_HEADER, rows)
-    else:
-        with open(ns.output, "w", encoding="utf-8", newline="") as sink:
-            write_table(sink, CLEAN_HEADER, rows)
-    print(f"{len(rows)} rows", file=err)
+    with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
+        count = write_table(sink, CLEAN_HEADER, cleaned(source))
+    print(f"{count} rows", file=err)
     return 0
 
 
@@ -260,22 +288,33 @@ def _cmd_identify(ns, out, err) -> int:
         print(f"{code.value}\t{confidence:.4f}", file=out)
         return 0
 
-    rows = _read_rows(ns.input)
-    predictions = [predictor.predict(row.text) for row in rows]
-    if ns.output is not None:
-        table = StopwordTable.load_bundled()
-        for row, (code, _) in zip(rows, predictions):
-            if code is not row.lang:  # tokenizer and stopwords depend on the language
-                row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
-        with open(ns.output, "w", encoding="utf-8", newline="") as sink:
-            write_table(sink, CLEAN_HEADER, (row.fields() for row in rows))
-        print(f"{len(rows)} rows", file=err)
-    else:
-        write_table(out, ("id", "lang", "confidence"), (
-            (row.id, code.value, f"{confidence:.4f}")
-            for row, (code, confidence) in zip(rows, predictions)
-        ))
+    table = StopwordTable.load_bundled() if ns.output is not None else None
+    with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
+        identified = _identified(predictor, (row for _, row in read_table(source)))
+        if table is None:
+            write_table(sink, ("id", "lang", "confidence"), (
+                (row.id, code.value, f"{confidence:.4f}")
+                for row, (code, confidence) in identified
+            ))
+        else:
+            count = write_table(sink, CLEAN_HEADER, (
+                _relabeled(row, code, table).fields() for row, (code, _) in identified
+            ))
+    if table is not None:
+        print(f"{count} rows", file=err)
     return 0
+
+
+def _identified(predictor: ForestPredictor, rows: Iterator[CleanRow]):
+    """``(row, (code, confidence))`` per row, voted ``CHUNK_ROWS`` rows at a time."""
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield from zip(chunk, predictor.predict_batch(row.text for row in chunk))
+
+
+def _relabeled(row: CleanRow, code: LanguageCode, table: StopwordTable) -> CleanRow:
+    if code is not row.lang:  # tokenizer and stopwords depend on the language
+        row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
+    return row
 
 
 def _cmd_label(ns, out, err) -> int:
@@ -301,21 +340,30 @@ def _cmd_label(ns, out, err) -> int:
         with open(path, "wb") as sink:
             count = write_dataset_csv(rows, sink)
         print(f"{path}: {count} rows", file=err)
+    # The directory holds exactly this input's languages: a dataset left by
+    # an earlier run would otherwise be counted again by analyze.
+    for lang in LANGUAGE_ORDER:
+        path = out_dir / f"{lang.value}.csv"
+        if lang not in groups and path.is_file():
+            path.unlink()
+            print(f"{path}: removed, no {lang.value} rows in this input", file=err)
     return 0
 
 
 def _labeled_rows(paths):
-    """The rows of each labeled file in turn, with one file open at a time."""
+    """The rows of each labeled file in turn, with one file open at a time.
+
+    A tweet is counted once: an id read in an earlier file, or in the same
+    file given twice, is an error."""
+    seen: set = set()
     for path in paths:
         with open(path, "rb") as source:
-            yield from read_dataset_csv(source)
+            yield from read_dataset_csv(source, seen=seen)
 
 
 def _cmd_analyze(ns, out, err) -> int:
     _require(ns.input, "analyze requires --input")
     text = render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format)
-    if ns.output is not None:
-        Path(ns.output).write_text(text, encoding="utf-8")
-    else:
-        out.write(text)
+    with _committed(ns.output, out) as sink:
+        sink.write(text)
     return 0

@@ -311,13 +311,14 @@ def write_table(sink: IO[str], header: tuple, rows: Iterable[Sequence[str]]) -> 
 
 
 def read_table(
-    source: IO[bytes], headers: tuple = (CLEAN_HEADER,)
+    source: IO[bytes], headers: tuple = (CLEAN_HEADER,), seen: Optional[set] = None
 ) -> Iterator[tuple[int, CleanRow]]:
     """Lazily yield ``(line, row)`` per nonblank record of a UTF-8 CSV table
     whose header is one of ``headers``.
 
     Each row is checked here, once: field count, language, label, nonempty id
-    and text, ids unique within the file, and the token rules; the tweet
+    and text, ids unique within the file (and not in ``seen``, the ids of
+    earlier files, which gains this file's), and the token rules; the tweet
     length limit is an ingest policy and is not.  Errors name the line and,
     if the source has a ``name``, its path.
     """
@@ -327,7 +328,7 @@ def read_table(
         if header not in headers:
             raise BadHeaderError(header or None, headers)
         labeled = header == CSV_HEADER
-        seen: set[str] = set()
+        seen = set() if seen is None else seen
         for record in reader:
             if not record:
                 continue
@@ -400,16 +401,17 @@ def _labeled_fields(rows: Iterable[CleanRow]) -> Iterator[tuple[str, ...]]:
 
 
 def read_dataset_csv(
-    source: IO[bytes], language: Optional[LanguageCode] = None
+    source: IO[bytes], language: Optional[LanguageCode] = None, seen: Optional[set] = None
 ) -> Iterator[CleanRow]:
     """Lazily yield the rows of a CSV written by :func:`write_dataset_csv`.
 
     Every row has the language of the first one, or ``language`` if given.
     A header-only file yields nothing when ``language`` is given and is an
-    error otherwise: the fixed schema cannot recover its language.
+    error otherwise: the fixed schema cannot recover its language.  Ids are
+    checked against ``seen`` as :func:`read_table` does.
     """
     expected = language
-    for line, row in read_table(source, (CSV_HEADER,)):
+    for line, row in read_table(source, (CSV_HEADER,), seen):
         if expected is None:
             expected = row.lang
         elif row.lang != expected:

@@ -10,6 +10,15 @@ candidate features come from a per-tree generator, so repeated fits serialize
 byte-identically.  The samples are held once as a sparse column store (no
 n x V matrix); each tree node builds its class histogram from the nonzeros of
 its candidate features only.
+
+Prediction is one batched vote.  On a model's first prediction its trees are
+flattened into one set of node arrays (leaves point to themselves) whose
+split features are renumbered to the columns the forest actually splits on.
+Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense int32
+block over those columns only; every (row, tree) pair then descends one level
+per step, and pairs that reached a leaf drop out.  The vote is a per-row
+bincount of leaf classes.  The flat arrays are a cache: they are never
+serialized, so a model file does not depend on whether the model predicted.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from functools import cached_property
 from itertools import chain
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +42,9 @@ FeatureVector = dict  # sparse map: feature index -> positive count
 
 MODEL_MAGIC = b"TLAM"
 MODEL_VERSION = 1
+
+#: Rows per dense block of the vote; callers that stream rows read this many.
+CHUNK_ROWS = 256
 
 _MASK64 = (1 << 64) - 1
 # Relative slack for float score comparisons in split search; far below any
@@ -215,15 +228,6 @@ class DecisionTree:
                     if not i < child < n:
                         raise ValueError(f"node {i} has invalid child index {child}")
 
-    def predict_leaf(self, x: FeatureVector) -> int:
-        i = 0
-        while self.feature[i] >= 0:
-            if x.get(self.feature[i], 0) <= self.threshold[i]:
-                i = self.left[i]
-            else:
-                i = self.right[i]
-        return self.value[i]
-
 
 @dataclass(frozen=True)
 class ForestModel:
@@ -243,6 +247,69 @@ class ForestModel:
         for t, tree in enumerate(self.trees):
             if max(tree.value) >= len(self.classes):
                 raise ValueError(f"tree {t} leaf class index out of range")
+
+    @cached_property
+    def _flat(self) -> _FlatForest:
+        """The trees as one set of node arrays, built on the first prediction."""
+        return _flatten(self.trees)
+
+
+class _FlatForest(NamedTuple):
+    """All trees' nodes in one set of arrays; tree ``t`` starts at ``roots[t]``.
+
+    ``column_of`` maps a vocabulary index to its column of the dense block
+    (the features the forest splits on) or to -1, which its last entry holds
+    for every larger index.  ``feature`` is a node's column, -1 at a leaf;
+    ``children[2 * i]`` and ``children[2 * i + 1]`` are node ``i``'s left and
+    right child, and a leaf's both point to itself.
+    """
+
+    column_of: np.ndarray
+    n_columns: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+
+def _flatten(trees: Sequence[DecisionTree]) -> _FlatForest:
+    sizes = [len(tree.feature) for tree in trees]
+    total = sum(sizes)
+
+    def concat(field, dtype):
+        return np.fromiter(chain.from_iterable(getattr(t, field) for t in trees), dtype, total)
+
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+    feature = concat("feature", np.int64)
+    leaf = feature < 0
+    # np.unique would do, but its first call in a process costs ~10 ms
+    columns = np.flatnonzero(np.bincount(feature[~leaf]))
+    column_of = np.full(int(columns[-1]) + 2 if columns.size else 1, -1)
+    column_of[columns] = np.arange(columns.size)
+    node = np.arange(total)
+    left = np.where(leaf, node, concat("left", np.int64) + shift)
+    right = np.where(leaf, node, concat("right", np.int64) + shift)
+    return _FlatForest(
+        column_of=column_of,
+        n_columns=columns.size,
+        feature=np.where(leaf, -1, column_of[feature]),
+        threshold=concat("threshold", np.float64),
+        children=np.stack([left, right], axis=1).ravel(),
+        value=concat("value", np.int64),
+        roots=roots,
+    )
+
+
+def _entries(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, feature, count) arrays of every entry of the sparse vectors,
+    row after row."""
+    sizes = [len(x) for x in vectors]
+    nnz = sum(sizes)
+    features = np.fromiter(chain.from_iterable(vectors), np.int64, nnz)
+    counts = np.fromiter(chain.from_iterable(x.values() for x in vectors), np.int64, nnz)
+    return np.repeat(np.arange(len(vectors)), sizes), features, counts
 
 
 class _Columns(NamedTuple):
@@ -272,13 +339,8 @@ def _column_store(
     classes = tuple(sorted({lang for _, lang in samples}))
     class_index = {lang: i for i, lang in enumerate(classes)}
     y = np.array([class_index[lang] for _, lang in samples], dtype=np.int64)
-    sizes = [len(vec) for vec, _ in samples]
-    nnz = sum(sizes)
-    features = np.fromiter(chain.from_iterable(vec for vec, _ in samples), np.int64, nnz)
-    counts = np.fromiter(
-        chain.from_iterable(vec.values() for vec, _ in samples), np.int64, nnz
-    )
-    rows = np.repeat(np.arange(len(samples)), sizes)
+    rows, features, counts = _entries([vec for vec, _ in samples])
+    nnz = features.size
     if n_features is None:
         n_features = int(features.max()) + 1 if nnz else 0
     bad = np.flatnonzero((features < 0) | (features >= n_features))
@@ -474,17 +536,57 @@ def fit_forest(
 
 
 def predict_language(
-    model: ForestModel, x: FeatureVector
-) -> tuple[LanguageCode, float]:
-    """Plurality vote across trees; confidence is the winning vote share.
+    model: ForestModel, vectors: Sequence[FeatureVector]
+) -> list[tuple[LanguageCode, float]]:
+    """Each vector's plurality vote across trees, with the winning vote share
+    as its confidence.
 
     Missing sparse entries read as 0; ties go to the lowest class index.
+    Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense int32
+    block of its counts of the features the forest splits on.
     """
-    votes = np.zeros(len(model.classes), dtype=np.int64)
-    for tree in model.trees:
-        votes[tree.predict_leaf(x)] += 1
-    winner = int(np.argmax(votes))
-    return model.classes[winner], int(votes[winner]) / len(model.trees)
+    flat = model._flat
+    n_trees, n_classes = flat.roots.size, len(model.classes)
+    limits = np.iinfo(np.int32)  # holds every threshold a fit can produce
+    predictions = []
+    for start in range(0, len(vectors), CHUNK_ROWS):
+        chunk = vectors[start:start + CHUNK_ROWS]
+        n = len(chunk)
+        rows, features, counts = _entries(chunk)
+        col = flat.column_of[np.clip(features, -1, flat.column_of.size - 1)]
+        hit = col >= 0
+        block = np.zeros((n, flat.n_columns), dtype=np.int32)
+        block[rows[hit], col[hit]] = np.clip(counts[hit], limits.min, limits.max)
+        owner = np.repeat(np.arange(n) * n_classes, n_trees)
+        votes = np.bincount(owner + _leaf_classes(flat, block).ravel(),
+                            minlength=n * n_classes).reshape(n, n_classes)
+        winner = votes.argmax(axis=1)
+        top = votes[np.arange(n), winner]
+        predictions.extend(
+            (model.classes[w], v / n_trees) for w, v in zip(winner.tolist(), top.tolist())
+        )
+    return predictions
+
+
+def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
+    """The (rows, trees) leaf class of every row of ``block`` in every tree.
+
+    All (row, tree) pairs descend one level per step; a pair leaves the
+    active set when it reaches a leaf.
+    """
+    n_trees = flat.roots.size
+    n_rows, n_columns = block.shape
+    cells = block.ravel()
+    row_start = np.repeat(np.arange(n_rows) * n_columns, n_trees)
+    node = np.tile(flat.roots, n_rows)
+    active = np.flatnonzero(flat.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_right = cells[row_start[active] + flat.feature[at]] > flat.threshold[at]
+        at = flat.children[2 * at + go_right]
+        node[active] = at
+        active = active[flat.feature[at] >= 0]
+    return flat.value[node].reshape(n_rows, n_trees)
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,15 +653,20 @@ def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes])
     """Write magic, version byte, and the canonical JSON payload; returns bytes.
 
     The payload is ``model``'s fields plus ``vectorizer``; each dataclass is
-    encoded as its ``vars``, an object keyed by its field names
-    (``dataclasses.asdict`` would deep-copy every tree node first).
+    encoded as an object keyed by its field names, so a cached attribute such
+    as the flat forest is never written (``dataclasses.asdict`` would
+    deep-copy every tree node first).
     """
-    payload = {**vars(model), "vectorizer": vectorizer}
-    text = json.dumps(payload, default=vars, sort_keys=True, separators=(",", ":"),
+    payload = {**_field_values(model), "vectorizer": vectorizer}
+    text = json.dumps(payload, default=_field_values, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False)
     blob = MODEL_MAGIC + bytes([MODEL_VERSION]) + text.encode("utf-8")
     sink.write(blob)
     return len(blob)
+
+
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 # JSON -> field value, by the field's annotation; other fields are taken as
@@ -627,8 +734,8 @@ def evaluate_model(
     order = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
     confusion = np.zeros((len(LANGUAGE_ORDER), len(LANGUAGE_ORDER)), dtype=np.int64)
     predictor = ForestPredictor(vectorizer=vectorizer, model=model)
-    for text, truth in test:
-        predicted, _ = predictor.predict(text)
+    predictions = predictor.predict_batch(text for text, _ in test)
+    for (_, truth), (predicted, _) in zip(test, predictions):
         confusion[order[truth], order[predicted]] += 1
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion
@@ -642,8 +749,12 @@ class ForestPredictor:
     model: ForestModel
 
     def predict(self, text: str) -> tuple[LanguageCode, float]:
-        x = vectorize(self.vectorizer, normalize_for_langid(text))
-        return predict_language(self.model, x)
+        return self.predict_batch([text])[0]
+
+    def predict_batch(self, texts: Iterable[str]) -> list[tuple[LanguageCode, float]]:
+        """One vote over all ``texts``; each is vectorized on its own."""
+        vectors = [vectorize(self.vectorizer, normalize_for_langid(text)) for text in texts]
+        return predict_language(self.model, vectors)
 
     def save(self, sink: IO[bytes]) -> int:
         return save_model(self.model, self.vectorizer, sink)

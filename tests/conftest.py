@@ -280,6 +280,26 @@ def reference_fit_forest(samples, params, n_features=None):
     return ForestModel(params=params, classes=classes, trees=trees)
 
 
+def reference_predict(model, x):
+    """The per-tree walk and plurality vote over one sparse vector.
+
+    ``predict_language`` must give the same (class, confidence) for every
+    vector: absent entries read as 0, ties go to the lowest class index and
+    the confidence is the winning vote share.
+    """
+    votes = np.zeros(len(model.classes), dtype=np.int64)
+    for tree in model.trees:
+        i = 0
+        while tree.feature[i] >= 0:
+            if x.get(tree.feature[i], 0) <= tree.threshold[i]:
+                i = tree.left[i]
+            else:
+                i = tree.right[i]
+        votes[tree.value[i]] += 1
+    winner = int(np.argmax(votes))
+    return model.classes[winner], int(votes[winner]) / len(model.trees)
+
+
 def exhaustive_best_split(samples, candidate_features):
     """Independent split-search oracle: exact rationals, brute enumeration.
 

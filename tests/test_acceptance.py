@@ -90,7 +90,7 @@ def _rows_with_counts(lang, positive, negative):
     rows = []
     for i in range(positive + negative):
         label = SentimentLabel.POSITIVE if i < positive else SentimentLabel.NEGATIVE
-        rows.append(CleanRow(str(i), lang, f"t{i}", (f"t{i}",), label))
+        rows.append(CleanRow(f"{lang.value}{i}", lang, f"t{i}", (f"t{i}",), label))
     return rows
 
 
@@ -238,7 +238,7 @@ def test_criterion_5_langid(default_training):
         toy_samples = [(vectorize(toy_predictor.vectorizer, t), lang) for t, lang in toy]
         nb = fit_nb(toy_samples, n_features=toy_predictor.vectorizer.size)
         agreement = sum(
-            predict_language(toy_predictor.model, x)[0] == predict_nb(nb, x)
+            predict_language(toy_predictor.model, [x])[0][0] == predict_nb(nb, x)
             for x, _ in toy_samples
         )
         assert agreement == len(toy_samples)
@@ -289,7 +289,8 @@ def test_criterion_7_round_trips(default_training):
         for _ in range(1000):
             x = {f: rng.randint(1, 9)
                  for f in rng.sample(range(vocab_size), rng.randint(0, 12))}
-            assert predict_language(loaded.model, x) == predict_language(predictor.model, x)
+            assert (predict_language(loaded.model, [x])[0]
+                    == predict_language(predictor.model, [x])[0])
 
         with pytest.warns(DuplicateTokenWarning):
             lexicon = load_lexicon(io.StringIO("good\t1.0\ngood\t2.0\n"), LanguageCode.EN)

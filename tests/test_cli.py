@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -268,7 +269,7 @@ class TestLabelAndAnalyze:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         first.write_text(header + "1,en,good,good,Positive\n2,en,bad,bad,Negative\n",
                          encoding="utf-8")
-        second.write_text(header + "1,en,good,good,Positive\n", encoding="utf-8")
+        second.write_text(header + "3,en,good,good,Positive\n", encoding="utf-8")
         code, out, err = invoke("analyze", "--format", "csv", "--input", str(first),
                                 str(second))
         assert (code, err) == (0, "")
@@ -291,6 +292,116 @@ class TestLabelAndAnalyze:
         assert code == 0
         assert out == ""
         assert report.read_text(encoding="utf-8").splitlines()[1].startswith("English,")
+
+    def test_label_removes_datasets_of_languages_not_in_input(self, tmp_path):
+        both, english = tmp_path / "both.csv", tmp_path / "english.csv"
+        header = "id,lang,text,tokens\n"
+        both.write_text(header + "1,en,good day,good day\n2,fr,bon jour,bon jour\n",
+                        encoding="utf-8")
+        english.write_text(header + "1,en,good day,good day\n", encoding="utf-8")
+        out_dir = tmp_path / "labeled"
+        out_dir.mkdir()
+        notes = out_dir / "notes.txt"
+        notes.write_text("kept", encoding="utf-8")
+        assert invoke("label", "--input", str(both), "--out-dir", str(out_dir))[0] == 0
+        assert (out_dir / "fr.csv").exists()
+        code, _, err = invoke("label", "--input", str(english), "--out-dir", str(out_dir))
+        assert code == 0, err
+        stale = out_dir / "fr.csv"
+        assert f"{stale}: removed, no fr rows in this input\n" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["en.csv", "notes.txt"]
+        assert notes.read_text(encoding="utf-8") == "kept"
+        files = sorted(str(p) for p in out_dir.glob("*.csv"))
+        code, out, _ = invoke("analyze", "--format", "csv", "--input", *files)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["English"]
+
+    def test_analyze_rejects_an_id_counted_in_an_earlier_file(self, cleaned, tmp_path):
+        out_dir = tmp_path / "labeled"
+        invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
+        english = out_dir / "en.csv"
+        code, out, err = invoke("analyze", "--input", str(english), str(english))
+        assert (code, out) == (1, "")
+        assert err == f"error: {english}: line 2: duplicate id '1'\n"
+        other = tmp_path / "other.csv"
+        other.write_text("id,lang,text,tokens,label\n9,es,bueno,bueno,Positive\n"
+                         "1,es,malo,malo,Negative\n", encoding="utf-8")
+        code, out, err = invoke("analyze", "--input", str(english), str(other))
+        assert (code, out) == (1, "")
+        assert err == f"error: {other}: line 3: duplicate id '1'\n"
+
+
+def _clean_rows(n):
+    texts = ["the train was late again this morning", "le marché ouvre le samedi",
+             "el mercado abre el sábado por la mañana", "de trein was weer te laat"]
+    rows = "".join(f"{i},en,{texts[i % 4]} {i},{texts[i % 4]} {i}\n" for i in range(n))
+    return "id,lang,text,tokens\n" + rows
+
+
+class TestCommittedOutputs:
+    """clean, identify and analyze write their output only when they succeed."""
+
+    @staticmethod
+    def _failing_runs(tmp_path, model_file):
+        jsonl = tmp_path / "bad.jsonl"
+        jsonl.write_text(JSONL + '{"id":"9"}\n', encoding="utf-8")
+        table = tmp_path / "bad.csv"
+        table.write_text(_clean_rows(600) + "1,en,again,again\n", encoding="utf-8")
+        labeled = tmp_path / "bad_labeled.csv"
+        labeled.write_text("id,lang,text,tokens,label\n1,en,a,a,Positive\n1,en,b,b,Negative\n",
+                           encoding="utf-8")
+        return {
+            "clean": ["clean", "--input", str(jsonl)],
+            "identify": ["identify", "--model", str(model_file), "--input", str(table)],
+            "analyze": ["analyze", "--input", str(labeled)],
+        }
+
+    @pytest.mark.parametrize("stage", ["clean", "identify", "analyze"])
+    def test_failure_keeps_existing_output_and_leaves_no_temporary(
+        self, stage, model_file, tmp_path
+    ):
+        argv = self._failing_runs(tmp_path, model_file)[stage]
+        target = tmp_path / "out" / "result.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"earlier bytes\n")
+        code, out, err = invoke(*argv, "--output", str(target))
+        assert (code, out) == (1, ""), err
+        assert target.read_bytes() == b"earlier bytes\n"
+        assert [p.name for p in target.parent.iterdir()] == ["result.csv"]
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, ""), err
+
+    def test_identify_may_overwrite_its_input(self, model_file, tmp_path):
+        table = tmp_path / "clean.csv"
+        table.write_text(_clean_rows(300), encoding="utf-8")
+        elsewhere = tmp_path / "identified.csv"
+        argv = ["identify", "--model", str(model_file), "--input", str(table)]
+        assert invoke(*argv, "--output", str(elsewhere)) == (0, "", "300 rows\n")
+        assert invoke(*argv, "--output", str(table)) == (0, "", "300 rows\n")
+        assert table.read_bytes() == elsewhere.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "identified.csv"]
+
+    def test_identify_memory_does_not_grow_with_input(self, model_file, tmp_path):
+        # identify holds one chunk of rows at a time, so 4x the rows must not
+        # raise its allocation peak by more than the ids kept for the
+        # uniqueness check (about 0.2 MB here); the model's load is the same
+        # in both runs.
+        warm_up = tmp_path / "warm_up.csv"
+        warm_up.write_text(_clean_rows(10), encoding="utf-8")
+        assert invoke("identify", "--model", str(model_file), "--input", str(warm_up))[0] == 0
+        peaks = []
+        for n in (1024, 4096):
+            table = tmp_path / f"clean{n}.csv"
+            table.write_text(_clean_rows(n), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                code, _, err = invoke("identify", "--model", str(model_file),
+                                      "--input", str(table), "--output", str(tmp_path / "o.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, f"{n} rows\n")
+        assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks[0]} -> {peaks[1]} bytes"
 
 
 class TestArgvOnly:

@@ -31,9 +31,14 @@ from tla.langid import (
     vectorize,
 )
 
-from tla.synth import synthetic_corpus
+from tla.synth import synthetic_corpus, synthetic_split
 
-from conftest import best_split, exhaustive_best_split, reference_fit_forest
+from conftest import (
+    best_split,
+    exhaustive_best_split,
+    reference_fit_forest,
+    reference_predict,
+)
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
 
@@ -198,7 +203,7 @@ class TestFitForest:
         boot = rng.integers(0, len(samples), size=len(samples))
         for i in boot:
             x, lang = samples[int(i)]
-            assert predict_language(model, x)[0] == lang
+            assert predict_language(model, [x])[0][0] == lang
 
     def test_zero_trees_rejected(self):
         with pytest.raises(ValueError):
@@ -294,7 +299,7 @@ class TestPredictLanguage:
         corpus = [("aaa", EN), ("aab", EN)]
         v, samples = _vectorized(corpus)
         model = fit_forest(samples, ForestParams(num_trees=7, seed=1), n_features=v.size)
-        code, confidence = predict_language(model, vectorize(v, "ab"))
+        code, confidence = predict_language(model, [vectorize(v, "ab")])[0]
         assert code is EN and confidence == 1.0
 
     def test_disjoint_support(self):
@@ -302,9 +307,9 @@ class TestPredictLanguage:
         # on the right side of every bootstrapped tree: confidence 1.0.
         v, samples = _vectorized(_pure_alphabet_corpus())
         model = fit_forest(samples, ForestParams(num_trees=9, seed=2), n_features=v.size)
-        code, confidence = predict_language(model, vectorize(v, "aaaaa"))
+        code, confidence = predict_language(model, [vectorize(v, "aaaaa")])[0]
         assert code is EN and confidence == 1.0
-        code, confidence = predict_language(model, vectorize(v, "bbbbb"))
+        code, confidence = predict_language(model, [vectorize(v, "bbbbb")])[0]
         assert code is ES and confidence == 1.0
 
     def test_empty_vector_routes_all_left(self):
@@ -322,15 +327,91 @@ class TestPredictLanguage:
         for tree in model.trees:
             votes[leftmost_class(tree)] += 1
         expected = model.classes[int(np.argmax(votes))]
-        assert predict_language(model, {})[0] == expected
+        assert predict_language(model, [{}])[0][0] == expected
 
     def test_confidence_in_half_open_interval(self):
         v, samples = _vectorized(_disjoint_corpus())
         model = fit_forest(samples, ForestParams(num_trees=10, seed=5), n_features=v.size)
         for text in ["a", "b", "ab", "", "zz"]:
-            code, confidence = predict_language(model, vectorize(v, text))
+            code, confidence = predict_language(model, [vectorize(v, text)])[0]
             assert 0.0 < confidence <= 1.0
             assert code in model.classes
+
+
+@pytest.fixture(scope="module")
+def split_forest():
+    """A forest trained on a synthetic split, with its held-out texts' vectors."""
+    train, test = synthetic_split(60, 25, seed=9)
+    identifier = train_identifier(train, ForestParams(num_trees=12, seed=9))
+    texts = [text for text, _ in test]
+    vectors = [vectorize(identifier.vectorizer, normalize_for_langid(t)) for t in texts]
+    return identifier, texts, vectors
+
+
+class TestBatchedVote:
+    """``predict_language`` against the per-tree walk of ``reference_predict``."""
+
+    def test_held_out_texts(self, split_forest):
+        identifier, texts, vectors = split_forest
+        assert len(vectors) == 16 * 25
+        expected = [reference_predict(identifier.model, x) for x in vectors]
+        assert predict_language(identifier.model, vectors) == expected
+        assert identifier.predict_batch(texts) == expected
+        assert [identifier.predict(text) for text in texts[:20]] == expected[:20]
+
+    def test_random_vectors(self, split_forest):
+        # Empty vectors, features the forest never splits on (inside and
+        # beyond the vocabulary) and counts above every threshold.
+        identifier = split_forest[0]
+        model, size = identifier.model, identifier.vectorizer.size
+        split_on = sorted({f for tree in model.trees for f in tree.feature if f >= 0})
+        unused = sorted(set(range(size)) - set(split_on))
+        top = int(max(t for tree in model.trees for t in tree.threshold)) + 1
+        assert unused
+        rng = random.Random(21)
+        vectors = [{}]
+        for _ in range(999):
+            pool = rng.choice([split_on, unused, range(size + 100)])
+            features = rng.sample(pool, min(len(pool), rng.randint(0, 40)))
+            vectors.append({f: rng.choice([1, 2, rng.randint(1, top), top, 10 * top, 2**40])
+                            for f in features})
+        vectors.append({10**12: 3, -1: 2, split_on[0]: top})
+        expected = [reference_predict(model, x) for x in vectors]
+        assert predict_language(model, vectors) == expected
+
+    def test_keys_outside_the_vocabulary_are_ignored(self, split_forest):
+        identifier, _, vectors = split_forest
+        size = identifier.vectorizer.size
+        noisy = [{**x, -1: 99, -7: 99, size: 99, 10**12: 99} for x in vectors]
+        model = identifier.model
+        assert predict_language(model, noisy) == predict_language(model, vectors)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+    def test_batch_sizes_around_one_chunk(self, split_forest, n):
+        identifier, _, vectors = split_forest
+        batch = vectors[:n]
+        assert len(batch) == n
+        expected = [reference_predict(identifier.model, x) for x in batch]
+        assert predict_language(identifier.model, batch) == expected
+
+    def test_forest_of_lone_leaves(self):
+        v, samples = _vectorized(_disjoint_corpus())
+        params = ForestParams(num_trees=3, min_samples_split=100, seed=0)
+        model = fit_forest(samples, params, n_features=v.size)
+        vectors = [{}, {0: 4}, *(x for x, _ in samples)]
+        assert predict_language(model, vectors) == [
+            reference_predict(model, x) for x in vectors
+        ]
+
+    def test_model_file_does_not_depend_on_prediction(self):
+        v, samples = _vectorized(_disjoint_corpus())
+        fresh = fit_forest(samples, ForestParams(num_trees=4, seed=7), n_features=v.size)
+        before, after = io.BytesIO(), io.BytesIO()
+        save_model(fresh, v, before)
+        predict_language(fresh, [{0: 1}, {}])
+        assert "_flat" in vars(fresh)  # the flat arrays are cached on the model
+        save_model(fresh, v, after)
+        assert after.getvalue() == before.getvalue()
 
 
 class TestNaiveBayes:
@@ -345,7 +426,7 @@ class TestNaiveBayes:
         model = fit_forest(samples, ForestParams(num_trees=15, seed=6), n_features=v.size)
         nb = fit_nb(samples, n_features=v.size)
         for x, lang in samples:
-            forest_says = predict_language(model, x)[0]
+            forest_says = predict_language(model, [x])[0][0]
             nb_says = predict_nb(nb, x)
             assert forest_says == nb_says == lang
 
@@ -408,7 +489,7 @@ class TestModelSerialization:
         rng = random.Random(11)
         for _ in range(1000):
             x = {f: rng.randint(1, 5) for f in range(v.size) if rng.random() < 0.3}
-            assert predict_language(loaded_model, x) == predict_language(model, x)
+            assert predict_language(loaded_model, [x])[0] == predict_language(model, [x])[0]
 
     def test_envelope_layout(self, trained):
         model, v = trained
