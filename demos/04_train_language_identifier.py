@@ -1,6 +1,5 @@
 """Train the character n-gram random forest on the bundled synthetic corpus,
-evaluate it, check it against the naive-Bayes baseline, and round-trip the
-model file.
+evaluate it, and round-trip the model file.
 
 Training is deterministic: the same seed always produces byte-identical
 model files.
@@ -14,12 +13,9 @@ from tla import (
     ForestParams,
     LANGUAGE_ORDER,
     evaluate_model,
-    fit_nb,
-    predict_nb,
     train_identifier,
-    vectorize,
 )
-from tla.langid import ForestPredictor, normalize_for_langid
+from tla.langid import ForestPredictor
 from tla.synth import synthetic_split
 
 SEED = 42
@@ -36,18 +32,6 @@ print(f"test accuracy: {accuracy:.3f} on {confusion.sum()} sentences")
 for r, c in np.argwhere((confusion > 0) & ~np.eye(16, dtype=bool)):
     print(f"  confused {LANGUAGE_ORDER[r].value} -> {LANGUAGE_ORDER[c].value}: "
           f"{confusion[r, c]}")
-
-print()
-print("naive-Bayes cross-check on the same features:")
-samples = [(vectorize(predictor.vectorizer, normalize_for_langid(t)), lang)
-           for t, lang in train]
-nb = fit_nb(samples, n_features=predictor.vectorizer.size)
-agree = sum(
-    predict_nb(nb, vectorize(predictor.vectorizer, normalize_for_langid(t)))
-    == predictor.predict(t)[0]
-    for t, _ in test
-)
-print(f"forest/NB agreement on test sentences: {agree}/{len(test)}")
 
 print()
 sink = io.BytesIO()

@@ -26,11 +26,9 @@ from .langid import (
     evaluate_model,
     extract_char_ngrams,
     fit_forest,
-    fit_nb,
     fit_vectorizer,
     load_model,
     predict_language,
-    predict_nb,
     save_model,
     train_identifier,
     vectorize,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -12,6 +13,10 @@ from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import LineError, TlaError
 
 MAX_TWEET_LENGTH = 280
+
+# A lone UTF-16 surrogate, which a JSON \ud800 escape can put in a string;
+# no UTF-8 output can hold it.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 #: The cleaned table written by `clean` and `identify`.
 CLEAN_HEADER = ("id", "lang", "text", "tokens")
@@ -159,7 +164,8 @@ def validate_tweet(candidate, *, lenient: bool = False) -> RawTweet:
 
     Collects all violations instead of stopping at the first one.  In lenient
     mode the 280-scalar-value limit produces a TweetLengthWarning rather than
-    an error.
+    an error.  An id or text holding a lone surrogate is a violation, since
+    it cannot be written as UTF-8.
     """
     if isinstance(candidate, RawTweet):
         fields = {
@@ -182,15 +188,20 @@ def validate_tweet(candidate, *, lenient: bool = False) -> RawTweet:
     tweet_id = fields.get("id")
     if not isinstance(tweet_id, str) or not tweet_id:
         violations.append("EmptyId")
+    elif _SURROGATE_RE.search(tweet_id):
+        violations.append("LoneSurrogate(id)")
 
     text = fields.get("text")
     if not isinstance(text, str) or not text.strip():
         violations.append("EmptyText")
-    elif len(text) > MAX_TWEET_LENGTH:
-        if lenient:
-            warnings.warn(f"TextTooLong({len(text)})", TweetLengthWarning, stacklevel=2)
-        else:
-            violations.append(f"TextTooLong({len(text)})")
+    else:
+        if _SURROGATE_RE.search(text):
+            violations.append("LoneSurrogate(text)")
+        if len(text) > MAX_TWEET_LENGTH:
+            if lenient:
+                warnings.warn(f"TextTooLong({len(text)})", TweetLengthWarning, stacklevel=2)
+            else:
+                violations.append(f"TextTooLong({len(text)})")
 
     lang_hint = fields.get("lang_hint")
     if lang_hint is not None and not isinstance(lang_hint, LanguageCode):

@@ -95,10 +95,10 @@ def read_jsonl(
     JSON, the line 1-based, as :func:`tla.corpus.read_table` does.
 
     One record per nonblank line; unknown fields and a leading byte order
-    mark are ignored.  Bad lines, invalid UTF-8 and a repeated id included,
-    are errors naming the line (and the source's ``name``) unless
-    ``skip_bad_lines`` drops them; of records sharing an id the first is kept.
-    A lenient length warning names the line too.
+    mark are ignored.  Bad lines, invalid UTF-8, a repeated id and a lone
+    surrogate included, are errors naming the line (and the source's
+    ``name``) unless ``skip_bad_lines`` drops them; of records sharing an id
+    the first is kept.  A lenient length warning names the line too.
     """
     path = getattr(source, "name", None)
     seen: set[str] = set()

@@ -1,9 +1,9 @@
 """Character n-gram language identification.
 
 A vocabulary-indexed n-gram count vectorizer feeding a bagged ensemble of
-Gini-split decision trees, with a multinomial naive-Bayes cross-check and a
-versioned binary model format.  Classifier input is cleaned, lowercased text
-with stopwords retained (stopwords are strong language discriminators).
+Gini-split decision trees, with a versioned binary model format.  Classifier
+input is cleaned, lowercased text with stopwords retained (stopwords are
+strong language discriminators).
 
 Training is a pure function of (sample order, parameters): bootstrap rows and
 candidate features come from a per-tree generator, so repeated fits serialize
@@ -587,66 +587,6 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
         node[active] = at
         active = active[flat.feature[at] >= 0]
     return flat.value[node].reshape(n_rows, n_trees)
-
-
-@dataclass(frozen=True, eq=False)
-class NBModel:
-    """Multinomial naive Bayes in log space; the forest's independent oracle."""
-
-    classes: tuple[LanguageCode, ...]
-    log_priors: np.ndarray
-    log_likelihood: np.ndarray  # (n_classes, n_features)
-    alpha: float
-
-
-def fit_nb(
-    samples: Sequence[tuple[FeatureVector, LanguageCode]],
-    alpha: float = 1.0,
-    n_features: Optional[int] = None,
-) -> NBModel:
-    """Fit multinomial naive Bayes with additive smoothing."""
-    if not samples:
-        raise EmptySamplesError("fit_nb needs at least one sample")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    columns = _column_store(samples, n_features)
-    k, n_features = len(columns.classes), columns.indptr.size - 1
-    feature = np.repeat(np.arange(n_features), np.diff(columns.indptr))
-    feature_counts = np.bincount(
-        columns.y[columns.rows] * n_features + feature,
-        weights=columns.counts,
-        minlength=k * n_features,
-    ).reshape(k, n_features)
-    class_counts = np.bincount(columns.y, minlength=k).astype(np.float64)
-    log_priors = np.log(class_counts / len(samples))
-    totals = feature_counts.sum(axis=1, keepdims=True)
-    log_likelihood = np.log(
-        (feature_counts + alpha) / (totals + alpha * n_features)
-    )
-    return NBModel(columns.classes, log_priors, log_likelihood, alpha)
-
-
-def predict_nb(model: NBModel, x: FeatureVector) -> LanguageCode:
-    """Highest smoothed log posterior; ties go to the lowest class index.
-
-    Scores use exact float summation (fsum) so that mirror-image classes,
-    whose score terms are the same multiset, tie exactly.
-    """
-    n_features = model.log_likelihood.shape[1]
-    items = sorted(x.items())
-    best_index = 0
-    best_score = None
-    for c in range(len(model.classes)):
-        terms = [model.log_priors[c]]
-        terms.extend(
-            count * model.log_likelihood[c, f]
-            for f, count in items
-            if 0 <= f < n_features
-        )
-        score = math.fsum(terms)
-        if best_score is None or score > best_score:
-            best_index, best_score = c, score
-    return model.classes[best_index]
 
 
 def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes]) -> int:

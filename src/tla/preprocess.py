@@ -3,12 +3,18 @@
 Stage order is fixed: tags -> URLs -> symbols/emoji -> punctuation ->
 tokenize -> stopwords -> lowercase.  Stopword comparison casefolds both
 sides, so running lowercasing last cannot create misses.
+
+The per-character work runs in C.  Symbols and punctuation go in one
+``str.translate`` through ``_REMOVED``, a dict that maps each code point to
+a space or to itself and is filled the first time a code point is seen, so
+it holds at most one entry per distinct code point read.  Unsegmented
+scripts are tokenized by one ``findall`` of a regex compiled on first use.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 import re
 from typing import Iterable, Mapping, Optional
@@ -41,18 +47,20 @@ _UNSEGMENTED_BLOCKS = (
 )
 
 
-def _in_blocks(codepoint: int, blocks) -> bool:
-    return any(lo <= codepoint <= hi for lo, hi in blocks)
+class _RemovedTable(dict):
+    """``str.translate`` table: a symbol (category S* or an emoji block) or
+    punctuation (P*) code point maps to a space, any other to itself."""
+
+    def __missing__(self, codepoint: int) -> str:
+        ch = chr(codepoint)
+        removed = unicodedata.category(ch)[0] in "SP" or any(
+            lo <= codepoint <= hi for lo, hi in _EMOJI_BLOCKS
+        )
+        self[codepoint] = answer = " " if removed else ch
+        return answer
 
 
-@lru_cache(maxsize=None)
-def _is_symbol(ch: str) -> bool:
-    return unicodedata.category(ch)[0] == "S" or _in_blocks(ord(ch), _EMOJI_BLOCKS)
-
-
-@lru_cache(maxsize=None)
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch)[0] == "P"
+_REMOVED = _RemovedTable()
 
 
 def clean_text(text: str) -> str:
@@ -63,15 +71,17 @@ def clean_text(text: str) -> str:
     """
     text = _TAG_RE.sub(" ", text)
     text = _URL_RE.sub(" ", text)
-    text = "".join(
-        " " if _is_symbol(ch) or _is_punctuation(ch) else ch for ch in text
-    )
-    return " ".join(text.split())
+    return " ".join(text.translate(_REMOVED).split())
 
 
-@lru_cache(maxsize=None)
-def _is_unsegmented_char(ch: str) -> bool:
-    return _in_blocks(ord(ch), _UNSEGMENTED_BLOCKS)
+@cache
+def _unsegmented_token_re() -> re.Pattern:
+    """One unsegmented character, or a run of anything that is neither
+    whitespace nor unsegmented.  ``\\s`` matches exactly where
+    ``str.isspace()`` is true.  Compiled on first use: its classes take
+    milliseconds to compile, which every stage would pay at import."""
+    blocks = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _UNSEGMENTED_BLOCKS)
+    return re.compile(f"[{blocks}]|[^\\s{blocks}]+")
 
 
 def tokenize(text: str, lang: LanguageCode) -> list[str]:
@@ -83,24 +93,7 @@ def tokenize(text: str, lang: LanguageCode) -> list[str]:
     """
     if not lang.unsegmented:
         return text.split()
-
-    tokens: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            if run:
-                tokens.append("".join(run))
-                run = []
-        elif _is_unsegmented_char(ch):
-            if run:
-                tokens.append("".join(run))
-                run = []
-            tokens.append(ch)
-        else:
-            run.append(ch)
-    if run:
-        tokens.append("".join(run))
-    return tokens
+    return _unsegmented_token_re().findall(text)
 
 
 class StopwordTable:
@@ -135,17 +128,17 @@ class StopwordTable:
         return cls(table)
 
     def stopwords(self, lang: LanguageCode) -> frozenset[str]:
+        """The language's casefolded stopwords; empty without a list."""
         return self._table.get(lang, frozenset())
-
-    def is_stopword(self, lang: LanguageCode, token: str) -> bool:
-        return token.casefold() in self.stopwords(lang)
 
 
 def remove_stopwords(
     tokens: Iterable[str], lang: LanguageCode, table: StopwordTable
 ) -> list[str]:
-    """Drop tokens in the language's stopword set; survivors keep their order."""
-    return [t for t in tokens if not table.is_stopword(lang, t)]
+    """Drop tokens whose casefold is in the language's stopword set;
+    survivors keep their order."""
+    stop = table.stopwords(lang)
+    return [t for t in tokens if t.casefold() not in stop]
 
 
 def preprocess_tweet(

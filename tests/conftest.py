@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from tla.langid import (
     EmptySamplesError,
     ForestModel,
     _best_split_hist,
+    _column_store,
     derive_seed,
 )
+from tla.preprocess import _EMOJI_BLOCKS, _TAG_RE, _UNSEGMENTED_BLOCKS, _URL_RE
 
 settings.register_profile(
     "suite",
@@ -333,3 +337,112 @@ def exhaustive_best_split(samples, candidate_features):
     if best is None:
         return None
     return best[1], float(best[2])
+
+
+# Per-character references for the cleaning chain.  ``clean_text``,
+# ``tokenize`` and ``preprocess_tweet`` must equal them on every text.
+
+def _in_blocks(codepoint, blocks):
+    return any(lo <= codepoint <= hi for lo, hi in blocks)
+
+
+def is_symbol(ch):
+    return unicodedata.category(ch)[0] == "S" or _in_blocks(ord(ch), _EMOJI_BLOCKS)
+
+
+def is_punctuation(ch):
+    return unicodedata.category(ch)[0] == "P"
+
+
+def reference_clean_text(text):
+    """Tags and URLs by regex, then symbols and punctuation one character at
+    a time; each removal becomes a space and whitespace is normalized."""
+    text = _TAG_RE.sub(" ", text)
+    text = _URL_RE.sub(" ", text)
+    text = "".join(" " if is_symbol(ch) or is_punctuation(ch) else ch for ch in text)
+    return " ".join(text.split())
+
+
+def reference_tokenize(text, lang):
+    """Whitespace split; for unsegmented scripts, one token per unsegmented
+    character and one per run of other non-space characters."""
+    if not lang.unsegmented:
+        return text.split()
+    tokens, run = [], []
+    for ch in text:
+        if ch.isspace():
+            if run:
+                tokens.append("".join(run))
+                run = []
+        elif _in_blocks(ord(ch), _UNSEGMENTED_BLOCKS):
+            if run:
+                tokens.append("".join(run))
+                run = []
+            tokens.append(ch)
+        else:
+            run.append(ch)
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
+def reference_preprocess_tweet(text, lang, table):
+    """Clean, tokenize, drop each token whose casefold is a stopword, lowercase."""
+    tokens = reference_tokenize(reference_clean_text(text), lang)
+    return [t.lower() for t in tokens if t.casefold() not in table.stopwords(lang)]
+
+
+# Multinomial naive Bayes: an identifier independent of the forest, used as
+# criterion 5's oracle.
+
+@dataclass(frozen=True, eq=False)
+class NBModel:
+    """Multinomial naive Bayes in log space."""
+
+    classes: tuple
+    log_priors: np.ndarray
+    log_likelihood: np.ndarray  # (n_classes, n_features)
+    alpha: float
+
+
+def fit_nb(samples, alpha=1.0, n_features=None):
+    """Fit multinomial naive Bayes with additive smoothing, from the same
+    range-checked column store as ``fit_forest``."""
+    if not samples:
+        raise EmptySamplesError("fit_nb needs at least one sample")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    columns = _column_store(samples, n_features)
+    k, n_features = len(columns.classes), columns.indptr.size - 1
+    feature = np.repeat(np.arange(n_features), np.diff(columns.indptr))
+    feature_counts = np.bincount(
+        columns.y[columns.rows] * n_features + feature,
+        weights=columns.counts,
+        minlength=k * n_features,
+    ).reshape(k, n_features)
+    class_counts = np.bincount(columns.y, minlength=k).astype(np.float64)
+    log_priors = np.log(class_counts / len(samples))
+    totals = feature_counts.sum(axis=1, keepdims=True)
+    log_likelihood = np.log((feature_counts + alpha) / (totals + alpha * n_features))
+    return NBModel(columns.classes, log_priors, log_likelihood, alpha)
+
+
+def predict_nb(model, x):
+    """Highest smoothed log posterior; ties go to the lowest class index.
+
+    Scores use exact float summation (fsum) so that mirror-image classes,
+    whose score terms are the same multiset, tie exactly.
+    """
+    n_features = model.log_likelihood.shape[1]
+    items = sorted(x.items())
+    best_index = 0
+    best_score = None
+    for c in range(len(model.classes)):
+        terms = [model.log_priors[c]]
+        terms.extend(
+            count * model.log_likelihood[c, f] for f, count in items if 0 <= f < n_features
+        )
+        score = math.fsum(terms)
+        if best_score is None or score > best_score:
+            best_index, best_score = c, score
+    return model.classes[best_index]

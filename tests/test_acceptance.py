@@ -28,9 +28,7 @@ from tla.langid import (
     ForestParams,
     ForestPredictor,
     evaluate_model,
-    fit_nb,
     predict_language,
-    predict_nb,
     train_identifier,
     vectorize,
 )
@@ -42,6 +40,8 @@ from conftest import (
     SCRIPT_LETTERS,
     best_split,
     exhaustive_best_split,
+    fit_nb,
+    predict_nb,
     random_dataset,
     random_script_text,
 )

@@ -735,3 +735,108 @@ class TestCleanErrors:
         code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
         assert (code, err) == (0, "3 rows\n")
         assert out.splitlines()[1] == "1,en,The best day ever,best day ever"
+
+    #: Records whose text or id holds a JSON \ud800 escape, which decodes to a
+    #: lone surrogate that no UTF-8 output can hold.
+    SURROGATE_RECORDS = {
+        "text": '{"id":"4","text":"bad \\ud800 text","lang":"en"}',
+        "id": '{"id":"4\\udfff","text":"fine text","lang":"en"}',
+    }
+
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_lone_surrogate_names_path_and_line(self, tmp_path, field):
+        src = tmp_path / "t.jsonl"
+        src.write_text(JSONL + self.SURROGATE_RECORDS[field] + "\n", encoding="utf-8")
+        code, out, err = invoke("clean", "--input", str(src))
+        assert (code, out) == (1, "")
+        assert err == f"error: {src}: line 4: LoneSurrogate({field})\n"
+
+    @pytest.mark.parametrize("field", ["text", "id"])
+    def test_lone_surrogate_is_skipped_with_skip_bad_lines(self, tmp_path, field):
+        src = tmp_path / "t.jsonl"
+        src.write_text(self.SURROGATE_RECORDS[field] + "\n" + JSONL, encoding="utf-8")
+        output = tmp_path / "clean.csv"
+        code, _, err = invoke("clean", "--input", str(src), "--skip-bad-lines",
+                              "--output", str(output))
+        assert (code, err) == (0, "3 rows\n")
+        assert [row[0] for row in _csv(output)] == ["id", "1", "2", "3"]
+
+
+# Fuzzed inputs: byte and line edits of a valid JSONL (for clean) and of a
+# valid cleaned CSV (for identify and label).  Whatever the edits, a stage
+# exits 0, 1 or 2, raises nothing past the CLI and names the file and line
+# of every data error.
+
+_FUZZ_BYTES = [b"\x00", b"\xff", b"\xc3", b"\xef\xbb\xbf", b'"', b",", b"\n", b"\r",
+               b"\r\n", b"{", b"}", b"\\", b"\\ud800", b"\\u0000", b" ", b"\t", b"A",
+               b"\xe2\x80\xa8", b"\xf0\x9f\x98\x80"]
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["insert", "replace"]), st.integers(0, 1 << 12),
+              st.sampled_from(_FUZZ_BYTES) | st.binary(min_size=1, max_size=3)),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 12), st.integers(1, 12)),
+    st.tuples(st.sampled_from(["duplicate", "drop", "swap"]), st.integers(0, 15),
+              st.integers(0, 15)),
+), min_size=1, max_size=4)
+
+
+def _edited(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        if kind in ("insert", "replace", "delete"):
+            at %= len(data) + 1
+            if kind == "insert":
+                data = data[:at] + arg + data[at:]
+            elif kind == "replace":
+                data = data[:at] + arg + data[at + len(arg):]
+            else:
+                data = data[:at] + data[at + arg:]
+            continue
+        lines = data.split(b"\n")
+        i, j = at % len(lines), arg % len(lines)
+        if kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def cleaned_bytes(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "t.jsonl").write_text(JSONL, encoding="utf-8")
+    code, _, err = invoke("clean", "--input", str(work / "t.jsonl"),
+                          "--output", str(work / "clean.csv"))
+    assert code == 0, err
+    return (work / "clean.csv").read_bytes()
+
+
+class TestFuzzedInputs:
+    @pytest.mark.parametrize("stage", ["clean", "clean --skip-bad-lines", "identify",
+                                       "identify --output", "label"])
+    @settings(max_examples=30)
+    @example(edits=[("insert", 30, b"\\ud800")])  # a lone surrogate in line 1's text
+    @given(edits=_edits)
+    def test_edited_input_fails_cleanly(self, model_file, cleaned_bytes, stage, edits):
+        base = JSONL.encode() if stage.startswith("clean") else cleaned_bytes
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "input"
+            path.write_bytes(_edited(base, edits))
+            output = str(Path(work) / "out.csv")  # a file, so every row is encoded
+            argv = {
+                "clean": ["clean", "--input", str(path), "--output", output],
+                "clean --skip-bad-lines": ["clean", "--input", str(path), "--output",
+                                           output, "--skip-bad-lines"],
+                "identify": ["identify", "--model", str(model_file), "--input", str(path)],
+                "identify --output": ["identify", "--model", str(model_file), "--input",
+                                      str(path), "--output", output],
+                "label": ["label", "--input", str(path), "--out-dir", str(Path(work) / "l")],
+            }[stage]
+            code, _, err = invoke(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        for line in err.splitlines():
+            if line.startswith("error: "):
+                assert line.startswith(f"error: {path}: line "), line

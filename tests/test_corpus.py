@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,16 @@ class TestValidateTweet:
             "NegativeCount(like_count=-3)",
             "NegativeCount(reply_count=-1)",
         ]
+
+    def test_lone_surrogates_named(self):
+        with pytest.raises(TweetValidationError) as exc:
+            validate_tweet({"id": "1\udfff", "text": "a\ud800" + "y" * 300})
+        assert exc.value.violations == [
+            "LoneSurrogate(id)", "LoneSurrogate(text)", "TextTooLong(302)",
+        ]
+        # a JSON surrogate pair escape decodes to one astral character
+        text = json.loads('"\\ud83d\\ude00"')
+        assert validate_tweet({"id": "1", "text": text}).text == "\U0001f600"
 
     def test_lenient_downgrades_length_to_warning(self):
         with pytest.warns(TweetLengthWarning, match=r"TextTooLong\(281\)"):

@@ -10,6 +10,8 @@ Changing a digest is a deliberate format or behaviour change.
 import hashlib
 import io
 import json
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from tla.cli import run
 #: The numpy version the digests were taken with.  ``numpy.random.Generator``
 #: streams may change between numpy releases, and the forest draws from them.
 DIGESTS_NUMPY = "2.4.6"
+#: The Unicode database (Python 3.11) the digests were taken with.  Cleaning
+#: reads its categories (through the symbol and punctuation translate table),
+#: and lowercasing and casefolding its case mappings.
+DIGESTS_UNIDATA = "14.0.0"
 
 TRAIN_ARGV = (
     "train-langid", "--synthetic", "50", "--seed", "7", "--trees", "5",
@@ -105,8 +111,10 @@ def _assert_digests(outputs, expected):
                    if actual.get(name) != expected.get(name))
     assert not wrong, (
         f"outputs differ from their committed sha256 digests: {', '.join(wrong)}; "
-        f"the digests were taken with numpy {DIGESTS_NUMPY} and this run has numpy "
-        f"{np.__version__}, whose Generator streams may differ"
+        f"the digests were taken with numpy {DIGESTS_NUMPY} and Unicode "
+        f"{DIGESTS_UNIDATA}, and this run has numpy {np.__version__}, whose "
+        f"Generator streams may differ, and Unicode {unicodedata.unidata_version} "
+        f"(Python {sys.version.split()[0]}), whose character categories may differ"
     )
 
 
@@ -144,3 +152,12 @@ def test_chain_digests(work):
              "report.csv", "report.md", "report.txt"]
     outputs = {name: (work / name).read_bytes() for name in names}
     _assert_digests({"identify.stdout": predictions.encode("utf-8"), **outputs}, CHAIN_DIGESTS)
+
+
+def test_digest_failure_names_the_library_versions():
+    with pytest.raises(AssertionError) as exc:
+        _assert_digests({"x": b""}, {"x": "0" * 64})
+    message = str(exc.value)
+    assert f"numpy {np.__version__}" in message
+    assert f"Unicode {unicodedata.unidata_version}" in message
+    assert f"Unicode {DIGESTS_UNIDATA}" in message

@@ -20,12 +20,10 @@ from tla.langid import (
     evaluate_model,
     extract_char_ngrams,
     fit_forest,
-    fit_nb,
     fit_vectorizer,
     load_model,
     normalize_for_langid,
     predict_language,
-    predict_nb,
     save_model,
     train_identifier,
     vectorize,
@@ -36,6 +34,8 @@ from tla.synth import synthetic_corpus, synthetic_split
 from conftest import (
     best_split,
     exhaustive_best_split,
+    fit_nb,
+    predict_nb,
     reference_fit_forest,
     reference_predict,
 )

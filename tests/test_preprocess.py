@@ -1,17 +1,30 @@
+import re
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tla.corpus import LanguageCode
 from tla.preprocess import (
     StopwordTable,
+    _RemovedTable,
     clean_text,
     preprocess_tweet,
     remove_stopwords,
     tokenize,
 )
 
-from conftest import SCRIPT_LETTERS, random_script_text
+from conftest import (
+    NOISE_PIECES,
+    SCRIPT_LETTERS,
+    is_punctuation,
+    is_symbol,
+    random_script_text,
+    reference_clean_text,
+    reference_preprocess_tweet,
+    reference_tokenize,
+)
 
 
 class TestCleanText:
@@ -87,12 +100,11 @@ class TestTokenize:
 class TestStopwords:
     def test_bundled_english_contains_the(self):
         table = StopwordTable.load_bundled()
-        assert table.is_stopword(LanguageCode.EN, "the")
-        assert table.is_stopword(LanguageCode.EN, "The")
+        assert remove_stopwords(["the", "The"], LanguageCode.EN, table) == []
 
     def test_case_insensitive_both_sides(self):
         table = StopwordTable({LanguageCode.EN: ["ThE"]})
-        assert table.is_stopword(LanguageCode.EN, "the")
+        assert remove_stopwords(["the"], LanguageCode.EN, table) == []
 
     def test_remove_stopwords_example(self):
         table = StopwordTable.load_bundled()
@@ -160,3 +172,61 @@ class TestPreprocessTweet:
             once = preprocess_tweet(text, lang, table)
             again = preprocess_tweet(" ".join(once), lang, table)
             assert again == once
+
+
+#: Pieces the per-character references treat specially: whitespace that only
+#: ``str.isspace`` knows (NEL, no-break and ideographic space), lone
+#: surrogates, combining marks, final sigma beside Thai marks, casefold
+#: expansions, emoji with selectors and joiners, astral letters and symbols.
+EDGE_PIECES = [
+    "\x85", "\xa0", "\u3000", "\u2028", "\x1c", "\u200b", "\ufeff",
+    "\ud800", "\udfff", "\udc80x",
+    "e\u0301", "\u0915\u094d", "\u0e2a\u0e31\u0e48", "\u0e48\u0e4c",
+    "\u039f\u03a3", "\u03a3\u0e31", "\u039f\u03a3\u0e48 \u03a3", "\u03c2",
+    "\u0130", "\u00df", "\u1e9e", "\ufb03",
+    "\u2764\ufe0f", "\U0001f468\u200d\U0001f469", "\U0001f3fb", "\u20ac",
+    "\U00020000\U0002a6d6", "\U0001d400", "\U000e0041", "\uff66\uff9f",
+    "\u30fb", "\u3001\u3002", "\u0e3f", "\u0e5a",
+]
+
+_pieces = st.one_of(
+    st.characters(exclude_categories=()),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.sampled_from(EDGE_PIECES),
+    st.sampled_from(NOISE_PIECES),
+    st.sampled_from(list(SCRIPT_LETTERS.values())).flatmap(
+        lambda letters: st.text(st.sampled_from(letters), min_size=1, max_size=6)
+    ),
+    st.sampled_from([" ", "  ", "\t", "\n"]),
+)
+_texts = st.lists(_pieces, max_size=24).map("".join)
+
+
+class TestAgainstPerCharacterReferences:
+    @settings(max_examples=300)
+    @given(_texts)
+    def test_clean_and_tokenize_equal_the_references(self, text):
+        cleaned = clean_text(text)
+        assert cleaned == reference_clean_text(text)
+        for lang in LanguageCode:
+            assert tokenize(text, lang) == reference_tokenize(text, lang)
+            assert tokenize(cleaned, lang) == reference_tokenize(cleaned, lang)
+
+    @settings(max_examples=200)
+    @given(_texts, st.sampled_from(list(LanguageCode)))
+    def test_preprocess_tweet_equals_the_reference(self, table, text, lang):
+        assert preprocess_tweet(text, lang, table) == reference_preprocess_tweet(text, lang, table)
+
+    def test_translate_table_matches_categories_at_every_code_point(self):
+        # A fresh table per block, so the sweep leaves no 1.1M-entry dict behind.
+        for start in range(0, 0x110000, 0x10000):
+            chars = "".join(map(chr, range(start, start + 0x10000)))
+            expected = "".join(
+                " " if is_symbol(ch) or is_punctuation(ch) else ch for ch in chars
+            )
+            assert chars.translate(_RemovedTable()) == expected, hex(start)
+
+    def test_regex_whitespace_is_isspace_at_every_code_point(self):
+        # The unsegmented tokenizer splits on ``\s``; the reference on isspace().
+        chars = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", chars) == [ch for ch in chars if ch.isspace()]
