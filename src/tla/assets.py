@@ -5,18 +5,15 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
-from .errors import LineError
+from .errors import LineError, decoded, located
 
 #: Environment variable pointing at an alternative assets directory.
 DATA_DIR_ENV = "TLA_DATA_DIR"
 
 
-def data_dir(override: Optional[Path] = None) -> Path:
-    """Resolve the assets directory: explicit override, then env var, then bundled."""
-    if override is not None:
-        return Path(override)
+def data_dir() -> Path:
+    """The assets directory: ``$TLA_DATA_DIR`` if set, else the bundled one."""
     env = os.environ.get(DATA_DIR_ENV)
     if env:
         return Path(env)
@@ -25,11 +22,8 @@ def data_dir(override: Optional[Path] = None) -> Path:
 
 def read_utf8(path: Path) -> str:
     """The file's text; invalid UTF-8 is a LineError naming the file and line."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        error = LineError(line, f"invalid UTF-8: {exc.reason}")
-        error.path = str(path)
-        raise error from None
+    with path.open("rb") as source:
+        try:
+            return "".join(decoded(line, n) for n, line in enumerate(source, start=1))
+        except LineError as exc:
+            raise located(exc, source)

@@ -11,7 +11,7 @@ import io
 import os
 import sys
 import warnings
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterator, Optional
@@ -29,9 +29,9 @@ from .corpus import (
     write_dataset_csv,
     write_table,
 )
-from .errors import LineError, TlaError
+from .errors import LineError, TlaError, located
 from .ingest import QuerySpec, compile_query, read_jsonl
-from .langid import CHUNK_ROWS, ForestParams, ForestPredictor, train_identifier
+from .langid import CHUNK_ROWS, ForestParams, ForestPredictor, ModelFormatError, train_identifier
 from .preprocess import StopwordTable, preprocess_tweet
 from .sentiment import label_sentiment, load_bundled_lexicon
 from .synth import synthetic_corpus
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = subparsers.add_parser("query", help="print the compiled search-query string")
-    p.add_argument("--lang", type=LanguageCode.parse, metavar="CODE")
+    p.add_argument("--lang", type=LanguageCode.parse, metavar="CODE", required=True)
     p.add_argument("--min-faves", type=int, default=9000)
     p.add_argument(
         "--has-engagement", action=argparse.BooleanOptionalAction, default=True
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = subparsers.add_parser("clean", help="JSONL tweets in, cleaned token CSV out")
-    p.add_argument("--input", metavar="PATH", help="line-delimited JSON export")
+    p.add_argument("--input", metavar="PATH", required=True, help="line-delimited JSON export")
     p.add_argument("--output", metavar="PATH", help="CSV destination (default stdout)")
     p.add_argument(
         "--lang",
@@ -78,15 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "train-langid", help="train the language identifier and write a model file"
     )
-    p.add_argument("--corpus", metavar="PATH", help="training CSV with lang and text columns")
-    p.add_argument(
+    p.add_argument("--seed", type=int, required=True, help="RNG seed for a reproducible build")
+    p.add_argument("--output", metavar="PATH", required=True, help="model file destination")
+    corpus = p.add_mutually_exclusive_group()
+    corpus.add_argument("--corpus", metavar="PATH", help="training CSV with lang and text columns")
+    corpus.add_argument(
         "--synthetic",
         type=int,
         metavar="N",
         help="train on N bundled synthetic sentences per language (default 200)",
     )
-    p.add_argument("--seed", type=int, help="required: RNG seed for a reproducible build")
-    p.add_argument("--output", metavar="PATH", help="required: model file destination")
     p.add_argument("--trees", type=int, default=50)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-samples-split", type=int, default=2)
@@ -99,9 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "identify", help="predict language and confidence with a trained model"
     )
-    p.add_argument("--model", metavar="PATH", help="required: model file")
-    p.add_argument("--text", metavar="TEXT", help="classify one text")
-    p.add_argument("--input", metavar="PATH", help="classify every row of a cleaned CSV")
+    p.add_argument("--model", metavar="PATH", required=True, help="model file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--text", metavar="TEXT", help="classify one text")
+    given.add_argument("--input", metavar="PATH", help="classify every row of a cleaned CSV")
     p.add_argument(
         "--output",
         metavar="PATH",
@@ -112,8 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "label", help="sentiment-label a cleaned CSV into per-language datasets"
     )
-    p.add_argument("--input", metavar="PATH", help="cleaned CSV")
-    p.add_argument("--out-dir", metavar="DIR", help="directory for <code>.csv datasets")
+    p.add_argument("--input", metavar="PATH", required=True, help="cleaned CSV")
+    p.add_argument(
+        "--out-dir", metavar="DIR", required=True, help="directory for <code>.csv datasets"
+    )
     p.add_argument(
         "--tie-label",
         choices=[label.value for label in SentimentLabel],
@@ -123,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_label)
 
     p = subparsers.add_parser("analyze", help="per-language sentiment table")
-    p.add_argument("--input", nargs="+", metavar="PATH", help="labeled dataset CSV(s)")
+    p.add_argument(
+        "--input", nargs="+", metavar="PATH", required=True, help="labeled dataset CSV(s)"
+    )
     p.add_argument("--format", choices=REPORT_FORMATS, default="plain")
     p.add_argument("--output", metavar="PATH", help="report destination (default stdout)")
     p.set_defaults(func=_cmd_analyze)
@@ -165,13 +171,7 @@ def main() -> None:
     sys.exit(run())
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
-
-
 def _cmd_query(ns, out, err) -> int:
-    _require(ns.lang is not None, "query requires --lang")
     spec = QuerySpec(
         language=ns.lang,
         min_faves=ns.min_faves,
@@ -210,7 +210,6 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
 
 
 def _cmd_clean(ns, out, err) -> int:
-    _require(ns.input is not None, "clean requires --input")
     table = StopwordTable.load_bundled()
 
     def cleaned(source):
@@ -219,10 +218,8 @@ def _cmd_clean(ns, out, err) -> int:
         ):
             lang = tweet.lang_hint if tweet.lang_hint is not None else ns.lang
             if lang is None:
-                error = LineError(line, f"tweet {tweet.id}: record has no lang field "
-                                  "and no --lang fallback was given")
-                error.path = ns.input
-                raise error
+                raise located(LineError(line, f"tweet {tweet.id}: record has no lang field "
+                                        "and no --lang fallback was given"), source)
             tokens = preprocess_tweet(tweet.text, lang, table)
             yield CleanRow(tweet.id, lang, tweet.text, tokens).fields()
 
@@ -238,12 +235,6 @@ def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
 
 
 def _cmd_train(ns, out, err) -> int:
-    _require(ns.seed is not None, "train-langid requires --seed")
-    _require(ns.output is not None, "train-langid requires --output")
-    _require(
-        ns.corpus is None or ns.synthetic is None,
-        "train-langid takes --corpus or --synthetic, not both",
-    )
     if ns.corpus is not None:
         rows = _read_rows(ns.corpus, (CLEAN_HEADER, CSV_HEADER))
         if not rows:
@@ -263,8 +254,8 @@ def _cmd_train(ns, out, err) -> int:
     predictor = train_identifier(
         pairs, params, n_min=ns.ngram_min, n_max=ns.ngram_max, min_doc_freq=ns.min_df
     )
-    with open(ns.output, "wb") as sink:
-        n_bytes = predictor.save(sink)
+    with _committed(ns.output, out) as sink:
+        n_bytes = predictor.save(sink.buffer)
     print(
         f"{len(pairs)} texts, vocabulary {predictor.vectorizer.size}, "
         f"{n_bytes} bytes -> {ns.output}",
@@ -274,14 +265,13 @@ def _cmd_train(ns, out, err) -> int:
 
 
 def _cmd_identify(ns, out, err) -> int:
-    _require(ns.model is not None, "identify requires --model")
-    _require(
-        (ns.text is None) != (ns.input is None),
-        "identify requires exactly one of --text or --input",
-    )
-    _require(ns.text is None or ns.output is None, "identify --output needs --input, not --text")
+    if ns.text is not None and ns.output is not None:
+        raise UsageError("identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
-        predictor = ForestPredictor.load(source)
+        try:
+            predictor = ForestPredictor.load(source)
+        except ModelFormatError as exc:
+            raise TlaError(f"{ns.model}: {exc}") from None
 
     if ns.text is not None:
         code, confidence = predictor.predict(ns.text)
@@ -318,12 +308,11 @@ def _relabeled(row: CleanRow, code: LanguageCode, table: StopwordTable) -> Clean
 
 
 def _cmd_label(ns, out, err) -> int:
-    _require(ns.input is not None, "label requires --input")
-    _require(ns.out_dir is not None, "label requires --out-dir")
     tie = SentimentLabel.parse(ns.tie_label)
 
-    # Every row is labeled before the first file is opened, so a bad input
-    # leaves no partial output behind.
+    # The rows are held so that each language is written in one call, and a
+    # dataset replaces its file only when every language is written: a failed
+    # run leaves the directory as it was.
     lexicons: dict = {}
     groups: dict = {}
     with open(ns.input, "rb") as source:
@@ -335,10 +324,14 @@ def _cmd_label(ns, out, err) -> int:
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for lang, rows in groups.items():
-        path = out_dir / f"{lang.value}.csv"
-        with open(path, "wb") as sink:
-            count = write_dataset_csv(rows, sink)
+    counts = {}
+    with ExitStack() as stack:
+        for lang, rows in groups.items():
+            path = out_dir / f"{lang.value}.csv"
+            sink = stack.enter_context(_committed(str(path), out))
+            counts[path] = write_dataset_csv(rows, sink.buffer)
+            sink.flush()  # so that no write is left to fail after a rename
+    for path, count in counts.items():
         print(f"{path}: {count} rows", file=err)
     # The directory holds exactly this input's languages: a dataset left by
     # an earlier run would otherwise be counted again by analyze.
@@ -362,7 +355,6 @@ def _labeled_rows(paths):
 
 
 def _cmd_analyze(ns, out, err) -> int:
-    _require(ns.input, "analyze requires --input")
     text = render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format)
     with _committed(ns.output, out) as sink:
         sink.write(text)

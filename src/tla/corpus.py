@@ -10,13 +10,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import LineError, TlaError
+from .errors import LineError, TlaError, decoded, located
 
 MAX_TWEET_LENGTH = 280
 
 # A lone UTF-16 surrogate, which a JSON \ud800 escape can put in a string;
 # no UTF-8 output can hold it.
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+# ``write_table`` writes a field of any length (``clean --lenient`` keeps a
+# tweet of any length), so ``read_table`` must read it back: lift the csv
+# module's 131,072-character field limit to the largest every C long holds.
+csv.field_size_limit(2**31 - 1)
 
 #: The cleaned table written by `clean` and `identify`.
 CLEAN_HEADER = ("id", "lang", "text", "tokens")
@@ -333,7 +338,9 @@ def read_table(
     length limit is an ingest policy and is not.  Errors name the line and,
     if the source has a ``name``, its path.
     """
-    reader = csv.reader(line.decode("utf-8") for line in source)
+    reader = csv.reader(
+        decoded(line, n, DatasetReadError) for n, line in enumerate(source, start=1)
+    )
     try:
         header = tuple(next(reader, ()))
         if header not in headers:
@@ -372,18 +379,10 @@ def read_table(
             except ValueError as exc:
                 raise DatasetReadError(line, str(exc)) from None
             yield line, row
-    except UnicodeDecodeError as exc:  # line_num counts the lines before the bad one
-        error = DatasetReadError(reader.line_num + 1, f"invalid UTF-8: {exc.reason}")
-        raise _located(error, source) from None
     except csv.Error as exc:
-        raise _located(DatasetReadError(reader.line_num, str(exc)), source) from None
+        raise located(DatasetReadError(reader.line_num, str(exc)), source) from None
     except DatasetReadError as exc:
-        raise _located(exc, source)
-
-
-def _located(exc: DatasetReadError, source) -> DatasetReadError:
-    exc.path = getattr(source, "name", None)
-    return exc
+        raise located(exc, source)
 
 
 def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[bytes]) -> int:
@@ -426,8 +425,8 @@ def read_dataset_csv(
         if expected is None:
             expected = row.lang
         elif row.lang != expected:
-            raise _located(MixedLanguagesError(line, expected, row.lang), source)
+            raise located(MixedLanguagesError(line, expected, row.lang), source)
         yield row
     if expected is None:
         error = DatasetReadError(1, "empty dataset file and no expected language supplied")
-        raise _located(error, source)
+        raise located(error, source)

@@ -14,7 +14,7 @@ from .corpus import (
     TweetValidationError,
     validate_tweet,
 )
-from .errors import LineError
+from .errors import LineError, decoded, located, where
 
 #: JSONL field names, following the export convention of the scraping tool.
 FIELD_MAP = {
@@ -108,8 +108,7 @@ def read_jsonl(
         except JsonlError as exc:
             if skip_bad_lines:
                 continue
-            exc.path = path
-            raise
+            raise located(exc, source)
         if tweet is not None:
             seen.add(tweet.id)
             yield line_num, tweet
@@ -126,11 +125,7 @@ def _parse_record(
     """The tweet on one line, or None for a blank line; an id in ``seen`` is
     an error.  Lenient warnings of a kept tweet are reissued with the path and
     line in front."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedLineError(line_num, f"invalid UTF-8: {exc.reason}") from None
+    line = decoded(line, line_num, MalformedLineError)
     if line_num == 1:
         line = line.removeprefix("\ufeff")
     if not line.strip():
@@ -139,6 +134,8 @@ def _parse_record(
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(line_num, exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise MalformedLineError(line_num, str(exc)) from exc
     if not isinstance(record, dict):
         raise MalformedLineError(line_num, "record is not a JSON object")
 
@@ -172,8 +169,7 @@ def _parse_record(
     if tweet.id in seen:
         raise DuplicateIdError(line_num, tweet.id)
     for warning in caught:
-        where = f"line {line_num}" if path is None else f"{path}: line {line_num}"
-        warnings.warn(f"{where}: {warning.message}", warning.category)
+        warnings.warn(f"{where(path, line_num)}: {warning.message}", warning.category)
     return tweet
 
 

@@ -643,7 +643,7 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
         raise UnsupportedVersionError(data[4])
     try:
         payload = json.loads(data[5:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         raise CorruptPayloadError(str(exc)) from exc
 
     if not isinstance(payload, dict):

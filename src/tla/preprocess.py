@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import unicodedata
 from functools import cache
-from pathlib import Path
 import re
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .assets import data_dir, read_utf8
 from .corpus import LanguageCode
 
-_TAG_RE = re.compile(r"<[^<>]*>")
+# An HTML tag (``<b>``, ``</b>``, ``<br/>``, ``<a href="x">``): a ``<`` that is
+# directly followed by a name, so ``<3`` and ``a < b > c`` are not tags.
+_TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 
 # Symbol removal covers Unicode category S* plus these blocks, which catch
@@ -106,14 +107,14 @@ class StopwordTable:
         }
 
     @classmethod
-    def load_bundled(cls, override_dir: Optional[Path] = None) -> "StopwordTable":
+    def load_bundled(cls) -> "StopwordTable":
         """Load ``stopwords/<code>.txt`` for every language that ships a list.
 
         Files are UTF-8, one token per line; ``#`` lines are comments.
         Languages without a file map to the empty set.  Invalid UTF-8 is a
         LineError naming the file and line.
         """
-        base = data_dir(override_dir) / "stopwords"
+        base = data_dir() / "stopwords"
         table: dict[LanguageCode, list[str]] = {}
         for lang in LanguageCode:
             path = base / f"{lang.value}.txt"

@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Union
 
 from .assets import data_dir
 from .corpus import LanguageCode, SentimentLabel, validate_token
-from .errors import LineError
+from .errors import LineError, decoded, located, where
 
 
 class LexiconError(LineError):
@@ -61,12 +60,7 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
     weights: dict = {}
     try:
         for line_num, line in enumerate(source, start=1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise LexiconError(line_num, f"invalid UTF-8: {exc.reason}") from None
-            stripped = line.strip("\n\r")
+            stripped = decoded(line, line_num, LexiconError).strip("\n\r")
             if not stripped.strip() or stripped.lstrip().startswith("#"):
                 continue
             parts = stripped.split("\t")
@@ -84,24 +78,20 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
             if not math.isfinite(weight) or weight == 0:
                 raise BadWeightError(line_num, weight_text)
             if token in weights:
-                where = f"line {line_num}" if path is None else f"{path}: line {line_num}"
                 warnings.warn(
-                    f"{where}: duplicate token {token!r}, keeping last entry",
+                    f"{where(path, line_num)}: duplicate token {token!r}, keeping last entry",
                     DuplicateTokenWarning,
                     stacklevel=2,
                 )
             weights[token] = weight
     except LexiconError as exc:
-        exc.path = path
-        raise
+        raise located(exc, source)
     return Lexicon(language=lang, weights=weights)
 
 
-def load_bundled_lexicon(
-    lang: LanguageCode, override_dir: Optional[Path] = None
-) -> Lexicon:
+def load_bundled_lexicon(lang: LanguageCode) -> Lexicon:
     """Load the demo lexicon ``lexicons/<code>.tsv`` from the assets directory."""
-    path = data_dir(override_dir) / "lexicons" / f"{lang.value}.tsv"
+    path = data_dir() / "lexicons" / f"{lang.value}.tsv"
     if not path.is_file():
         return Lexicon(language=lang, weights={})
     with path.open("rb") as handle:

@@ -27,14 +27,12 @@ class MissingSeedError(TlaError):
         super().__init__(f"no seed text for {lang} at {path}")
 
 
-def load_seed_units(
-    lang: LanguageCode, override_dir: Optional[Path] = None
-) -> list[str]:
+def load_seed_units(lang: LanguageCode) -> list[str]:
     """Read and normalize the language's seed text, split into shuffle units.
 
     Invalid UTF-8 is a LineError naming the file and line.
     """
-    path = data_dir(override_dir) / "seeds" / f"{lang.value}.txt"
+    path = data_dir() / "seeds" / f"{lang.value}.txt"
     if not path.is_file():
         raise MissingSeedError(lang, path)
     normalized = normalize_for_langid(read_utf8(path))
@@ -55,7 +53,6 @@ def synthetic_corpus(
     per_language: int,
     seed: int,
     languages: Optional[Sequence[LanguageCode]] = None,
-    override_dir: Optional[Path] = None,
 ) -> list[tuple[str, LanguageCode]]:
     """Generate ``per_language`` sentences for each language, language-major.
 
@@ -67,7 +64,7 @@ def synthetic_corpus(
     langs = tuple(languages) if languages is not None else tuple(LanguageCode)
     corpus: list[tuple[str, LanguageCode]] = []
     for li, lang in enumerate(langs):
-        units = load_seed_units(lang, override_dir)
+        units = load_seed_units(lang)
         succ = _successors(units)
         rng = random.Random(derive_seed(seed, li))
         joiner = "" if lang.unsegmented else " "
@@ -88,11 +85,10 @@ def synthetic_split(
     test_per_language: int,
     seed: int,
     languages: Optional[Sequence[LanguageCode]] = None,
-    override_dir: Optional[Path] = None,
 ) -> tuple[list[tuple[str, LanguageCode]], list[tuple[str, LanguageCode]]]:
     """Per-language train/test split of one generated corpus (train first)."""
     total = train_per_language + test_per_language
-    corpus = synthetic_corpus(total, seed, languages, override_dir)
+    corpus = synthetic_corpus(total, seed, languages)
     train: list[tuple[str, LanguageCode]] = []
     test: list[tuple[str, LanguageCode]] = []
     for start in range(0, len(corpus), total):

@@ -24,7 +24,7 @@ from tla.langid import (
     _column_store,
     derive_seed,
 )
-from tla.preprocess import _EMOJI_BLOCKS, _TAG_RE, _UNSEGMENTED_BLOCKS, _URL_RE
+from tla.preprocess import _EMOJI_BLOCKS, _UNSEGMENTED_BLOCKS, _URL_RE
 
 settings.register_profile(
     "suite",
@@ -354,10 +354,32 @@ def is_punctuation(ch):
     return unicodedata.category(ch)[0] == "P"
 
 
+def _tag_end(text, i):
+    """The end of the HTML tag starting at ``text[i]``, or None: ``<``, an
+    optional ``/``, an ASCII letter, then anything but ``<``/``>`` up to ``>``."""
+    j = i + 1 + text.startswith("/", i + 1)
+    if j >= len(text) or not (text[j].isascii() and text[j].isalpha()):
+        return None
+    while j < len(text) and text[j] not in "<>":
+        j += 1
+    return j + 1 if text.startswith(">", j) else None
+
+
+def reference_strip_tags(text):
+    """Each HTML tag, scanned left to right, replaced by a space."""
+    out, i = [], 0
+    while i < len(text):
+        end = _tag_end(text, i) if text[i] == "<" else None
+        out.append(text[i] if end is None else " ")
+        i = i + 1 if end is None else end
+    return "".join(out)
+
+
 def reference_clean_text(text):
-    """Tags and URLs by regex, then symbols and punctuation one character at
-    a time; each removal becomes a space and whitespace is normalized."""
-    text = _TAG_RE.sub(" ", text)
+    """Tags by a scan and URLs by regex, then symbols and punctuation one
+    character at a time; each removal becomes a space and whitespace is
+    normalized."""
+    text = reference_strip_tags(text)
     text = _URL_RE.sub(" ", text)
     text = "".join(" " if is_symbol(ch) or is_punctuation(ch) else ch for ch in text)
     return " ".join(text.split())

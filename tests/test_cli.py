@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tla
+import tla.cli
 import tla.corpus
+import tla.langid
 from tla.cli import run
 from tla.corpus import LanguageCode, read_dataset_csv
 from tla.preprocess import StopwordTable, preprocess_tweet
@@ -161,6 +163,7 @@ class TestTrainAndIdentify:
             "--corpus", "x.csv", "--synthetic", "10",
         )
         assert code == 2
+        assert "argument --synthetic: not allowed with argument --corpus" in err
 
     def test_training_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tlam", tmp_path / "b.tlam"
@@ -181,20 +184,28 @@ class TestTrainAndIdentify:
         assert 0.0 < float(confidence) <= 1.0
 
     def test_identify_requires_text_xor_input(self, model_file, tmp_path):
-        assert invoke("identify", "--model", str(model_file))[0] == 2
-        assert invoke("identify", "--model", str(model_file), "--text", "x",
-                      "--input", "y.csv")[0] == 2
+        code, _, err = invoke("identify", "--model", str(model_file))
+        assert code == 2
+        assert "one of the arguments --text --input is required" in err
+        code, _, err = invoke("identify", "--model", str(model_file), "--text", "x",
+                              "--input", "y.csv")
+        assert code == 2
+        assert "argument --input: not allowed with argument --text" in err
         output = tmp_path / "y.csv"
         assert invoke("identify", "--model", str(model_file), "--text", "x",
-                      "--output", str(output))[0] == 2
+                      "--output", str(output)) == (
+            2, "", "usage error: identify --output needs --input, not --text\n")
         assert not output.exists()
 
     def test_identify_bad_model_file(self, tmp_path):
         bad = tmp_path / "bad.tlam"
         bad.write_bytes(b"NOPE")
         code, _, err = invoke("identify", "--model", str(bad), "--text", "hi")
+        assert (code, err) == (1, f"error: {bad}: bad magic bytes (expected b'TLAM')\n")
+        bad.write_bytes(b"TLAM\x01" + b"[" * 100_000)
+        code, _, err = invoke("identify", "--model", str(bad), "--text", "hi")
         assert code == 1
-        assert "magic" in err
+        assert err.startswith(f"error: {bad}: corrupt model payload: ")
 
     def test_identify_rewrites_clean_csv(self, model_file, tmp_path):
         src = tmp_path / "tweets.jsonl"
@@ -221,6 +232,27 @@ class TestTrainAndIdentify:
         lines = out.splitlines()
         assert lines[0] == "id,lang,confidence"
         assert len(lines) == 4
+
+
+#: Each subcommand's required flags, as its usage line shows them.
+REQUIRED_FLAGS = {
+    "query": ["--lang CODE"],
+    "clean": ["--input PATH"],
+    "train-langid": ["--seed SEED", "--output PATH"],
+    "identify": ["--model PATH", "(--text TEXT | --input PATH)"],
+    "label": ["--input PATH", "--out-dir DIR"],
+    "analyze": ["--input PATH [PATH ...]"],
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_help_usage_lists_the_required_flags(command):
+    code, out, err = invoke(command, "--help")
+    assert (code, err) == (0, "")
+    usage = " ".join(out.split("\n\n")[0].split())
+    assert usage.startswith(f"usage: tla {command} ")
+    for flag in REQUIRED_FLAGS[command]:
+        assert f" {flag}" in usage and f"[{flag}" not in usage, (flag, usage)
 
 
 class TestLabelAndAnalyze:
@@ -370,6 +402,46 @@ class TestCommittedOutputs:
         assert [p.name for p in target.parent.iterdir()] == ["result.csv"]
         code, out, err = invoke(*argv)
         assert (code, out) == (1, ""), err
+
+    def test_failed_model_write_keeps_the_earlier_model(self, tmp_path, monkeypatch):
+        model = tmp_path / "m.tlam"
+        argv = ["train-langid", "--synthetic", "5", "--seed", "7", "--trees", "2",
+                "--output", str(model)]
+        assert invoke(*argv)[0] == 0
+        earlier = model.read_bytes()
+
+        def failing_save(model, vectorizer, sink):
+            sink.write(b"TLAM")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tla.langid, "save_model", failing_save)
+        assert invoke(*argv) == (1, "", "error: disk full\n")
+        assert model.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["m.tlam"]
+
+    def test_failed_label_keeps_every_earlier_dataset(self, tmp_path, monkeypatch):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n1,en,good day,good day\n"
+                           "2,fr,bon jour,bon jour\n3,es,hola,hola\n", encoding="utf-8")
+        out_dir = tmp_path / "labeled"
+        out_dir.mkdir()
+        earlier = {name: f"earlier {name}\n".encode() for name in ("en.csv", "fr.csv")}
+        for name, data in earlier.items():
+            (out_dir / name).write_bytes(data)
+        written = []
+
+        def failing_on_the_second(rows, sink):
+            written.append(rows[0].lang)
+            if len(written) == 2:
+                sink.write(b"id,lang")
+                raise OSError("disk full")
+            return tla.corpus.write_dataset_csv(rows, sink)
+
+        monkeypatch.setattr(tla.cli, "write_dataset_csv", failing_on_the_second)
+        code, out, err = invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert len(written) == 2
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
     def test_identify_may_overwrite_its_input(self, model_file, tmp_path):
         table = tmp_path / "clean.csv"
@@ -547,23 +619,27 @@ def _run_chain(text, model_file, work):
 
 class TestStageContracts:
     def test_lenient_tweet_goes_through_the_chain(self, model_file, tmp_path):
-        text = ("what a good day " * 30)[:360]
-        src = tmp_path / "t.jsonl"
-        src.write_text('{"id":"1","text":"%s","lang":"en"}\n' % text, encoding="utf-8")
-        cleaned, identified = tmp_path / "clean.csv", tmp_path / "identified.csv"
-        out_dir = tmp_path / "labeled"
-        code, _, err = invoke("clean", "--lenient", "--input", str(src),
-                              "--output", str(cleaned))
-        assert (code, err) == (0, f"warning: {src}: line 1: TextTooLong(360)\n1 rows\n")
-        code, _, err = invoke("identify", "--model", str(model_file), "--input",
-                              str(cleaned), "--output", str(identified))
-        assert code == 0, err
-        code, _, err = invoke("label", "--input", str(identified), "--out-dir", str(out_dir))
-        [labeled] = out_dir.glob("*.csv")
-        assert (code, err) == (0, f"{labeled}: 1 rows\n")
-        code, out, err = invoke("analyze", "--format", "csv", "--input", str(labeled))
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1].split(",")[1] == "1"
+        # 180,000 characters is past the csv module's default field limit of 131,072.
+        for length in (360, 180_000):
+            work = tmp_path / str(length)
+            work.mkdir()
+            text = ("what a good day " * (length // 16 + 1))[:length]
+            src = work / "t.jsonl"
+            src.write_text('{"id":"1","text":"%s","lang":"en"}\n' % text, encoding="utf-8")
+            cleaned, identified = work / "clean.csv", work / "identified.csv"
+            out_dir = work / "labeled"
+            code, _, err = invoke("clean", "--lenient", "--input", str(src),
+                                  "--output", str(cleaned))
+            assert (code, err) == (0, f"warning: {src}: line 1: TextTooLong({length})\n1 rows\n")
+            code, _, err = invoke("identify", "--model", str(model_file), "--input",
+                                  str(cleaned), "--output", str(identified))
+            assert code == 0, err
+            code, _, err = invoke("label", "--input", str(identified), "--out-dir", str(out_dir))
+            [labeled] = out_dir.glob("*.csv")
+            assert (code, err) == (0, f"{labeled}: 1 rows\n")
+            code, out, err = invoke("analyze", "--format", "csv", "--input", str(labeled))
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1].split(",")[1] == "1"
 
     @settings(max_examples=100)
     @example("good a\rb day")
@@ -736,6 +812,23 @@ class TestCleanErrors:
         assert (code, err) == (0, "3 rows\n")
         assert out.splitlines()[1] == "1,en,The best day ever,best day ever"
 
+    #: Lines that parse to no record: nesting past the recursion limit, and
+    #: an integer too long to convert.
+    UNPARSABLE_LINES = {
+        "deep": "[" * 100_000,
+        "long_int": '{"id":"4","text":"x","lang":"en","likeCount":%s}' % ("9" * 5000),
+    }
+
+    @pytest.mark.parametrize("kind", ["deep", "long_int"])
+    def test_unparsable_line_is_a_located_bad_line(self, tmp_path, kind):
+        src = tmp_path / "t.jsonl"
+        src.write_text(JSONL + self.UNPARSABLE_LINES[kind] + "\n", encoding="utf-8")
+        code, out, err = invoke("clean", "--input", str(src))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {src}: line 4: malformed JSON: ")
+        code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
+        assert (code, err) == (0, "3 rows\n")
+
     #: Records whose text or id holds a JSON \ud800 escape, which decodes to a
     #: lone surrogate that no UTF-8 output can hold.
     SURROGATE_RECORDS = {
@@ -818,6 +911,7 @@ class TestFuzzedInputs:
                                        "identify --output", "label"])
     @settings(max_examples=30)
     @example(edits=[("insert", 30, b"\\ud800")])  # a lone surrogate in line 1's text
+    @example(edits=[("insert", 0, b"[" * 100_000)])  # nesting past the recursion limit
     @given(edits=_edits)
     def test_edited_input_fails_cleanly(self, model_file, cleaned_bytes, stage, edits):
         base = JSONL.encode() if stage.startswith("clean") else cleaned_bytes

@@ -519,6 +519,14 @@ class TestModelSerialization:
         with pytest.raises(CorruptPayloadError):
             load_model(io.BytesIO(b"TLAM\x01{oops"))
 
+    @pytest.mark.parametrize("payload", [b"[" * 100_000, b'{"trees":' + b"9" * 5000 + b"}"],
+                             ids=["deep", "long_int"])
+    def test_unparsable_payload_is_corrupt(self, payload):
+        # Nesting past the interpreter's recursion limit, and an integer too
+        # long to convert, are corrupt payloads and not raw Python errors.
+        with pytest.raises(CorruptPayloadError):
+            load_model(io.BytesIO(b"TLAM\x01" + payload))
+
     def test_corrupt_structure(self, trained):
         model, v = trained
         sink = io.BytesIO()

@@ -77,6 +77,53 @@ class TestCleanText:
             assert clean_text(text) == " ".join(text.split())
 
 
+#: Angle brackets inside and outside tags: tags with attributes or a
+#: closing slash, a heart, comparisons, and lone brackets and slashes.
+MARKUP_PIECES = [
+    "<", ">", "/", "</", "/>", "<3", " < ", " > ", "<=", "<b", "b>", "<b>", "</b>", "<br/>",
+    "<br />", "<i>", "</i>", '<a href="x">', "<h1 >", "<a\nb>", "<é>", "< b>", "a", "3",
+]
+
+_latin_words = st.lists(st.text(st.sampled_from("abcdefghijklmnopqrstuvwxyzé"), min_size=1,
+                                max_size=6), min_size=1, max_size=8)
+
+
+class TestTagStripping:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("i <3 this > that", "i 3 this that"),
+            ("x < y > z", "x y z"),
+            ("a<b", "a b"),
+            ("<b>good</b> day<br/>", "good day"),
+            ('<a href="x">link</a> <br /> <i>ok</i>', "link ok"),
+            ("<B>LOUD</B>", "LOUD"),
+        ],
+    )
+    def test_examples(self, raw, expected):
+        assert clean_text(raw) == expected
+
+    @settings(max_examples=200)
+    @given(_latin_words, st.lists(st.sampled_from([" < ", " > ", " <3 ", ">", " <= ", "< "]),
+                                  min_size=7, max_size=7))
+    def test_brackets_outside_tags_remove_no_letter(self, words, separators):
+        text = words[0] + "".join(sep + word for sep, word in zip(separators, words[1:]))
+        assert clean_text(text).replace("3", "").split() == words
+
+    @settings(max_examples=200)
+    @given(_latin_words, st.lists(st.sampled_from(["<b>", "</b>", "<br/>", "<i>", "</i>",
+                                                   '<a href="x">', "<br />"]),
+                                  min_size=7, max_size=7))
+    def test_tags_are_removed(self, words, tags):
+        text = words[0] + "".join(tag + word for tag, word in zip(tags, words[1:]))
+        assert clean_text(text) == " ".join(words)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(MARKUP_PIECES), max_size=16).map("".join))
+    def test_equals_the_reference(self, text):
+        assert clean_text(text) == reference_clean_text(text)
+
+
 class TestTokenize:
     def test_whitespace_split(self):
         assert tokenize("good vibes", LanguageCode.EN) == ["good", "vibes"]
@@ -126,12 +173,13 @@ class TestStopwords:
         for lang in (LanguageCode.ZH, LanguageCode.JA, LanguageCode.TH):
             assert table.stopwords(lang) == frozenset()
 
-    def test_comment_lines_ignored(self, tmp_path):
+    def test_comment_lines_ignored(self, tmp_path, monkeypatch):
         (tmp_path / "stopwords").mkdir()
         (tmp_path / "stopwords" / "en.txt").write_text(
             "# comment\nfoo\n\nbar\n", encoding="utf-8"
         )
-        table = StopwordTable.load_bundled(override_dir=tmp_path)
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        table = StopwordTable.load_bundled()
         assert table.stopwords(LanguageCode.EN) == frozenset({"foo", "bar"})
         assert table.stopwords(LanguageCode.FR) == frozenset()
 
@@ -191,6 +239,7 @@ EDGE_PIECES = [
 
 _pieces = st.one_of(
     st.characters(exclude_categories=()),
+    st.sampled_from(MARKUP_PIECES),
     st.text(st.characters(exclude_categories=()), max_size=4),
     st.sampled_from(EDGE_PIECES),
     st.sampled_from(NOISE_PIECES),
