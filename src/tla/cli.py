@@ -24,6 +24,7 @@ from .corpus import (
     CleanRow,
     LanguageCode,
     SentimentLabel,
+    TweetLengthWarning,
     read_dataset_csv,
     read_table,
     write_dataset_csv,
@@ -33,12 +34,25 @@ from .errors import LineError, TlaError, located
 from .ingest import QuerySpec, compile_query, read_jsonl
 from .langid import CHUNK_ROWS, ForestParams, ForestPredictor, ModelFormatError, train_identifier
 from .preprocess import StopwordTable, preprocess_tweet
-from .sentiment import label_sentiment, load_bundled_lexicon
+from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexicon
 from .synth import synthetic_corpus
 
 
 class UsageError(TlaError):
     pass
+
+
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("query", help="print the compiled search-query string")
     p.add_argument("--lang", type=LanguageCode.parse, metavar="CODE", required=True)
-    p.add_argument("--min-faves", type=int, default=9000)
+    p.add_argument("--min-faves", type=_at_least(0), default=9000)
     p.add_argument(
         "--has-engagement", action=argparse.BooleanOptionalAction, default=True
     )
-    p.add_argument("--max-results", type=int, default=500)
+    p.add_argument("--max-results", type=_at_least(1), default=500)
     p.set_defaults(func=_cmd_query)
 
     p = subparsers.add_parser("clean", help="JSONL tweets in, cleaned token CSV out")
@@ -84,17 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--corpus", metavar="PATH", help="training CSV with lang and text columns")
     corpus.add_argument(
         "--synthetic",
-        type=int,
+        type=_at_least(1),
         metavar="N",
         help="train on N bundled synthetic sentences per language (default 200)",
     )
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-samples-split", type=int, default=2)
-    p.add_argument("--features-per-split", type=int, default=None)
-    p.add_argument("--ngram-min", type=int, default=1)
-    p.add_argument("--ngram-max", type=int, default=3)
-    p.add_argument("--min-df", type=int, default=2)
+    p.add_argument("--trees", type=_at_least(1), default=50)
+    p.add_argument("--max-depth", type=_at_least(1), default=None)
+    p.add_argument("--min-samples-split", type=_at_least(2), default=2)
+    p.add_argument("--features-per-split", type=_at_least(1), default=None)
+    p.add_argument("--ngram-min", type=_at_least(1), default=1)
+    p.add_argument("--ngram-max", type=_at_least(1), default=3)
+    p.add_argument("--min-df", type=_at_least(1), default=2)
     p.set_defaults(func=_cmd_train)
 
     p = subparsers.add_parser(
@@ -149,6 +163,9 @@ def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] =
 
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=err)
+        # tla's own warnings are part of its output, whatever the -W filters say
+        for category in (TweetLengthWarning, DuplicateTokenWarning):
+            warnings.simplefilter("always", category)
         try:
             return ns.func(ns, out, err)
         except UsageError as exc:
@@ -189,8 +206,9 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
 
     A file is written beside its target and renamed over it, so a failed run
     leaves neither a temporary file nor a changed target, and the target may
-    also be the input being read.  Output meant for ``out`` is held in memory
-    and written at the end.
+    also be the input being read; failing to create or replace it is an
+    error naming ``path``.  Output meant for ``out`` is held in memory and
+    written at the end.
     """
     if path is None:
         buffer = io.StringIO()
@@ -199,14 +217,25 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
         return
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    sink = open(temporary, "x", encoding="utf-8", newline="")
+    with _naming(path):
+        sink = open(temporary, "x", encoding="utf-8", newline="")
     try:
         with sink:
             yield sink
-        os.replace(temporary, target)
+        with _naming(path):
+            os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _naming(path) -> Iterator[None]:
+    """Report an OSError of the block as ``<path>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise TlaError(f"{path}: {exc.strerror}") from None
 
 
 def _cmd_clean(ns, out, err) -> int:
@@ -323,7 +352,8 @@ def _cmd_label(ns, out, err) -> int:
             groups.setdefault(row.lang, []).append(row)
 
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _naming(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     with ExitStack() as stack:
         for lang, rows in groups.items():

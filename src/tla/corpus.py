@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
@@ -161,64 +160,53 @@ class TweetValidationError(TlaError):
 
 
 class TweetLengthWarning(UserWarning):
-    """Issued instead of TextTooLong when validating in lenient mode."""
+    """The JSONL reader's warning for a lenient tweet over the length limit."""
 
 
-def validate_tweet(candidate, *, lenient: bool = False) -> RawTweet:
-    """Validate a RawTweet or a mapping with RawTweet-shaped keys.
+def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
+    """The tweet of one decoded JSONL record, read by its JSON names.
 
-    Collects all violations instead of stopping at the first one.  In lenient
-    mode the 280-scalar-value limit produces a TweetLengthWarning rather than
-    an error.  An id or text holding a lone surrogate is a violation, since
-    it cannot be written as UTF-8.
+    ``id`` is a string, or an integer taken as its decimal string; ``text``,
+    ``lang``, ``likeCount`` and ``replyCount`` follow, and any other key is
+    ignored.  All violations are collected, in that order, instead of
+    stopping at the first one; a ``lang`` key outside the sixteen codes,
+    ``null`` included, is ``BadLanguage``.  Lenient mode lifts the
+    280-scalar-value limit.  An id or text holding a lone surrogate is a
+    violation, since it cannot be written as UTF-8.
     """
-    if isinstance(candidate, RawTweet):
-        fields = {
-            "id": candidate.id,
-            "text": candidate.text,
-            "lang_hint": candidate.lang_hint,
-            "like_count": candidate.like_count,
-            "reply_count": candidate.reply_count,
-        }
-    elif isinstance(candidate, Mapping):
-        unknown = set(candidate) - {"id", "text", "lang_hint", "like_count", "reply_count"}
-        if unknown:
-            raise TweetValidationError([f"BadField({name})" for name in sorted(unknown)])
-        fields = dict(candidate)
-    else:
-        raise TweetValidationError([f"BadType({type(candidate).__name__})"])
-
     violations: list[str] = []
 
-    tweet_id = fields.get("id")
+    tweet_id = record.get("id")
+    if isinstance(tweet_id, int) and not isinstance(tweet_id, bool):
+        tweet_id = str(tweet_id)
     if not isinstance(tweet_id, str) or not tweet_id:
         violations.append("EmptyId")
     elif _SURROGATE_RE.search(tweet_id):
         violations.append("LoneSurrogate(id)")
 
-    text = fields.get("text")
+    text = record.get("text")
     if not isinstance(text, str) or not text.strip():
         violations.append("EmptyText")
     else:
         if _SURROGATE_RE.search(text):
             violations.append("LoneSurrogate(text)")
-        if len(text) > MAX_TWEET_LENGTH:
-            if lenient:
-                warnings.warn(f"TextTooLong({len(text)})", TweetLengthWarning, stacklevel=2)
-            else:
-                violations.append(f"TextTooLong({len(text)})")
+        if len(text) > MAX_TWEET_LENGTH and not lenient:
+            violations.append(f"TextTooLong({len(text)})")
 
-    lang_hint = fields.get("lang_hint")
-    if lang_hint is not None and not isinstance(lang_hint, LanguageCode):
-        violations.append("BadType(lang_hint)")
+    lang_hint = None
+    if "lang" in record:
+        try:
+            lang_hint = LanguageCode.parse(record["lang"])
+        except (ValueError, TypeError):
+            violations.append(f"BadLanguage({record['lang']!r})")
 
-    like_count = fields.get("like_count", 0)
+    like_count = record.get("likeCount", 0)
     if not isinstance(like_count, int) or isinstance(like_count, bool):
         violations.append("BadType(like_count)")
     elif like_count < 0:
         violations.append(f"NegativeCount(like_count={like_count})")
 
-    reply_count = fields.get("reply_count")
+    reply_count = record.get("replyCount")
     if reply_count is not None:
         if not isinstance(reply_count, int) or isinstance(reply_count, bool):
             violations.append("BadType(reply_count)")

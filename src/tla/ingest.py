@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .corpus import (
+    MAX_TWEET_LENGTH,
     LanguageCode,
     RawTweet,
     TweetLengthWarning,
@@ -15,15 +16,6 @@ from .corpus import (
     validate_tweet,
 )
 from .errors import LineError, decoded, located, where
-
-#: JSONL field names, following the export convention of the scraping tool.
-FIELD_MAP = {
-    "id": "id",
-    "text": "text",
-    "lang": "lang_hint",
-    "likeCount": "like_count",
-    "replyCount": "reply_count",
-}
 
 
 @dataclass(frozen=True)
@@ -123,8 +115,8 @@ def _parse_record(
     seen: set[str],
 ) -> Optional[RawTweet]:
     """The tweet on one line, or None for a blank line; an id in ``seen`` is
-    an error.  Lenient warnings of a kept tweet are reissued with the path and
-    line in front."""
+    an error.  A kept lenient tweet over the length limit is warned about
+    with the path and line in front."""
     line = decoded(line, line_num, MalformedLineError)
     if line_num == 1:
         line = line.removeprefix("\ufeff")
@@ -142,34 +134,15 @@ def _parse_record(
     missing = [name for name in ("id", "text") if name not in record]
     if missing:
         raise MissingFieldError(line_num, missing)
-
-    candidate = {}
-    for json_name, field in FIELD_MAP.items():
-        if json_name not in record:
-            continue
-        value = record[json_name]
-        if field == "id" and isinstance(value, int) and not isinstance(value, bool):
-            value = str(value)
-        if field == "lang_hint":
-            try:
-                value = LanguageCode.parse(value)
-            except (ValueError, TypeError):
-                raise InvalidRecordError(line_num, [f"BadLanguage({value!r})"]) from None
-        candidate[field] = value
-
     try:
-        if lenient:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", TweetLengthWarning)
-                tweet = validate_tweet(candidate, lenient=True)
-        else:
-            tweet, caught = validate_tweet(candidate), ()
+        tweet = validate_tweet(record, lenient=lenient)
     except TweetValidationError as exc:
         raise InvalidRecordError(line_num, exc.violations) from exc
     if tweet.id in seen:
         raise DuplicateIdError(line_num, tweet.id)
-    for warning in caught:
-        warnings.warn(f"{where(path, line_num)}: {warning.message}", warning.category)
+    if len(tweet.text) > MAX_TWEET_LENGTH:
+        warnings.warn(f"{where(path, line_num)}: TextTooLong({len(tweet.text)})",
+                      TweetLengthWarning)
     return tweet
 
 

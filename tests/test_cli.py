@@ -69,6 +69,28 @@ class TestExitCodes:
         assert code == 2
         assert "--lang" in err
 
+    @pytest.mark.parametrize("command, flag, minimum", [
+        ("query", "--min-faves", 0),
+        ("query", "--max-results", 1),
+        ("train-langid", "--synthetic", 1),
+        ("train-langid", "--trees", 1),
+        ("train-langid", "--max-depth", 1),
+        ("train-langid", "--min-samples-split", 2),
+        ("train-langid", "--features-per-split", 1),
+        ("train-langid", "--ngram-min", 1),
+        ("train-langid", "--ngram-max", 1),
+        ("train-langid", "--min-df", 1),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, command, flag, minimum, tmp_path):
+        required = {"query": ["--lang", "en"],
+                    "train-langid": ["--seed", "1", "--output", str(tmp_path / "m.tlam")]}
+        code, out, err = invoke(command, *required[command], flag, str(minimum - 1))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"tla {command}: error: argument {flag}: must be >= {minimum}, got {minimum - 1}"
+        )
+        assert not any(tmp_path.iterdir())
+
     def test_no_subcommand(self):
         code, _, err = invoke()
         assert code == 2
@@ -443,6 +465,28 @@ class TestCommittedOutputs:
         assert len(written) == 2
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
+    def test_unwritable_target_is_named_not_its_temporary(self, tmp_path):
+        src = tmp_path / "t.jsonl"
+        src.write_text(JSONL, encoding="utf-8")
+        cleaned = tmp_path / "clean.csv"
+        assert invoke("clean", "--input", str(src), "--output", str(cleaned))[0] == 0
+        missing, directory = tmp_path / "nodir", tmp_path / "adir"
+        directory.mkdir()
+        train = ["train-langid", "--synthetic", "2", "--trees", "1", "--seed", "1"]
+        cases = [
+            (["clean", "--input", str(src), "--output", str(missing / "x.csv")],
+             f"{missing / 'x.csv'}: No such file or directory"),
+            (["clean", "--input", str(src), "--output", str(directory)],
+             f"{directory}: Is a directory"),
+            (["label", "--input", str(cleaned), "--out-dir", str(src)], f"{src}: File exists"),
+            ([*train, "--output", str(missing / "m.tlam")],
+             f"{missing / 'm.tlam'}: No such file or directory"),
+        ]
+        before = sorted(tmp_path.rglob("*"))
+        for argv, message in cases:
+            assert invoke(*argv) == (1, "", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_identify_may_overwrite_its_input(self, model_file, tmp_path):
         table = tmp_path / "clean.csv"
         table.write_text(_clean_rows(300), encoding="utf-8")
@@ -574,16 +618,43 @@ class TestDataDirOverride:
         assert not model.exists()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def _python_m_tla(*argv, cwd, options=(), **environ):
+    """``python [options] -m tla argv`` run in ``cwd``, with ``environ`` set."""
     src = str(Path(tla.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "tla", "query", "--lang", "en"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    return subprocess.run(
+        [sys.executable, *options, "-m", "tla", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    result = _python_m_tla("query", "--lang", "en", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "min_faves:9000 filter:has_engagement lang:en\n"
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_tla_warnings_are_printed_whatever_the_warning_filters(action, tmp_path):
+    (tmp_path / "long.jsonl").write_text(
+        '{"id":"1","text":"%s","lang":"en"}\n' % ("good " * 60), encoding="utf-8"
+    )
+    lexicon = tmp_path / "data" / "lexicons" / "en.tsv"
+    lexicon.parent.mkdir(parents=True)
+    lexicon.write_text("good\t1\ngood\t2\n", encoding="utf-8")
+    options = ("-W", action)
+    result = _python_m_tla("clean", "--lenient", "--input", "long.jsonl",
+                           "--output", "clean.csv", cwd=tmp_path, options=options)
+    assert (result.returncode, result.stderr) == (
+        0, "warning: long.jsonl: line 1: TextTooLong(300)\n1 rows\n"
+    )
+    result = _python_m_tla("label", "--input", "clean.csv", "--out-dir", "out",
+                           cwd=tmp_path, options=options, TLA_DATA_DIR="data")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[0] == (
+        "warning: data/lexicons/en.tsv: line 2: duplicate token 'good', keeping last entry"
+    )
 
 
 def _csv(path):

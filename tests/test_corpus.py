@@ -18,7 +18,6 @@ from tla.corpus import (
     MixedLanguagesError,
     RawTweet,
     SentimentLabel,
-    TweetLengthWarning,
     TweetValidationError,
     read_dataset_csv,
     read_table,
@@ -67,7 +66,7 @@ class TestSentimentLabel:
 
 class TestValidateTweet:
     def test_280_boundary_inclusive(self):
-        tweet = validate_tweet({"id": "1", "text": "x" * 280, "like_count": 0})
+        tweet = validate_tweet({"id": "1", "text": "x" * 280, "likeCount": 0})
         assert len(tweet.text) == 280
 
     def test_281_too_long(self):
@@ -82,10 +81,12 @@ class TestValidateTweet:
 
     def test_every_violation_named(self):
         with pytest.raises(TweetValidationError) as exc:
-            validate_tweet({"id": "", "text": "y" * 300, "like_count": -3, "reply_count": -1})
+            validate_tweet({"id": "", "text": "y" * 300, "lang": "xx",
+                            "likeCount": -3, "replyCount": -1})
         assert exc.value.violations == [
             "EmptyId",
             "TextTooLong(300)",
+            "BadLanguage('xx')",
             "NegativeCount(like_count=-3)",
             "NegativeCount(reply_count=-1)",
         ]
@@ -100,28 +101,36 @@ class TestValidateTweet:
         text = json.loads('"\\ud83d\\ude00"')
         assert validate_tweet({"id": "1", "text": text}).text == "\U0001f600"
 
-    def test_lenient_downgrades_length_to_warning(self):
-        with pytest.warns(TweetLengthWarning, match=r"TextTooLong\(281\)"):
-            tweet = validate_tweet({"id": "1", "text": "x" * 281}, lenient=True)
+    def test_lenient_lifts_the_length_limit(self, recwarn):
+        # the reader warns about the kept tweet, naming its path and line
+        tweet = validate_tweet({"id": "1", "text": "x" * 281}, lenient=True)
         assert len(tweet.text) == 281
+        assert not recwarn.list
 
     def test_lenient_still_rejects_other_violations(self):
         with pytest.raises(TweetValidationError):
             validate_tweet({"id": "", "text": "hi"}, lenient=True)
 
-    def test_accepts_raw_tweet_instance(self):
-        raw = RawTweet(id="9", text="hello", like_count=5, reply_count=2)
-        assert validate_tweet(raw) == raw
+    def test_reads_the_json_names(self):
+        record = {"id": 9, "text": "hello", "lang": "fr", "likeCount": 5, "replyCount": 2}
+        assert validate_tweet(record) == RawTweet(
+            id="9", text="hello", lang_hint=LanguageCode.FR, like_count=5, reply_count=2
+        )
 
     def test_bool_count_is_bad_type(self):
         with pytest.raises(TweetValidationError) as exc:
-            validate_tweet({"id": "1", "text": "hi", "like_count": True})
+            validate_tweet({"id": "1", "text": "hi", "likeCount": True})
         assert exc.value.violations == ["BadType(like_count)"]
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_key_ignored(self):
+        tweet = validate_tweet({"id": "1", "text": "hi", "retweets": 4, "like_count": -1})
+        assert (tweet.id, tweet.text, tweet.like_count) == ("1", "hi", 0)
+
+    @pytest.mark.parametrize("lang", [None, "EN", 5, ["en"]])
+    def test_bad_language_named_with_its_value(self, lang):
         with pytest.raises(TweetValidationError) as exc:
-            validate_tweet({"id": "1", "text": "hi", "retweets": 4})
-        assert exc.value.violations == ["BadField(retweets)"]
+            validate_tweet({"id": "1", "text": "hi", "lang": lang})
+        assert exc.value.violations == [f"BadLanguage({lang!r})"]
 
 
 class TestLabeledTypes:

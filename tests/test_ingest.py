@@ -105,6 +105,16 @@ class TestReadJsonl:
             _read('{"id":"1","text":"a"}\n{"id":"2","text":"b","lang":"xx"}\n')
         assert exc.value.line == 2
 
+    def test_bad_lang_listed_with_the_other_violations(self):
+        with pytest.raises(InvalidRecordError) as exc:
+            _read('{"id":"","text":"","lang":"xx"}\n')
+        assert exc.value.violations == ["EmptyId", "EmptyText", "BadLanguage('xx')"]
+
+    def test_null_lang_is_a_bad_language(self):
+        with pytest.raises(InvalidRecordError) as exc:
+            _read('{"id":"1","text":" ","lang":null}\n')
+        assert str(exc.value) == "line 1: EmptyText; BadLanguage(None)"
+
     def test_numeric_id_coerced(self):
         [tweet] = _read('{"id":123,"text":"a"}\n')
         assert tweet.id == "123"
