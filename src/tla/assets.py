@@ -6,7 +6,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .errors import LineError, decoded, located
+from .errors import LineError, TlaError, decoded, located
 
 #: Environment variable pointing at an alternative assets directory.
 DATA_DIR_ENV = "TLA_DATA_DIR"
@@ -16,6 +16,8 @@ def data_dir() -> Path:
     """The assets directory: ``$TLA_DATA_DIR`` if set, else the bundled one."""
     env = os.environ.get(DATA_DIR_ENV)
     if env:
+        if not Path(env).is_dir():
+            raise TlaError(f"{DATA_DIR_ENV}={env}: not a directory")
         return Path(env)
     return Path(str(resources.files("tla"))) / "data"
 

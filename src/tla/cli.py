@@ -62,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    codes = [lang.value for lang in LANGUAGE_ORDER]
     p = subparsers.add_parser("query", help="print the compiled search-query string")
-    p.add_argument("--lang", type=LanguageCode.parse, metavar="CODE", required=True)
+    p.add_argument("--lang", choices=codes, metavar="CODE", required=True)
     p.add_argument("--min-faves", type=_at_least(0), default=9000)
     p.add_argument(
         "--has-engagement", action=argparse.BooleanOptionalAction, default=True
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH", help="CSV destination (default stdout)")
     p.add_argument(
         "--lang",
-        type=LanguageCode.parse,
+        choices=codes,
         metavar="CODE",
         help="fallback language for records without a lang field",
     )
@@ -158,8 +159,8 @@ def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] =
     try:
         with redirect_stdout(out), redirect_stderr(err):
             ns = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return _exit_code(exc)
+    except SystemExit as exc:  # argparse exits with 0 or 2
+        return exc.code
 
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=err)
@@ -176,21 +177,13 @@ def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] =
             return 1
 
 
-def _exit_code(exc: SystemExit) -> int:
-    if exc.code is None:
-        return 0
-    if isinstance(exc.code, int):
-        return exc.code
-    return 2
-
-
 def main() -> None:
     sys.exit(run())
 
 
 def _cmd_query(ns, out, err) -> int:
     spec = QuerySpec(
-        language=ns.lang,
+        language=LanguageCode.parse(ns.lang),
         min_faves=ns.min_faves,
         has_engagement=ns.has_engagement,
         max_results=ns.max_results,
@@ -206,9 +199,9 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
 
     A file is written beside its target and renamed over it, so a failed run
     leaves neither a temporary file nor a changed target, and the target may
-    also be the input being read; failing to create or replace it is an
-    error naming ``path``.  Output meant for ``out`` is held in memory and
-    written at the end.
+    also be the input being read.  An OSError while the temporary is created,
+    written, flushed or renamed is an error naming ``path``.  Output meant
+    for ``out`` is held in memory and written at the end.
     """
     if path is None:
         buffer = io.StringIO()
@@ -219,14 +212,13 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     with _naming(path):
         sink = open(temporary, "x", encoding="utf-8", newline="")
-    try:
-        with sink:
-            yield sink
-        with _naming(path):
+        try:
+            with sink:
+                yield sink
             os.replace(temporary, target)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
 
 @contextmanager
@@ -235,17 +227,18 @@ def _naming(path) -> Iterator[None]:
     try:
         yield
     except OSError as exc:
-        raise TlaError(f"{path}: {exc.strerror}") from None
+        raise TlaError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _cmd_clean(ns, out, err) -> int:
     table = StopwordTable.load_bundled()
+    fallback = None if ns.lang is None else LanguageCode.parse(ns.lang)
 
     def cleaned(source):
         for line, tweet in read_jsonl(
             source, skip_bad_lines=ns.skip_bad_lines, lenient=ns.lenient
         ):
-            lang = tweet.lang_hint if tweet.lang_hint is not None else ns.lang
+            lang = tweet.lang_hint if tweet.lang_hint is not None else fallback
             if lang is None:
                 raise located(LineError(line, f"tweet {tweet.id}: record has no lang field "
                                         "and no --lang fallback was given"), source)
@@ -264,6 +257,8 @@ def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
 
 
 def _cmd_train(ns, out, err) -> int:
+    if ns.ngram_min > ns.ngram_max:
+        raise UsageError(f"--ngram-min {ns.ngram_min} is greater than --ngram-max {ns.ngram_max}")
     if ns.corpus is not None:
         rows = _read_rows(ns.corpus, (CLEAN_HEADER, CSV_HEADER))
         if not rows:

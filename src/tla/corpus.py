@@ -253,14 +253,6 @@ class CleanRow:
         return fields if self.label is None else fields + (self.label.value,)
 
 
-class DatasetWriteError(TlaError):
-    """Sink failure while emitting a dataset CSV, attributed to a row index."""
-
-    def __init__(self, row_index: int, cause: Exception):
-        self.row_index = row_index
-        super().__init__(f"failed writing row {row_index}: {cause}")
-
-
 class DatasetReadError(LineError):
     """Base for CSV table parse errors; carries a 1-based line number."""
 
@@ -297,20 +289,17 @@ def write_table(sink: IO[str], header: tuple, rows: Iterable[Sequence[str]]) -> 
     """Write ``header`` and then one record per row of string fields.
 
     RFC 4180 quoting, LF line endings.  Returns the number of data rows
-    written; a sink failure becomes a DatasetWriteError naming the row.
+    written.
     """
     writer = csv.writer(sink, lineterminator="\n")
     # Before Python 3.12 the writer leaves a field holding a bare CR unquoted,
     # and the reader then rejects it; such a row has all its fields quoted.
     quote_all = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
     count = 0
-    try:
-        writer.writerow(header)
-        for row in rows:
-            (quote_all if "\r" in "".join(row) else writer).writerow(row)
-            count += 1
-    except OSError as exc:
-        raise DatasetWriteError(count, exc) from exc
+    for row in rows:
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+        count += 1
     return count
 
 
@@ -381,9 +370,7 @@ def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[bytes]) -> int:
     when the writer reaches it.  One language per file and unique ids are
     checked where the table is read, by :func:`read_dataset_csv`.
     """
-    # write_through hands each record to the sink as it is written, without
-    # flushing the sink, so a failing write is attributed to its row.
-    wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="", write_through=True)
+    wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="")
     try:
         return write_table(wrapper, CSV_HEADER, _labeled_fields(rows))
     finally:

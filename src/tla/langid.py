@@ -11,14 +11,14 @@ byte-identically.  The samples are held once as a sparse column store (no
 n x V matrix); each tree node builds its class histogram from the nonzeros of
 its candidate features only.
 
-Prediction is one batched vote.  On a model's first prediction its trees are
-flattened into one set of node arrays (leaves point to themselves) whose
+Prediction is one batched vote.  Building a model flattens its trees into one
+set of node arrays (leaves point to themselves), checked there once, whose
 split features are renumbered to the columns the forest actually splits on.
 Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense int32
 block over those columns only; every (row, tree) pair then descends one level
 per step, and pairs that reached a leaf drop out.  The vote is a per-row
-bincount of leaf classes.  The flat arrays are a cache: they are never
-serialized, so a model file does not depend on whether the model predicted.
+bincount of leaf classes.  The flat arrays are not fields: they are never
+serialized, so a model file holds only the per-tree arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Optional, Sequence
@@ -110,7 +109,7 @@ def extract_char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     grams: list[str] = []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, min(n_max, len(text)) + 1):
         for i in range(len(text) - n + 1):
             grams.append(text[i : i + n])
     return grams
@@ -213,25 +212,11 @@ class DecisionTree:
     right: tuple[int, ...]
     value: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.feature)
-        if not n or not (
-            len(self.threshold) == len(self.left) == len(self.right) == len(self.value) == n
-        ):
-            raise ValueError("tree node arrays must be nonempty and equal-length")
-        for i in range(n):
-            if self.feature[i] < 0:
-                if self.value[i] < 0:
-                    raise ValueError(f"leaf {i} has no class index")
-            else:
-                for child in (self.left[i], self.right[i]):
-                    if not i < child < n:
-                        raise ValueError(f"node {i} has invalid child index {child}")
-
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A bagged ensemble of decision trees over an ordered class list."""
+    """A bagged ensemble of decision trees over an ordered class list; building
+    it flattens the trees for the vote, which checks them (ValueError)."""
 
     params: ForestParams
     classes: tuple[LanguageCode, ...]
@@ -244,28 +229,19 @@ class ForestModel:
             raise ValueError("duplicate class in model")
         if not self.trees:
             raise ValueError("model must have at least one tree")
-        for t, tree in enumerate(self.trees):
-            if max(tree.value) >= len(self.classes):
-                raise ValueError(f"tree {t} leaf class index out of range")
-
-    @cached_property
-    def _flat(self) -> _FlatForest:
-        """The trees as one set of node arrays, built on the first prediction."""
-        return _flatten(self.trees)
+        object.__setattr__(self, "_flat", _flatten(self.trees, len(self.classes)))
 
 
 class _FlatForest(NamedTuple):
     """All trees' nodes in one set of arrays; tree ``t`` starts at ``roots[t]``.
 
-    ``column_of`` maps a vocabulary index to its column of the dense block
-    (the features the forest splits on) or to -1, which its last entry holds
-    for every larger index.  ``feature`` is a node's column, -1 at a leaf;
-    ``children[2 * i]`` and ``children[2 * i + 1]`` are node ``i``'s left and
-    right child, and a leaf's both point to itself.
+    ``columns`` holds the vocabulary indices the forest splits on, ascending:
+    the columns of the dense block.  ``feature`` is a node's column, -1 at a
+    leaf; ``children[2 * i]`` and ``children[2 * i + 1]`` are node ``i``'s
+    left and right child, and a leaf's both point to itself.
     """
 
-    column_of: np.ndarray
-    n_columns: int
+    columns: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     children: np.ndarray
@@ -273,31 +249,47 @@ class _FlatForest(NamedTuple):
     roots: np.ndarray
 
 
-def _flatten(trees: Sequence[DecisionTree]) -> _FlatForest:
-    sizes = [len(tree.feature) for tree in trees]
+def _flatten(trees: Sequence[DecisionTree], n_classes: int) -> _FlatForest:
+    """The trees as one set of node arrays.
+
+    Each tree's arrays must be nonempty and equally long, every split's
+    children must lie after it in its own tree, so that every descent ends
+    at a leaf, and every leaf's class must be below ``n_classes``.
+    """
+    lengths = [[len(getattr(t, f.name)) for t in trees] for f in dataclasses.fields(DecisionTree)]
+    sizes = lengths[0]
+    if min(sizes) == 0 or any(other != sizes for other in lengths[1:]):
+        raise ValueError("tree node arrays must be nonempty and equal-length")
     total = sum(sizes)
 
-    def concat(field, dtype):
+    def concat(field, dtype=np.int64):
         return np.fromiter(chain.from_iterable(getattr(t, field) for t in trees), dtype, total)
 
     roots = np.cumsum([0] + sizes[:-1])
     shift = np.repeat(roots, sizes)
-    feature = concat("feature", np.int64)
+    size = np.repeat(sizes, sizes)
+    feature, left, right, value = map(concat, ("feature", "left", "right", "value"))
     leaf = feature < 0
-    # np.unique would do, but its first call in a process costs ~10 ms
-    columns = np.flatnonzero(np.bincount(feature[~leaf]))
-    column_of = np.full(int(columns[-1]) + 2 if columns.size else 1, -1)
-    column_of[columns] = np.arange(columns.size)
     node = np.arange(total)
-    left = np.where(leaf, node, concat("left", np.int64) + shift)
-    right = np.where(leaf, node, concat("right", np.int64) + shift)
+    local = node - shift
+    bad = np.where(leaf, (value < 0) | (value >= n_classes),
+                   (left <= local) | (left >= size) | (right <= local) | (right >= size))
+    if bad.any():
+        at = int(np.argmax(bad))
+        t = int(np.searchsorted(roots, at, side="right")) - 1
+        what = f"leaf class index (of {n_classes} classes)" if leaf[at] else "child index"
+        raise ValueError(f"tree {t} node {at - roots[t]} has an invalid {what}")
+    # np.unique would do, but its first call in a process costs ~10 ms; a
+    # bincount would allocate up to a split feature that nothing bounds yet
+    split_features = np.sort(feature[~leaf])
+    columns = split_features[np.diff(split_features, prepend=-1) != 0]
     return _FlatForest(
-        column_of=column_of,
-        n_columns=columns.size,
-        feature=np.where(leaf, -1, column_of[feature]),
+        columns=columns,
+        feature=np.where(leaf, -1, np.searchsorted(columns, feature)),
         threshold=concat("threshold", np.float64),
-        children=np.stack([left, right], axis=1).ravel(),
-        value=concat("value", np.int64),
+        children=np.stack([np.where(leaf, node, left + shift),
+                           np.where(leaf, node, right + shift)], axis=1).ravel(),
+        value=value,
         roots=roots,
     )
 
@@ -547,15 +539,20 @@ def predict_language(
     """
     flat = model._flat
     n_trees, n_classes = flat.roots.size, len(model.classes)
+    n_columns = flat.columns.size
+    # a vocabulary index's column, or -1, which the last entry holds for
+    # every index above the highest split feature
+    column_of = np.full(int(flat.columns[-1]) + 2 if n_columns else 1, -1)
+    column_of[flat.columns] = np.arange(n_columns)
     limits = np.iinfo(np.int32)  # holds every threshold a fit can produce
     predictions = []
     for start in range(0, len(vectors), CHUNK_ROWS):
         chunk = vectors[start:start + CHUNK_ROWS]
         n = len(chunk)
         rows, features, counts = _entries(chunk)
-        col = flat.column_of[np.clip(features, -1, flat.column_of.size - 1)]
+        col = column_of[np.clip(features, -1, column_of.size - 1)]
         hit = col >= 0
-        block = np.zeros((n, flat.n_columns), dtype=np.int32)
+        block = np.zeros((n, n_columns), dtype=np.int32)
         block[rows[hit], col[hit]] = np.clip(counts[hit], limits.min, limits.max)
         owner = np.repeat(np.arange(n) * n_classes, n_trees)
         votes = np.bincount(owner + _leaf_classes(flat, block).ravel(),
@@ -593,9 +590,9 @@ def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes])
     """Write magic, version byte, and the canonical JSON payload; returns bytes.
 
     The payload is ``model``'s fields plus ``vectorizer``; each dataclass is
-    encoded as an object keyed by its field names, so a cached attribute such
-    as the flat forest is never written (``dataclasses.asdict`` would
-    deep-copy every tree node first).
+    encoded as an object keyed by its field names, so the flat forest, which
+    is not a field, is never written (``dataclasses.asdict`` would deep-copy
+    every tree node first).
     """
     payload = {**_field_values(model), "vectorizer": vectorizer}
     text = json.dumps(payload, default=_field_values, sort_keys=True, separators=(",", ":"),
@@ -609,14 +606,24 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
+def _integers(values) -> tuple:
+    """``values`` as a tuple if each is a JSON integer (a float or a bool is not)."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise CorruptPayloadError(f"expected an integer, got {bad!r:.40}")
+    return tuple(values)
+
+
 # JSON -> field value, by the field's annotation; other fields are taken as
 # they are, and the dataclass checks them.
 _DECODERS = {
     "ForestParams": lambda spec: _from_json(ForestParams, spec),
     "tuple[LanguageCode, ...]": lambda codes: tuple(map(LanguageCode.parse, codes)),
     "tuple[DecisionTree, ...]": lambda specs: tuple(_from_json(DecisionTree, t) for t in specs),
-    "tuple[int, ...]": tuple,
+    "tuple[int, ...]": _integers,
     "tuple[float, ...]": lambda values: tuple(map(float, values)),
+    "int": lambda value: _integers([value])[0],
+    "Optional[int]": lambda value: value if value is None else _integers([value])[0],
 }
 
 
@@ -651,15 +658,14 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
     try:
         vectorizer = _from_json(NgramVectorizer, payload.pop("vectorizer", None))
         model = _from_json(ForestModel, payload)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise CorruptPayloadError(str(exc)) from exc
 
-    for t, tree in enumerate(model.trees):
-        if max(tree.feature) >= vectorizer.size:
-            raise CorruptPayloadError(
-                f"tree {t} references feature {max(tree.feature)} "
-                f"beyond vocabulary size {vectorizer.size}"
-            )
+    columns = model._flat.columns
+    if columns.size and columns[-1] >= vectorizer.size:
+        raise CorruptPayloadError(
+            f"the forest splits on feature {columns[-1]} beyond vocabulary size {vectorizer.size}"
+        )
     return model, vectorizer
 
 

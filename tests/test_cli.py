@@ -60,9 +60,21 @@ class TestExitCodes:
         assert code == 2
         assert "usage" in err
 
-    def test_bad_language_is_usage_error(self):
-        code, _, err = invoke("query", "--lang", "xx")
-        assert code == 2
+    def test_bad_language_is_usage_error(self, tmp_path):
+        codes = ", ".join(repr(lang.value) for lang in LanguageCode)
+        for argv in (["query"], ["clean", "--input", str(tmp_path / "t.jsonl")]):
+            code, out, err = invoke(*argv, "--lang", "xx")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                f"tla {argv[0]}: error: argument --lang: invalid choice: 'xx' (choose from {codes})"
+            )
+
+    def test_ngram_min_above_ngram_max_is_usage_error(self, tmp_path):
+        code, out, err = invoke("train-langid", "--seed", "1", "--output", str(tmp_path / "m.tlam"),
+                                "--ngram-min", "3", "--ngram-max", "2")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --ngram-min 3 is greater than --ngram-max 2\n"
+        assert not any(tmp_path.iterdir())
 
     def test_missing_required_flag(self):
         code, _, err = invoke("query")
@@ -218,6 +230,23 @@ class TestTrainAndIdentify:
                       "--output", str(output)) == (
             2, "", "usage error: identify --output needs --input, not --text\n")
         assert not output.exists()
+
+    def test_longest_ngram_beyond_every_text_predicts_as_before(self, model_file, tmp_path):
+        # No n-gram is longer than its text, so n_max = 10**8 counts nothing
+        # more; each run must not take a pass per length either.
+        data = model_file.read_bytes()
+        payload = json.loads(data[5:].decode("utf-8"))
+        payload["vectorizer"]["n_max"] = 10**8
+        (tmp_path / "edited.tlam").write_bytes(data[:5] + json.dumps(payload).encode("utf-8"))
+        text = "hello world, what a day"
+        result = _python_m_tla("identify", "--model", "edited.tlam", "--text", text,
+                               cwd=tmp_path, timeout=20)
+        expected = invoke("identify", "--model", str(model_file), "--text", text)
+        assert (result.returncode, result.stdout, result.stderr) == expected
+        result = _python_m_tla("train-langid", "--synthetic", "2", "--trees", "1", "--seed", "1",
+                               "--ngram-max", "100000000", "--output", "m.tlam",
+                               cwd=tmp_path, timeout=20)
+        assert result.returncode == 0, result.stderr
 
     def test_identify_bad_model_file(self, tmp_path):
         bad = tmp_path / "bad.tlam"
@@ -437,7 +466,7 @@ class TestCommittedOutputs:
             raise OSError("disk full")
 
         monkeypatch.setattr(tla.langid, "save_model", failing_save)
-        assert invoke(*argv) == (1, "", "error: disk full\n")
+        assert invoke(*argv) == (1, "", f"error: {model}: disk full\n")
         assert model.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["m.tlam"]
 
@@ -461,9 +490,33 @@ class TestCommittedOutputs:
 
         monkeypatch.setattr(tla.cli, "write_dataset_csv", failing_on_the_second)
         code, out, err = invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
-        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert (code, out, err) == (1, "", f"error: {out_dir / written[1].value}.csv: disk full\n")
         assert len(written) == 2
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+
+    @pytest.mark.parametrize("stage", ["clean", "label", "train-langid"])
+    def test_write_beyond_the_file_size_limit_names_its_path(self, stage, tmp_path):
+        # The limit applies to the child alone: its write past 4 KiB fails
+        # with EFBIG, which Python reports instead of dying of SIGXFSZ.
+        resource = pytest.importorskip("resource")
+        (tmp_path / "t.jsonl").write_text("".join(
+            json.dumps({"id": str(i), "text": f"the best day number {i}", "lang": "en"}) + "\n"
+            for i in range(200)), encoding="utf-8")
+        (tmp_path / "clean.csv").write_text(_clean_rows(200), encoding="utf-8")
+        argv, target = {
+            "clean": (["clean", "--input", "t.jsonl", "--output", "out.csv"], "out.csv"),
+            "label": (["label", "--input", "clean.csv", "--out-dir", "."], "en.csv"),
+            "train-langid": (["train-langid", "--synthetic", "5", "--seed", "7",
+                              "--trees", "2", "--output", "m.tlam"], "m.tlam"),
+        }[stage]
+        before = sorted(tmp_path.iterdir())
+        result = _python_m_tla(
+            *argv, cwd=tmp_path, PYTHONDONTWRITEBYTECODE="1",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)),
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {target}: File too large\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_unwritable_target_is_named_not_its_temporary(self, tmp_path):
         src = tmp_path / "t.jsonl"
@@ -557,6 +610,17 @@ class TestDataDirOverride:
         # "best" now a stopword, "the" no longer one
         assert out.splitlines()[1] == "1,en,the best day,the day"
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_env_var_must_name_a_directory(self, kind, tmp_path, monkeypatch):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n1,en,good day,good day\n", encoding="utf-8")
+        data = {"missing": tmp_path / "nodir", "file": cleaned}[kind]
+        monkeypatch.setenv("TLA_DATA_DIR", str(data))
+        out_dir = tmp_path / "out"
+        code, out, err = invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", f"error: TLA_DATA_DIR={data}: not a directory\n")
+        assert not out_dir.exists()
+
     @staticmethod
     def _label_with_lexicon(tmp_path, monkeypatch, content):
         lexicon = tmp_path / "lexicons" / "en.tsv"
@@ -618,14 +682,14 @@ class TestDataDirOverride:
         assert not model.exists()
 
 
-def _python_m_tla(*argv, cwd, options=(), **environ):
+def _python_m_tla(*argv, cwd, options=(), preexec_fn=None, timeout=120, **environ):
     """``python [options] -m tla argv`` run in ``cwd``, with ``environ`` set."""
     src = str(Path(tla.__file__).resolve().parents[1])
     env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *options, "-m", "tla", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn,
     )
 
 

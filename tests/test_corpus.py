@@ -12,7 +12,6 @@ from tla.corpus import (
     BadLanguageError,
     CleanRow,
     DatasetReadError,
-    DatasetWriteError,
     DuplicateIdError,
     LanguageCode,
     MixedLanguagesError,
@@ -187,22 +186,6 @@ class TestWriteDatasetCsv:
         sink = io.BytesIO()
         write_dataset_csv([], sink)
         assert not sink.closed
-
-    def test_sink_failure_carries_row_index(self):
-        class FlakySink(io.BytesIO):
-            def __init__(self):
-                super().__init__()
-                self.writes = 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 2:  # header + first row succeed
-                    raise OSError("disk full")
-                return super().write(data)
-
-        with pytest.raises(DatasetWriteError) as exc:
-            write_dataset_csv([_row(tweet_id=str(i)) for i in range(3)], FlakySink())
-        assert exc.value.row_index == 1
 
 
 class TestReadDatasetCsv:

@@ -409,7 +409,7 @@ class TestBatchedVote:
         before, after = io.BytesIO(), io.BytesIO()
         save_model(fresh, v, before)
         predict_language(fresh, [{0: 1}, {}])
-        assert "_flat" in vars(fresh)  # the flat arrays are cached on the model
+        assert "_flat" in vars(fresh)  # the flat arrays are held on the model
         save_model(fresh, v, after)
         assert after.getvalue() == before.getvalue()
 
@@ -531,6 +531,10 @@ class TestModelSerialization:
         model, v = trained
         sink = io.BytesIO()
         save_model(model, v, sink)
+
+        def split_tree(p):  # the first tree whose root is a split
+            return next(t for t in p["trees"] if t["feature"][0] >= 0)
+
         corruptions = [
             lambda p: p["vectorizer"].update(vocabulary={"a": 0, "c": 2}),
             lambda p: p.pop("vectorizer"),
@@ -542,6 +546,12 @@ class TestModelSerialization:
             lambda p: p["trees"][0].pop("threshold"),
             lambda p: p["trees"][-1].update(extra=[]),
             lambda p: p.update(trees=[[]]),
+            lambda p: p["vectorizer"].update(n_max=p["vectorizer"]["n_max"] + 0.5),
+            lambda p: split_tree(p)["left"].__setitem__(0, 1.5),
+            lambda p: p["trees"][0]["value"].__setitem__(-1, True),  # a leaf: the last node
+            lambda p: split_tree(p)["right"].__setitem__(0, 0),  # a cycle
+            lambda p: p["trees"][0]["value"].__setitem__(-1, len(p["classes"])),
+            lambda p: split_tree(p)["left"].__setitem__(0, 2**64),
         ]
         for corrupt in corruptions:
             payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
