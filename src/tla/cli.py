@@ -32,14 +32,20 @@ from .corpus import (
 )
 from .errors import LineError, TlaError, located
 from .ingest import QuerySpec, compile_query, read_jsonl
-from .langid import CHUNK_ROWS, ForestParams, ForestPredictor, ModelFormatError, train_identifier
 from .preprocess import StopwordTable, preprocess_tweet
 from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexicon
-from .synth import synthetic_corpus
 
 
 class UsageError(TlaError):
     pass
+
+
+def __getattr__(name: str):
+    # perfbench/run.py's setup probe reads tla.cli.ForestPredictor
+    if name == "ForestPredictor":
+        from .langid import ForestPredictor
+        return ForestPredictor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _at_least(minimum: int):
@@ -257,6 +263,8 @@ def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
 
 
 def _cmd_train(ns, out, err) -> int:
+    from .langid import ForestParams, train_identifier
+    from .synth import synthetic_corpus
     if ns.ngram_min > ns.ngram_max:
         raise UsageError(f"--ngram-min {ns.ngram_min} is greater than --ngram-max {ns.ngram_max}")
     if ns.corpus is not None:
@@ -289,6 +297,7 @@ def _cmd_train(ns, out, err) -> int:
 
 
 def _cmd_identify(ns, out, err) -> int:
+    from .langid import ForestPredictor, ModelFormatError
     if ns.text is not None and ns.output is not None:
         raise UsageError("identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
@@ -306,7 +315,7 @@ def _cmd_identify(ns, out, err) -> int:
     with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
         identified = _identified(predictor, (row for _, row in read_table(source)))
         if table is None:
-            write_table(sink, ("id", "lang", "confidence"), (
+            count = write_table(sink, ("id", "lang", "confidence"), (
                 (row.id, code.value, f"{confidence:.4f}")
                 for row, (code, confidence) in identified
             ))
@@ -314,13 +323,13 @@ def _cmd_identify(ns, out, err) -> int:
             count = write_table(sink, CLEAN_HEADER, (
                 _relabeled(row, code, table).fields() for row, (code, _) in identified
             ))
-    if table is not None:
-        print(f"{count} rows", file=err)
+    print(f"{count} rows", file=err)
     return 0
 
 
-def _identified(predictor: ForestPredictor, rows: Iterator[CleanRow]):
+def _identified(predictor, rows: Iterator[CleanRow]):
     """``(row, (code, confidence))`` per row, voted ``CHUNK_ROWS`` rows at a time."""
+    from .langid import CHUNK_ROWS
     while chunk := list(islice(rows, CHUNK_ROWS)):
         yield from zip(chunk, predictor.predict_batch(row.text for row in chunk))
 

@@ -614,6 +614,23 @@ def _integers(values) -> tuple:
     return tuple(values)
 
 
+def _numbers(values) -> tuple:
+    """``values`` as floats if each is a finite JSON number (a string, a bool,
+    NaN or an infinity is not)."""
+    if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
+        bad = next(v for v in values if type(v) not in (int, float) or not math.isfinite(v))
+        raise CorruptPayloadError(f"expected a finite number, got {bad!r:.40}")
+    return tuple(map(float, values))
+
+
+def _vocabulary(spec) -> dict:
+    """``spec`` if it maps each n-gram to a JSON integer."""
+    if not isinstance(spec, dict):
+        raise CorruptPayloadError(f"expected an n-gram -> index object, got {spec!r:.40}")
+    _integers(spec.values())
+    return spec
+
+
 # JSON -> field value, by the field's annotation; other fields are taken as
 # they are, and the dataclass checks them.
 _DECODERS = {
@@ -621,7 +638,8 @@ _DECODERS = {
     "tuple[LanguageCode, ...]": lambda codes: tuple(map(LanguageCode.parse, codes)),
     "tuple[DecisionTree, ...]": lambda specs: tuple(_from_json(DecisionTree, t) for t in specs),
     "tuple[int, ...]": _integers,
-    "tuple[float, ...]": lambda values: tuple(map(float, values)),
+    "tuple[float, ...]": _numbers,
+    "dict": _vocabulary,
     "int": lambda value: _integers([value])[0],
     "Optional[int]": lambda value: value if value is None else _integers([value])[0],
 }

@@ -278,8 +278,9 @@ class TestTrainAndIdentify:
         src.write_text(JSONL, encoding="utf-8")
         cleaned = tmp_path / "clean.csv"
         invoke("clean", "--input", str(src), "--output", str(cleaned))
-        code, out, _ = invoke("identify", "--model", str(model_file),
-                              "--input", str(cleaned))
+        code, out, err = invoke("identify", "--model", str(model_file),
+                                "--input", str(cleaned))
+        assert (code, err) == (0, "3 rows\n")
         lines = out.splitlines()
         assert lines[0] == "id,lang,confidence"
         assert len(lines) == 4
@@ -682,13 +683,18 @@ class TestDataDirOverride:
         assert not model.exists()
 
 
-def _python_m_tla(*argv, cwd, options=(), preexec_fn=None, timeout=120, **environ):
-    """``python [options] -m tla argv`` run in ``cwd``, with ``environ`` set."""
+def _python_m_tla(*argv, cwd, options=(), **kwargs):
+    """``python [options] -m tla argv`` run in ``cwd``."""
+    return _python(*options, "-m", "tla", *argv, cwd=cwd, **kwargs)
+
+
+def _python(*args, cwd, preexec_fn=None, timeout=120, **environ):
+    """``python args`` run in ``cwd`` with this tla importable and ``environ`` set."""
     src = str(Path(tla.__file__).resolve().parents[1])
     env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *options, "-m", "tla", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn,
     )
 
@@ -697,6 +703,57 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     result = _python_m_tla("query", "--lang", "en", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "min_faves:9000 filter:has_engagement lang:en\n"
+
+
+#: Imports tla, then runs every stage but the two that use the language
+#: identifier, printing after each step whether numpy is loaded; then
+#: train-langid, which must load it (else the check proves nothing).
+NUMPY_FREE_STAGES = """\
+import sys
+def numpy_loaded(after):
+    print(after, "numpy" in sys.modules)
+import tla
+numpy_loaded("import tla")
+import tla.cli
+numpy_loaded("import tla.cli")
+for argv in (
+    ["query", "--lang", "en"],
+    ["clean", "--input", "t.jsonl", "--output", "clean.csv"],
+    ["label", "--input", "clean.csv", "--out-dir", "labeled"],
+    ["analyze", "--input", "labeled/en.csv", "labeled/es.csv", "labeled/ru.csv"],
+    ["train-langid", "--synthetic", "2", "--trees", "1", "--seed", "1", "--output", "m.tlam"],
+):
+    assert tla.cli.run(argv, stdout=sys.stderr) == 0, argv
+    numpy_loaded(argv[0])
+"""
+
+
+def test_only_the_identifier_stages_import_numpy(tmp_path):
+    (tmp_path / "t.jsonl").write_text(JSONL, encoding="utf-8")
+    result = _python("-c", NUMPY_FREE_STAGES, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "import tla False", "import tla.cli False", "query False", "clean False",
+        "label False", "analyze False", "train-langid True",
+    ]
+
+
+def test_identifier_names_resolve_on_first_use():
+    import tla.synth
+    from tla import ForestPredictor, synthetic_corpus, vectorize
+
+    assert (ForestPredictor, synthetic_corpus, vectorize) == (
+        tla.langid.ForestPredictor, tla.synth.synthetic_corpus, tla.langid.vectorize
+    )
+    assert tla.cli.ForestPredictor is tla.langid.ForestPredictor
+    for name in ("ForestModel", "ForestParams", "NgramVectorizer", "evaluate_model",
+                 "extract_char_ngrams", "fit_forest", "fit_vectorizer", "load_model",
+                 "predict_language", "save_model", "train_identifier"):
+        assert getattr(tla, name) is getattr(tla.langid, name)
+    assert tla.synthetic_split is tla.synth.synthetic_split
+    for module in (tla, tla.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])

@@ -552,6 +552,16 @@ class TestModelSerialization:
             lambda p: split_tree(p)["right"].__setitem__(0, 0),  # a cycle
             lambda p: p["trees"][0]["value"].__setitem__(-1, len(p["classes"])),
             lambda p: split_tree(p)["left"].__setitem__(0, 2**64),
+            lambda p: split_tree(p)["threshold"].__setitem__(0, "0.5"),
+            lambda p: split_tree(p)["threshold"].__setitem__(0, True),
+            lambda p: split_tree(p)["threshold"].__setitem__(0, float("nan")),
+            lambda p: split_tree(p)["threshold"].__setitem__(0, float("-inf")),
+            lambda p: split_tree(p)["threshold"].__setitem__(0, 10**400),
+            lambda p: p["vectorizer"]["vocabulary"].update(
+                {gram: float(i) for gram, i in p["vectorizer"]["vocabulary"].items() if i == 1}
+            ),
+            lambda p: p["vectorizer"].update(vocabulary=sorted(p["vectorizer"]["vocabulary"])),
+            lambda p: p["vectorizer"].update(vocabulary=None),
         ]
         for corrupt in corruptions:
             payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
