@@ -31,7 +31,7 @@ for code, total, pos_cell, neg_cell in TABLE:
     rows.append(AnalysisRow(language=LanguageCode.parse(code), total=total,
                             positive_count=positive, negative_count=total - positive))
 
-report = AnalysisReport.from_rows(rows)
+report = AnalysisReport(tuple(rows))  # TABLE is in canonical order
 print()
 print(render_report(report, "plain"))
 print("note 37.08 (not 37.09) and 85.55 (not 85.56): truncation, not rounding")

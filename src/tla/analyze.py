@@ -72,9 +72,6 @@ class AnalysisRow:
         return truncate_pct(self.negative_count, self.total)
 
 
-_CANONICAL_RANK = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Rows in canonical table order, at most one per language."""
@@ -85,11 +82,6 @@ class AnalysisReport:
         languages = [row.language for row in self.rows]
         if len(set(languages)) != len(languages):
             raise ValueError("duplicate language in report")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[AnalysisRow]) -> "AnalysisReport":
-        ordered = sorted(rows, key=lambda r: _CANONICAL_RANK[r.language])
-        return cls(rows=tuple(ordered))
 
 
 def aggregate_dataset(rows: Iterable[CleanRow]) -> AnalysisReport:

@@ -6,7 +6,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .errors import LineError, TlaError, decoded, located
+from .errors import TlaError, decoded
 
 #: Environment variable pointing at an alternative assets directory.
 DATA_DIR_ENV = "TLA_DATA_DIR"
@@ -23,9 +23,7 @@ def data_dir() -> Path:
 
 
 def read_utf8(path: Path) -> str:
-    """The file's text; invalid UTF-8 is a LineError naming the file and line."""
+    """The file's text, less a leading byte order mark; invalid UTF-8 is a
+    LineError naming the file and line."""
     with path.open("rb") as source:
-        try:
-            return "".join(decoded(line, n) for n, line in enumerate(source, start=1))
-        except LineError as exc:
-            raise located(exc, source)
+        return "".join(decoded(line, n, source.name) for n, line in enumerate(source, start=1))

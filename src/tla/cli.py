@@ -30,7 +30,7 @@ from .corpus import (
     write_dataset_csv,
     write_table,
 )
-from .errors import LineError, TlaError, located
+from .errors import LineError, TlaError
 from .ingest import QuerySpec, compile_query, read_jsonl
 from .preprocess import StopwordTable, preprocess_tweet
 from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexicon
@@ -246,8 +246,8 @@ def _cmd_clean(ns, out, err) -> int:
         ):
             lang = tweet.lang_hint if tweet.lang_hint is not None else fallback
             if lang is None:
-                raise located(LineError(line, f"tweet {tweet.id}: record has no lang field "
-                                        "and no --lang fallback was given"), source)
+                raise LineError(ns.input, line, f"tweet {tweet.id}: record has no lang field "
+                                "and no --lang fallback was given")
             tokens = preprocess_tweet(tweet.text, lang, table)
             yield CleanRow(tweet.id, lang, tweet.text, tokens).fields()
 
@@ -368,10 +368,11 @@ def _cmd_label(ns, out, err) -> int:
     for path, count in counts.items():
         print(f"{path}: {count} rows", file=err)
     # The directory holds exactly this input's languages: a dataset left by
-    # an earlier run would otherwise be counted again by analyze.
+    # an earlier run would otherwise be counted again by analyze.  The input
+    # itself is never removed, whatever its name.
     for lang in LANGUAGE_ORDER:
         path = out_dir / f"{lang.value}.csv"
-        if lang not in groups and path.is_file():
+        if lang not in groups and path.is_file() and not os.path.samefile(path, ns.input):
             path.unlink()
             print(f"{path}: removed, no {lang.value} rows in this input", file=err)
     return 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import LineError, TlaError, decoded, located
+from .errors import LineError, TlaError, decoded
 
 MAX_TWEET_LENGTH = 280
 
@@ -253,38 +253,6 @@ class CleanRow:
         return fields if self.label is None else fields + (self.label.value,)
 
 
-class DatasetReadError(LineError):
-    """Base for CSV table parse errors; carries a 1-based line number."""
-
-
-class BadHeaderError(DatasetReadError):
-    def __init__(self, header, expected=(CSV_HEADER,)):
-        wanted = " or ".join(",".join(names) for names in expected)
-        super().__init__(1, f"expected header {wanted}, got {header!r}")
-
-
-class BadLabelError(DatasetReadError):
-    def __init__(self, line: int, value: str):
-        self.value = value
-        super().__init__(line, f"bad label {value!r} (expected Positive or Negative)")
-
-
-class BadLanguageError(DatasetReadError):
-    def __init__(self, line: int, code: str):
-        self.code = code
-        super().__init__(line, f"bad language code {code!r}")
-
-
-class MixedLanguagesError(DatasetReadError):
-    def __init__(self, line: int, expected: LanguageCode, got: LanguageCode):
-        super().__init__(line, f"mixed languages: expected {expected}, got {got}")
-
-
-class DuplicateIdError(DatasetReadError):
-    def __init__(self, line: int, tweet_id: str):
-        super().__init__(line, f"duplicate id {tweet_id!r}")
-
-
 def write_table(sink: IO[str], header: tuple, rows: Iterable[Sequence[str]]) -> int:
     """Write ``header`` and then one record per row of string fields.
 
@@ -315,13 +283,13 @@ def read_table(
     length limit is an ingest policy and is not.  Errors name the line and,
     if the source has a ``name``, its path.
     """
-    reader = csv.reader(
-        decoded(line, n, DatasetReadError) for n, line in enumerate(source, start=1)
-    )
+    path = getattr(source, "name", None)
+    reader = csv.reader(decoded(line, n, path) for n, line in enumerate(source, start=1))
     try:
         header = tuple(next(reader, ()))
         if header not in headers:
-            raise BadHeaderError(header or None, headers)
+            wanted = " or ".join(",".join(names) for names in headers)
+            raise LineError(path, 1, f"expected header {wanted}, got {header or None!r}")
         labeled = header == CSV_HEADER
         seen = set() if seen is None else seen
         for record in reader:
@@ -329,37 +297,34 @@ def read_table(
                 continue
             line = reader.line_num
             if len(record) != len(header):
-                raise DatasetReadError(
-                    line, f"expected {len(header)} fields, got {len(record)}"
-                )
+                raise LineError(path, line, f"expected {len(header)} fields, got {len(record)}")
             tweet_id, lang_field, text, tokens_field = record[:4]
             try:
                 lang = LanguageCode.parse(lang_field)
             except ValueError:
-                raise BadLanguageError(line, lang_field) from None
+                raise LineError(path, line, f"bad language code {lang_field!r}") from None
             label = None
             if labeled:
                 try:
                     label = SentimentLabel.parse(record[4])
                 except ValueError:
-                    raise BadLabelError(line, record[4]) from None
+                    raise LineError(path, line, f"bad label {record[4]!r} "
+                                    "(expected Positive or Negative)") from None
             if not tweet_id:
-                raise DatasetReadError(line, "empty id")
+                raise LineError(path, line, "empty id")
             if not text.strip():
-                raise DatasetReadError(line, "empty text")
+                raise LineError(path, line, "empty text")
             if tweet_id in seen:
-                raise DuplicateIdError(line, tweet_id)
+                raise LineError(path, line, f"duplicate id {tweet_id!r}")
             seen.add(tweet_id)
             tokens = tokens_field.split(" ") if tokens_field else ()
             try:
                 row = CleanRow(tweet_id, lang, text, tokens, label)
             except ValueError as exc:
-                raise DatasetReadError(line, str(exc)) from None
+                raise LineError(path, line, str(exc)) from None
             yield line, row
     except csv.Error as exc:
-        raise located(DatasetReadError(reader.line_num, str(exc)), source) from None
-    except DatasetReadError as exc:
-        raise located(exc, source)
+        raise LineError(path, reader.line_num, str(exc)) from None
 
 
 def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[bytes]) -> int:
@@ -395,13 +360,13 @@ def read_dataset_csv(
     error otherwise: the fixed schema cannot recover its language.  Ids are
     checked against ``seen`` as :func:`read_table` does.
     """
+    path = getattr(source, "name", None)
     expected = language
     for line, row in read_table(source, (CSV_HEADER,), seen):
         if expected is None:
             expected = row.lang
         elif row.lang != expected:
-            raise located(MixedLanguagesError(line, expected, row.lang), source)
+            raise LineError(path, line, f"mixed languages: expected {expected}, got {row.lang}")
         yield row
     if expected is None:
-        error = DatasetReadError(1, "empty dataset file and no expected language supplied")
-        raise located(error, source)
+        raise LineError(path, 1, "empty dataset file and no expected language supplied")

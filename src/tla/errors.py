@@ -1,5 +1,11 @@
-"""Shared exception base for the tla package, and the line-error helpers
-that every reader of an input file uses."""
+"""Shared exception base for the tla package, and the one error of a bad line
+of an input file.
+
+Every reader of an input file (JSONL export, cleaned and labeled CSV tables,
+lexicons, stopword lists, seed texts) raises :class:`LineError` for a bad
+line, built where the line is read with the file's path, and decodes each
+line with :func:`decoded`, which also drops a leading byte order mark.
+"""
 
 
 class TlaError(Exception):
@@ -7,12 +13,11 @@ class TlaError(Exception):
 
 
 class LineError(TlaError):
-    """A data error at a 1-based line of an input file; readers set ``path``
-    with :func:`located`, and the message then starts with it."""
+    """A data error at a 1-based ``line`` of the input file at ``path`` (None
+    for a source without a name); the message starts with both."""
 
-    path = None
-
-    def __init__(self, line: int, message: str):
+    def __init__(self, path, line: int, message: str):
+        self.path = path
         self.line = line
         super().__init__(message)
 
@@ -25,19 +30,13 @@ def where(path, line: int) -> str:
     return f"line {line}" if path is None else f"{path}: line {line}"
 
 
-def decoded(line, line_num: int, error=LineError) -> str:
-    """``line`` as text: a str as it is, bytes decoded as UTF-8.  Invalid
-    UTF-8 raises ``error(line_num, "invalid UTF-8: <reason>")``."""
-    if isinstance(line, str):
-        return line
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(line_num, f"invalid UTF-8: {exc.reason}") from None
-
-
-def located(error: LineError, source) -> LineError:
-    """``error``, given the ``name`` of ``source`` as its path unless it has one."""
-    if error.path is None:
-        error.path = getattr(source, "name", None)
-    return error
+def decoded(line, line_num: int, path, prefix: str = "") -> str:
+    """``line`` as text (bytes are decoded as UTF-8), less a byte order mark
+    that starts line 1.  Invalid UTF-8 is a LineError with the message
+    ``<prefix>invalid UTF-8: <reason>``."""
+    if not isinstance(line, str):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LineError(path, line_num, f"{prefix}invalid UTF-8: {exc.reason}") from None
+    return line.removeprefix("\ufeff") if line_num == 1 else line

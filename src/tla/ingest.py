@@ -15,7 +15,7 @@ from .corpus import (
     TweetValidationError,
     validate_tweet,
 )
-from .errors import LineError, decoded, located, where
+from .errors import LineError, decoded, where
 
 
 @dataclass(frozen=True)
@@ -51,32 +51,6 @@ def compile_query(spec: QuerySpec) -> str:
     return " ".join(parts)
 
 
-class JsonlError(LineError):
-    """Base for line-delimited JSON ingest errors; carries a line number."""
-
-
-class MalformedLineError(JsonlError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(line, f"malformed JSON: {detail}")
-
-
-class MissingFieldError(JsonlError):
-    def __init__(self, line: int, fields):
-        self.fields = tuple(fields)
-        super().__init__(line, "missing required field(s): " + ", ".join(self.fields))
-
-
-class InvalidRecordError(JsonlError):
-    def __init__(self, line: int, violations):
-        self.violations = list(violations)
-        super().__init__(line, "; ".join(self.violations))
-
-
-class DuplicateIdError(JsonlError):
-    def __init__(self, line: int, tweet_id: str):
-        super().__init__(line, f"duplicate id {tweet_id!r}")
-
-
 def read_jsonl(
     source: Union[IO[bytes], IO[str]],
     *,
@@ -97,10 +71,10 @@ def read_jsonl(
     for line_num, line in enumerate(source, start=1):
         try:
             tweet = _parse_record(line, line_num, lenient=lenient, path=path, seen=seen)
-        except JsonlError as exc:
+        except LineError:
             if skip_bad_lines:
                 continue
-            raise located(exc, source)
+            raise
         if tweet is not None:
             seen.add(tweet.id)
             yield line_num, tweet
@@ -117,29 +91,27 @@ def _parse_record(
     """The tweet on one line, or None for a blank line; an id in ``seen`` is
     an error.  A kept lenient tweet over the length limit is warned about
     with the path and line in front."""
-    line = decoded(line, line_num, MalformedLineError)
-    if line_num == 1:
-        line = line.removeprefix("\ufeff")
+    line = decoded(line, line_num, path, "malformed JSON: ")
     if not line.strip():
         return None
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedLineError(line_num, exc.msg) from exc
+        raise LineError(path, line_num, f"malformed JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-        raise MalformedLineError(line_num, str(exc)) from exc
+        raise LineError(path, line_num, f"malformed JSON: {exc}") from exc
     if not isinstance(record, dict):
-        raise MalformedLineError(line_num, "record is not a JSON object")
+        raise LineError(path, line_num, "malformed JSON: record is not a JSON object")
 
     missing = [name for name in ("id", "text") if name not in record]
     if missing:
-        raise MissingFieldError(line_num, missing)
+        raise LineError(path, line_num, "missing required field(s): " + ", ".join(missing))
     try:
         tweet = validate_tweet(record, lenient=lenient)
     except TweetValidationError as exc:
-        raise InvalidRecordError(line_num, exc.violations) from exc
+        raise LineError(path, line_num, "; ".join(exc.violations)) from exc
     if tweet.id in seen:
-        raise DuplicateIdError(line_num, tweet.id)
+        raise LineError(path, line_num, f"duplicate id {tweet.id!r}")
     if len(tweet.text) > MAX_TWEET_LENGTH:
         warnings.warn(f"{where(path, line_num)}: TextTooLong({len(tweet.text)})",
                       TweetLengthWarning)

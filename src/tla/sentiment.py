@@ -14,21 +14,7 @@ from typing import IO, Iterable, Union
 
 from .assets import data_dir
 from .corpus import LanguageCode, SentimentLabel, validate_token
-from .errors import LineError, decoded, located, where
-
-
-class LexiconError(LineError):
-    """Base for lexicon parse errors; carries a 1-based line number."""
-
-
-class BadWeightError(LexiconError):
-    def __init__(self, line: int, value: str):
-        super().__init__(line, f"bad weight {value!r} (must be finite and nonzero)")
-
-
-class BadTokenError(LexiconError):
-    def __init__(self, line: int, token: str, reason: str):
-        super().__init__(line, f"bad token {token!r}: {reason}")
+from .errors import LineError, decoded, where
 
 
 class DuplicateTokenWarning(UserWarning):
@@ -58,34 +44,32 @@ def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: Languag
     """
     path = getattr(source, "name", None)
     weights: dict = {}
-    try:
-        for line_num, line in enumerate(source, start=1):
-            stripped = decoded(line, line_num, LexiconError).strip("\n\r")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(line_num, "expected token<TAB>weight")
-            token, weight_text = parts[0], parts[1].strip()
-            try:
-                validate_token(token)
-            except ValueError as exc:
-                raise BadTokenError(line_num, token, str(exc)) from None
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise BadWeightError(line_num, weight_text) from None
-            if not math.isfinite(weight) or weight == 0:
-                raise BadWeightError(line_num, weight_text)
-            if token in weights:
-                warnings.warn(
-                    f"{where(path, line_num)}: duplicate token {token!r}, keeping last entry",
-                    DuplicateTokenWarning,
-                    stacklevel=2,
-                )
-            weights[token] = weight
-    except LexiconError as exc:
-        raise located(exc, source)
+    for line_num, line in enumerate(source, start=1):
+        stripped = decoded(line, line_num, path).strip("\n\r")
+        if not stripped.strip() or stripped.lstrip().startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise LineError(path, line_num, "expected token<TAB>weight")
+        token, weight_text = parts[0], parts[1].strip()
+        try:
+            validate_token(token)
+        except ValueError as exc:
+            raise LineError(path, line_num, f"bad token {token!r}: {exc}") from None
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            weight = math.nan  # reported as a bad weight below
+        if not math.isfinite(weight) or weight == 0:
+            raise LineError(path, line_num,
+                            f"bad weight {weight_text!r} (must be finite and nonzero)")
+        if token in weights:
+            warnings.warn(
+                f"{where(path, line_num)}: duplicate token {token!r}, keeping last entry",
+                DuplicateTokenWarning,
+                stacklevel=2,
+            )
+        weights[token] = weight
     return Lexicon(language=lang, weights=weights)
 
 

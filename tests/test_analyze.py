@@ -157,12 +157,10 @@ class TestAggregate:
 
 class TestReport:
     def test_rows_follow_canonical_order(self):
-        rows = [
-            AnalysisRow(language=LanguageCode.ZH, total=1, positive_count=1, negative_count=0),
-            AnalysisRow(language=LanguageCode.EN, total=1, positive_count=0, negative_count=1),
-            AnalysisRow(language=LanguageCode.FA, total=2, positive_count=1, negative_count=1),
-        ]
-        report = AnalysisReport.from_rows(rows)
+        rows = (rows_with_counts(LanguageCode.ZH, 1, 0)
+                + rows_with_counts(LanguageCode.EN, 0, 1)
+                + rows_with_counts(LanguageCode.FA, 1, 1))
+        report = aggregate_dataset(rows)
         assert [r.language for r in report.rows] == [
             LanguageCode.EN,
             LanguageCode.FA,
@@ -177,9 +175,9 @@ class TestReport:
 
 class TestRenderReport:
     def test_csv_english_row(self):
-        report = AnalysisReport.from_rows(
-            [AnalysisRow(language=LanguageCode.EN, total=500, positive_count=334,
-                         negative_count=166)]
+        report = AnalysisReport(
+            (AnalysisRow(language=LanguageCode.EN, total=500, positive_count=334,
+                         negative_count=166),)
         )
         assert render_report(report, "csv") == (
             "Language,Total tweets,Positive Tweets Percentage,Negative Tweets Percentage\n"
@@ -187,9 +185,9 @@ class TestRenderReport:
         )
 
     def test_csv_urdu_row(self):
-        report = AnalysisReport.from_rows(
-            [AnalysisRow(language=LanguageCode.UR, total=42, positive_count=29,
-                         negative_count=13)]
+        report = AnalysisReport(
+            (AnalysisRow(language=LanguageCode.UR, total=42, positive_count=29,
+                         negative_count=13),)
         )
         assert render_report(report, "csv").splitlines()[1] == "Urdu,42,69.04,30.95"
 
@@ -199,9 +197,9 @@ class TestRenderReport:
         )
 
     def test_markdown_shape(self):
-        report = AnalysisReport.from_rows(
-            [AnalysisRow(language=LanguageCode.FA, total=50, positive_count=26,
-                         negative_count=24)]
+        report = AnalysisReport(
+            (AnalysisRow(language=LanguageCode.FA, total=50, positive_count=26,
+                         negative_count=24),)
         )
         lines = render_report(report, "markdown").splitlines()
         assert lines[0].startswith("| Language |")
@@ -209,9 +207,9 @@ class TestRenderReport:
         assert lines[2] == "| Persian | 50 | 52 | 48 |"
 
     def test_plain_columns(self):
-        report = AnalysisReport.from_rows(
-            [AnalysisRow(language=LanguageCode.RO, total=457, positive_count=391,
-                         negative_count=66)]
+        report = AnalysisReport(
+            (AnalysisRow(language=LanguageCode.RO, total=457, positive_count=391,
+                         negative_count=66),)
         )
         lines = render_report(report, "plain").splitlines()
         assert lines[0].split() == [

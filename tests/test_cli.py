@@ -400,6 +400,18 @@ class TestLabelAndAnalyze:
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["English"]
 
+    @pytest.mark.parametrize("spelling", ["labeled/fr.csv", "labeled/../labeled/./fr.csv"])
+    def test_label_never_removes_its_input(self, spelling, tmp_path):
+        out_dir = tmp_path / "labeled"
+        out_dir.mkdir()
+        data = "id,lang,text,tokens\n1,en,good day,good day\n"
+        (out_dir / "fr.csv").write_text(data, encoding="utf-8")
+        code, out, err = invoke("label", "--input", str(tmp_path / spelling),
+                                "--out-dir", str(out_dir))
+        assert (code, out, err) == (0, "", f"{out_dir / 'en.csv'}: 1 rows\n")
+        assert (out_dir / "fr.csv").read_text(encoding="utf-8") == data
+        assert sorted(p.name for p in out_dir.iterdir()) == ["en.csv", "fr.csv"]
+
     def test_analyze_rejects_an_id_counted_in_an_earlier_file(self, cleaned, tmp_path):
         out_dir = tmp_path / "labeled"
         invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))

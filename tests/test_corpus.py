@@ -7,14 +7,8 @@ from hypothesis import given, strategies as st
 from tla.corpus import (
     CLEAN_HEADER,
     CSV_HEADER,
-    BadHeaderError,
-    BadLabelError,
-    BadLanguageError,
     CleanRow,
-    DatasetReadError,
-    DuplicateIdError,
     LanguageCode,
-    MixedLanguagesError,
     RawTweet,
     SentimentLabel,
     TweetValidationError,
@@ -26,6 +20,8 @@ from tla.corpus import (
     write_dataset_csv,
     write_table,
 )
+
+from tla.errors import LineError
 
 from conftest import random_dataset
 
@@ -214,42 +210,46 @@ class TestReadDatasetCsv:
                 b"2,en,hi\n")
         rows = read_dataset_csv(io.BytesIO(data))
         assert next(rows).id == "1"
-        with pytest.raises(DatasetReadError, match="expected 5 fields, got 3") as exc:
+        with pytest.raises(LineError, match="expected 5 fields, got 3") as exc:
             next(rows)
         assert exc.value.line == 3
 
     def test_bad_label(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi,Neutral\n"
-        with pytest.raises(BadLabelError) as exc:
+        with pytest.raises(LineError) as exc:
             _read(data)
         assert exc.value.line == 2
-        assert exc.value.value == "Neutral"
+        assert str(exc.value) == "line 2: bad label 'Neutral' (expected Positive or Negative)"
 
     def test_mixed_languages_at_second_row(self):
         data = (b"id,lang,text,tokens,label\n"
                 b"1,en,hi,hi,Positive\n"
                 b"2,fr,salut,salut,Positive\n")
-        with pytest.raises(MixedLanguagesError) as exc:
+        with pytest.raises(LineError) as exc:
             _read(data)
         assert exc.value.line == 3
+        assert str(exc.value) == "line 3: mixed languages: expected en, got fr"
 
     def test_bad_language(self):
         data = b"id,lang,text,tokens,label\n1,xx,hi,hi,Positive\n"
-        with pytest.raises(BadLanguageError) as exc:
+        with pytest.raises(LineError) as exc:
             _read(data)
-        assert exc.value.code == "xx"
+        assert str(exc.value) == "line 2: bad language code 'xx'"
 
     def test_duplicate_id(self):
         data = (b"id,lang,text,tokens,label\n"
                 b"1,en,hi,hi,Positive\n"
                 b"1,en,yo,yo,Negative\n")
-        with pytest.raises(DuplicateIdError) as exc:
+        with pytest.raises(LineError) as exc:
             _read(data)
         assert exc.value.line == 3
+        assert str(exc.value) == "line 3: duplicate id '1'"
 
     def test_bad_header(self):
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(LineError) as exc:
             _read(b"id,language,text,tokens,label\n")
+        assert str(exc.value) == ("line 1: expected header id,lang,text,tokens,label, "
+                                  "got ('id', 'language', 'text', 'tokens', 'label')")
 
     def test_crlf_accepted(self):
         data = b"id,lang,text,tokens,label\r\n1,en,hi,hi,Positive\r\n"
@@ -258,18 +258,19 @@ class TestReadDatasetCsv:
 
     def test_header_only_needs_language(self):
         data = b"id,lang,text,tokens,label\n"
-        with pytest.raises(DatasetReadError, match="no expected language"):
+        with pytest.raises(LineError, match="no expected language"):
             _read(data)
         assert _read(data, LanguageCode.TH) == []
 
     def test_expected_language_mismatch(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi,Positive\n"
-        with pytest.raises(MixedLanguagesError):
+        with pytest.raises(LineError) as exc:
             _read(data, LanguageCode.FR)
+        assert str(exc.value) == "line 2: mixed languages: expected fr, got en"
 
     def test_wrong_arity_reports_line(self):
         data = b"id,lang,text,tokens,label\n1,en,hi,hi\n"
-        with pytest.raises(DatasetReadError) as exc:
+        with pytest.raises(LineError) as exc:
             _read(data)
         assert exc.value.line == 2
 
@@ -339,7 +340,7 @@ class TestTableCodec:
         [(_, row)] = _table(b"id,lang,text,tokens,label\n1,en,hi,hi,Negative\n", both)
         assert row.label is SentimentLabel.NEGATIVE
         assert len(_table(b"id,lang,text,tokens\n1,en,hi,hi\n", both)) == 1
-        with pytest.raises(BadHeaderError, match="id,lang,text,tokens or id,lang"):
+        with pytest.raises(LineError, match="id,lang,text,tokens or id,lang"):
             _table(b"id,text\n", both)
 
     def test_length_limit_not_checked(self):
@@ -361,14 +362,14 @@ class TestTableCodec:
     def test_row_errors_name_path_and_line(self, tmp_path, record, line, message):
         path = tmp_path / "clean.csv"
         path.write_bytes(b"id,lang,text,tokens\n" + record)
-        with open(path, "rb") as source, pytest.raises(DatasetReadError) as exc:
+        with open(path, "rb") as source, pytest.raises(LineError) as exc:
             list(read_table(source))
         assert exc.value.line == line
         assert str(exc.value).startswith(f"{path}: line {line}: ")
         assert message in str(exc.value)
 
     def test_same_id_in_two_languages(self):
-        with pytest.raises(DuplicateIdError, match="line 3: duplicate id '1'"):
+        with pytest.raises(LineError, match="line 3: duplicate id '1'"):
             _table(b"id,lang,text,tokens\n1,en,hi,hi\n1,es,hola,hola\n")
 
     def test_write_table_round_trip(self):

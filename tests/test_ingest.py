@@ -5,11 +5,8 @@ import re
 import pytest
 
 from tla.corpus import LanguageCode, RawTweet, TweetLengthWarning
+from tla.errors import LineError
 from tla.ingest import (
-    DuplicateIdError,
-    InvalidRecordError,
-    MalformedLineError,
-    MissingFieldError,
     QuerySpec,
     compile_query,
     filter_trending,
@@ -80,9 +77,9 @@ class TestReadJsonl:
                                  like_count=9500, reply_count=None)
 
     def test_missing_text(self):
-        with pytest.raises(MissingFieldError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"7"}\n')
-        assert exc.value.fields == ("text",)
+        assert str(exc.value) == "line 1: missing required field(s): text"
         assert exc.value.line == 1
 
     def test_empty_input(self):
@@ -101,17 +98,17 @@ class TestReadJsonl:
         assert tweet.lang_hint is LanguageCode.FR
 
     def test_bad_lang_reports_line(self):
-        with pytest.raises(InvalidRecordError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"1","text":"a"}\n{"id":"2","text":"b","lang":"xx"}\n')
         assert exc.value.line == 2
 
     def test_bad_lang_listed_with_the_other_violations(self):
-        with pytest.raises(InvalidRecordError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"","text":"","lang":"xx"}\n')
-        assert exc.value.violations == ["EmptyId", "EmptyText", "BadLanguage('xx')"]
+        assert str(exc.value) == "line 1: EmptyId; EmptyText; BadLanguage('xx')"
 
     def test_null_lang_is_a_bad_language(self):
-        with pytest.raises(InvalidRecordError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"1","text":" ","lang":null}\n')
         assert str(exc.value) == "line 1: EmptyText; BadLanguage(None)"
 
@@ -120,7 +117,7 @@ class TestReadJsonl:
         assert tweet.id == "123"
 
     def test_malformed_json_line_number(self):
-        with pytest.raises(MalformedLineError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"1","text":"a"}\n{oops\n')
         assert exc.value.line == 2
 
@@ -130,10 +127,10 @@ class TestReadJsonl:
 
     def test_validation_errors_carry_line(self):
         long_text = "x" * 281
-        with pytest.raises(InvalidRecordError) as exc:
+        with pytest.raises(LineError) as exc:
             _read('{"id":"1","text":"%s"}\n' % long_text)
         assert exc.value.line == 1
-        assert "TextTooLong(281)" in exc.value.violations
+        assert str(exc.value) == "line 1: TextTooLong(281)"
 
     def test_skip_bad_lines(self):
         data = ('{"id":"1","text":"a"}\n'
@@ -160,7 +157,7 @@ class TestReadJsonl:
     def test_repeated_id_is_a_bad_line(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
         path.write_bytes(b'{"id":"1","text":"a"}\n{"id":"2","text":"b"}\n{"id":1,"text":"c"}\n')
-        with open(path, "rb") as source, pytest.raises(DuplicateIdError) as exc:
+        with open(path, "rb") as source, pytest.raises(LineError) as exc:
             list(read_jsonl(source))
         assert str(exc.value) == f"{path}: line 3: duplicate id '1'"
         with open(path, "rb") as source:
@@ -182,10 +179,10 @@ class TestReadJsonl:
 
     def test_invalid_utf8_is_a_bad_line(self):
         data = b'{"id":"1","text":"a"}\n{"id":"2","text":"\xff"}\n{"id":"3","text":"c"}\n'
-        with pytest.raises(MalformedLineError) as exc:
+        with pytest.raises(LineError) as exc:
             list(read_jsonl(io.BytesIO(data)))
         assert exc.value.line == 2
-        assert "UTF-8" in str(exc.value)
+        assert str(exc.value) == "line 2: malformed JSON: invalid UTF-8: invalid start byte"
         tweets = _tweets(io.BytesIO(data), skip_bad_lines=True)
         assert [t.id for t in tweets] == ["1", "3"]
 
@@ -200,7 +197,7 @@ class TestReadJsonl:
     def test_error_names_the_source_path(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
         path.write_bytes(b'{"id":"1","text":"a"}\n{oops\n')
-        with open(path, "rb") as source, pytest.raises(MalformedLineError) as exc:
+        with open(path, "rb") as source, pytest.raises(LineError) as exc:
             list(read_jsonl(source))
         assert str(exc.value).startswith(f"{path}: line 2: malformed JSON")
 

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tla.corpus import LanguageCode, SentimentLabel
+from tla.errors import LineError
 from tla.sentiment import (
-    BadTokenError,
-    BadWeightError,
     DuplicateTokenWarning,
     Lexicon,
-    LexiconError,
     label_sentiment,
     load_bundled_lexicon,
     load_lexicon,
@@ -29,19 +27,23 @@ class TestLoadLexicon:
         assert _load("good\t1.0\n").weights == {"good": 1.0}
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(BadWeightError):
+        with pytest.raises(LineError) as exc:
             _load("good\tNaN\n")
+        assert str(exc.value) == "line 1: bad weight 'NaN' (must be finite and nonzero)"
 
     def test_infinite_and_zero_weights_rejected(self):
-        with pytest.raises(BadWeightError):
+        with pytest.raises(LineError) as exc:
             _load("good\tinf\n")
-        with pytest.raises(BadWeightError):
+        assert str(exc.value) == "line 1: bad weight 'inf' (must be finite and nonzero)"
+        with pytest.raises(LineError) as exc:
             _load("good\t0\n")
+        assert str(exc.value) == "line 1: bad weight '0' (must be finite and nonzero)"
 
     def test_unparseable_weight(self):
-        with pytest.raises(BadWeightError) as exc:
+        with pytest.raises(LineError) as exc:
             _load("good\theavy\n")
         assert exc.value.line == 1
+        assert str(exc.value) == "line 1: bad weight 'heavy' (must be finite and nonzero)"
 
     def test_duplicate_last_wins_with_warning(self):
         with pytest.warns(DuplicateTokenWarning):
@@ -53,22 +55,25 @@ class TestLoadLexicon:
         assert lexicon.weights == {"good": 1.0, "bad": -1.0}
 
     def test_missing_tab(self):
-        with pytest.raises(LexiconError) as exc:
+        with pytest.raises(LineError) as exc:
             _load("good 1.0\n")
         assert exc.value.line == 1
+        assert str(exc.value) == "line 1: expected token<TAB>weight"
 
     def test_bad_tokens(self):
-        with pytest.raises(BadTokenError):
+        with pytest.raises(LineError) as exc:
             _load("GOOD\t1.0\n")
-        with pytest.raises(BadTokenError):
+        assert str(exc.value) == "line 1: bad token 'GOOD': token is not lowercase: 'GOOD'"
+        with pytest.raises(LineError) as exc:
             _load("\t1.0\n")
+        assert str(exc.value) == "line 1: bad token '': empty token: ''"
 
     def test_accepts_bytes(self):
         lexicon = load_lexicon(io.BytesIO("хорошо\t1.5\n".encode("utf-8")), LanguageCode.RU)
         assert lexicon.weights == {"хорошо": 1.5}
 
     def test_invalid_utf8_is_a_lexicon_error(self):
-        with pytest.raises(LexiconError) as exc:
+        with pytest.raises(LineError) as exc:
             load_lexicon(io.BytesIO(b"good\t1\nb\xffd\t-1\n"), EN)
         assert exc.value.line == 2
         assert str(exc.value) == "line 2: invalid UTF-8: invalid start byte"
