@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import LANGUAGE_ORDER, CleanRow, LanguageCode, SentimentLabel
-from .errors import TlaError
 
 REPORT_HEADER = (
     "Language",
@@ -24,16 +23,10 @@ REPORT_HEADER = (
 REPORT_FORMATS = ("csv", "markdown", "plain")
 
 
-class ZeroDenominatorError(TlaError):
-    pass
-
-
 def truncate_pct(numerator: int, denominator: int) -> str:
     """floor(10000*n/d)/100 rendered without trailing zeros or point."""
     if denominator <= 0:
-        raise ZeroDenominatorError(
-            f"denominator must be positive, got {denominator}"
-        )
+        raise ValueError(f"denominator must be positive, got {denominator}")
     if not 0 <= numerator <= denominator:
         raise ValueError(
             f"numerator must be in [0, denominator], got {numerator}/{denominator}"

@@ -7,9 +7,11 @@ the output stream, errors and per-step line counts to the error stream.
 from __future__ import annotations
 
 import argparse
-import io
+import errno
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from itertools import islice
@@ -38,6 +40,9 @@ from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexi
 
 class UsageError(TlaError):
     pass
+
+
+_SPOOL_BYTES = 1 << 16  # see _committed
 
 
 def __getattr__(name: str):
@@ -205,18 +210,24 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
 
     A file is written beside its target and renamed over it, so a failed run
     leaves neither a temporary file nor a changed target, and the target may
-    also be the input being read.  An OSError while the temporary is created,
-    written, flushed or renamed is an error naming ``path``.  Output meant
-    for ``out`` is held in memory and written at the end.
+    also be the input being read.  A target that is a directory is refused on
+    entry, before the block runs: the rename would fail only at the end.  An
+    OSError while the temporary is created, written, flushed or renamed is an
+    error naming ``path``.  Output meant for ``out`` is held in memory up to
+    ``_SPOOL_BYTES`` and in a temporary file beyond, and copied at the end.
     """
     if path is None:
-        buffer = io.StringIO()
-        yield buffer
-        out.write(buffer.getvalue())
+        with tempfile.SpooledTemporaryFile(_SPOOL_BYTES, "w+", encoding="utf-8",
+                                           newline="") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
         return
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     with _naming(path):
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         sink = open(temporary, "x", encoding="utf-8", newline="")
         try:
             with sink:
@@ -263,17 +274,19 @@ def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
 
 
 def _cmd_train(ns, out, err) -> int:
-    from .langid import ForestParams, train_identifier
+    from .langid import EmptyVocabularyError, ForestParams, train_identifier
     from .synth import synthetic_corpus
     if ns.ngram_min > ns.ngram_max:
         raise UsageError(f"--ngram-min {ns.ngram_min} is greater than --ngram-max {ns.ngram_max}")
     if ns.corpus is not None:
+        source = ns.corpus
         rows = _read_rows(ns.corpus, (CLEAN_HEADER, CSV_HEADER))
         if not rows:
             raise TlaError(f"{ns.corpus}: corpus file has no data rows")
         pairs = [(row.text, row.lang) for row in rows]
     else:
         per_language = ns.synthetic if ns.synthetic is not None else 200
+        source = f"--synthetic {per_language}"
         pairs = synthetic_corpus(per_language, seed=ns.seed)
 
     params = ForestParams(
@@ -283,9 +296,11 @@ def _cmd_train(ns, out, err) -> int:
         features_per_split=ns.features_per_split,
         seed=ns.seed,
     )
-    predictor = train_identifier(
-        pairs, params, n_min=ns.ngram_min, n_max=ns.ngram_max, min_doc_freq=ns.min_df
-    )
+    try:
+        predictor = train_identifier(pairs, params, n_min=ns.ngram_min, n_max=ns.ngram_max,
+                                     min_doc_freq=ns.min_df)
+    except EmptyVocabularyError as exc:
+        raise TlaError(f"{source}: {exc}; lower --min-df") from None
     with _committed(ns.output, out) as sink:
         n_bytes = predictor.save(sink.buffer)
     print(
@@ -297,14 +312,11 @@ def _cmd_train(ns, out, err) -> int:
 
 
 def _cmd_identify(ns, out, err) -> int:
-    from .langid import ForestPredictor, ModelFormatError
+    from .langid import ForestPredictor
     if ns.text is not None and ns.output is not None:
         raise UsageError("identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
-        try:
-            predictor = ForestPredictor.load(source)
-        except ModelFormatError as exc:
-            raise TlaError(f"{ns.model}: {exc}") from None
+        predictor = ForestPredictor.load(source)
 
     if ns.text is not None:
         code, confidence = predictor.predict(ns.text)
@@ -344,8 +356,9 @@ def _cmd_label(ns, out, err) -> int:
     tie = SentimentLabel.parse(ns.tie_label)
 
     # The rows are held so that each language is written in one call, and a
-    # dataset replaces its file only when every language is written: a failed
-    # run leaves the directory as it was.
+    # dataset replaces its file only when every language is written and every
+    # target was found not to be a directory: a failed run leaves the
+    # directory as it was, unless the OS refuses a rename after earlier ones.
     lexicons: dict = {}
     groups: dict = {}
     with open(ns.input, "rb") as source:

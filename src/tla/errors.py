@@ -9,7 +9,9 @@ line with :func:`decoded`, which also drops a leading byte order mark.
 
 
 class TlaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors about its inputs (a bad line, a bad
+    model file, a bad command line); a bad argument to a library function is
+    a ValueError, and a failed file operation an OSError."""
 
 
 class LineError(TlaError):

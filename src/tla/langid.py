@@ -52,40 +52,20 @@ _MASK64 = (1 << 64) - 1
 _SPLIT_EPS = 1e-9
 
 
-class EmptyCorpusError(TlaError):
-    pass
-
-
 class EmptyVocabularyError(TlaError):
     pass
 
 
-class EmptySamplesError(TlaError):
-    pass
-
-
-class EmptyTestSetError(TlaError):
-    pass
-
-
 class ModelFormatError(TlaError):
-    pass
+    """A model file at ``path`` (None for a source without a name) that is
+    not a valid model; the message starts with the path."""
 
+    def __init__(self, path, message: str):
+        self.path = path
+        super().__init__(message)
 
-class BadMagicError(ModelFormatError):
-    def __init__(self):
-        super().__init__(f"bad magic bytes (expected {MODEL_MAGIC!r})")
-
-
-class UnsupportedVersionError(ModelFormatError):
-    def __init__(self, version: int):
-        self.version = version
-        super().__init__(f"unsupported model version {version:#04x}")
-
-
-class CorruptPayloadError(ModelFormatError):
-    def __init__(self, detail: str):
-        super().__init__(f"corrupt model payload: {detail}")
+    def __str__(self) -> str:
+        return self.args[0] if self.path is None else f"{self.path}: {self.args[0]}"
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -156,7 +136,7 @@ def fit_vectorizer(
         n_docs += 1
         doc_freq.update(set(extract_char_ngrams(text, n_min, n_max)))
     if n_docs == 0:
-        raise EmptyCorpusError("cannot fit a vectorizer on an empty corpus")
+        raise ValueError("cannot fit a vectorizer on an empty corpus")
     kept = sorted(g for g, df in doc_freq.items() if df >= min_doc_freq)
     if not kept:
         raise EmptyVocabularyError(
@@ -509,7 +489,7 @@ def fit_forest(
     sampling range; it defaults to the highest observed index + 1.
     """
     if not samples:
-        raise EmptySamplesError("fit_forest needs at least one sample")
+        raise ValueError("fit_forest needs at least one sample")
     columns = _column_store(samples, n_features)
     n_features = columns.indptr.size - 1
 
@@ -610,7 +590,7 @@ def _integers(values) -> tuple:
     """``values`` as a tuple if each is a JSON integer (a float or a bool is not)."""
     if not set(map(type, values)) <= {int}:
         bad = next(v for v in values if type(v) is not int)
-        raise CorruptPayloadError(f"expected an integer, got {bad!r:.40}")
+        raise ValueError(f"expected an integer, got {bad!r:.40}")
     return tuple(values)
 
 
@@ -619,14 +599,14 @@ def _numbers(values) -> tuple:
     NaN or an infinity is not)."""
     if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
         bad = next(v for v in values if type(v) not in (int, float) or not math.isfinite(v))
-        raise CorruptPayloadError(f"expected a finite number, got {bad!r:.40}")
+        raise ValueError(f"expected a finite number, got {bad!r:.40}")
     return tuple(map(float, values))
 
 
 def _vocabulary(spec) -> dict:
     """``spec`` if it maps each n-gram to a JSON integer."""
     if not isinstance(spec, dict):
-        raise CorruptPayloadError(f"expected an n-gram -> index object, got {spec!r:.40}")
+        raise ValueError(f"expected an n-gram -> index object, got {spec!r:.40}")
     _integers(spec.values())
     return spec
 
@@ -650,7 +630,7 @@ def _from_json(cls, spec):
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     if not isinstance(spec, dict) or spec.keys() != set(names):
-        raise CorruptPayloadError(f"{cls.__name__} needs exactly the keys {names}")
+        raise ValueError(f"{cls.__name__} needs exactly the keys {names}")
     return cls(**{
         f.name: _DECODERS[f.type](spec[f.name]) if f.type in _DECODERS else spec[f.name]
         for f in fields
@@ -658,32 +638,29 @@ def _from_json(cls, spec):
 
 
 def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
-    """Exact inverse of :func:`save_model`."""
+    """Exact inverse of :func:`save_model`.  A source that is not a model is a
+    ModelFormatError naming the source's ``name``, if it has one."""
+    path = getattr(source, "name", None)
     data = source.read()
     if data[:4] != MODEL_MAGIC:
-        raise BadMagicError()
+        raise ModelFormatError(path, f"bad magic bytes (expected {MODEL_MAGIC!r})")
     if len(data) < 5:
-        raise CorruptPayloadError("missing version byte")
+        raise ModelFormatError(path, "corrupt model payload: missing version byte")
     if data[4] != MODEL_VERSION:
-        raise UnsupportedVersionError(data[4])
+        raise ModelFormatError(path, f"unsupported model version {data[4]:#04x}")
     try:
         payload = json.loads(data[5:].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-        raise CorruptPayloadError(str(exc)) from exc
-
-    if not isinstance(payload, dict):
-        raise CorruptPayloadError("payload is not a JSON object")
-    try:
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not a JSON object")
         vectorizer = _from_json(NgramVectorizer, payload.pop("vectorizer", None))
         model = _from_json(ForestModel, payload)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-        raise CorruptPayloadError(str(exc)) from exc
-
-    columns = model._flat.columns
-    if columns.size and columns[-1] >= vectorizer.size:
-        raise CorruptPayloadError(
-            f"the forest splits on feature {columns[-1]} beyond vocabulary size {vectorizer.size}"
-        )
+        columns = model._flat.columns
+        if columns.size and columns[-1] >= vectorizer.size:
+            raise ValueError(f"the forest splits on feature {columns[-1]} "
+                             f"beyond vocabulary size {vectorizer.size}")
+    # bad UTF-8, JSON or structure; deep nesting; an integer beyond int64
+    except (TypeError, ValueError, RecursionError, OverflowError) as exc:
+        raise ModelFormatError(path, f"corrupt model payload: {exc}") from exc
     return model, vectorizer
 
 
@@ -694,7 +671,7 @@ def evaluate_model(
 ) -> tuple[float, np.ndarray]:
     """Accuracy plus a 16x16 confusion matrix (row true, column predicted)."""
     if not test:
-        raise EmptyTestSetError("evaluate_model needs a nonempty test set")
+        raise ValueError("evaluate_model needs a nonempty test set")
     order = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
     confusion = np.zeros((len(LANGUAGE_ORDER), len(LANGUAGE_ORDER)), dtype=np.int64)
     predictor = ForestPredictor(vectorizer=vectorizer, model=model)

@@ -9,7 +9,6 @@ scraped data is a drop-in replacement for this generator.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .assets import data_dir, read_utf8
@@ -22,23 +21,15 @@ _MIN_UNITS = 6
 _MAX_UNITS = 14
 
 
-class MissingSeedError(TlaError):
-    def __init__(self, lang: LanguageCode, path: Path):
-        super().__init__(f"no seed text for {lang} at {path}")
-
-
 def load_seed_units(lang: LanguageCode) -> list[str]:
     """Read and normalize the language's seed text, split into shuffle units.
 
     Invalid UTF-8 is a LineError naming the file and line.
     """
     path = data_dir() / "seeds" / f"{lang.value}.txt"
-    if not path.is_file():
-        raise MissingSeedError(lang, path)
-    normalized = normalize_for_langid(read_utf8(path))
-    units = tokenize(normalized, lang)
+    units = tokenize(normalize_for_langid(read_utf8(path)), lang) if path.is_file() else []
     if len(units) < 2:
-        raise MissingSeedError(lang, path)
+        raise TlaError(f"no seed text for {lang} at {path}")
     return units
 
 

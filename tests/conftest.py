@@ -18,7 +18,6 @@ from tla.corpus import (
 )
 from tla.langid import (
     DecisionTree,
-    EmptySamplesError,
     ForestModel,
     _best_split_hist,
     _column_store,
@@ -136,7 +135,7 @@ def best_split(samples, candidate_features):
     0.  Ties break toward the lowest feature index, then the lowest threshold.
     """
     if not samples:
-        raise EmptySamplesError("best_split needs at least one sample")
+        raise ValueError("best_split needs at least one sample")
     candidates = sorted(set(int(f) for f in candidate_features))
     if not candidates:
         return None
@@ -431,7 +430,7 @@ def fit_nb(samples, alpha=1.0, n_features=None):
     """Fit multinomial naive Bayes with additive smoothing, from the same
     range-checked column store as ``fit_forest``."""
     if not samples:
-        raise EmptySamplesError("fit_nb needs at least one sample")
+        raise ValueError("fit_nb needs at least one sample")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     columns = _column_store(samples, n_features)

@@ -5,7 +5,6 @@ import pytest
 from tla.analyze import (
     AnalysisReport,
     AnalysisRow,
-    ZeroDenominatorError,
     aggregate_dataset,
     render_report,
     truncate_pct,
@@ -79,8 +78,9 @@ class TestTruncatePct:
         assert truncate_pct(79, 213) != "37.09"
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(ValueError) as exc:
             truncate_pct(1, 0)
+        assert str(exc.value) == "denominator must be positive, got 0"
 
     def test_numerator_bounds(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,18 @@ class TestTrainAndIdentify:
             assert code == 0, err
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_vocabulary_names_the_corpus_and_the_flag(self, tmp_path):
+        corpus, model = tmp_path / "one.csv", tmp_path / "m.tlam"
+        corpus.write_text("id,lang,text,tokens\n1,en,good day,good day\n", encoding="utf-8")
+        assert invoke("train-langid", "--corpus", str(corpus), "--seed", "1",
+                      "--output", str(model)) == (
+            1, "", f"error: {corpus}: no n-gram reached document frequency 2; lower --min-df\n")
+        assert invoke("train-langid", "--synthetic", "1", "--min-df", "1000", "--seed", "1",
+                      "--output", str(model)) == (
+            1, "", "error: --synthetic 1: no n-gram reached document frequency 1000; "
+                   "lower --min-df\n")
+        assert not model.exists()
+
     def test_identify_text(self, model_file):
         code, out, err = invoke("identify", "--model", str(model_file),
                                 "--text", "the train was late again this morning")
@@ -507,6 +519,23 @@ class TestCommittedOutputs:
         assert len(written) == 2
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
+    @pytest.mark.parametrize("langs", [("fr", "en"), ("en", "fr")])
+    def test_label_checks_every_target_before_the_first_rename(self, langs, tmp_path):
+        # fr.csv is a directory: whichever language comes first in the
+        # input, en.csv must keep its earlier row.
+        cleaned = tmp_path / "clean.csv"
+        rows = {"fr": "1,fr,bon jour,bon jour\n", "en": "2,en,good day,good day\n"}
+        cleaned.write_text("id,lang,text,tokens\n" + "".join(rows[lang] for lang in langs),
+                           encoding="utf-8")
+        out_dir = tmp_path / "L"
+        (out_dir / "fr.csv").mkdir(parents=True)
+        earlier = b"id,lang,text,tokens,label\n9,en,old day,old day,Positive\n"
+        (out_dir / "en.csv").write_bytes(earlier)
+        code, out, err = invoke("label", "--input", str(cleaned), "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", f"error: {out_dir / 'fr.csv'}: Is a directory\n")
+        assert (out_dir / "en.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out_dir.iterdir()) == ["en.csv", "fr.csv"]
+
     @pytest.mark.parametrize("stage", ["clean", "label", "train-langid"])
     def test_write_beyond_the_file_size_limit_names_its_path(self, stage, tmp_path):
         # The limit applies to the child alone: its write past 4 KiB fails
@@ -584,6 +613,38 @@ class TestCommittedOutputs:
                 tracemalloc.stop()
             assert (code, err) == (0, f"{n} rows\n")
         assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks[0]} -> {peaks[1]} bytes"
+
+    @pytest.mark.parametrize("stage", ["clean", "identify"])
+    def test_stdout_memory_grows_only_with_the_ids(self, stage, model_file, tmp_path):
+        # Output for the output stream is spooled, so 4x the rows may raise
+        # the allocation peak by the ids kept for the duplicate check (about
+        # 90 B a row) and one spool, but not by the output itself.  The
+        # output stream is a file, so the test's own sink is not counted.
+        def argv(n):
+            if stage == "identify":
+                table = tmp_path / f"clean{n}.csv"
+                table.write_text(_clean_rows(n), encoding="utf-8")
+                return ["identify", "--model", str(model_file), "--input", str(table)]
+            src = tmp_path / f"t{n}.jsonl"
+            src.write_text("".join(
+                json.dumps({"id": str(i), "text": f"the train was late again {i}", "lang": "en"})
+                + "\n" for i in range(n)), encoding="utf-8")
+            return ["clean", "--input", str(src)]
+
+        peaks = []
+        for n in (10, 1024, 4096):  # the first run is a warm-up
+            command, err = argv(n), io.StringIO()
+            with open(tmp_path / "stdout.csv", "w", encoding="utf-8", newline="") as out:
+                tracemalloc.start()
+                try:
+                    code = run(command, out, err)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (code, err.getvalue()) == (0, f"{n} rows\n")
+            assert len((tmp_path / "stdout.csv").read_text(encoding="utf-8").splitlines()) == n + 1
+        growth = peaks[2] - peaks[1]
+        assert growth <= 90 * (4096 - 1024) + tla.cli._SPOOL_BYTES, f"{growth} bytes"
 
 
 class TestArgvOnly:
@@ -681,6 +742,20 @@ class TestDataDirOverride:
         assert code == 1
         assert err == f"error: {stopwords}: line 2: invalid UTF-8: invalid start byte\n"
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("content", [None, b"mot\n"], ids=["missing", "one_word"])
+    def test_unusable_seed_text_names_its_file(self, content, tmp_path, monkeypatch):
+        shutil.copytree(Path(tla.__file__).parent / "data" / "seeds", tmp_path / "seeds")
+        seed = tmp_path / "seeds" / "fr.txt"
+        if content is None:
+            seed.unlink()
+        else:
+            seed.write_bytes(content)
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        model = tmp_path / "m.tlam"
+        assert invoke("train-langid", "--synthetic", "5", "--seed", "7",
+                      "--output", str(model)) == (1, "", f"error: no seed text for fr at {seed}\n")
+        assert not model.exists()
 
     def test_invalid_utf8_seed_names_its_file_and_line(self, tmp_path, monkeypatch):
         shutil.copytree(Path(tla.__file__).parent / "data" / "seeds", tmp_path / "seeds")
@@ -795,15 +870,14 @@ def _csv(path):
         return list(csv.reader(handle))
 
 
-def _run_chain(text, model_file, work):
+def _run_chain(jsonl, model_file, work, clean_flags=()):
     """Exit codes of clean, identify --output, label and analyze --format csv
-    on a one-tweet JSONL, stopping at the first failure, and the report."""
+    on the JSONL bytes, stopping at the first failure, and the last output."""
     src = work / "t.jsonl"
-    src.write_text(json.dumps({"id": "1", "text": text, "lang": "en"}) + "\n",
-                   encoding="utf-8")
+    src.write_bytes(jsonl)
     cleaned, identified, out_dir = work / "clean.csv", work / "identified.csv", work / "l"
     stages = [
-        ["clean", "--input", str(src), "--output", str(cleaned)],
+        ["clean", "--input", str(src), "--output", str(cleaned), *clean_flags],
         ["identify", "--model", str(model_file), "--input", str(cleaned),
          "--output", str(identified)],
         ["label", "--input", str(identified), "--out-dir", str(out_dir)],
@@ -849,8 +923,9 @@ class TestStageContracts:
     @example("good a\rb day")
     @given(st.text(st.characters(blacklist_categories=("Cs",))))
     def test_whatever_clean_accepts_the_chain_accepts(self, model_file, text):
+        jsonl = json.dumps({"id": "1", "text": text, "lang": "en"}).encode("utf-8") + b"\n"
         with tempfile.TemporaryDirectory() as work:
-            codes, report = _run_chain(text, model_file, Path(work))
+            codes, report = _run_chain(jsonl, model_file, Path(work))
         if codes[0] == 0:
             assert codes == [0, 0, 0, 0]
             assert report.splitlines()[1].split(",")[1] == "1"
@@ -1110,7 +1185,32 @@ def cleaned_bytes(tmp_path_factory):
     return (work / "clean.csv").read_bytes()
 
 
+_records = st.lists(st.fixed_dictionaries(
+    {"id": st.text(min_size=1, max_size=4), "text": st.text(min_size=1, max_size=40),
+     "lang": st.sampled_from([lang.value for lang in LanguageCode] + ["xx", ""])},
+    optional={"likeCount": st.integers(-1, 10**4), "extra": st.none()},
+), max_size=6)
+
+
 class TestFuzzedInputs:
+    @settings(max_examples=60)
+    @given(records=_records, edits=st.none() | _edits,
+           flags=st.lists(st.sampled_from(["--skip-bad-lines", "--lenient", "--lang=fr"]),
+                          unique=True))
+    def test_any_export_clean_accepts_passes_the_chain(self, model_file, records, edits, flags):
+        # The stage contract: a JSONL export that clean accepts with exit 0,
+        # whatever its ids, languages, texts and edits, passes identify
+        # --output, label and analyze with exit 0, and every row is counted.
+        jsonl = b"".join(json.dumps(record).encode("utf-8") + b"\n" for record in records)
+        if edits is not None:
+            jsonl = _edited(jsonl, edits)
+        with tempfile.TemporaryDirectory() as work:
+            codes, report = _run_chain(jsonl, model_file, Path(work), flags)
+            written = len(_csv(Path(work) / "clean.csv")) - 1 if codes[0] == 0 else 0
+        if written > 0:
+            assert codes == [0, 0, 0, 0]
+            assert sum(int(row[1]) for row in csv.reader(report.splitlines()[1:])) == written
+
     @pytest.mark.parametrize("stage", ["clean", "clean --skip-bad-lines", "identify",
                                        "identify --output", "label"])
     @settings(max_examples=30)
