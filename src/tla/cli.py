@@ -184,7 +184,9 @@ def run(argv=None, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] =
             print(f"usage error: {exc}", file=err)
             return 2
         except (TlaError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=err)
+            named = isinstance(exc, OSError) and exc.filename is not None
+            print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}",
+                  file=err)
             return 1
 
 
@@ -213,8 +215,10 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
     also be the input being read.  A target that is a directory is refused on
     entry, before the block runs: the rename would fail only at the end.  An
     OSError while the temporary is created, written, flushed or renamed is an
-    error naming ``path``.  Output meant for ``out`` is held in memory up to
-    ``_SPOOL_BYTES`` and in a temporary file beyond, and copied at the end.
+    error naming ``path``; one that names another file is an input's, which
+    ``run`` reports under that file's name.  Output meant for ``out`` is held
+    in memory up to ``_SPOOL_BYTES`` and in a temporary file beyond, and
+    copied at the end.
     """
     if path is None:
         with tempfile.SpooledTemporaryFile(_SPOOL_BYTES, "w+", encoding="utf-8",
@@ -225,7 +229,7 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
         return
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    with _naming(path):
+    try:
         if target.is_dir() and not target.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         sink = open(temporary, "x", encoding="utf-8", newline="")
@@ -236,14 +240,9 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
         except BaseException:
             temporary.unlink(missing_ok=True)
             raise
-
-
-@contextmanager
-def _naming(path) -> Iterator[None]:
-    """Report an OSError of the block as ``<path>: <reason>``."""
-    try:
-        yield
     except OSError as exc:
+        if exc.filename not in (None, str(temporary)):
+            raise
         raise TlaError(f"{path}: {exc.strerror or exc}") from None
 
 
@@ -268,27 +267,11 @@ def _cmd_clean(ns, out, err) -> int:
     return 0
 
 
-def _read_rows(path: str, headers: tuple = (CLEAN_HEADER,)) -> list:
-    with open(path, "rb") as source:
-        return [row for _, row in read_table(source, headers)]
-
-
 def _cmd_train(ns, out, err) -> int:
     from .langid import EmptyVocabularyError, ForestParams, train_identifier
     from .synth import synthetic_corpus
     if ns.ngram_min > ns.ngram_max:
         raise UsageError(f"--ngram-min {ns.ngram_min} is greater than --ngram-max {ns.ngram_max}")
-    if ns.corpus is not None:
-        source = ns.corpus
-        rows = _read_rows(ns.corpus, (CLEAN_HEADER, CSV_HEADER))
-        if not rows:
-            raise TlaError(f"{ns.corpus}: corpus file has no data rows")
-        pairs = [(row.text, row.lang) for row in rows]
-    else:
-        per_language = ns.synthetic if ns.synthetic is not None else 200
-        source = f"--synthetic {per_language}"
-        pairs = synthetic_corpus(per_language, seed=ns.seed)
-
     params = ForestParams(
         num_trees=ns.trees,
         max_depth=ns.max_depth,
@@ -296,12 +279,24 @@ def _cmd_train(ns, out, err) -> int:
         features_per_split=ns.features_per_split,
         seed=ns.seed,
     )
-    try:
-        predictor = train_identifier(pairs, params, n_min=ns.ngram_min, n_max=ns.ngram_max,
-                                     min_doc_freq=ns.min_df)
-    except EmptyVocabularyError as exc:
-        raise TlaError(f"{source}: {exc}; lower --min-df") from None
+    # an unusable --output is reported before the corpus is read or fitted
     with _committed(ns.output, out) as sink:
+        if ns.corpus is not None:
+            source = ns.corpus
+            with open(ns.corpus, "rb") as corpus:
+                pairs = [(row.text, row.lang)
+                         for _, row in read_table(corpus, (CLEAN_HEADER, CSV_HEADER))]
+            if not pairs:
+                raise TlaError(f"{ns.corpus}: corpus file has no data rows")
+        else:
+            per_language = ns.synthetic if ns.synthetic is not None else 200
+            source = f"--synthetic {per_language}"
+            pairs = synthetic_corpus(per_language, seed=ns.seed)
+        try:
+            predictor = train_identifier(pairs, params, n_min=ns.ngram_min,
+                                         n_max=ns.ngram_max, min_doc_freq=ns.min_df)
+        except EmptyVocabularyError as exc:
+            raise TlaError(f"{source}: {exc}; lower --min-df") from None
         n_bytes = predictor.save(sink.buffer)
     print(
         f"{len(pairs)} texts, vocabulary {predictor.vectorizer.size}, "
@@ -369,8 +364,7 @@ def _cmd_label(ns, out, err) -> int:
             groups.setdefault(row.lang, []).append(row)
 
     out_dir = Path(ns.out_dir)
-    with _naming(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     with ExitStack() as stack:
         for lang, rows in groups.items():
@@ -403,7 +397,7 @@ def _labeled_rows(paths):
 
 
 def _cmd_analyze(ns, out, err) -> int:
-    text = render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format)
+    # an unusable --output is reported before any input is read
     with _committed(ns.output, out) as sink:
-        sink.write(text)
+        sink.write(render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format))
     return 0

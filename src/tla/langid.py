@@ -386,8 +386,7 @@ def _best_split_hist(hist: np.ndarray, totals: np.ndarray, n: int):
 
     observed = hist.sum(axis=2) > 0
     valid = observed & (n_right > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = sum_l2 / np.maximum(n_left, 1) + sum_r2 / np.maximum(n_right, 1)
+    q = sum_l2 / np.maximum(n_left, 1) + sum_r2 / np.maximum(n_right, 1)
     q = np.where(valid, q, -np.inf)
 
     eps = _SPLIT_EPS * n
@@ -414,29 +413,23 @@ def _grow_tree(
     n_samples, n_features = y.size, indptr.size - 1
     boot = rng.integers(0, n_samples, size=n_samples)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[int] = []
-
-    # Explicit preorder stack (left child processed next); RNG draws happen in
-    # node-processing order, keeping the stream independent of recursion depth.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(boot, 0, -1, False)]
+    # One [feature, threshold, left, right, value] row per node, in preorder.
+    # The stack pops a split's left child right after the split, so the split
+    # records left = pos + 1 and only a right child writes its position back.
+    # RNG draws happen in node-processing order, keeping the stream
+    # independent of recursion depth.
+    nodes: list[list] = []
+    stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, -1)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
-        pos = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = pos
-            else:
-                right[parent] = pos
+        idx, depth, right_of = stack.pop()
+        pos = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][3] = pos
 
         totals = np.bincount(y[idx], minlength=n_classes)
-        majority = int(np.argmax(totals))
         pure = int(totals.max()) == idx.size
         at_depth_limit = params.max_depth is not None and depth >= params.max_depth
-        split = None
+        found = None
         if not (pure or at_depth_limit or idx.size < params.min_samples_split or m_features == 0):
             if m_features < n_features:
                 cand = np.sort(
@@ -446,33 +439,21 @@ def _grow_tree(
                 cand = np.arange(n_features)
             hist = _node_histogram(columns, idx, cand, totals)
             found = None if hist is None else _best_split_hist(hist, totals, idx.size)
-            if found is not None:
-                split = (int(cand[found[0]]), found[1])
 
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(majority)
+        if found is None:
+            nodes.append([-1, 0.0, -1, -1, int(np.argmax(totals))])
             continue
 
-        f, thr = split
+        f, thr = int(cand[found[0]]), found[1]
         nonzero = slice(indptr[f], indptr[f + 1])
         column = np.zeros(n_samples, dtype=columns.counts.dtype)
         column[columns.rows[nonzero]] = columns.counts[nonzero]
         go_left = column[idx] <= thr
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        value.append(-1)
-        stack.append((idx[~go_left], depth + 1, pos, False))
-        stack.append((idx[go_left], depth + 1, pos, True))
+        nodes.append([f, thr, pos + 1, -1, -1])
+        stack.append((idx[~go_left], depth + 1, pos))
+        stack.append((idx[go_left], depth + 1, -1))
 
-    return DecisionTree(
-        tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value)
-    )
+    return DecisionTree(*zip(*nodes))
 
 
 def fit_forest(

@@ -446,6 +446,13 @@ def _clean_rows(n):
     return "id,lang,text,tokens\n" + rows
 
 
+def _labeled_rows(n):
+    header, *rows = _clean_rows(n).splitlines()
+    labels = ("Positive", "Negative")
+    return f"{header},label\n" + "".join(f"{row},{labels[i % 2]}\n"
+                                         for i, row in enumerate(rows))
+
+
 class TestCommittedOutputs:
     """clean, identify and analyze write their output only when they succeed."""
 
@@ -582,6 +589,28 @@ class TestCommittedOutputs:
             assert invoke(*argv) == (1, "", f"error: {message}\n")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("stage", ["train-langid", "analyze"])
+    def test_unusable_output_is_reported_before_any_input_is_read(self, stage, tmp_path):
+        # The input is bad too, so the output's error shows which was checked
+        # first, and no work is done for an output that cannot be written.
+        labeled = stage == "analyze"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,lang,text,tokens" + (",label" if labeled else "")
+                       + "\n1,xx,a,a" + (",Positive" if labeled else "") + "\n", encoding="utf-8")
+        argv = {
+            "train-langid": ["train-langid", "--seed", "1", "--trees", "1", "--corpus", str(bad)],
+            "analyze": ["analyze", "--input", str(bad)],
+        }[stage]
+        code, out, err = invoke(*argv, "--output", str(tmp_path / "usable"))
+        assert (code, out) == (1, "") and err.startswith(f"error: {bad}: line 2: "), err
+        missing, directory = tmp_path / "nodir" / "out", tmp_path / "adir"
+        directory.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        for target, reason in [(missing, "No such file or directory"),
+                               (directory, "Is a directory")]:
+            assert invoke(*argv, "--output", str(target)) == (1, "", f"error: {target}: {reason}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_identify_may_overwrite_its_input(self, model_file, tmp_path):
         table = tmp_path / "clean.csv"
         table.write_text(_clean_rows(300), encoding="utf-8")
@@ -614,37 +643,74 @@ class TestCommittedOutputs:
             assert (code, err) == (0, f"{n} rows\n")
         assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks[0]} -> {peaks[1]} bytes"
 
-    @pytest.mark.parametrize("stage", ["clean", "identify"])
+    @pytest.mark.parametrize("stage", ["clean", "clean-output", "identify", "analyze",
+                                       "analyze-output"])
     def test_stdout_memory_grows_only_with_the_ids(self, stage, model_file, tmp_path):
-        # Output for the output stream is spooled, so 4x the rows may raise
-        # the allocation peak by the ids kept for the duplicate check (about
-        # 90 B a row) and one spool, but not by the output itself.  The
-        # output stream is a file, so the test's own sink is not counted.
+        # Output for the output stream is spooled and output for a file is
+        # written as it is made, so 4x the rows may raise the allocation peak
+        # by the ids kept for the duplicate check (about 90 B a row) and one
+        # spool, but not by the output itself.  The output stream is a file,
+        # so the test's own sink is not counted.
+        command, _, to_file = stage.partition("-")
+        target = tmp_path / ("output.csv" if to_file else "stdout.csv")
+
         def argv(n):
-            if stage == "identify":
-                table = tmp_path / f"clean{n}.csv"
+            table = tmp_path / f"table{n}.csv"
+            if command == "clean":
+                table.write_text("".join(
+                    json.dumps({"id": str(i), "text": f"the train was late again {i}",
+                                "lang": "en"}) + "\n" for i in range(n)), encoding="utf-8")
+                given = ["clean", "--input", str(table)]
+            elif command == "identify":
                 table.write_text(_clean_rows(n), encoding="utf-8")
-                return ["identify", "--model", str(model_file), "--input", str(table)]
-            src = tmp_path / f"t{n}.jsonl"
-            src.write_text("".join(
-                json.dumps({"id": str(i), "text": f"the train was late again {i}", "lang": "en"})
-                + "\n" for i in range(n)), encoding="utf-8")
-            return ["clean", "--input", str(src)]
+                given = ["identify", "--model", str(model_file), "--input", str(table)]
+            else:
+                table.write_text(_labeled_rows(n), encoding="utf-8")
+                given = ["analyze", "--format", "csv", "--input", str(table)]
+            return given + (["--output", str(target)] if to_file else [])
 
         peaks = []
         for n in (10, 1024, 4096):  # the first run is a warm-up
-            command, err = argv(n), io.StringIO()
+            given, err = argv(n), io.StringIO()
             with open(tmp_path / "stdout.csv", "w", encoding="utf-8", newline="") as out:
                 tracemalloc.start()
                 try:
-                    code = run(command, out, err)
+                    code = run(given, out, err)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            assert (code, err.getvalue()) == (0, f"{n} rows\n")
-            assert len((tmp_path / "stdout.csv").read_text(encoding="utf-8").splitlines()) == n + 1
+            lines = target.read_text(encoding="utf-8").splitlines()
+            if command == "analyze":
+                assert (code, err.getvalue()) == (0, "")
+                assert lines[1].startswith(f"English,{n},")
+            else:
+                assert (code, err.getvalue()) == (0, f"{n} rows\n")
+                assert len(lines) == n + 1
         growth = peaks[2] - peaks[1]
         assert growth <= 90 * (4096 - 1024) + tla.cli._SPOOL_BYTES, f"{growth} bytes"
+
+    def test_label_memory_grows_only_with_its_held_rows(self, tmp_path):
+        # label holds every row until it writes its datasets, about 515 B a
+        # row of this shape (the cleaned rows of the test above).  These 700 B
+        # a row are the allowance that a label writing rows as it reads them
+        # (ROADMAP item 1b) removes; until then they bound what a held row
+        # may cost.
+        out_dir = tmp_path / "labeled"
+        peaks = []
+        for n in (10, 1024, 4096):  # the first run is a warm-up
+            table = tmp_path / f"clean{n}.csv"
+            table.write_text("id,lang,text,tokens\n" + "".join(
+                f"{i},en,the train was late again {i},train late again {i}\n"
+                for i in range(n)), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                result = invoke("label", "--input", str(table), "--out-dir", str(out_dir))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result == (0, "", f"{out_dir / 'en.csv'}: {n} rows\n")
+        growth = peaks[2] - peaks[1]
+        assert growth <= 700 * (4096 - 1024), f"{growth} bytes"
 
 
 class TestArgvOnly:
@@ -1049,6 +1115,33 @@ def _stage_argv(stage, path, tmp_path, model_file):
         "train-langid": ["train-langid", "--seed", "1", "--trees", "2",
                          "--output", str(tmp_path / "m.tlam"), "--corpus", str(path)],
     }[stage]
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+@pytest.mark.parametrize("stage", ["clean", "identify --model", "identify", "train-langid",
+                                   "label", "analyze"])
+def test_unopenable_input_is_named_like_an_output(stage, kind, reason, model_file, tmp_path):
+    path = tmp_path / "given"
+    if kind == "directory":
+        path.mkdir()
+    cleaned, labeled = tmp_path / "clean.csv", tmp_path / "labeled.csv"
+    cleaned.write_text(_clean_rows(3), encoding="utf-8")
+    labeled.write_text(_labeled_rows(3), encoding="utf-8")
+    argv = {
+        "clean": ["clean", "--input", str(path)],
+        "identify --model": ["identify", "--model", str(path), "--input", str(cleaned)],
+        "identify": ["identify", "--model", str(model_file), "--input", str(path)],
+        "train-langid": ["train-langid", "--seed", "1", "--output", str(tmp_path / "m.tlam"),
+                         "--corpus", str(path)],
+        "label": ["label", "--input", str(path), "--out-dir", str(tmp_path / "labeled")],
+        # the second input is opened only after the first is read
+        "analyze": ["analyze", "--input", str(labeled), str(path),
+                    "--output", str(tmp_path / "report.txt")],
+    }[stage]
+    before = sorted(tmp_path.rglob("*"))
+    assert invoke(*argv) == (1, "", f"error: {path}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("stage", ["identify", "label", "analyze", "train-langid"])

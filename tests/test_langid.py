@@ -274,7 +274,13 @@ class TestFitForest:
                         vec[f] = rng.randint(1, max_count)
             samples.append((vec, langs[c]))
         expected = reference_fit_forest(samples, params, n_features)
-        assert fit_forest(samples, params, n_features) == expected
+        model = fit_forest(samples, params, n_features)
+        assert model == expected
+        # preorder growth puts every split's left child right after it
+        for tree in model.trees:
+            for i, f in enumerate(tree.feature):
+                children = (tree.left[i], tree.right[i])
+                assert children[0] == i + 1 if f >= 0 else children == (-1, -1)
 
     def test_fit_memory_stays_bounded(self):
         # A dense n x V int32 count matrix alone would take 77.5 MiB here
