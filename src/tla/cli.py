@@ -218,14 +218,15 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
     error naming ``path``; one that names another file is an input's, which
     ``run`` reports under that file's name.  Output meant for ``out`` is held
     in memory up to ``_SPOOL_BYTES`` and in a temporary file beyond, and
-    copied at the end.
+    copied at the end 8 KiB at a time: one read of a whole in-memory spool
+    holds its bytes, their text and the result at once.
     """
     if path is None:
         with tempfile.SpooledTemporaryFile(_SPOOL_BYTES, "w+", encoding="utf-8",
                                            newline="") as spool:
             yield spool
             spool.seek(0)
-            shutil.copyfileobj(spool, out)
+            shutil.copyfileobj(spool, out, 8192)
         return
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import LineError, TlaError, decoded
+from .errors import LineError, decoded
 
 MAX_TWEET_LENGTH = 280
 
@@ -151,14 +151,6 @@ class RawTweet:
     reply_count: Optional[int] = None
 
 
-class TweetValidationError(TlaError):
-    """Raised by validate_tweet; names every violated constraint."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-        super().__init__("invalid tweet: " + "; ".join(violations))
-
-
 class TweetLengthWarning(UserWarning):
     """The JSONL reader's warning for a lenient tweet over the length limit."""
 
@@ -166,26 +158,35 @@ class TweetLengthWarning(UserWarning):
 def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
     """The tweet of one decoded JSONL record, read by its JSON names.
 
-    ``id`` is a string, or an integer taken as its decimal string; ``text``,
-    ``lang``, ``likeCount`` and ``replyCount`` follow, and any other key is
-    ignored.  All violations are collected, in that order, instead of
-    stopping at the first one; a ``lang`` key outside the sixteen codes,
-    ``null`` included, is ``BadLanguage``.  Lenient mode lifts the
+    ``id`` and ``text`` are required; ``id`` is a string, or an integer taken
+    as its decimal string; ``lang``, ``likeCount`` and ``replyCount`` follow,
+    and any other key is ignored.  A bad record is a ValueError naming the
+    missing required fields, or else every violation, in that order, joined
+    by ``"; "``.  A key of the wrong type, ``null`` included, is ``BadType``,
+    but a ``null`` ``replyCount`` reads as absent and a ``lang`` outside the
+    sixteen codes is ``BadLanguage``.  Lenient mode lifts the
     280-scalar-value limit.  An id or text holding a lone surrogate is a
     violation, since it cannot be written as UTF-8.
     """
+    missing = [name for name in ("id", "text") if name not in record]
+    if missing:
+        raise ValueError("missing required field(s): " + ", ".join(missing))
     violations: list[str] = []
 
-    tweet_id = record.get("id")
+    tweet_id = record["id"]
     if isinstance(tweet_id, int) and not isinstance(tweet_id, bool):
         tweet_id = str(tweet_id)
-    if not isinstance(tweet_id, str) or not tweet_id:
+    if not isinstance(tweet_id, str):
+        violations.append("BadType(id)")
+    elif not tweet_id:
         violations.append("EmptyId")
     elif _SURROGATE_RE.search(tweet_id):
         violations.append("LoneSurrogate(id)")
 
-    text = record.get("text")
-    if not isinstance(text, str) or not text.strip():
+    text = record["text"]
+    if not isinstance(text, str):
+        violations.append("BadType(text)")
+    elif not text.strip():
         violations.append("EmptyText")
     else:
         if _SURROGATE_RE.search(text):
@@ -214,7 +215,7 @@ def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
             violations.append(f"NegativeCount(reply_count={reply_count})")
 
     if violations:
-        raise TweetValidationError(violations)
+        raise ValueError("; ".join(violations))
 
     return RawTweet(
         id=tweet_id,

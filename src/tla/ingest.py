@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .corpus import (
     MAX_TWEET_LENGTH,
     LanguageCode,
     RawTweet,
     TweetLengthWarning,
-    TweetValidationError,
     validate_tweet,
 )
 from .errors import LineError, decoded, where
@@ -57,65 +56,45 @@ def read_jsonl(
     skip_bad_lines: bool = False,
     lenient: bool = False,
 ) -> Iterator[tuple[int, RawTweet]]:
-    """Lazily yield ``(line, tweet)`` per validated record of line-delimited
-    JSON, the line 1-based, as :func:`tla.corpus.read_table` does.
+    """Lazily yield ``(line, tweet)`` per record of line-delimited JSON that
+    :func:`tla.corpus.validate_tweet` accepts, the line 1-based.
 
-    One record per nonblank line; unknown fields and a leading byte order
-    mark are ignored.  Bad lines, invalid UTF-8, a repeated id and a lone
-    surrogate included, are errors naming the line (and the source's
-    ``name``) unless ``skip_bad_lines`` drops them; of records sharing an id
-    the first is kept.  A lenient length warning names the line too.
+    One object per nonblank line; a leading byte order mark is ignored.  Bad
+    lines, invalid UTF-8 and a repeated id included, are a LineError naming
+    the line (and the source's ``name``) unless ``skip_bad_lines`` drops
+    them; of records sharing an id the first is kept.  A lenient length
+    warning names the line too.
     """
     path = getattr(source, "name", None)
     seen: set[str] = set()
     for line_num, line in enumerate(source, start=1):
         try:
-            tweet = _parse_record(line, line_num, lenient=lenient, path=path, seen=seen)
+            line = decoded(line, line_num, path, "malformed JSON: ")
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LineError(path, line_num, f"malformed JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                raise LineError(path, line_num, f"malformed JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise LineError(path, line_num, "malformed JSON: record is not a JSON object")
+            try:
+                tweet = validate_tweet(record, lenient=lenient)
+            except ValueError as exc:
+                raise LineError(path, line_num, str(exc)) from exc
+            if tweet.id in seen:
+                raise LineError(path, line_num, f"duplicate id {tweet.id!r}")
         except LineError:
             if skip_bad_lines:
                 continue
             raise
-        if tweet is not None:
-            seen.add(tweet.id)
-            yield line_num, tweet
-
-
-def _parse_record(
-    line: Union[bytes, str],
-    line_num: int,
-    *,
-    lenient: bool,
-    path: Optional[str],
-    seen: set[str],
-) -> Optional[RawTweet]:
-    """The tweet on one line, or None for a blank line; an id in ``seen`` is
-    an error.  A kept lenient tweet over the length limit is warned about
-    with the path and line in front."""
-    line = decoded(line, line_num, path, "malformed JSON: ")
-    if not line.strip():
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise LineError(path, line_num, f"malformed JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-        raise LineError(path, line_num, f"malformed JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise LineError(path, line_num, "malformed JSON: record is not a JSON object")
-
-    missing = [name for name in ("id", "text") if name not in record]
-    if missing:
-        raise LineError(path, line_num, "missing required field(s): " + ", ".join(missing))
-    try:
-        tweet = validate_tweet(record, lenient=lenient)
-    except TweetValidationError as exc:
-        raise LineError(path, line_num, "; ".join(exc.violations)) from exc
-    if tweet.id in seen:
-        raise LineError(path, line_num, f"duplicate id {tweet.id!r}")
-    if len(tweet.text) > MAX_TWEET_LENGTH:
-        warnings.warn(f"{where(path, line_num)}: TextTooLong({len(tweet.text)})",
-                      TweetLengthWarning)
-    return tweet
+        seen.add(tweet.id)
+        if len(tweet.text) > MAX_TWEET_LENGTH:
+            warnings.warn(f"{where(path, line_num)}: TextTooLong({len(tweet.text)})",
+                          TweetLengthWarning)
+        yield line_num, tweet
 
 
 def filter_trending(tweets: Iterable[RawTweet], spec: QuerySpec) -> list[RawTweet]:

@@ -11,9 +11,9 @@ byte-identically.  The samples are held once as a sparse column store (no
 n x V matrix); each tree node builds its class histogram from the nonzeros of
 its candidate features only.
 
-Prediction is one batched vote.  Building a model flattens its trees into one
-set of node arrays (leaves point to themselves), checked there once, whose
-split features are renumbered to the columns the forest actually splits on.
+Prediction is one batched vote.  A model's first vote, or its load, flattens
+its trees into one set of node arrays (leaves point to themselves), checked
+there once, with split features renumbered to the columns the forest splits on.
 Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense int32
 block over those columns only; every (row, tree) pair then descends one level
 per step, and pairs that reached a leaf drop out.  The vote is a per-row
@@ -29,6 +29,7 @@ import math
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -195,8 +196,8 @@ class DecisionTree:
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A bagged ensemble of decision trees over an ordered class list; building
-    it flattens the trees for the vote, which checks them (ValueError)."""
+    """A bagged ensemble of decision trees over an ordered class list; its trees
+    are checked (ValueError) when flattened: at its first vote, or at load."""
 
     params: ForestParams
     classes: tuple[LanguageCode, ...]
@@ -209,7 +210,10 @@ class ForestModel:
             raise ValueError("duplicate class in model")
         if not self.trees:
             raise ValueError("model must have at least one tree")
-        object.__setattr__(self, "_flat", _flatten(self.trees, len(self.classes)))
+
+    @cached_property  # kept in the instance __dict__, which frozen does not guard
+    def _flat(self) -> _FlatForest:
+        return _flatten(self.trees, len(self.classes))
 
 
 class _FlatForest(NamedTuple):

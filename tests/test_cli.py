@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -159,13 +161,19 @@ class TestClean:
 
     def test_bad_line_is_error_unless_skipped(self, tmp_path):
         src = tmp_path / "tweets.jsonl"
-        src.write_text('{"id":"1"}\n' + JSONL, encoding="utf-8")
-        code, _, err = invoke("clean", "--input", str(src))
-        assert code == 1
-        assert "line 1" in err
-        code, out, _ = invoke("clean", "--input", str(src), "--skip-bad-lines")
-        assert code == 0
-        assert len(out.splitlines()) == 4
+        for record, message in [
+            ('{"id":"1"}', "missing required field(s): text"),
+            ('{"id":1.5,"text":"hello"}', "BadType(id)"),
+            ('{"id":"2","text":5}', "BadType(text)"),
+            ('{"id":null,"text":null}', "BadType(id); BadType(text)"),
+            ('{"id":"","text":" "}', "EmptyId; EmptyText"),
+        ]:
+            src.write_text(record + "\n" + JSONL, encoding="utf-8")
+            assert invoke("clean", "--input", str(src)) == (
+                1, "", f"error: {src}: line 1: {message}\n")
+            code, out, err = invoke("clean", "--input", str(src), "--skip-bad-lines")
+            assert (code, err) == (0, "3 rows\n")
+            assert [line.split(",")[0] for line in out.splitlines()] == ["id", "1", "2", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +447,20 @@ class TestLabelAndAnalyze:
         assert err == f"error: {other}: line 3: duplicate id '1'\n"
 
 
+@contextmanager
+def _peak_alloc(peaks):
+    """Append to ``peaks`` the tracemalloc peak of the block.  Garbage is
+    collected first, so every run starts with the collector's counts at zero
+    and frees the block's own cyclic garbage at the same points."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        yield
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
 def _clean_rows(n):
     texts = ["the train was late again this morning", "le marché ouvre le samedi",
              "el mercado abre el sábado por la mañana", "de trein was weer te laat"]
@@ -633,13 +655,9 @@ class TestCommittedOutputs:
         for n in (1024, 4096):
             table = tmp_path / f"clean{n}.csv"
             table.write_text(_clean_rows(n), encoding="utf-8")
-            tracemalloc.start()
-            try:
+            with _peak_alloc(peaks):
                 code, _, err = invoke("identify", "--model", str(model_file),
                                       "--input", str(table), "--output", str(tmp_path / "o.csv"))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
             assert (code, err) == (0, f"{n} rows\n")
         assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks[0]} -> {peaks[1]} bytes"
 
@@ -673,12 +691,8 @@ class TestCommittedOutputs:
         for n in (10, 1024, 4096):  # the first run is a warm-up
             given, err = argv(n), io.StringIO()
             with open(tmp_path / "stdout.csv", "w", encoding="utf-8", newline="") as out:
-                tracemalloc.start()
-                try:
+                with _peak_alloc(peaks):
                     code = run(given, out, err)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
             lines = target.read_text(encoding="utf-8").splitlines()
             if command == "analyze":
                 assert (code, err.getvalue()) == (0, "")
@@ -688,6 +702,23 @@ class TestCommittedOutputs:
                 assert len(lines) == n + 1
         growth = peaks[2] - peaks[1]
         assert growth <= 90 * (4096 - 1024) + tla.cli._SPOOL_BYTES, f"{growth} bytes"
+
+    def test_stdout_spool_is_copied_out_in_chunks(self, tmp_path):
+        # A spool just under its rollover is held in memory; copying it to the
+        # output stream may cost no more than the spool itself (about half of
+        # it in 8 KiB chunks), where one read of the whole spool costs twice it.
+        line = "the train was late again\n"
+        n = tla.cli._SPOOL_BYTES // len(line)
+        held, peaks = [], []
+        with open(tmp_path / "stdout.txt", "w", encoding="utf-8", newline="") as out:
+            with _peak_alloc(peaks), tla.cli._committed(None, out) as spool:
+                for _ in range(n):
+                    spool.write(line)
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+        assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == line * n
+        assert held[0] >= len(line) * n, f"{held[0]} bytes"  # not rolled over to a file
+        assert peaks[0] - held[0] <= held[0], f"{peaks[0] - held[0]} bytes"
 
     def test_label_memory_grows_only_with_its_held_rows(self, tmp_path):
         # label holds every row until it writes its datasets, about 515 B a
@@ -702,12 +733,8 @@ class TestCommittedOutputs:
             table.write_text("id,lang,text,tokens\n" + "".join(
                 f"{i},en,the train was late again {i},train late again {i}\n"
                 for i in range(n)), encoding="utf-8")
-            tracemalloc.start()
-            try:
+            with _peak_alloc(peaks):
                 result = invoke("label", "--input", str(table), "--out-dir", str(out_dir))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
             assert result == (0, "", f"{out_dir / 'en.csv'}: {n} rows\n")
         growth = peaks[2] - peaks[1]
         assert growth <= 700 * (4096 - 1024), f"{growth} bytes"

@@ -11,7 +11,6 @@ from tla.corpus import (
     LanguageCode,
     RawTweet,
     SentimentLabel,
-    TweetValidationError,
     read_dataset_csv,
     read_table,
     validate_token,
@@ -65,33 +64,28 @@ class TestValidateTweet:
         assert len(tweet.text) == 280
 
     def test_281_too_long(self):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1", "text": "x" * 281})
-        assert exc.value.violations == ["TextTooLong(281)"]
+        assert str(exc.value) == "TextTooLong(281)"
 
     def test_whitespace_only_is_empty(self):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1", "text": "   "})
-        assert exc.value.violations == ["EmptyText"]
+        assert str(exc.value) == "EmptyText"
 
     def test_every_violation_named(self):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "", "text": "y" * 300, "lang": "xx",
                             "likeCount": -3, "replyCount": -1})
-        assert exc.value.violations == [
-            "EmptyId",
-            "TextTooLong(300)",
-            "BadLanguage('xx')",
-            "NegativeCount(like_count=-3)",
-            "NegativeCount(reply_count=-1)",
-        ]
+        assert str(exc.value) == (
+            "EmptyId; TextTooLong(300); BadLanguage('xx'); "
+            "NegativeCount(like_count=-3); NegativeCount(reply_count=-1)"
+        )
 
     def test_lone_surrogates_named(self):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1\udfff", "text": "a\ud800" + "y" * 300})
-        assert exc.value.violations == [
-            "LoneSurrogate(id)", "LoneSurrogate(text)", "TextTooLong(302)",
-        ]
+        assert str(exc.value) == "LoneSurrogate(id); LoneSurrogate(text); TextTooLong(302)"
         # a JSON surrogate pair escape decodes to one astral character
         text = json.loads('"\\ud83d\\ude00"')
         assert validate_tweet({"id": "1", "text": text}).text == "\U0001f600"
@@ -103,8 +97,9 @@ class TestValidateTweet:
         assert not recwarn.list
 
     def test_lenient_still_rejects_other_violations(self):
-        with pytest.raises(TweetValidationError):
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "", "text": "hi"}, lenient=True)
+        assert str(exc.value) == "EmptyId"
 
     def test_reads_the_json_names(self):
         record = {"id": 9, "text": "hello", "lang": "fr", "likeCount": 5, "replyCount": 2}
@@ -113,9 +108,31 @@ class TestValidateTweet:
         )
 
     def test_bool_count_is_bad_type(self):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1", "text": "hi", "likeCount": True})
-        assert exc.value.violations == ["BadType(like_count)"]
+        assert str(exc.value) == "BadType(like_count)"
+
+    @pytest.mark.parametrize("record, missing", [
+        ({"text": "hi"}, "id"), ({"id": "1"}, "text"), ({"lang": "en"}, "id, text"),
+    ])
+    def test_missing_required_field_named(self, record, missing):
+        with pytest.raises(ValueError) as exc:
+            validate_tweet(record)
+        assert str(exc.value) == f"missing required field(s): {missing}"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": 1.5, "text": "hello"}, "BadType(id)"),
+        ({"id": True, "text": "hello"}, "BadType(id)"),
+        ({"id": "2", "text": 5}, "BadType(text)"),
+        ({"id": "2", "text": ["hi"]}, "BadType(text)"),
+        ({"id": None, "text": None}, "BadType(id); BadType(text)"),
+        ({"id": None, "text": " ", "lang": "xx", "likeCount": "9"},
+         "BadType(id); EmptyText; BadLanguage('xx'); BadType(like_count)"),
+    ])
+    def test_wrongly_typed_id_or_text_is_bad_type(self, record, message):
+        with pytest.raises(ValueError) as exc:
+            validate_tweet(record)
+        assert str(exc.value) == message
 
     def test_unknown_key_ignored(self):
         tweet = validate_tweet({"id": "1", "text": "hi", "retweets": 4, "like_count": -1})
@@ -123,9 +140,9 @@ class TestValidateTweet:
 
     @pytest.mark.parametrize("lang", [None, "EN", 5, ["en"]])
     def test_bad_language_named_with_its_value(self, lang):
-        with pytest.raises(TweetValidationError) as exc:
+        with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1", "text": "hi", "lang": lang})
-        assert exc.value.violations == [f"BadLanguage({lang!r})"]
+        assert str(exc.value) == f"BadLanguage({lang!r})"
 
 
 class TestLabeledTypes:

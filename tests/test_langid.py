@@ -411,6 +411,7 @@ class TestBatchedVote:
     def test_model_file_does_not_depend_on_prediction(self):
         v, samples = _vectorized(_disjoint_corpus())
         fresh = fit_forest(samples, ForestParams(num_trees=4, seed=7), n_features=v.size)
+        assert "_flat" not in vars(fresh)  # a fit does not flatten the trees it never votes with
         before, after = io.BytesIO(), io.BytesIO()
         save_model(fresh, v, before)
         predict_language(fresh, [{0: 1}, {}])
