@@ -5,7 +5,7 @@ zeros trimmed), which makes each row's integer label split uniquely
 recoverable by brute force: 85.55/14.44 over 457 tweets can only be 391/66.
 """
 
-from tla import AnalysisReport, AnalysisRow, LanguageCode, render_report, truncate_pct
+from tla import AnalysisRow, LanguageCode, render_report, truncate_pct
 
 TABLE = [
     ("en", 500, "66.8", "33.2"), ("es", 500, "61.4", "38.6"),
@@ -28,10 +28,9 @@ for code, total, pos_cell, neg_cell in TABLE:
     assert len(candidates) == 1, f"{code}: ambiguous split {candidates}"
     positive = candidates[0]
     print(f"  {code}: {positive:3d} positive / {total - positive:3d} negative of {total}")
-    rows.append(AnalysisRow(language=LanguageCode.parse(code), total=total,
-                            positive_count=positive, negative_count=total - positive))
+    rows.append(AnalysisRow(language=LanguageCode.parse(code), positive_count=positive,
+                            negative_count=total - positive))
 
-report = AnalysisReport(tuple(rows))  # TABLE is in canonical order
 print()
-print(render_report(report, "plain"))
+print(render_report(tuple(rows), "plain"))  # TABLE is in canonical order
 print("note 37.08 (not 37.09) and 85.55 (not 85.56): truncation, not rounding")

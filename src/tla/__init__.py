@@ -20,7 +20,6 @@ from .ingest import QuerySpec, compile_query, filter_trending, read_jsonl
 from .preprocess import StopwordTable, clean_text, preprocess_tweet, remove_stopwords, tokenize
 from .sentiment import Lexicon, label_sentiment, load_bundled_lexicon, load_lexicon, score_tokens
 from .analyze import (
-    AnalysisReport,
     AnalysisRow,
     aggregate_dataset,
     render_report,

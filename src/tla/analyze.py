@@ -38,23 +38,21 @@ def truncate_pct(numerator: int, denominator: int) -> str:
 
 @dataclass(frozen=True)
 class AnalysisRow:
-    """One language's label counts; display percentages derive from them."""
+    """One language's label counts; total and display percentages derive from them."""
 
     language: LanguageCode
-    total: int
     positive_count: int
     negative_count: int
 
     def __post_init__(self):
-        if self.total < 1:
-            raise ValueError(f"total must be positive, got {self.total}")
         if self.positive_count < 0 or self.negative_count < 0:
             raise ValueError("label counts must be nonnegative")
-        if self.positive_count + self.negative_count != self.total:
-            raise ValueError(
-                f"counts {self.positive_count}+{self.negative_count} "
-                f"do not sum to total {self.total}"
-            )
+        if self.total < 1:
+            raise ValueError(f"total must be positive, got {self.total}")
+
+    @property
+    def total(self) -> int:
+        return self.positive_count + self.negative_count
 
     @property
     def positive_display(self) -> str:
@@ -65,22 +63,10 @@ class AnalysisRow:
         return truncate_pct(self.negative_count, self.total)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Rows in canonical table order, at most one per language."""
-
-    rows: tuple[AnalysisRow, ...]
-
-    def __post_init__(self):
-        languages = [row.language for row in self.rows]
-        if len(set(languages)) != len(languages):
-            raise ValueError("duplicate language in report")
-
-
-def aggregate_dataset(rows: Iterable[CleanRow]) -> AnalysisReport:
+def aggregate_dataset(rows: Iterable[CleanRow]) -> tuple[AnalysisRow, ...]:
     """Count labels per language over labeled rows of any languages, in one
-    pass; a language may come from several files.  An unlabeled row is a
-    ValueError."""
+    pass; a language may come from several files.  The table rows come in
+    canonical order.  An unlabeled row is a ValueError."""
     counts = Counter((row.lang, row.label) for row in rows)
     report_rows = []
     for lang in LANGUAGE_ORDER:
@@ -89,8 +75,8 @@ def aggregate_dataset(rows: Iterable[CleanRow]) -> AnalysisReport:
         positive = counts[lang, SentimentLabel.POSITIVE]
         negative = counts[lang, SentimentLabel.NEGATIVE]
         if positive + negative:
-            report_rows.append(AnalysisRow(lang, positive + negative, positive, negative))
-    return AnalysisReport(tuple(report_rows))
+            report_rows.append(AnalysisRow(lang, positive, negative))
+    return tuple(report_rows)
 
 
 def _row_cells(row: AnalysisRow) -> tuple[str, str, str, str]:
@@ -102,11 +88,14 @@ def _row_cells(row: AnalysisRow) -> tuple[str, str, str, str]:
     )
 
 
-def render_report(report: AnalysisReport, format: str = "plain") -> str:
-    """Render the table as csv, markdown, or plain text (LF line endings)."""
+def render_report(rows: tuple[AnalysisRow, ...], format: str = "plain") -> str:
+    """Render the table as csv, markdown, or plain text (LF line endings).
+    A language may appear at most once."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {REPORT_FORMATS}")
-    cells = [_row_cells(row) for row in report.rows]
+    if len({row.language for row in rows}) != len(rows):
+        raise ValueError("duplicate language in report")
+    cells = [_row_cells(row) for row in rows]
 
     if format == "csv":
         lines = [",".join(REPORT_HEADER)]

@@ -66,6 +66,13 @@ def _at_least(minimum: int):
     return parse
 
 
+def _nonblank(text: str) -> str:
+    """An argparse ``type``: a text with a non-whitespace character."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must not be blank")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tla",
@@ -128,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", metavar="PATH", required=True, help="model file")
     given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("--text", metavar="TEXT", help="classify one text")
+    given.add_argument("--text", type=_nonblank, metavar="TEXT", help="classify one text")
     given.add_argument("--input", metavar="PATH", help="classify every row of a cleaned CSV")
     p.add_argument(
         "--output",
@@ -297,7 +304,10 @@ def _cmd_train(ns, out, err) -> int:
             predictor = train_identifier(pairs, params, n_min=ns.ngram_min,
                                          n_max=ns.ngram_max, min_doc_freq=ns.min_df)
         except EmptyVocabularyError as exc:
-            raise TlaError(f"{source}: {exc}; lower --min-df") from None
+            # at --min-df 1 every n-gram is kept, so lowering it cannot help
+            reason = (f"{exc}; lower --min-df" if ns.min_df > 1
+                      else "no text keeps a character n-gram after cleaning")
+            raise TlaError(f"{source}: {reason}") from None
         n_bytes = predictor.save(sink.buffer)
     print(
         f"{len(pairs)} texts, vocabulary {predictor.vectorizer.size}, "

@@ -370,4 +370,4 @@ def read_dataset_csv(
             raise LineError(path, line, f"mixed languages: expected {expected}, got {row.lang}")
         yield row
     if expected is None:
-        raise LineError(path, 1, "empty dataset file and no expected language supplied")
+        raise LineError(path, 1, "empty dataset file: its language cannot be told")

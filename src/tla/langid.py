@@ -596,8 +596,8 @@ def _vocabulary(spec) -> dict:
     return spec
 
 
-# JSON -> field value, by the field's annotation; other fields are taken as
-# they are, and the dataclass checks them.
+# JSON -> field value, by the field's annotation.  Every field of a class that
+# `_from_json` builds needs an entry here, so no field is loaded unchecked.
 _DECODERS = {
     "ForestParams": lambda spec: _from_json(ForestParams, spec),
     "tuple[LanguageCode, ...]": lambda codes: tuple(map(LanguageCode.parse, codes)),
@@ -616,10 +616,7 @@ def _from_json(cls, spec):
     names = [f.name for f in fields]
     if not isinstance(spec, dict) or spec.keys() != set(names):
         raise ValueError(f"{cls.__name__} needs exactly the keys {names}")
-    return cls(**{
-        f.name: _DECODERS[f.type](spec[f.name]) if f.type in _DECODERS else spec[f.name]
-        for f in fields
-    })
+    return cls(**{f.name: _DECODERS[f.type](spec[f.name]) for f in fields})
 
 
 def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:

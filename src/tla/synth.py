@@ -9,7 +9,7 @@ scraped data is a drop-in replacement for this generator.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .assets import data_dir, read_utf8
 from .corpus import LanguageCode
@@ -40,11 +40,7 @@ def _successors(units: Sequence[str]) -> dict[str, list[str]]:
     return table
 
 
-def synthetic_corpus(
-    per_language: int,
-    seed: int,
-    languages: Optional[Sequence[LanguageCode]] = None,
-) -> list[tuple[str, LanguageCode]]:
+def synthetic_corpus(per_language: int, seed: int) -> list[tuple[str, LanguageCode]]:
     """Generate ``per_language`` sentences for each language, language-major.
 
     Deterministic: each language draws from its own generator derived from
@@ -52,9 +48,8 @@ def synthetic_corpus(
     """
     if per_language < 1:
         raise ValueError(f"per_language must be >= 1, got {per_language}")
-    langs = tuple(languages) if languages is not None else tuple(LanguageCode)
     corpus: list[tuple[str, LanguageCode]] = []
-    for li, lang in enumerate(langs):
+    for li, lang in enumerate(LanguageCode):
         units = load_seed_units(lang)
         succ = _successors(units)
         rng = random.Random(derive_seed(seed, li))
@@ -72,14 +67,11 @@ def synthetic_corpus(
 
 
 def synthetic_split(
-    train_per_language: int,
-    test_per_language: int,
-    seed: int,
-    languages: Optional[Sequence[LanguageCode]] = None,
+    train_per_language: int, test_per_language: int, seed: int
 ) -> tuple[list[tuple[str, LanguageCode]], list[tuple[str, LanguageCode]]]:
     """Per-language train/test split of one generated corpus (train first)."""
     total = train_per_language + test_per_language
-    corpus = synthetic_corpus(total, seed, languages)
+    corpus = synthetic_corpus(total, seed)
     train: list[tuple[str, LanguageCode]] = []
     test: list[tuple[str, LanguageCode]] = []
     for start in range(0, len(corpus), total):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from tla.analyze import (
-    AnalysisReport,
     AnalysisRow,
     aggregate_dataset,
     render_report,
@@ -99,13 +98,22 @@ class TestTruncatePct:
 
 
 class TestAnalysisRow:
-    def test_counts_must_sum(self):
-        with pytest.raises(ValueError):
-            AnalysisRow(language=LanguageCode.EN, total=10, positive_count=4, negative_count=5)
+    def test_total_is_the_sum_of_the_counts(self):
+        assert AnalysisRow(LanguageCode.EN, 334, 166).total == 500
+
+    def test_no_labelled_tweets_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            AnalysisRow(LanguageCode.EN, 0, 0)
+        assert str(exc.value) == "total must be positive, got 0"
+
+    @pytest.mark.parametrize("positive,negative", [(-1, 5), (5, -1), (-1, 0)])
+    def test_negative_count_rejected(self, positive, negative):
+        with pytest.raises(ValueError) as exc:
+            AnalysisRow(LanguageCode.EN, positive, negative)
+        assert str(exc.value) == "label counts must be nonnegative"
 
     def test_exact_fraction_percentages(self):
-        row = AnalysisRow(language=LanguageCode.RU, total=213, positive_count=134,
-                          negative_count=79)
+        row = AnalysisRow(language=LanguageCode.RU, positive_count=134, negative_count=79)
         assert row.positive_display == "62.91"
         assert row.negative_display == "37.08"
 
@@ -121,11 +129,11 @@ class TestAnalysisRow:
 
 class TestAggregate:
     def test_english_row(self):
-        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 334, 166)).rows
+        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 334, 166))
         assert (row.total, row.positive_display, row.negative_display) == (500, "66.8", "33.2")
 
     def test_single_positive(self):
-        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 1, 0)).rows
+        [row] = aggregate_dataset(rows_with_counts(LanguageCode.EN, 1, 0))
         assert (row.total, row.positive_display, row.negative_display) == (1, "100", "0")
 
     def test_aggregate_inverts_construction(self, rng):
@@ -134,19 +142,19 @@ class TestAggregate:
             positive, negative = rng.randint(0, 20), rng.randint(0, 20)
             if positive + negative == 0:
                 positive = 1
-            [row] = aggregate_dataset(rows_with_counts(lang, positive, negative)).rows
+            [row] = aggregate_dataset(rows_with_counts(lang, positive, negative))
             assert (row.positive_count, row.negative_count) == (positive, negative)
 
     def test_languages_interleaved_in_one_pass(self):
         zh = rows_with_counts(LanguageCode.ZH, 2, 1)
         en = rows_with_counts(LanguageCode.EN, 1, 3)
         interleaved = [row for pair in zip(zh, en) for row in pair] + en[3:]
-        report = aggregate_dataset(iter(interleaved))
-        assert [(r.language, r.positive_count, r.negative_count) for r in report.rows] == [
+        table = aggregate_dataset(iter(interleaved))
+        assert [(r.language, r.positive_count, r.negative_count) for r in table] == [
             (LanguageCode.EN, 1, 3), (LanguageCode.ZH, 2, 1)]
 
     def test_no_rows_no_report_rows(self):
-        assert aggregate_dataset([]).rows == ()
+        assert aggregate_dataset([]) == ()
 
     def test_unlabeled_row_rejected(self):
         rows = rows_with_counts(LanguageCode.EN, 1, 1)
@@ -160,58 +168,49 @@ class TestReport:
         rows = (rows_with_counts(LanguageCode.ZH, 1, 0)
                 + rows_with_counts(LanguageCode.EN, 0, 1)
                 + rows_with_counts(LanguageCode.FA, 1, 1))
-        report = aggregate_dataset(rows)
-        assert [r.language for r in report.rows] == [
+        assert [r.language for r in aggregate_dataset(rows)] == [
             LanguageCode.EN,
             LanguageCode.FA,
             LanguageCode.ZH,
         ]
 
     def test_duplicate_language_rejected(self):
-        row = AnalysisRow(language=LanguageCode.EN, total=1, positive_count=1, negative_count=0)
-        with pytest.raises(ValueError):
-            AnalysisReport(rows=(row, row))
+        row = AnalysisRow(language=LanguageCode.EN, positive_count=1, negative_count=0)
+        with pytest.raises(ValueError, match="^duplicate language in report$"):
+            render_report((row, row), "csv")
 
 
 class TestRenderReport:
     def test_csv_english_row(self):
-        report = AnalysisReport(
-            (AnalysisRow(language=LanguageCode.EN, total=500, positive_count=334,
-                         negative_count=166),)
-        )
-        assert render_report(report, "csv") == (
+        table = (AnalysisRow(language=LanguageCode.EN, positive_count=334,
+                             negative_count=166),)
+        assert render_report(table, "csv") == (
             "Language,Total tweets,Positive Tweets Percentage,Negative Tweets Percentage\n"
             "English,500,66.8,33.2\n"
         )
 
     def test_csv_urdu_row(self):
-        report = AnalysisReport(
-            (AnalysisRow(language=LanguageCode.UR, total=42, positive_count=29,
-                         negative_count=13),)
-        )
-        assert render_report(report, "csv").splitlines()[1] == "Urdu,42,69.04,30.95"
+        table = (AnalysisRow(language=LanguageCode.UR, positive_count=29,
+                             negative_count=13),)
+        assert render_report(table, "csv").splitlines()[1] == "Urdu,42,69.04,30.95"
 
     def test_empty_report_header_only(self):
-        assert render_report(AnalysisReport(rows=()), "csv") == (
+        assert render_report((), "csv") == (
             "Language,Total tweets,Positive Tweets Percentage,Negative Tweets Percentage\n"
         )
 
     def test_markdown_shape(self):
-        report = AnalysisReport(
-            (AnalysisRow(language=LanguageCode.FA, total=50, positive_count=26,
-                         negative_count=24),)
-        )
-        lines = render_report(report, "markdown").splitlines()
+        table = (AnalysisRow(language=LanguageCode.FA, positive_count=26,
+                             negative_count=24),)
+        lines = render_report(table, "markdown").splitlines()
         assert lines[0].startswith("| Language |")
         assert set(lines[1]) <= {"|", "-", " "}
         assert lines[2] == "| Persian | 50 | 52 | 48 |"
 
     def test_plain_columns(self):
-        report = AnalysisReport(
-            (AnalysisRow(language=LanguageCode.RO, total=457, positive_count=391,
-                         negative_count=66),)
-        )
-        lines = render_report(report, "plain").splitlines()
+        table = (AnalysisRow(language=LanguageCode.RO, positive_count=391,
+                             negative_count=66),)
+        lines = render_report(table, "plain").splitlines()
         assert lines[0].split() == [
             "Language", "Total", "tweets", "Positive", "Tweets", "Percentage",
             "Negative", "Tweets", "Percentage",
@@ -220,7 +219,7 @@ class TestRenderReport:
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            render_report(AnalysisReport(rows=()), "html")
+            render_report((), "html")
 
 
 class TestPaperTable:
@@ -229,7 +228,6 @@ class TestPaperTable:
             positive = derive_split(total, pos, neg)
             row = AnalysisRow(
                 language=LanguageCode.parse(code),
-                total=total,
                 positive_count=positive,
                 negative_count=total - positive,
             )

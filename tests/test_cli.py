@@ -229,6 +229,16 @@ class TestTrainAndIdentify:
                    "lower --min-df\n")
         assert not model.exists()
 
+    def test_no_ngram_at_min_df_1_says_why(self, tmp_path):
+        # --min-df cannot go below 1, so its hint would not help here
+        corpus, model = tmp_path / "emo.csv", tmp_path / "m.tlam"
+        corpus.write_text("id,lang,text,tokens\n1,en,😀🎉,x\n2,fr,!!! ...,x\n",
+                          encoding="utf-8")
+        assert invoke("train-langid", "--seed", "1", "--trees", "2", "--min-df", "1",
+                      "--corpus", str(corpus), "--output", str(model)) == (
+            1, "", f"error: {corpus}: no text keeps a character n-gram after cleaning\n")
+        assert not model.exists()
+
     def test_identify_text(self, model_file):
         code, out, err = invoke("identify", "--model", str(model_file),
                                 "--text", "the train was late again this morning")
@@ -250,6 +260,13 @@ class TestTrainAndIdentify:
                       "--output", str(output)) == (
             2, "", "usage error: identify --output needs --input, not --text\n")
         assert not output.exists()
+
+    @pytest.mark.parametrize("text", ["", "   ", "\t\n"])
+    def test_blank_text_is_a_usage_error(self, model_file, text):
+        # identify --input rejects the same text in a row as "empty text"
+        code, out, err = invoke("identify", "--model", str(model_file), "--text", text)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --text: must not be blank\n")
 
     def test_longest_ngram_beyond_every_text_predicts_as_before(self, model_file, tmp_path):
         # No n-gram is longer than its text, so n_max = 10**8 counts nothing
@@ -378,6 +395,12 @@ class TestLabelAndAnalyze:
                                 str(second))
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["English,3,66.66,33.33"]
+
+    def test_analyze_header_only_file_is_an_error(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("id,lang,text,tokens,label\n", encoding="utf-8")
+        assert invoke("analyze", "--input", str(path)) == (
+            1, "", f"error: {path}: line 1: empty dataset file: its language cannot be told\n")
 
     def test_analyze_deterministic(self, cleaned, tmp_path):
         out_dir = tmp_path / "labeled"
