@@ -14,7 +14,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
-from itertools import islice
+from itertools import tee
 from pathlib import Path
 from typing import IO, Iterator, Optional
 
@@ -40,9 +40,6 @@ from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexi
 
 class UsageError(TlaError):
     pass
-
-
-_SPOOL_BYTES = 1 << 16  # see _committed
 
 
 def __getattr__(name: str):
@@ -119,7 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--synthetic",
         type=_at_least(1),
         metavar="N",
-        help="train on N bundled synthetic sentences per language (default 200)",
+        # a str: argparse skips the conflict check for a value that is the default object
+        default="200",
+        help="train on N bundled synthetic sentences per language (default %(default)s)",
     )
     p.add_argument("--trees", type=_at_least(1), default=50)
     p.add_argument("--max-depth", type=_at_least(1), default=None)
@@ -223,14 +222,11 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
     entry, before the block runs: the rename would fail only at the end.  An
     OSError while the temporary is created, written, flushed or renamed is an
     error naming ``path``; one that names another file is an input's, which
-    ``run`` reports under that file's name.  Output meant for ``out`` is held
-    in memory up to ``_SPOOL_BYTES`` and in a temporary file beyond, and
-    copied at the end 8 KiB at a time: one read of a whole in-memory spool
-    holds its bytes, their text and the result at once.
+    ``run`` reports under that file's name.  Output meant for ``out`` waits
+    in an unnamed temporary file, and is copied at the end 8 KiB at a time.
     """
     if path is None:
-        with tempfile.SpooledTemporaryFile(_SPOOL_BYTES, "w+", encoding="utf-8",
-                                           newline="") as spool:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
             shutil.copyfileobj(spool, out, 8192)
@@ -297,9 +293,8 @@ def _cmd_train(ns, out, err) -> int:
             if not pairs:
                 raise TlaError(f"{ns.corpus}: corpus file has no data rows")
         else:
-            per_language = ns.synthetic if ns.synthetic is not None else 200
-            source = f"--synthetic {per_language}"
-            pairs = synthetic_corpus(per_language, seed=ns.seed)
+            source = f"--synthetic {ns.synthetic}"
+            pairs = synthetic_corpus(ns.synthetic, seed=ns.seed)
         try:
             predictor = train_identifier(pairs, params, n_min=ns.ngram_min,
                                          n_max=ns.ngram_max, min_doc_freq=ns.min_df)
@@ -326,30 +321,27 @@ def _cmd_identify(ns, out, err) -> int:
 
     if ns.text is not None:
         code, confidence = predictor.predict(ns.text)
+        if code is None:
+            raise TlaError("--text: no character n-gram of the text is in the model's vocabulary")
         print(f"{code.value}\t{confidence:.4f}", file=out)
         return 0
 
     table = StopwordTable.load_bundled() if ns.output is not None else None
     with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
-        identified = _identified(predictor, (row for _, row in read_table(source)))
+        rows, texts = tee(row for _, row in read_table(source))
+        identified = zip(rows, predictor.predict_batch(row.text for row in texts))
+        # a text that gives no evidence (code None) keeps its row's lang
         if table is None:
             count = write_table(sink, ("id", "lang", "confidence"), (
-                (row.id, code.value, f"{confidence:.4f}")
+                (row.id, (code or row.lang).value, f"{confidence:.4f}")
                 for row, (code, confidence) in identified
             ))
         else:
             count = write_table(sink, CLEAN_HEADER, (
-                _relabeled(row, code, table).fields() for row, (code, _) in identified
+                _relabeled(row, code or row.lang, table).fields() for row, (code, _) in identified
             ))
     print(f"{count} rows", file=err)
     return 0
-
-
-def _identified(predictor, rows: Iterator[CleanRow]):
-    """``(row, (code, confidence))`` per row, voted ``CHUNK_ROWS`` rows at a time."""
-    from .langid import CHUNK_ROWS
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        yield from zip(chunk, predictor.predict_batch(row.text for row in chunk))
 
 
 def _relabeled(row: CleanRow, code: LanguageCode, table: StopwordTable) -> CleanRow:

@@ -27,10 +27,10 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,11 +39,12 @@ from .errors import TlaError
 from .preprocess import clean_text
 
 FeatureVector = dict  # sparse map: feature index -> positive count
+Prediction = tuple[Optional[LanguageCode], float]  # (language, share of the trees' votes)
 
 MODEL_MAGIC = b"TLAM"
 MODEL_VERSION = 1
 
-#: Rows per dense block of the vote; callers that stream rows read this many.
+#: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
 CHUNK_ROWS = 256
 
 _MASK64 = (1 << 64) - 1
@@ -651,7 +652,8 @@ def evaluate_model(
     vectorizer: NgramVectorizer,
     test: Sequence[tuple[str, LanguageCode]],
 ) -> tuple[float, np.ndarray]:
-    """Accuracy plus a 16x16 confusion matrix (row true, column predicted)."""
+    """Accuracy plus a 16x16 confusion matrix (row true, column predicted); a
+    text with no n-gram in the vocabulary is a miss outside the matrix."""
     if not test:
         raise ValueError("evaluate_model needs a nonempty test set")
     order = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
@@ -659,8 +661,9 @@ def evaluate_model(
     predictor = ForestPredictor(vectorizer=vectorizer, model=model)
     predictions = predictor.predict_batch(text for text, _ in test)
     for (_, truth), (predicted, _) in zip(test, predictions):
-        confusion[order[truth], order[predicted]] += 1
-    accuracy = float(np.trace(confusion)) / float(confusion.sum())
+        if predicted is not None:
+            confusion[order[truth], order[predicted]] += 1
+    accuracy = float(np.trace(confusion)) / len(test)
     return accuracy, confusion
 
 
@@ -671,13 +674,17 @@ class ForestPredictor:
     vectorizer: NgramVectorizer
     model: ForestModel
 
-    def predict(self, text: str) -> tuple[LanguageCode, float]:
-        return self.predict_batch([text])[0]
+    def predict(self, text: str) -> Prediction:
+        return next(self.predict_batch([text]))
 
-    def predict_batch(self, texts: Iterable[str]) -> list[tuple[LanguageCode, float]]:
-        """One vote over all ``texts``; each is vectorized on its own."""
-        vectors = [vectorize(self.vectorizer, normalize_for_langid(text)) for text in texts]
-        return predict_language(self.model, vectors)
+    def predict_batch(self, texts: Iterable[str]) -> Iterator[Prediction]:
+        """Each text's prediction, read and voted ``CHUNK_ROWS`` texts at a time;
+        a text with no n-gram in the vocabulary is no evidence: ``(None, 0.0)``."""
+        texts = iter(texts)
+        while chunk := [vectorize(self.vectorizer, normalize_for_langid(text))
+                        for text in list(islice(texts, CHUNK_ROWS))]:  # reading first is faster
+            voted = iter(predict_language(self.model, [vector for vector in chunk if vector]))
+            yield from (next(voted) if vector else (None, 0.0) for vector in chunk)
 
     def save(self, sink: IO[bytes]) -> int:
         return save_model(self.model, self.vectorizer, sink)

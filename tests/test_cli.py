@@ -30,6 +30,11 @@ JSONL = (
 )
 
 
+#: Texts with no character n-gram in the test model's vocabulary: cleaning
+#: removes emoji, punctuation and URLs, and no n-gram of these digits is in it.
+NO_EVIDENCE = ["😀 !!!", "12345", "https://t.co/abc123"]
+
+
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out, err)
@@ -200,12 +205,13 @@ class TestTrainAndIdentify:
         assert "--output" in err
 
     def test_corpus_and_synthetic_exclusive(self, tmp_path):
-        code, _, err = invoke(
-            "train-langid", "--seed", "3", "--output", str(tmp_path / "m.tlam"),
-            "--corpus", "x.csv", "--synthetic", "10",
-        )
-        assert code == 2
-        assert "argument --synthetic: not allowed with argument --corpus" in err
+        for n in ["10", "200"]:  # 200 is also the default
+            code, _, err = invoke(
+                "train-langid", "--seed", "3", "--output", str(tmp_path / "m.tlam"),
+                "--corpus", "x.csv", "--synthetic", n,
+            )
+            assert code == 2
+            assert "argument --synthetic: not allowed with argument --corpus" in err
 
     def test_training_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tlam", tmp_path / "b.tlam"
@@ -246,6 +252,29 @@ class TestTrainAndIdentify:
         lang, confidence = out.split()
         assert lang == "en"
         assert 0.0 < float(confidence) <= 1.0
+
+    @pytest.mark.parametrize("text", NO_EVIDENCE)
+    def test_identify_text_with_no_evidence_is_an_error(self, model_file, text):
+        assert invoke("identify", "--model", str(model_file), "--text", text) == (
+            1, "", "error: --text: no character n-gram of the text is in the model's "
+                   "vocabulary\n")
+
+    def test_identify_keeps_the_lang_of_a_row_with_no_evidence(self, model_file, tmp_path):
+        # clean keeps these tweets as rows; identify has no vote for them
+        src, cleaned = tmp_path / "tweets.jsonl", tmp_path / "clean.csv"
+        src.write_text(JSONL + "".join(
+            json.dumps({"id": str(4 + i), "text": text, "lang": lang}) + "\n"
+            for i, (text, lang) in enumerate(zip(NO_EVIDENCE, ["fr", "nl", "sv"]))
+        ), encoding="utf-8")
+        assert invoke("clean", "--input", str(src), "--output", str(cleaned))[0] == 0
+        code, out, err = invoke("identify", "--model", str(model_file), "--input", str(cleaned))
+        assert (code, err) == (0, "6 rows\n")
+        assert out.splitlines()[4:] == ["4,fr,0.0000", "5,nl,0.0000", "6,sv,0.0000"]
+        identified = tmp_path / "identified.csv"
+        assert invoke("identify", "--model", str(model_file), "--input", str(cleaned),
+                      "--output", str(identified)) == (0, "", "6 rows\n")
+        assert (identified.read_text(encoding="utf-8").splitlines()[4:]
+                == cleaned.read_text(encoding="utf-8").splitlines()[4:])
 
     def test_identify_requires_text_xor_input(self, model_file, tmp_path):
         code, _, err = invoke("identify", "--model", str(model_file))
@@ -687,11 +716,11 @@ class TestCommittedOutputs:
     @pytest.mark.parametrize("stage", ["clean", "clean-output", "identify", "analyze",
                                        "analyze-output"])
     def test_stdout_memory_grows_only_with_the_ids(self, stage, model_file, tmp_path):
-        # Output for the output stream is spooled and output for a file is
-        # written as it is made, so 4x the rows may raise the allocation peak
-        # by the ids kept for the duplicate check (about 90 B a row) and one
-        # spool, but not by the output itself.  The output stream is a file,
-        # so the test's own sink is not counted.
+        # Output for the output stream waits in a temporary file and output
+        # for a file is written as it is made, so 4x the rows may raise the
+        # allocation peak by the ids kept for the duplicate check (the
+        # README's 80 to 120 B a row), but not by the output itself.  The
+        # output stream is a file, so the test's own sink is not counted.
         command, _, to_file = stage.partition("-")
         target = tmp_path / ("output.csv" if to_file else "stdout.csv")
 
@@ -724,24 +753,26 @@ class TestCommittedOutputs:
                 assert (code, err.getvalue()) == (0, f"{n} rows\n")
                 assert len(lines) == n + 1
         growth = peaks[2] - peaks[1]
-        assert growth <= 90 * (4096 - 1024) + tla.cli._SPOOL_BYTES, f"{growth} bytes"
+        assert growth <= 110 * (4096 - 1024), f"{growth} bytes"
 
-    def test_stdout_spool_is_copied_out_in_chunks(self, tmp_path):
-        # A spool just under its rollover is held in memory; copying it to the
-        # output stream may cost no more than the spool itself (about half of
-        # it in 8 KiB chunks), where one read of the whole spool costs twice it.
-        line = "the train was late again\n"
-        n = tla.cli._SPOOL_BYTES // len(line)
-        held, peaks = [], []
+    def test_stdout_output_waits_in_a_file(self, tmp_path):
+        # About 60 KiB for the output stream wait in a temporary file and are
+        # copied out 8 KiB at a time, so neither the writes nor the copy may
+        # hold more than a few 8 KiB buffers: the file's byte and text
+        # buffers, and a read's bytes, their decoded text and the result.
+        # Held in memory, the writes alone would cost more than the 60 KiB.
+        line = "le marché ouvre le samedi\r\n"
+        n = 60 * 1024 // len(line)
+        peaks = []
         with open(tmp_path / "stdout.txt", "w", encoding="utf-8", newline="") as out:
             with _peak_alloc(peaks), tla.cli._committed(None, out) as spool:
                 for _ in range(n):
                     spool.write(line)
-                held.append(tracemalloc.get_traced_memory()[0])
+                held, writing = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
-        assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == line * n
-        assert held[0] >= len(line) * n, f"{held[0]} bytes"  # not rolled over to a file
-        assert peaks[0] - held[0] <= held[0], f"{peaks[0] - held[0]} bytes"
+        assert (tmp_path / "stdout.txt").read_bytes() == (line * n).encode("utf-8")
+        copying = peaks[0] - held
+        assert max(writing, copying) <= 6 * 8192, f"{writing} and {copying} bytes"
 
     def test_label_memory_grows_only_with_its_held_rows(self, tmp_path):
         # label holds every row until it writes its datasets, about 515 B a

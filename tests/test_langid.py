@@ -8,6 +8,7 @@ import pytest
 
 from tla.corpus import LanguageCode
 from tla.langid import (
+    CHUNK_ROWS,
     EmptyVocabularyError,
     ForestParams,
     ModelFormatError,
@@ -36,6 +37,9 @@ from conftest import (
 )
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
+#: Texts with an empty vector: emoji, punctuation and URLs are cleaned away,
+#: and no n-gram of these digits is in the vocabularies of the models here.
+NO_EVIDENCE = ["😀 !!!", "12345", "https://t.co/abc123"]
 
 
 class TestExtractCharNgrams:
@@ -361,8 +365,32 @@ class TestBatchedVote:
         assert len(vectors) == 16 * 25
         expected = [reference_predict(identifier.model, x) for x in vectors]
         assert predict_language(identifier.model, vectors) == expected
-        assert identifier.predict_batch(texts) == expected
+        assert list(identifier.predict_batch(texts)) == expected
         assert [identifier.predict(text) for text in texts[:20]] == expected[:20]
+
+    def test_first_prediction_reads_at_most_one_chunk(self, split_forest):
+        identifier, texts, _ = split_forest
+        read = []
+
+        def source():
+            for text in texts:
+                if len(read) == CHUNK_ROWS:
+                    raise AssertionError(f"text {CHUNK_ROWS + 1} read before it was needed")
+                read.append(text)
+                yield text
+
+        predictions = identifier.predict_batch(source())
+        assert next(predictions) == identifier.predict(texts[0])
+        assert len(read) == CHUNK_ROWS
+
+    @pytest.mark.parametrize("text", NO_EVIDENCE)
+    def test_text_with_no_ngram_in_the_vocabulary_has_no_prediction(self, split_forest, text):
+        identifier, texts, vectors = split_forest
+        assert vectorize(identifier.vectorizer, normalize_for_langid(text)) == {}
+        assert identifier.predict(text) == (None, 0.0)
+        mixed = [texts[0], text, *texts[1:CHUNK_ROWS + 5]]
+        expected = [reference_predict(identifier.model, x) for x in vectors[:CHUNK_ROWS + 5]]
+        assert list(identifier.predict_batch(mixed)) == [expected[0], (None, 0.0), *expected[1:]]
 
     def test_random_vectors(self, split_forest):
         # Empty vectors, features the forest never splits on (inside and
@@ -656,6 +684,14 @@ class TestEvaluateModel:
         accuracy, confusion = evaluate_model(predictor.model, predictor.vectorizer, test)
         assert accuracy == 0.75
         assert confusion.sum() - np.trace(confusion) == 1
+
+    @pytest.mark.parametrize("text", NO_EVIDENCE)
+    def test_text_with_no_ngram_in_the_vocabulary_is_a_miss(self, predictor, text):
+        accuracy, confusion = evaluate_model(
+            predictor.model, predictor.vectorizer, [("aaa a", EN), (text, EN)]
+        )
+        assert accuracy == 0.5
+        assert confusion.sum() == np.trace(confusion) == 1
 
     def test_empty_test_set(self, predictor):
         with pytest.raises(ValueError) as exc:
