@@ -373,7 +373,7 @@ def _cmd_label(ns, out, err) -> int:
         for lang, rows in groups.items():
             path = out_dir / f"{lang.value}.csv"
             sink = stack.enter_context(_committed(str(path), out))
-            counts[path] = write_dataset_csv(rows, sink.buffer)
+            counts[path] = write_dataset_csv(rows, sink)
             sink.flush()  # so that no write is left to fail after a rename
     for path, count in counts.items():
         print(f"{path}: {count} rows", file=err)

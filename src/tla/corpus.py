@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -328,20 +327,15 @@ def read_table(
         raise LineError(path, reader.line_num, str(exc)) from None
 
 
-def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[bytes]) -> int:
-    """Write labeled rows as UTF-8 CSV (header id,lang,text,tokens,label).
+def write_dataset_csv(rows: Iterable[CleanRow], sink: IO[str]) -> int:
+    """Write labeled rows with :func:`write_table` (header id,lang,text,tokens,label;
+    tokens space-joined); returns the number of data rows written.
 
-    Tokens are space-joined; RFC 4180 quoting; LF line endings.  Returns the
-    number of data rows written.  An unlabeled row is a ValueError, raised
-    when the writer reaches it.  One language per file and unique ids are
-    checked where the table is read, by :func:`read_dataset_csv`.
+    An unlabeled row is a ValueError, raised when the writer reaches it.  One
+    language per file and unique ids are checked where the table is read, by
+    :func:`read_dataset_csv`.
     """
-    wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="")
-    try:
-        return write_table(wrapper, CSV_HEADER, _labeled_fields(rows))
-    finally:
-        # Hand the buffer back without closing the caller's sink.
-        wrapper.detach()
+    return write_table(sink, CSV_HEADER, _labeled_fields(rows))
 
 
 def _labeled_fields(rows: Iterable[CleanRow]) -> Iterator[tuple[str, ...]]:

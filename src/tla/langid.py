@@ -493,11 +493,9 @@ def fit_forest(
     return ForestModel(params=params, classes=columns.classes, trees=tuple(trees))
 
 
-def predict_language(
-    model: ForestModel, vectors: Sequence[FeatureVector]
-) -> list[tuple[LanguageCode, float]]:
+def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> list[Prediction]:
     """Each vector's plurality vote across trees, with the winning vote share
-    as its confidence.
+    as its confidence; an empty vector is no evidence: ``(None, 0.0)``.
 
     Missing sparse entries read as 0; ties go to the lowest class index.
     Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense int32
@@ -526,7 +524,8 @@ def predict_language(
         winner = votes.argmax(axis=1)
         top = votes[np.arange(n), winner]
         predictions.extend(
-            (model.classes[w], v / n_trees) for w, v in zip(winner.tolist(), top.tolist())
+            (model.classes[w], v / n_trees) if vector else (None, 0.0)
+            for vector, w, v in zip(chunk, winner.tolist(), top.tolist())
         )
     return predictions
 
@@ -678,13 +677,11 @@ class ForestPredictor:
         return next(self.predict_batch([text]))
 
     def predict_batch(self, texts: Iterable[str]) -> Iterator[Prediction]:
-        """Each text's prediction, read and voted ``CHUNK_ROWS`` texts at a time;
-        a text with no n-gram in the vocabulary is no evidence: ``(None, 0.0)``."""
+        """Each text's :func:`predict_language` vote, read ``CHUNK_ROWS`` texts at a time."""
         texts = iter(texts)
         while chunk := [vectorize(self.vectorizer, normalize_for_langid(text))
                         for text in list(islice(texts, CHUNK_ROWS))]:  # reading first is faster
-            voted = iter(predict_language(self.model, [vector for vector in chunk if vector]))
-            yield from (next(voted) if vector else (None, 0.0) for vector in chunk)
+            yield from predict_language(self.model, chunk)
 
     def save(self, sink: IO[bytes]) -> int:
         return save_model(self.model, self.vectorizer, sink)

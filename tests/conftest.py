@@ -288,8 +288,11 @@ def reference_predict(model, x):
 
     ``predict_language`` must give the same (class, confidence) for every
     vector: absent entries read as 0, ties go to the lowest class index and
-    the confidence is the winning vote share.
+    the confidence is the winning vote share.  An empty vector is no
+    evidence: ``(None, 0.0)``.
     """
+    if not x:
+        return None, 0.0
     votes = np.zeros(len(model.classes), dtype=np.int64)
     for tree in model.trees:
         i = 0

@@ -110,7 +110,7 @@ def test_criterion_1_table_reproduction(tmp_path):
             positive = matches[0]
             rows = _rows_with_counts(LanguageCode.parse(code), positive, total - positive)
             path = tmp_path / f"{code}.csv"
-            with open(path, "wb") as sink:
+            with open(path, "w", encoding="utf-8", newline="") as sink:
                 write_dataset_csv(rows, sink)
             paths.append(str(path))
 
@@ -270,14 +270,14 @@ def test_criterion_7_round_trips(default_training):
         rng = random.Random(ACCEPTANCE_SEED)
         for _ in range(500):
             language, rows = random_dataset(rng)
-            sink = io.BytesIO()
+            sink = io.StringIO()
             write_dataset_csv(rows, sink)
-            first = sink.getvalue()
+            first = sink.getvalue().encode("utf-8")
             recovered = list(read_dataset_csv(io.BytesIO(first), language))
             assert recovered == rows
-            sink2 = io.BytesIO()
+            sink2 = io.StringIO()
             write_dataset_csv(recovered, sink2)
-            assert sink2.getvalue() == first
+            assert sink2.getvalue().encode("utf-8") == first
 
         predictor = default_training["predictor"]
         blob = default_training["blobs"][0]

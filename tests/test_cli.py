@@ -590,7 +590,7 @@ class TestCommittedOutputs:
         def failing_on_the_second(rows, sink):
             written.append(rows[0].lang)
             if len(written) == 2:
-                sink.write(b"id,lang")
+                sink.write("id,lang")
                 raise OSError("disk full")
             return tla.corpus.write_dataset_csv(rows, sink)
 

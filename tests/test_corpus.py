@@ -158,9 +158,9 @@ def _row(tweet_id="1", text="hello there", tokens=("hello", "there"),
 
 
 def _write(rows) -> bytes:
-    sink = io.BytesIO()
+    sink = io.StringIO()
     write_dataset_csv(rows, sink)
-    return sink.getvalue()
+    return sink.getvalue().encode("utf-8")
 
 
 def _read(data: bytes, language=None) -> list:
@@ -169,19 +169,19 @@ def _read(data: bytes, language=None) -> list:
 
 class TestWriteDatasetCsv:
     def test_empty_dataset_header_only(self):
-        sink = io.BytesIO()
+        sink = io.StringIO()
         count = write_dataset_csv([], sink)
         assert count == 0
-        assert sink.getvalue() == b"id,lang,text,tokens,label\n"
+        assert sink.getvalue().encode("utf-8") == b"id,lang,text,tokens,label\n"
 
     def test_rfc4180_quoting(self):
         data = _write([_row(text='a,"b"', tokens=("a", "b"))])
         assert b'"a,""b"""' in data
 
     def test_three_rows_four_lines(self):
-        sink = io.BytesIO()
+        sink = io.StringIO()
         assert write_dataset_csv([_row(tweet_id=str(i)) for i in range(3)], sink) == 3
-        assert sink.getvalue().count(b"\n") == 4
+        assert sink.getvalue().encode("utf-8").count(b"\n") == 4
 
     def test_lf_line_endings_and_literal_labels(self):
         data = _write([_row(tweet_id="1"), _row(tweet_id="2", label=SentimentLabel.NEGATIVE)])
@@ -196,7 +196,7 @@ class TestWriteDatasetCsv:
         assert _write([row]).endswith(b"1,en,hi,hi,Positive\n")
 
     def test_sink_kept_open(self):
-        sink = io.BytesIO()
+        sink = io.StringIO()
         write_dataset_csv([], sink)
         assert not sink.closed
 

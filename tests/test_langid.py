@@ -322,6 +322,8 @@ class TestPredictLanguage:
         assert code is ES and confidence == 1.0
 
     def test_empty_vector_routes_all_left(self):
+        # A vector whose only key lies outside the vocabulary reads as all
+        # zeros but still votes; an empty one is no evidence.
         v, samples = _vectorized(_disjoint_corpus())
         model = fit_forest(samples, ForestParams(num_trees=9, seed=4), n_features=v.size)
 
@@ -336,15 +338,18 @@ class TestPredictLanguage:
         for tree in model.trees:
             votes[leftmost_class(tree)] += 1
         expected = model.classes[int(np.argmax(votes))]
-        assert predict_language(model, [{}])[0][0] == expected
+        assert predict_language(model, [{v.size: 1}])[0][0] == expected
+        assert predict_language(model, [{}]) == [(None, 0.0)]
 
     def test_confidence_in_half_open_interval(self):
         v, samples = _vectorized(_disjoint_corpus())
         model = fit_forest(samples, ForestParams(num_trees=10, seed=5), n_features=v.size)
-        for text in ["a", "b", "ab", "", "zz"]:
+        for text in ["a", "b", "ab"]:
             code, confidence = predict_language(model, [vectorize(v, text)])[0]
             assert 0.0 < confidence <= 1.0
             assert code in model.classes
+        for text in ["", "zz"]:  # no n-gram in the vocabulary
+            assert predict_language(model, [vectorize(v, text)]) == [(None, 0.0)]
 
 
 @pytest.fixture(scope="module")
@@ -386,11 +391,16 @@ class TestBatchedVote:
     @pytest.mark.parametrize("text", NO_EVIDENCE)
     def test_text_with_no_ngram_in_the_vocabulary_has_no_prediction(self, split_forest, text):
         identifier, texts, vectors = split_forest
-        assert vectorize(identifier.vectorizer, normalize_for_langid(text)) == {}
+        empty = vectorize(identifier.vectorizer, normalize_for_langid(text))
+        assert empty == {}
+        assert predict_language(identifier.model, [empty]) == [(None, 0.0)]
         assert identifier.predict(text) == (None, 0.0)
         mixed = [texts[0], text, *texts[1:CHUNK_ROWS + 5]]
         expected = [reference_predict(identifier.model, x) for x in vectors[:CHUNK_ROWS + 5]]
-        assert list(identifier.predict_batch(mixed)) == [expected[0], (None, 0.0), *expected[1:]]
+        batched = list(identifier.predict_batch(mixed))
+        assert batched == [expected[0], (None, 0.0), *expected[1:]]
+        mixed_vectors = [vectors[0], empty, *vectors[1:CHUNK_ROWS + 5]]
+        assert predict_language(identifier.model, mixed_vectors) == batched
 
     def test_random_vectors(self, split_forest):
         # Empty vectors, features the forest never splits on (inside and
