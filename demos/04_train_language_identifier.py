@@ -11,11 +11,11 @@ import numpy as np
 
 from tla import (
     ForestParams,
+    ForestPredictor,
     LANGUAGE_ORDER,
     evaluate_model,
     train_identifier,
 )
-from tla.langid import ForestPredictor
 from tla.synth import synthetic_split
 
 SEED = 42
@@ -27,7 +27,7 @@ print("training 25 trees...")
 predictor = train_identifier(train, ForestParams(num_trees=25, seed=SEED))
 print(f"vocabulary size: {predictor.vectorizer.size}")
 
-accuracy, confusion = evaluate_model(predictor.model, predictor.vectorizer, test)
+accuracy, confusion = evaluate_model(predictor, test)
 print(f"test accuracy: {accuracy:.3f} on {confusion.sum()} sentences")
 for r, c in np.argwhere((confusion > 0) & ~np.eye(16, dtype=bool)):
     print(f"  confused {LANGUAGE_ORDER[r].value} -> {LANGUAGE_ORDER[c].value}: "

@@ -31,11 +31,8 @@ __version__ = "0.1.0"
 # The language identifier needs numpy, which no other stage uses: its names
 # are imported on first use, so `import tla` and `tla.cli` stay numpy-free.
 _LAZY = {
-    **dict.fromkeys((
-        "ForestModel", "ForestParams", "ForestPredictor", "NgramVectorizer",
-        "evaluate_model", "extract_char_ngrams", "fit_forest", "fit_vectorizer",
-        "load_model", "predict_language", "save_model", "train_identifier", "vectorize",
-    ), "langid"),
+    **dict.fromkeys(("ForestParams", "ForestPredictor", "evaluate_model", "train_identifier"),
+                    "langid"),
     **dict.fromkeys(("synthetic_corpus", "synthetic_split"), "synth"),
 }
 

@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--has-engagement", action=argparse.BooleanOptionalAction, default=True
     )
-    p.add_argument("--max-results", type=_at_least(1), default=500)
     p.set_defaults(func=_cmd_query)
 
     p = subparsers.add_parser("clean", help="JSONL tweets in, cleaned token CSV out")
@@ -205,7 +204,6 @@ def _cmd_query(ns, out, err) -> int:
         language=LanguageCode.parse(ns.lang),
         min_faves=ns.min_faves,
         has_engagement=ns.has_engagement,
-        max_results=ns.max_results,
     )
     print(compile_query(spec), file=out)
     return 0

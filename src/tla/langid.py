@@ -647,9 +647,7 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
 
 
 def evaluate_model(
-    model: ForestModel,
-    vectorizer: NgramVectorizer,
-    test: Sequence[tuple[str, LanguageCode]],
+    predictor: ForestPredictor, test: Sequence[tuple[str, LanguageCode]]
 ) -> tuple[float, np.ndarray]:
     """Accuracy plus a 16x16 confusion matrix (row true, column predicted); a
     text with no n-gram in the vocabulary is a miss outside the matrix."""
@@ -657,7 +655,6 @@ def evaluate_model(
         raise ValueError("evaluate_model needs a nonempty test set")
     order = {lang: i for i, lang in enumerate(LANGUAGE_ORDER)}
     confusion = np.zeros((len(LANGUAGE_ORDER), len(LANGUAGE_ORDER)), dtype=np.int64)
-    predictor = ForestPredictor(vectorizer=vectorizer, model=model)
     predictions = predictor.predict_batch(text for text, _ in test)
     for (_, truth), (predicted, _) in zip(test, predictions):
         if predicted is not None:

@@ -219,7 +219,7 @@ def test_criterion_5_langid(default_training):
         test = default_training["test"]
         assert len(test) == 16 * 50
 
-        accuracy, confusion = evaluate_model(predictor.model, predictor.vectorizer, test)
+        accuracy, confusion = evaluate_model(predictor, test)
         assert accuracy >= 0.95, f"test accuracy {accuracy:.4f} below 0.95"
 
         blob_a, blob_b = default_training["blobs"]

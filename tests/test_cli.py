@@ -83,6 +83,11 @@ class TestExitCodes:
         assert err == "usage error: --ngram-min 3 is greater than --ngram-max 2\n"
         assert not any(tmp_path.iterdir())
 
+    def test_query_has_no_max_results_flag(self):
+        code, out, err = invoke("query", "--lang", "en", "--max-results", "5")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "tla: error: unrecognized arguments: --max-results 5"
+
     def test_missing_required_flag(self):
         code, _, err = invoke("query")
         assert code == 2
@@ -90,7 +95,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag, minimum", [
         ("query", "--min-faves", 0),
-        ("query", "--max-results", 1),
         ("train-langid", "--synthetic", 1),
         ("train-langid", "--trees", 1),
         ("train-langid", "--max-depth", 1),
@@ -172,6 +176,7 @@ class TestClean:
             ('{"id":"2","text":5}', "BadType(text)"),
             ('{"id":null,"text":null}', "BadType(id); BadType(text)"),
             ('{"id":"","text":" "}', "EmptyId; EmptyText"),
+            ('{"id":"4","text":"hi","replyCount":"5"}', "BadType(reply_count)"),
         ]:
             src.write_text(record + "\n" + JSONL, encoding="utf-8")
             assert invoke("clean", "--input", str(src)) == (
@@ -233,6 +238,14 @@ class TestTrainAndIdentify:
                       "--output", str(model)) == (
             1, "", "error: --synthetic 1: no n-gram reached document frequency 1000; "
                    "lower --min-df\n")
+        assert not model.exists()
+
+    def test_corpus_with_no_data_rows_is_an_error(self, tmp_path):
+        corpus, model = tmp_path / "header.csv", tmp_path / "m.tlam"
+        corpus.write_text("id,lang,text,tokens\n", encoding="utf-8")
+        assert invoke("train-langid", "--corpus", str(corpus), "--seed", "1",
+                      "--output", str(model)) == (
+            1, "", f"error: {corpus}: corpus file has no data rows\n")
         assert not model.exists()
 
     def test_no_ngram_at_min_df_1_says_why(self, tmp_path):
@@ -878,6 +891,18 @@ class TestDataDirOverride:
             f"warning: {lexicon}: line 2: duplicate token 'good', keeping last entry"
         )
 
+    def test_empty_lexicon_directory_gives_every_row_the_tie_label(self, tmp_path, monkeypatch):
+        (tmp_path / "lexicons").mkdir()
+        src = tmp_path / "clean.csv"
+        src.write_text("id,lang,text,tokens\n1,en,good day,good day\n2,en,bad day,bad day\n",
+                       encoding="utf-8")
+        monkeypatch.setenv("TLA_DATA_DIR", str(tmp_path))
+        out_dir = tmp_path / "out"
+        code, _, err = invoke("label", "--input", str(src), "--out-dir", str(out_dir))
+        assert code == 0, err
+        with open(out_dir / "en.csv", "rb") as handle:
+            assert [row.label.value for row in read_dataset_csv(handle)] == ["Positive"] * 2
+
     def test_invalid_utf8_stopwords_names_its_file_and_line(self, tmp_path, monkeypatch):
         stopwords = tmp_path / "stopwords" / "en.txt"
         stopwords.parent.mkdir()
@@ -974,20 +999,25 @@ def test_only_the_identifier_stages_import_numpy(tmp_path):
 
 def test_identifier_names_resolve_on_first_use():
     import tla.synth
-    from tla import ForestPredictor, synthetic_corpus, vectorize
+    from tla import ForestPredictor, synthetic_corpus
 
-    assert (ForestPredictor, synthetic_corpus, vectorize) == (
-        tla.langid.ForestPredictor, tla.synth.synthetic_corpus, tla.langid.vectorize
+    assert (ForestPredictor, synthetic_corpus) == (
+        tla.langid.ForestPredictor, tla.synth.synthetic_corpus
     )
     assert tla.cli.ForestPredictor is tla.langid.ForestPredictor
-    for name in ("ForestModel", "ForestParams", "NgramVectorizer", "evaluate_model",
-                 "extract_char_ngrams", "fit_forest", "fit_vectorizer", "load_model",
-                 "predict_language", "save_model", "train_identifier"):
+    for name in ("ForestParams", "evaluate_model", "train_identifier"):
         assert getattr(tla, name) is getattr(tla.langid, name)
     assert tla.synthetic_split is tla.synth.synthetic_split
     for module in (tla, tla.cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+    # the layers are imported from tla.langid, where they are defined
+    for name in ("ForestModel", "NgramVectorizer", "extract_char_ngrams", "fit_forest",
+                 "fit_vectorizer", "load_model", "predict_language", "save_model",
+                 "vectorize"):
+        assert callable(getattr(tla.langid, name))
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(tla, name)
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])

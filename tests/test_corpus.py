@@ -151,6 +151,15 @@ class TestLabeledTypes:
             with pytest.raises(ValueError):
                 CleanRow("1", LanguageCode.EN, "Hi", bad, SentimentLabel.POSITIVE)
 
+    @pytest.mark.parametrize("lang, label, message", [
+        ("en", None, "language must be a LanguageCode, got 'en'"),
+        (LanguageCode.EN, "Positive", "label must be a SentimentLabel, got 'Positive'"),
+    ])
+    def test_lang_and_label_must_be_their_enums(self, lang, label, message):
+        with pytest.raises(ValueError) as exc:
+            CleanRow("1", lang, "t", (), label)
+        assert str(exc.value) == message
+
 
 def _row(tweet_id="1", text="hello there", tokens=("hello", "there"),
          label=SentimentLabel.POSITIVE, lang=LanguageCode.EN):

@@ -650,6 +650,15 @@ class TestModelSerialization:
              "expected an n-gram -> index object, got [' ', ' a', ' b', 'a', 'a ', 'aa', 'b', "),
             (lambda p: p["vectorizer"].update(vocabulary=None),
              "expected an n-gram -> index object, got None"),
+            (lambda p: p["vectorizer"].update(n_min=3), "need 1 <= n_min <= n_max, got 3..2"),
+            (lambda p: p["vectorizer"].update(n_min=0), "need 1 <= n_min <= n_max, got 0..2"),
+            (lambda p: p["vectorizer"].update(min_doc_freq=0), "min_doc_freq must be >= 1, got 0"),
+            (lambda p: p["vectorizer"].update(n_max=1), "n-gram ' a' outside length range"),
+            (lambda p: p.update(classes=[]), "model must have at least one class"),
+            (lambda p: p.update(classes=["en", "en"]), "duplicate class in model"),
+            (lambda p: p.update(trees=[]), "model must have at least one tree"),
+            (lambda p: p["trees"][0]["threshold"].pop(),
+             "tree node arrays must be nonempty and equal-length"),
         ]
         for corrupt, message in corruptions:
             payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
@@ -681,9 +690,7 @@ def predictor():
 
 class TestEvaluateModel:
     def test_perfect_predictions(self, predictor):
-        accuracy, confusion = evaluate_model(
-            predictor.model, predictor.vectorizer, [("aaa a", EN), ("bb bb", ES)]
-        )
+        accuracy, confusion = evaluate_model(predictor, [("aaa a", EN), ("bb bb", ES)])
         assert accuracy == 1.0
         assert confusion.sum() == 2
         assert np.trace(confusion) == 2
@@ -691,21 +698,19 @@ class TestEvaluateModel:
 
     def test_three_of_four(self, predictor):
         test = [("aaa", EN), ("aa", EN), ("bbb", ES), ("bbb", EN)]  # last is wrong on purpose
-        accuracy, confusion = evaluate_model(predictor.model, predictor.vectorizer, test)
+        accuracy, confusion = evaluate_model(predictor, test)
         assert accuracy == 0.75
         assert confusion.sum() - np.trace(confusion) == 1
 
     @pytest.mark.parametrize("text", NO_EVIDENCE)
     def test_text_with_no_ngram_in_the_vocabulary_is_a_miss(self, predictor, text):
-        accuracy, confusion = evaluate_model(
-            predictor.model, predictor.vectorizer, [("aaa a", EN), (text, EN)]
-        )
+        accuracy, confusion = evaluate_model(predictor, [("aaa a", EN), (text, EN)])
         assert accuracy == 0.5
         assert confusion.sum() == np.trace(confusion) == 1
 
     def test_empty_test_set(self, predictor):
         with pytest.raises(ValueError) as exc:
-            evaluate_model(predictor.model, predictor.vectorizer, [])
+            evaluate_model(predictor, [])
         assert str(exc.value) == "evaluate_model needs a nonempty test set"
 
     def test_normalization_applied(self, predictor):
@@ -714,6 +719,12 @@ class TestEvaluateModel:
 
     def test_normalize_for_langid_keeps_stopwords(self):
         assert normalize_for_langid("The CAT!") == "the cat"
+
+
+def test_synthetic_corpus_needs_a_text_per_language():
+    with pytest.raises(ValueError) as exc:
+        synthetic_corpus(0, seed=1)
+    assert str(exc.value) == "per_language must be >= 1, got 0"
 
 
 def test_accuracy_on_short_prefixes_of_the_acceptance_split():
@@ -726,5 +737,5 @@ def test_accuracy_on_short_prefixes_of_the_acceptance_split():
     identifier = train_identifier(train, ForestParams(seed=seed))
     for length, floor in [(8, 0.42), (12, 0.75), (16, 0.93)]:
         prefixes = [(text[:length], lang) for text, lang in test]
-        accuracy, _ = evaluate_model(identifier.model, identifier.vectorizer, prefixes)
+        accuracy, _ = evaluate_model(identifier, prefixes)
         assert accuracy >= floor, f"{length} characters: accuracy {accuracy:.4f} < {floor}"
