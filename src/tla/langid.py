@@ -6,10 +6,14 @@ input is cleaned, lowercased text with stopwords retained (stopwords are
 strong language discriminators).
 
 Training is a pure function of (sample order, parameters): bootstrap rows and
-candidate features come from a per-tree generator, so repeated fits serialize
-byte-identically.  The samples are held once as a sparse column store (no
-n x V matrix); each tree node builds its class histogram from the nonzeros of
-its candidate features only.
+candidate features come from a per-tree generator in the tree's preorder, so
+repeated fits serialize byte-identically.  The samples are held once as a
+sparse column store (no n x V matrix), each column's nonzeros ascending by
+count.  All trees grow in lockstep, one node of each per step, and a step's
+nodes are searched in batches of at most ``SEARCH_NONZEROS`` gathered
+nonzeros.  The search keeps one row per count a node's samples actually read
+in a candidate column, so its cost and memory follow the nonzeros, not the
+largest count.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its trees into one set of node arrays (leaves point to themselves), checked
@@ -46,6 +50,10 @@ MODEL_VERSION = 1
 
 #: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
 CHUNK_ROWS = 256
+#: Column nonzeros that one batched split search gathers at most, unless a
+#: single node's candidates hold more.  Its temporaries scale with it: twice
+#: as many cost a fresh ``train-langid`` about 1.2 MiB more peak RSS.
+SEARCH_NONZEROS = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 # Relative slack for float score comparisons in split search; far below any
@@ -286,15 +294,16 @@ def _entries(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, 
     nnz = sum(sizes)
     features = np.fromiter(chain.from_iterable(vectors), np.int64, nnz)
     counts = np.fromiter(chain.from_iterable(x.values() for x in vectors), np.int64, nnz)
-    return np.repeat(np.arange(len(vectors)), sizes), features, counts
+    return np.arange(len(vectors)).repeat(sizes), features, counts
 
 
 class _Columns(NamedTuple):
     """Training samples as a compressed sparse column store.
 
     Feature ``f``'s nonzero counts sit at ``indptr[f]:indptr[f + 1]`` of
-    ``rows`` (sample indices, ascending) and ``counts`` (the narrowest unsigned
-    dtype that holds the largest count); ``y`` is each sample's class index.
+    ``counts`` (ascending, in the narrowest unsigned dtype that holds the
+    largest count) and ``rows`` (their sample indices, ascending among equal
+    counts); ``y`` is each sample's class index.
     """
 
     classes: tuple[LanguageCode, ...]
@@ -320,145 +329,135 @@ def _column_store(
     nnz = features.size
     if n_features is None:
         n_features = int(features.max()) + 1 if nnz else 0
-    bad = np.flatnonzero((features < 0) | (features >= n_features))
+    bad = ((features < 0) | (features >= n_features)).nonzero()[0]
     if bad.size:
         at = bad[0]
         raise ValueError(f"sample {rows[at]}: feature index {features[at]} out of range")
-    bad = np.flatnonzero(counts < 0)
+    bad = (counts < 0).nonzero()[0]
     if bad.size:
         at = bad[0]
         raise ValueError(
             f"sample {rows[at]}: feature {features[at]} has negative count {counts[at]}"
         )
-    order = np.argsort(features, kind="stable")
+    if not counts.all():  # an explicit 0 is no nonzero
+        kept = counts > 0
+        rows, features, counts = rows[kept], features[kept], counts[kept]
+    dtype = np.min_scalar_type(int(counts.max()) if counts.size else 0)
+    order = np.lexsort((counts, features))
     indptr = np.zeros(n_features + 1, dtype=np.int64)
-    np.cumsum(np.bincount(features, minlength=n_features), out=indptr[1:])
-    dtype = np.min_scalar_type(int(counts.max()) if nnz else 0)
+    np.bincount(features, minlength=n_features).cumsum(out=indptr[1:])
+    # narrowed last: with glibc's malloc, freeing the wide counts earlier put
+    # the store's arrays in the heap, which kept the 2 MiB they free at the
+    # end of a fit (a fresh train-langid's peak RSS rose 2.3 MiB)
     return _Columns(classes, y, indptr, rows[order], counts[order].astype(dtype))
 
 
-def _node_histogram(
-    columns: _Columns, idx: np.ndarray, cand: np.ndarray, totals: np.ndarray
-) -> Optional[np.ndarray]:
-    """The node's (m, vmax + 1, k) class histogram over candidate columns.
+def _batches(costs: list[int], limit: int) -> Iterator[slice]:
+    """Consecutive runs of ``costs`` that sum to at most ``limit``; an item
+    that costs more on its own is a run of one."""
+    start, total = 0, 0
+    for i, cost in enumerate(costs):
+        if i > start and total + cost > limit:
+            yield slice(start, i)
+            start, total = i, 0
+        total += cost
+    if costs:
+        yield slice(start, len(costs))
 
-    ``hist[j, v, c]`` counts the node's samples ``idx`` (bootstrap repeats
-    included) of class ``c`` that read ``v`` in column ``cand[j]``.  Only the
-    candidates' nonzeros are read, each weighted by its row's multiplicity in
-    ``idx``; the zero bucket is the node's class ``totals`` minus the nonzero
-    buckets.  None when every candidate value at the node is 0.
+
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal ``keys`` (1-D arrays of one length) starts."""
+    opens = np.empty(keys[0].size, dtype=bool)
+    opens[0] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=opens[1:])
+    for key in keys[1:]:
+        opens[1:] |= key[1:] != key[:-1]
+    return opens
+
+
+def _best_splits(
+    columns: _Columns,
+    samples: Sequence[np.ndarray],
+    candidates: np.ndarray,
+    totals: np.ndarray,
+) -> list[Optional[tuple[int, float]]]:
+    """Every node's exhaustive split search, in one batch.
+
+    Node ``i`` holds the samples ``samples[i]`` (bootstrap repeats included)
+    of class counts ``totals[i]`` and may split on the columns in row ``i``
+    of ``candidates``, ascending.  Thresholds are midpoints between
+    consecutive distinct observed values; a node's result is (position in its
+    candidates, threshold) minimizing weighted child Gini, ties broken by
+    first column then lowest threshold, or None when nothing beats the parent.
+
+    The search has one row per distinct nonzero value that a (node,
+    candidate) pair reads, in (node, candidate, value) order: the threshold
+    just under that value, whose right side is that value's samples and the
+    pair's higher ones.  A value that no sample reads, or a pair with no
+    nonzero, bounds no threshold, so it gets no row.  Class counts are exact
+    int64 throughout.
     """
     y, indptr = columns.y, columns.indptr
+    n_nodes, k = totals.shape
+    n_samples = y.size
+    n = totals.sum(axis=1)
+    m = candidates.shape[1]
+    pair_node = np.arange(n_nodes).repeat(m)
+    cand = candidates.ravel()
     starts = indptr[cand]
     lengths = indptr[cand + 1] - starts
-    ends = np.cumsum(lengths)
-    # store position of every candidate nonzero, column after column
-    pos = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-    col = np.repeat(np.arange(cand.size), lengths)
-    rows = columns.rows[pos]
-    weight = np.bincount(idx, minlength=y.size)[rows]
-    keep = np.flatnonzero(weight)
+    ends = lengths.cumsum()
+    # store position of every nonzero of every pair's column, pair after pair;
+    # a column's nonzeros ascend by value, so each pair's do too
+    pos = (starts - ends + lengths).repeat(lengths)
+    pos += np.arange(pos.size)
+    # each nonzero's (node, sample) cell of the nodes' sample multiplicities
+    owner = (np.arange(n_nodes) * n_samples).repeat([s.size for s in samples])
+    multiplicity = np.bincount(owner + np.concatenate(samples), minlength=n_nodes * n_samples)
+    cell = (pair_node * n_samples).repeat(lengths)
+    cell += columns.rows[pos]
+    weight = multiplicity[cell]
+    keep = weight.nonzero()[0]
+    found: list[Optional[tuple[int, float]]] = [None] * n_nodes
     if keep.size == 0:
-        return None
-    rows, weight, col = rows[keep], weight[keep], col[keep]
-    values = columns.counts[pos[keep]].astype(np.int64)
-    stride = int(values.max()) + 1
-    k = totals.size
-    flat = (col * stride + values) * k + y[rows]
-    hist = np.bincount(flat, weights=weight, minlength=cand.size * stride * k)
-    hist = hist.astype(np.int64).reshape(cand.size, stride, k)
-    hist[:, 0] += totals - hist.sum(axis=1)
-    return hist
+        return found
+    pair = ends.searchsorted(keep, side="right")
+    pos = pos[keep]
+    value = columns.counts[pos]
 
+    # one row per distinct (pair, value): first the class counts of the
+    # value's samples, then those of the right side of the threshold under
+    # the value: its own samples and those of the pair's later rows
+    opens = _runs(pair, value)
+    first = opens.nonzero()[0]
+    right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
+                        weights=weight[keep], minlength=first.size * k)
+    right = right.astype(np.int64).reshape(first.size, k)
+    pair, value = pair[first], value[first]
+    cum = right.cumsum(axis=0)
+    right += cum[pair.searchsorted(pair, side="right") - 1] - cum
+    node = pair_node[pair]
+    left = totals[node] - right
+    n_left = left.sum(axis=1)
+    n_right = right.sum(axis=1)
+    q = ((left * left).sum(axis=1) / np.maximum(n_left, 1)
+         + (right * right).sum(axis=1) / n_right)
+    q[n_left == 0] = -np.inf  # the pair's lowest value is the node's lowest
 
-def _best_split_hist(hist: np.ndarray, totals: np.ndarray, n: int):
-    """Exhaustive split search over an (m, stride, k) class histogram.
-
-    ``hist[j, v, c]`` counts the node's samples of class ``c`` whose value in
-    candidate column ``j`` is ``v``; ``totals`` are the node's class counts and
-    ``n`` its sample count.  Thresholds are midpoints between consecutive
-    distinct observed values; returns (column, threshold) minimizing weighted
-    child Gini, ties broken by first column then lowest threshold, or None
-    when nothing beats the parent.
-    """
-    stride = hist.shape[1]
-    cum = hist.cumsum(axis=1)
-    n_left = cum.sum(axis=2)
-    sum_l2 = (cum * cum).sum(axis=2)
-    rem = totals[None, None, :] - cum
-    sum_r2 = (rem * rem).sum(axis=2)
-    n_right = n - n_left
-
-    observed = hist.sum(axis=2) > 0
-    valid = observed & (n_right > 0)
-    q = sum_l2 / np.maximum(n_left, 1) + sum_r2 / np.maximum(n_right, 1)
-    q = np.where(valid, q, -np.inf)
-
+    node_opens = _runs(node)
+    node_first = node_opens.nonzero()[0]
+    present = node[node_first]
+    q_best = np.maximum.reduceat(q, node_first)
     eps = _SPLIT_EPS * n
-    parent_q = float((totals * totals).sum()) / n
-    q_best = float(q.max())
-    if not q_best > parent_q + eps:
-        return None
-
-    pos = int(np.argmax(q >= q_best - eps))  # first hit: lowest column, lowest value
-    col, v = divmod(pos, stride)
-    observed_values = np.nonzero(observed[col])[0]
-    nxt = int(observed_values[observed_values > v][0])
-    return col, (v + nxt) / 2.0
-
-
-def _grow_tree(
-    columns: _Columns,
-    n_classes: int,
-    rng: np.random.Generator,
-    params: ForestParams,
-    m_features: int,
-) -> DecisionTree:
-    y, indptr = columns.y, columns.indptr
-    n_samples, n_features = y.size, indptr.size - 1
-    boot = rng.integers(0, n_samples, size=n_samples)
-
-    # One [feature, threshold, left, right, value] row per node, in preorder.
-    # The stack pops a split's left child right after the split, so the split
-    # records left = pos + 1 and only a right child writes its position back.
-    # RNG draws happen in node-processing order, keeping the stream
-    # independent of recursion depth.
-    nodes: list[list] = []
-    stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, -1)]
-    while stack:
-        idx, depth, right_of = stack.pop()
-        pos = len(nodes)
-        if right_of >= 0:
-            nodes[right_of][3] = pos
-
-        totals = np.bincount(y[idx], minlength=n_classes)
-        pure = int(totals.max()) == idx.size
-        at_depth_limit = params.max_depth is not None and depth >= params.max_depth
-        found = None
-        if not (pure or at_depth_limit or idx.size < params.min_samples_split or m_features == 0):
-            if m_features < n_features:
-                cand = np.sort(
-                    rng.choice(n_features, size=m_features, replace=False, shuffle=False)
-                )
-            else:
-                cand = np.arange(n_features)
-            hist = _node_histogram(columns, idx, cand, totals)
-            found = None if hist is None else _best_split_hist(hist, totals, idx.size)
-
-        if found is None:
-            nodes.append([-1, 0.0, -1, -1, int(np.argmax(totals))])
-            continue
-
-        f, thr = int(cand[found[0]]), found[1]
-        nonzero = slice(indptr[f], indptr[f + 1])
-        column = np.zeros(n_samples, dtype=columns.counts.dtype)
-        column[columns.rows[nonzero]] = columns.counts[nonzero]
-        go_left = column[idx] <= thr
-        nodes.append([f, thr, pos + 1, -1, -1])
-        stack.append((idx[~go_left], depth + 1, pos))
-        stack.append((idx[go_left], depth + 1, -1))
-
-    return DecisionTree(*zip(*nodes))
+    parent_q = (totals * totals).sum(axis=1) / n
+    # first hit: lowest column, lowest threshold; q_best's row is always one
+    hit = q >= (q_best - eps[present])[node_opens.cumsum() - 1]
+    first_hit = np.minimum.reduceat(np.where(hit, np.arange(q.size), q.size), node_first)
+    better = (q_best > (parent_q + eps)[present]).nonzero()[0]
+    for i, row in zip(present[better].tolist(), first_hit[better].tolist()):
+        below = int(value[row - 1]) if row and pair[row - 1] == pair[row] else 0
+        found[i] = int(pair[row]) - i * m, (below + int(value[row])) / 2.0
+    return found
 
 
 def fit_forest(
@@ -470,14 +469,22 @@ def fit_forest(
 
     Each tree gets a generator seeded by SplitMix64 of (seed, tree index);
     bootstrap rows and per-node candidate features come from that generator,
-    so the fit is deterministic and trees are independent of scheduling.
-    ``n_features`` (the vectorizer vocabulary size) bounds the feature
-    sampling range; it defaults to the highest observed index + 1.
+    in the tree's preorder, so the fit is deterministic and trees are
+    independent of scheduling.  ``n_features`` (the vectorizer vocabulary
+    size) bounds the feature sampling range; it defaults to the highest
+    observed index + 1.
+
+    All trees grow in lockstep: each step takes the next node of every
+    unfinished tree, and one :func:`_best_splits` call searches the step's
+    nodes whose candidates hold at most ``SEARCH_NONZEROS`` column nonzeros
+    together (a node with more is searched alone).
     """
     if not samples:
         raise ValueError("fit_forest needs at least one sample")
     columns = _column_store(samples, n_features)
-    n_features = columns.indptr.size - 1
+    y, indptr = columns.y, columns.indptr
+    n_samples, n_features = y.size, indptr.size - 1
+    k = len(columns.classes)
 
     if params.features_per_split is not None:
         m_features = min(params.features_per_split, n_features)
@@ -486,11 +493,66 @@ def fit_forest(
         if m_features * m_features < n_features:
             m_features += 1
 
-    trees = []
-    for t in range(params.num_trees):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(params.seed, t)))
-        trees.append(_grow_tree(columns, len(columns.classes), rng, params, m_features))
-    return ForestModel(params=params, classes=columns.classes, trees=tuple(trees))
+    rngs = [np.random.Generator(np.random.PCG64(derive_seed(params.seed, t)))
+            for t in range(params.num_trees)]
+    column_nonzeros = np.diff(indptr)
+    # Per tree, its (feature, threshold, left, right, value) node lists, in
+    # preorder.  The stack pops a split's left child right after the split,
+    # so the split records left = pos + 1 and only a right child writes its
+    # position back.  Every tree's pending nodes are held at once, so their
+    # sample indices are int32.
+    nodes = [tuple([] for _ in range(5)) for _ in rngs]
+    stacks = [[(rng.integers(0, n_samples, size=n_samples).astype(np.int32), 0, -1)]
+              for rng in rngs]
+    growing = list(range(params.num_trees))
+    while growing:
+        step = [(t, *stacks[t].pop()) for t in growing]
+        sizes = np.array([idx.size for _, idx, _, _ in step])
+        totals = np.array([np.bincount(y[idx], minlength=k) for _, idx, _, _ in step])
+        done = (totals.max(axis=1) == sizes) | (sizes < params.min_samples_split)
+        if params.max_depth is not None:
+            done |= np.array([depth for _, _, depth, _ in step]) >= params.max_depth
+        searched = np.flatnonzero(~done) if m_features else np.arange(0)
+        if m_features < n_features:
+            cand = np.array([rngs[step[i][0]].choice(n_features, size=m_features,
+                                                     replace=False, shuffle=False)
+                             for i in searched.tolist()], dtype=np.int64)
+            cand = np.sort(cand.reshape(-1, m_features), axis=1)
+        else:
+            cand = np.tile(np.arange(n_features), (searched.size, 1))
+        found: dict[int, tuple[int, float]] = {}
+        for batch in _batches(column_nonzeros[cand].sum(axis=1).tolist(), SEARCH_NONZEROS):
+            at = searched[batch].tolist()
+            splits = _best_splits(columns, [step[i][1] for i in at], cand[batch], totals[at])
+            for i, features, split in zip(at, cand[batch], splits):
+                if split is not None:
+                    found[i] = int(features[split[0]]), split[1]
+
+        majority = totals.argmax(axis=1).tolist()
+        for i, (t, idx, depth, right_of) in enumerate(step):
+            fields = nodes[t]
+            pos = len(fields[0])
+            if right_of >= 0:
+                fields[3][right_of] = pos
+            if i in found:
+                f, thr = found[i]
+                # a column's nonzeros ascend by value: those above thr are a suffix
+                lo, hi = indptr[f], indptr[f + 1]
+                cut = lo + np.searchsorted(columns.counts[lo:hi], thr, side="right")
+                go_right = np.zeros(n_samples, dtype=bool)
+                go_right[columns.rows[cut:hi]] = True
+                go_right = go_right[idx]
+                stacks[t].append((idx[go_right], depth + 1, pos))
+                stacks[t].append((idx[~go_right], depth + 1, -1))
+                row = (f, thr, pos + 1, -1, -1)
+            else:
+                row = (-1, 0.0, -1, -1, majority[i])
+            for field, x in zip(fields, row):
+                field.append(x)
+        growing = [t for t in growing if stacks[t]]
+
+    trees = tuple(DecisionTree(*map(tuple, fields)) for fields in nodes)
+    return ForestModel(params=params, classes=columns.classes, trees=trees)
 
 
 def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> list[Prediction]:

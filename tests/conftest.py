@@ -19,7 +19,8 @@ from tla.corpus import (
 from tla.langid import (
     DecisionTree,
     ForestModel,
-    _best_split_hist,
+    _Columns,
+    _best_splits,
     _column_store,
     derive_seed,
 )
@@ -129,28 +130,28 @@ def dense_histogram(values, y, n_classes):
 def best_split(samples, candidate_features):
     """Best (feature, threshold) over the candidates, or None if no split helps.
 
-    Builds the candidates' class histogram from sparse samples (feature ->
-    count dicts with a class index each) and runs the forest's split kernel,
-    ``tla.langid._best_split_hist``, on it.  Absent sparse entries count as
-    0.  Ties break toward the lowest feature index, then the lowest threshold.
+    Builds the candidates' column store from sparse samples (feature ->
+    count dicts with a class index each): each column's nonzero counts
+    ascending, as ``_column_store`` orders them.  Then runs the forest's
+    split search, ``tla.langid._best_splits``, on a batch of one node holding
+    every sample once.  Absent sparse entries count as 0.  Ties break toward
+    the lowest feature index, then the lowest threshold.
     """
     if not samples:
         raise ValueError("best_split needs at least one sample")
     candidates = sorted(set(int(f) for f in candidate_features))
     if not candidates:
         return None
-    column_of = {f: j for j, f in enumerate(candidates)}
-    values = np.zeros((len(samples), len(candidates)), dtype=np.int64)
-    y = np.empty(len(samples), dtype=np.int64)
-    for i, (vec, cls) in enumerate(samples):
-        y[i] = cls
-        for f, count in vec.items():
-            j = column_of.get(f)
-            if j is not None:
-                values[i, j] = count
+    entries = sorted((j, vec[f], i) for j, f in enumerate(candidates)
+                     for i, (vec, _) in enumerate(samples) if vec.get(f))
+    column, counts, rows = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    y = np.array([cls for _, cls in samples], dtype=np.int64)
     k = int(y.max()) + 1
-    hist = dense_histogram(values, y, k)
-    result = _best_split_hist(hist, np.bincount(y, minlength=k), len(samples))
+    indptr = column.searchsorted(np.arange(len(candidates) + 1))
+    columns = _Columns(tuple(range(k)), y, indptr, rows, counts)
+    [result] = _best_splits(columns, [np.arange(len(samples))],
+                            np.arange(len(candidates))[None, :],
+                            np.bincount(y, minlength=k)[None, :])
     if result is None:
         return None
     col, threshold = result

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tla import langid
 from tla.corpus import LanguageCode
 from tla.langid import (
     CHUNK_ROWS,
@@ -263,44 +264,107 @@ class TestFitForest:
         (8, ForestParams(num_trees=2, features_per_split=3, seed=18), 9, 0),
     ])
     def test_matches_dense_reference_grower(self, seed, params, n_features, max_count):
-        # Random class-skewed sparse vectors over 30 features (max_count 0
-        # gives all-empty vectors); every tree must equal, node for node, the
-        # one the dense reference grows from the same generator.
-        rng = random.Random(seed)
-        langs = list(LanguageCode)[:4]
-        samples = []
-        for i in range(rng.randint(40, 80)):
-            c = i % len(langs)
-            vec = {}
-            if max_count:
-                for f in range(30):
-                    if rng.random() < (0.5 if f % len(langs) == c else 0.15):
-                        vec[f] = rng.randint(1, max_count)
-            samples.append((vec, langs[c]))
-        expected = reference_fit_forest(samples, params, n_features)
-        model = fit_forest(samples, params, n_features)
-        assert model == expected
-        # preorder growth puts every split's left child right after it
-        for tree in model.trees:
-            for i, f in enumerate(tree.feature):
-                children = (tree.left[i], tree.right[i])
-                assert children[0] == i + 1 if f >= 0 else children == (-1, -1)
+        # Every tree must equal, node for node, the one the dense reference
+        # grows from the same generator.
+        samples = _skewed_samples(seed, max_count)
+        _assert_matches_reference(samples, params, n_features)
 
-    def test_fit_memory_stays_bounded(self):
+    @pytest.mark.parametrize("seed, params, max_count", [
+        (9, ForestParams(num_trees=16, seed=19), 300),
+        (10, ForestParams(num_trees=16, features_per_split=12, seed=20), 300),
+        (11, ForestParams(num_trees=16, min_samples_split=6, seed=21), 2),
+    ])
+    def test_lockstep_matches_dense_reference_grower(self, seed, params, max_count):
+        # Trees that finish many steps apart, each step's nodes searched in
+        # one call across trees whose columns read different values, and
+        # explicit 0 counts, which must read like absent entries.
+        samples = _skewed_samples(seed, max_count, explicit_zeros=True)
+        assert any(count == 0 for vec, _ in samples for count in vec.values())
+        model = _assert_matches_reference(samples, params, None)
+        sizes = sorted(len(tree.feature) for tree in model.trees)
+        assert sizes[-1] - sizes[0] >= 10, sizes  # steps in which only some trees grow
+
+    def test_search_budget_does_not_change_the_model(self, monkeypatch):
+        # One node per search call gives the trees of the default budget.
+        samples = _skewed_samples(12, 300, explicit_zeros=True)
+        params = ForestParams(num_trees=8, seed=22)
+        expected = fit_forest(samples, params)
+        monkeypatch.setattr(langid, "SEARCH_NONZEROS", 1)
+        assert fit_forest(samples, params) == expected
+
+    @pytest.mark.parametrize("num_trees", [3, 50])
+    def test_fit_memory_stays_bounded(self, num_trees):
         # A dense n x V int32 count matrix alone would take 77.5 MiB here
         # (3,200 texts, vocabulary 6,351); the sparse column store keeps the
-        # fit's peak allocation well below it.
+        # fit's peak allocation well below it, also with every tree's nodes
+        # in flight at once.
         normalized = [(normalize_for_langid(text), lang)
                       for text, lang in synthetic_corpus(200, seed=42)]
         v = fit_vectorizer(normalized)
         samples = [(vectorize(v, text), lang) for text, lang in normalized]
         tracemalloc.start()
         try:
-            fit_forest(samples, ForestParams(num_trees=3, seed=42), n_features=v.size)
+            fit_forest(samples, ForestParams(num_trees=num_trees, seed=42), n_features=v.size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20, f"fit_forest peak {peak / 2**20:.1f} MiB"
+
+    def test_wide_counts_match_dense_reference_grower(self):
+        samples = _wide_count_samples(10_000)
+        _assert_matches_reference(samples, ForestParams(num_trees=5, seed=23), None)
+
+    def test_fit_memory_does_not_grow_with_the_largest_count(self):
+        # The fit's memory must not follow the largest count: a histogram
+        # with a value axis that wide would take about 200 MiB here.
+        samples = _wide_count_samples(1_000_000)
+        tracemalloc.start()
+        try:
+            model = fit_forest(samples, ForestParams(num_trees=5, seed=23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"fit_forest peak {peak / 2**20:.2f} MiB"
+        assert max(max(tree.threshold) for tree in model.trees) > 100_000
+
+
+def _skewed_samples(seed, max_count, explicit_zeros=False):
+    """40-80 random class-skewed sparse vectors over 30 features and 4
+    classes (max_count 0 gives all-empty vectors).  With ``explicit_zeros``,
+    a vector also holds a 0 for each of its class's features it does not
+    count."""
+    rng = random.Random(seed)
+    langs = list(LanguageCode)[:4]
+    samples = []
+    for i in range(rng.randint(40, 80)):
+        c = i % len(langs)
+        vec = {}
+        if max_count:
+            for f in range(30):
+                if rng.random() < (0.5 if f % len(langs) == c else 0.15):
+                    vec[f] = rng.randint(1, max_count)
+                elif explicit_zeros and f % len(langs) == c:
+                    vec[f] = 0
+        samples.append((vec, langs[c]))
+    return samples
+
+
+def _wide_count_samples(max_count):
+    """12 samples over 2 features and 2 classes; feature 0's counts spread
+    evenly from 0 to ``max_count``."""
+    return [({0: i * max_count // 11, 1: 7 * i % 5}, (EN, ES)[i % 3 == 0]) for i in range(12)]
+
+
+def _assert_matches_reference(samples, params, n_features):
+    expected = reference_fit_forest(samples, params, n_features)
+    model = fit_forest(samples, params, n_features)
+    assert model == expected
+    # preorder growth puts every split's left child right after it
+    for tree in model.trees:
+        for i, f in enumerate(tree.feature):
+            children = (tree.left[i], tree.right[i])
+            assert children[0] == i + 1 if f >= 0 else children == (-1, -1)
+    return model
 
 
 class TestPredictLanguage:
