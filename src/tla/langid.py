@@ -18,9 +18,10 @@ largest count.
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its trees into one set of node arrays (leaves point to themselves), checked
 there once, with split features renumbered to the columns the forest splits on.
-Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense int32
-block over those columns only; every (row, tree) pair then descends one level
-per step, and pairs that reached a leaf drop out.  The vote is a per-row
+Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense block over
+those columns only, in the narrowest integer dtype that holds every
+threshold's floor; every (row, tree) pair then descends one level per step,
+and every few steps the pairs at a leaf drop out.  The vote is a per-row
 bincount of leaf classes.  The flat arrays are not fields: they are never
 serialized, so a model file holds only the per-tree arrays.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from collections import Counter
 from itertools import chain, islice
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from .corpus import LANGUAGE_ORDER, LanguageCode
 from .errors import TlaError
 from .preprocess import clean_text
 
-FeatureVector = dict  # sparse map: feature index -> positive count
+FeatureVector = dict  # feature index -> positive count (vectorize's is a Counter)
 Prediction = tuple[Optional[LanguageCode], float]  # (language, share of the trees' votes)
 
 MODEL_MAGIC = b"TLAM"
@@ -56,6 +58,9 @@ CHUNK_ROWS = 256
 SEARCH_NONZEROS = 1 << 15
 
 _MASK64 = (1 << 64) - 1
+# Levels the vote descends between two drops of the pairs at a leaf; 8 made
+# it about a quarter faster than a drop at every level.
+_DESCENT_STEPS = 8
 # Relative slack for float score comparisons in split search; far below any
 # impurity gap realizable at small sample counts, so exact ties and the
 # documented tie-breaking are preserved.
@@ -99,9 +104,12 @@ def extract_char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     grams: list[str] = []
-    for n in range(n_min, min(n_max, len(text)) + 1):
-        for i in range(len(text) - n + 1):
-            grams.append(text[i : i + n])
+    shorter = text
+    for n in range(1, min(n_max, len(text)) + 1):
+        if n > 1:  # each n-gram is the (n-1)-gram at its start plus one character
+            shorter = list(map(operator.add, shorter, text[n - 1:]))
+        if n >= n_min:
+            grams += shorter
     return grams
 
 
@@ -158,12 +166,9 @@ def fit_vectorizer(
 
 def vectorize(vectorizer: NgramVectorizer, text: str) -> FeatureVector:
     """Count in-vocabulary n-grams; out-of-vocabulary n-grams drop silently."""
-    vocab = vectorizer.vocabulary
-    counts: FeatureVector = {}
-    for gram in extract_char_ngrams(text, vectorizer.n_min, vectorizer.n_max):
-        idx = vocab.get(gram)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
+    grams = extract_char_ngrams(text, vectorizer.n_min, vectorizer.n_max)
+    counts = Counter(map(vectorizer.vocabulary.get, grams))
+    del counts[None]  # a Counter ignores a missing key
     return counts
 
 
@@ -229,14 +234,15 @@ class _FlatForest(NamedTuple):
     """All trees' nodes in one set of arrays; tree ``t`` starts at ``roots[t]``.
 
     ``columns`` holds the vocabulary indices the forest splits on, ascending:
-    the columns of the dense block.  ``feature`` is a node's column, -1 at a
-    leaf; ``children[2 * i]`` and ``children[2 * i + 1]`` are node ``i``'s
-    left and right child, and a leaf's both point to itself.
+    the columns of the dense block.  Node ``i``'s id is ``2 * i``: its column
+    (-1 at a leaf), threshold floor and leaf class are at ``2 * i`` and
+    ``2 * i + 1`` of ``feature``, ``floor`` and ``value``, and its left and
+    right child's ids at those of ``children`` (a leaf's both are its own).
     """
 
     columns: np.ndarray
     feature: np.ndarray
-    threshold: np.ndarray
+    floor: np.ndarray
     children: np.ndarray
     value: np.ndarray
     roots: np.ndarray
@@ -248,6 +254,11 @@ def _flatten(trees: Sequence[DecisionTree], n_classes: int) -> _FlatForest:
     Each tree's arrays must be nonempty and equally long, every split's
     children must lie after it in its own tree, so that every descent ends
     at a leaf, and every leaf's class must be below ``n_classes``.
+
+    A count exceeds a threshold exactly when it exceeds its floor.  The
+    floors, clipped to the int64 range (to ``2**63 - 1024``, its last float),
+    take the narrowest dtype holding ``[min(0, lowest), max(0, highest) + 1]``,
+    so a count clipped to that dtype keeps each comparison (below the clip).
     """
     lengths = [[len(getattr(t, f.name)) for t in trees] for f in dataclasses.fields(DecisionTree)]
     sizes = lengths[0]
@@ -276,14 +287,18 @@ def _flatten(trees: Sequence[DecisionTree], n_classes: int) -> _FlatForest:
     # bincount would allocate up to a split feature that nothing bounds yet
     split_features = np.sort(feature[~leaf])
     columns = split_features[np.diff(split_features, prepend=-1) != 0]
+    floor = np.floor(concat("threshold", np.float64)).clip(-2.0**63, 2.0**63 - 1024)
+    lo, hi = min(0, int(floor.min())), max(0, int(floor.max())) + 1
+    dtype = next(t for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64)
+                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     return _FlatForest(
         columns=columns,
-        feature=np.where(leaf, -1, np.searchsorted(columns, feature)),
-        threshold=concat("threshold", np.float64),
-        children=np.stack([np.where(leaf, node, left + shift),
-                           np.where(leaf, node, right + shift)], axis=1).ravel(),
-        value=value,
-        roots=roots,
+        feature=np.where(leaf, -1, np.searchsorted(columns, feature)).repeat(2),
+        floor=floor.astype(dtype).repeat(2),
+        children=2 * np.stack([np.where(leaf, node, left + shift),
+                               np.where(leaf, node, right + shift)], axis=1).ravel(),
+        value=value.repeat(2),
+        roots=2 * roots,
     )
 
 
@@ -560,26 +575,27 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
     as its confidence; an empty vector is no evidence: ``(None, 0.0)``.
 
     Missing sparse entries read as 0; ties go to the lowest class index.
-    Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense int32
-    block of its counts of the features the forest splits on.
+    Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense block
+    of its counts of the features the forest splits on, in the dtype of the
+    thresholds' floors (see :func:`_flatten`): uint8 while all are below 255.
     """
     flat = model._flat
     n_trees, n_classes = flat.roots.size, len(model.classes)
-    n_columns = flat.columns.size
-    # a vocabulary index's column, or -1, which the last entry holds for
-    # every index above the highest split feature
-    column_of = np.full(int(flat.columns[-1]) + 2 if n_columns else 1, -1)
-    column_of[flat.columns] = np.arange(n_columns)
-    limits = np.iinfo(np.int32)  # holds every threshold a fit can produce
+    # a vocabulary index's column; the block's last column takes the counts
+    # no split reads, as does column_of's last entry any index past the highest
+    n_columns = flat.columns.size + 1
+    column_of = np.full(int(flat.columns[-1]) + 2 if n_columns > 1 else 1, n_columns - 1)
+    column_of[flat.columns] = np.arange(n_columns - 1)
+    limits = np.iinfo(flat.floor.dtype)
     predictions = []
     for start in range(0, len(vectors), CHUNK_ROWS):
         chunk = vectors[start:start + CHUNK_ROWS]
         n = len(chunk)
         rows, features, counts = _entries(chunk)
-        col = column_of[np.clip(features, -1, column_of.size - 1)]
-        hit = col >= 0
-        block = np.zeros((n, n_columns), dtype=np.int32)
-        block[rows[hit], col[hit]] = np.clip(counts[hit], limits.min, limits.max)
+        cells = rows * n_columns
+        cells += column_of[features.clip(-1, column_of.size - 1)]
+        block = np.zeros((n, n_columns), dtype=flat.floor.dtype)
+        block.ravel()[cells] = counts.clip(limits.min, limits.max)  # ravel: a view
         owner = np.repeat(np.arange(n) * n_classes, n_trees)
         votes = np.bincount(owner + _leaf_classes(flat, block).ravel(),
                             minlength=n * n_classes).reshape(n, n_classes)
@@ -595,21 +611,23 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
 def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
     """The (rows, trees) leaf class of every row of ``block`` in every tree.
 
-    All (row, tree) pairs descend one level per step; a pair leaves the
-    active set when it reaches a leaf.
+    All active (row, tree) pairs descend one level per step; every
+    ``_DESCENT_STEPS`` steps, those at a leaf drop out.  Until then they
+    step in place, as a leaf is its own child (its column -1 reads any cell).
     """
     n_trees = flat.roots.size
     n_rows, n_columns = block.shape
     cells = block.ravel()
-    row_start = np.repeat(np.arange(n_rows) * n_columns, n_trees)
     node = np.tile(flat.roots, n_rows)
     active = np.flatnonzero(flat.feature[node] >= 0)
+    row_start = active // n_trees * n_columns
     while active.size:
         at = node[active]
-        go_right = cells[row_start[active] + flat.feature[at]] > flat.threshold[at]
-        at = flat.children[2 * at + go_right]
+        for _ in range(_DESCENT_STEPS):
+            at = flat.children[at + (cells[row_start + flat.feature[at]] > flat.floor[at])]
         node[active] = at
-        active = active[flat.feature[at] >= 0]
+        live = flat.feature[at] >= 0
+        active, row_start = active[live], row_start[live]
     return flat.value[node].reshape(n_rows, n_trees)
 
 

@@ -118,6 +118,30 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+# Per-substring references for the vectorizer.  ``extract_char_ngrams`` and
+# ``vectorize`` must equal them on every text, in order.
+
+def reference_extract_char_ngrams(text, n_min, n_max):
+    """Every substring of each length in [n_min, n_max], sliced one at a
+    time: left to right per length, lengths ascending."""
+    grams = []
+    for n in range(n_min, min(n_max, len(text)) + 1):
+        for i in range(len(text) - n + 1):
+            grams.append(text[i : i + n])
+    return grams
+
+
+def reference_vectorize(vectorizer, text):
+    """Each in-vocabulary n-gram's index and count, keyed in the order the
+    n-grams first occur."""
+    counts = {}
+    for gram in reference_extract_char_ngrams(text, vectorizer.n_min, vectorizer.n_max):
+        idx = vectorizer.vocabulary.get(gram)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
 def dense_histogram(values, y, n_classes):
     """The (m, vmax + 1, k) class histogram of a dense (n, m) count block."""
     m = values.shape[1]

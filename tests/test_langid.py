@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tla import langid
 from tla.corpus import LanguageCode
 from tla.langid import (
     CHUNK_ROWS,
+    DecisionTree,
     EmptyVocabularyError,
+    ForestModel,
     ForestParams,
     ModelFormatError,
     NgramVectorizer,
@@ -33,8 +36,10 @@ from conftest import (
     exhaustive_best_split,
     fit_nb,
     predict_nb,
+    reference_extract_char_ngrams,
     reference_fit_forest,
     reference_predict,
+    reference_vectorize,
 )
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
@@ -69,6 +74,34 @@ class TestExtractCharNgrams:
             grams = extract_char_ngrams(text, n_min, n_max)
             expected = sum(max(0, len(text) - n + 1) for n in range(n_min, n_max + 1))
             assert len(grams) == expected
+
+
+#: Letters, astral characters (one code point each, two UTF-16 units),
+#: combining marks and whitespace, which are n-gram characters like any other.
+NGRAM_ALPHABET = "ab\u00e9\U0001D538\U0001F600\U00020000\u0301\u0308 \t\n\u00a0\u3000"
+
+
+@given(text=st.text(NGRAM_ALPHABET, max_size=12), other=st.text(NGRAM_ALPHABET, max_size=12),
+       lengths=st.lists(st.integers(1, 5), min_size=2, max_size=2).map(sorted))
+@example(text="", other="ab", lengths=[1, 5])
+@example(text="a\U0001F600", other="", lengths=[3, 5])  # shorter than n_min
+@example(text="e\u0301\u3000", other="e\u0301", lengths=[2, 4])  # shorter than n_max
+def test_ngrams_and_counts_match_the_slicing_reference(text, other, lengths):
+    n_min, n_max = lengths
+    grams = reference_extract_char_ngrams(text, n_min, n_max)
+    other_grams = reference_extract_char_ngrams(other, n_min, n_max)
+    assert extract_char_ngrams(text, n_min, n_max) == grams
+    if grams or other_grams:
+        fitted = fit_vectorizer([(text, EN), (other, ES)], n_min, n_max, min_doc_freq=1)
+        assert list(fitted.vocabulary) == sorted(set(grams + other_grams))
+    # a vocabulary holding every other n-gram of the text, and those of another
+    vocab = sorted(set(grams[::2] + other_grams))
+    v = NgramVectorizer(n_min, n_max, 1, {gram: i for i, gram in enumerate(vocab)})
+    counts = vectorize(v, text)
+    expected = reference_vectorize(v, text)
+    assert counts == expected
+    assert list(counts.items()) == list(expected.items())  # same key order too
+    assert isinstance(counts, dict)
 
 
 class TestFitVectorizer:
@@ -520,6 +553,109 @@ class TestBatchedVote:
         assert "_flat" in vars(fresh)  # the flat arrays are held on the model
         save_model(fresh, v, after)
         assert after.getvalue() == before.getvalue()
+
+
+#: Thresholds at and around each block dtype's limits, and two a fit
+#: cannot produce but a model file may hold.
+EDGE_THRESHOLDS = (-1e300, -2.5, 0.0, 0.5, 254.5, 255.5, 65535.5, 2**31 + 0.5, 2.5e9, 1e300)
+EDGE_COUNTS = (1, 255, 256, 65536, 2**31, 2**40)
+
+
+def _random_tree(rng, thresholds, n_features, n_classes, depth):
+    """A preorder tree of splits on random features and thresholds."""
+    fields = ([], [], [], [], [])
+    feature, threshold, left, right, value = fields
+
+    def grow(d):
+        pos = len(feature)
+        leaf = d == 0 or rng.random() < 0.2
+        row = ((-1, 0.0, -1, -1, rng.randrange(n_classes)) if leaf else
+               (rng.randrange(n_features), rng.choice(thresholds), -1, -1, -1))
+        for field, x in zip(fields, row):
+            field.append(x)
+        if not leaf:
+            left[pos] = grow(d - 1)
+            right[pos] = grow(d - 1)
+        return pos
+
+    grow(depth)
+    return DecisionTree(*map(tuple, fields))
+
+
+class TestIntegerVote:
+    """The vote compares counts with threshold floors in the narrowest dtype
+    that holds them, and must still equal the per-tree walk."""
+
+    @pytest.mark.parametrize("thresholds, dtype", [
+        ((0.0, 0.5, 254.5), np.uint8),
+        ((-2.5, 0.5), np.int8),
+        ((0.5, 255.5), np.uint16),
+        ((-2.5, 255.5), np.int16),
+        ((65535.5, 2**31 + 0.5, 2.5e9), np.uint32),
+        ((-2.5, 65535.5), np.int32),
+        ((-2.5, 2**31 + 0.5), np.int64),
+        ((0.5, 1e300), np.int64),
+        ((-1e300, 0.5), np.int64),
+        (EDGE_THRESHOLDS, np.int64),
+    ])
+    def test_every_block_dtype_votes_as_the_walk(self, thresholds, dtype):
+        rng = random.Random(repr(thresholds))
+        classes = (EN, ES, LanguageCode.FR)
+        trees = tuple(_random_tree(rng, thresholds, 6, len(classes), 5) for _ in range(9))
+        model = ForestModel(ForestParams(num_trees=9), classes, trees)
+        vectors = [{}]
+        for _ in range(400):  # features 6 and 7 are split on by no tree
+            features = rng.sample(range(8), rng.randint(1, 6))
+            vectors.append({f: rng.choice(EDGE_COUNTS) for f in features})
+        assert predict_language(model, vectors) == [reference_predict(model, x) for x in vectors]
+        assert model._flat.floor.dtype == dtype
+
+    def test_counts_past_int32_vote_as_the_walk(self):
+        # Thresholds of about 2.5e9: a block clipped to int32 sent a count
+        # of 4e9 left of them.
+        samples = [({0: 5 * 10**9}, EN), ({0: 1}, ES), ({0: 5 * 10**9}, EN), ({0: 2}, ES)]
+        model = fit_forest(samples, ForestParams(num_trees=5, seed=1), n_features=1)
+        x = {0: 4_000_000_000}
+        assert reference_predict(model, x) == (EN, 1.0)
+        assert predict_language(model, [x]) == [(EN, 1.0)]
+
+    def test_one_chunk_of_the_benchmark_model_votes_in_bounded_memory(self):
+        # Every threshold of the benchmark's model is below 255, so a chunk
+        # votes on a uint8 block: 823 kB here, where an int32 one took 3.3 MB
+        # and the chunk's traced peak 4.90 MB.
+        identifier = train_identifier(synthetic_corpus(200, seed=42),
+                                      ForestParams(num_trees=50, seed=42))
+        texts = [normalize_for_langid(text) for text, _ in synthetic_corpus(16, seed=7)]
+        vectors = [vectorize(identifier.vectorizer, text) for text in texts]
+        assert len(vectors) == CHUNK_ROWS
+        model = identifier.model
+        expected = predict_language(model, vectors)  # flattens the forest
+        tracemalloc.start()
+        try:
+            assert predict_language(model, vectors) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model._flat.floor.dtype == np.uint8
+        assert peak < 3 * 2**20, f"one chunk's vote peaked at {peak / 2**20:.2f} MiB"
+
+    def test_model_file_with_huge_thresholds(self, trained):
+        model, v = trained
+        sink = io.BytesIO()
+        save_model(model, v, sink)
+        payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
+        splits = [(t, i) for t, tree in enumerate(payload["trees"])
+                  for i, f in enumerate(tree["feature"]) if f >= 0]
+        for (t, i), edge in zip(splits, (1e300, -1e300, 1e300)):
+            payload["trees"][t]["threshold"][i] = edge
+        data = sink.getvalue()[:5] + json.dumps(payload).encode("utf-8")
+        edited, _ = load_model(io.BytesIO(data))
+        assert edited.trees != model.trees
+        rng = random.Random(31)
+        vectors = [{f: rng.choice(EDGE_COUNTS) for f in range(v.size) if rng.random() < 0.4}
+                   for _ in range(300)]
+        assert predict_language(edited, vectors) == [reference_predict(edited, x) for x in vectors]
+        assert edited._flat.floor.dtype == np.int64
 
 
 class TestNaiveBayes:
