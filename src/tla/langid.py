@@ -148,13 +148,11 @@ def fit_vectorizer(
     min_doc_freq: int = 2,
 ) -> NgramVectorizer:
     """Build the vocabulary from n-grams with document frequency >= min_doc_freq."""
-    doc_freq: Counter = Counter()
-    n_docs = 0
-    for text, _ in corpus:
-        n_docs += 1
-        doc_freq.update(set(extract_char_ngrams(text, n_min, n_max)))
-    if n_docs == 0:
+    if not corpus:
         raise ValueError("cannot fit a vectorizer on an empty corpus")
+    doc_freq: Counter = Counter()
+    for text, _ in corpus:
+        doc_freq.update(set(extract_char_ngrams(text, n_min, n_max)))
     kept = sorted(g for g, df in doc_freq.items() if df >= min_doc_freq)
     if not kept:
         raise EmptyVocabularyError(
@@ -401,9 +399,9 @@ def _best_splits(
     Node ``i`` holds the samples ``samples[i]`` (bootstrap repeats included)
     of class counts ``totals[i]`` and may split on the columns in row ``i``
     of ``candidates``, ascending.  Thresholds are midpoints between
-    consecutive distinct observed values; a node's result is (position in its
-    candidates, threshold) minimizing weighted child Gini, ties broken by
-    first column then lowest threshold, or None when nothing beats the parent.
+    consecutive distinct observed values; a node's result is (feature,
+    threshold) minimizing weighted child Gini, ties broken by lowest feature
+    then lowest threshold, or None when nothing beats the parent.
 
     The search has one row per distinct nonzero value that a (node,
     candidate) pair reads, in (node, candidate, value) order: the threshold
@@ -416,8 +414,7 @@ def _best_splits(
     n_nodes, k = totals.shape
     n_samples = y.size
     n = totals.sum(axis=1)
-    m = candidates.shape[1]
-    pair_node = np.arange(n_nodes).repeat(m)
+    pair_node = np.arange(n_nodes).repeat(candidates.shape[1])
     cand = candidates.ravel()
     starts = indptr[cand]
     lengths = indptr[cand + 1] - starts
@@ -471,7 +468,7 @@ def _best_splits(
     better = (q_best > (parent_q + eps)[present]).nonzero()[0]
     for i, row in zip(present[better].tolist(), first_hit[better].tolist()):
         below = int(value[row - 1]) if row and pair[row - 1] == pair[row] else 0
-        found[i] = int(pair[row]) - i * m, (below + int(value[row])) / 2.0
+        found[i] = int(cand[pair[row]]), (below + int(value[row])) / 2.0
     return found
 
 
@@ -528,20 +525,16 @@ def fit_forest(
         if params.max_depth is not None:
             done |= np.array([depth for _, _, depth, _ in step]) >= params.max_depth
         searched = np.flatnonzero(~done) if m_features else np.arange(0)
-        if m_features < n_features:
-            cand = np.array([rngs[step[i][0]].choice(n_features, size=m_features,
-                                                     replace=False, shuffle=False)
-                             for i in searched.tolist()], dtype=np.int64)
-            cand = np.sort(cand.reshape(-1, m_features), axis=1)
-        else:
-            cand = np.tile(np.arange(n_features), (searched.size, 1))
-        found: dict[int, tuple[int, float]] = {}
+        cand = np.array([rngs[step[i][0]].choice(n_features, size=m_features,
+                                                 replace=False, shuffle=False)
+                         for i in searched.tolist()], dtype=np.int64)
+        cand = np.sort(cand.reshape(searched.size, m_features), axis=1)
+        splits: list[Optional[tuple[int, float]]] = [None] * len(step)
         for batch in _batches(column_nonzeros[cand].sum(axis=1).tolist(), SEARCH_NONZEROS):
             at = searched[batch].tolist()
-            splits = _best_splits(columns, [step[i][1] for i in at], cand[batch], totals[at])
-            for i, features, split in zip(at, cand[batch], splits):
-                if split is not None:
-                    found[i] = int(features[split[0]]), split[1]
+            found = _best_splits(columns, [step[i][1] for i in at], cand[batch], totals[at])
+            for i, split in zip(at, found):
+                splits[i] = split
 
         majority = totals.argmax(axis=1).tolist()
         for i, (t, idx, depth, right_of) in enumerate(step):
@@ -549,8 +542,8 @@ def fit_forest(
             pos = len(fields[0])
             if right_of >= 0:
                 fields[3][right_of] = pos
-            if i in found:
-                f, thr = found[i]
+            if splits[i] is not None:
+                f, thr = splits[i]
                 # a column's nonzeros ascend by value: those above thr are a suffix
                 lo, hi = indptr[f], indptr[f + 1]
                 cut = lo + np.searchsorted(columns.counts[lo:hi], thr, side="right")

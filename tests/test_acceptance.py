@@ -38,7 +38,7 @@ from tla.synth import synthetic_corpus, synthetic_split
 
 from conftest import (
     SCRIPT_LETTERS,
-    best_split,
+    best_splits,
     exhaustive_best_split,
     fit_nb,
     predict_nb,
@@ -248,18 +248,16 @@ def test_criterion_5_langid(default_training):
 
 
 def test_criterion_6_forest_micro_oracle():
-    with criterion("6 best_split vs exhaustive micro-oracle (20736 instances)"):
+    with criterion("6 best_splits vs exhaustive micro-oracle (20736 instances)"):
         start = time.perf_counter()
-        f0_patterns = itertools.product((0, 1, 2), repeat=4)
+        instances = [[({0: a, 1: b}, c) for a, b, c in zip(f0, f1, y)]
+                     for f0 in itertools.product((0, 1, 2), repeat=4)
+                     for f1 in itertools.product((0, 2), repeat=4)
+                     for y in itertools.product((0, 1), repeat=4)]
         checked = 0
-        for f0 in f0_patterns:
-            for f1 in itertools.product((0, 2), repeat=4):
-                for y in itertools.product((0, 1), repeat=4):
-                    samples = [({0: a, 1: b}, c) for a, b, c in zip(f0, f1, y)]
-                    assert best_split(samples, [0, 1]) == exhaustive_best_split(
-                        samples, [0, 1]
-                    ), f"mismatch on f0={f0} f1={f1} y={y}"
-                    checked += 1
+        for samples, found in zip(instances, best_splits(instances, [0, 1]), strict=True):
+            assert found == exhaustive_best_split(samples, [0, 1]), f"mismatch on {samples}"
+            checked += 1
         assert checked == 3**4 * 2**4 * 2**4
         assert time.perf_counter() - start < 10.0
 
