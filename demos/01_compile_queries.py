@@ -6,14 +6,14 @@ first two drop out when disabled, lang is always present.
 
 from tla import LanguageCode, QuerySpec, compile_query
 
-print("Default spec per language (9000 likes, engagement required, cap 500):")
+print("Default spec per language (9000 likes, engagement required):")
 for lang in (LanguageCode.EN, LanguageCode.HI, LanguageCode.JA, LanguageCode.UR):
     spec = QuerySpec(language=lang)
     print(f"  {lang.display_name:12s} -> {compile_query(spec)}")
 
 print()
 print("Lowering the threshold for a low-volume language:")
-relaxed = QuerySpec(language=LanguageCode.UR, min_faves=500, max_results=100)
+relaxed = QuerySpec(language=LanguageCode.UR, min_faves=500)
 print(f"  {compile_query(relaxed)}")
 
 print()

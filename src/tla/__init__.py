@@ -16,7 +16,7 @@ from .corpus import (
     write_dataset_csv,
 )
 from .errors import TlaError
-from .ingest import QuerySpec, compile_query, filter_trending, read_jsonl
+from .ingest import QuerySpec, compile_query, read_jsonl
 from .preprocess import StopwordTable, clean_text, preprocess_tweet, remove_stopwords, tokenize
 from .sentiment import Lexicon, label_sentiment, load_bundled_lexicon, load_lexicon, score_tokens
 from .analyze import (

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterator, Union
 
 from .corpus import (
     MAX_TWEET_LENGTH,
@@ -19,20 +19,17 @@ from .errors import LineError, decoded, where
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """Trending-filter parameters: language, like threshold, engagement, cap."""
+    """Search-query parameters: language, like threshold, engagement."""
 
     language: LanguageCode
     min_faves: int = 9000
     has_engagement: bool = True
-    max_results: int = 500
 
     def __post_init__(self):
         if not isinstance(self.language, LanguageCode):
             raise ValueError(f"language must be a LanguageCode, got {self.language!r}")
         if self.min_faves < 0:
             raise ValueError(f"min_faves must be >= 0, got {self.min_faves}")
-        if self.max_results < 1:
-            raise ValueError(f"max_results must be >= 1, got {self.max_results}")
 
 
 def compile_query(spec: QuerySpec) -> str:
@@ -96,20 +93,3 @@ def read_jsonl(
                           TweetLengthWarning)
         yield line_num, tweet
 
-
-def filter_trending(tweets: Iterable[RawTweet], spec: QuerySpec) -> list[RawTweet]:
-    """Apply the trending rule offline: like threshold, engagement, result cap.
-
-    ``has_engagement`` is interpreted as "has at least one reply".  Input order
-    is preserved; iteration stops once ``max_results`` tweets qualify.
-    """
-    kept: list[RawTweet] = []
-    for tweet in tweets:
-        if tweet.like_count < spec.min_faves:
-            continue
-        if spec.has_engagement and (tweet.reply_count is None or tweet.reply_count < 1):
-            continue
-        kept.append(tweet)
-        if len(kept) >= spec.max_results:
-            break
-    return kept

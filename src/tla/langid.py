@@ -8,11 +8,15 @@ strong language discriminators).
 Training is a pure function of (sample order, parameters): bootstrap rows and
 candidate features come from a per-tree generator in the tree's preorder, so
 repeated fits serialize byte-identically.  The samples are held once as a
-sparse column store (no n x V matrix), each column's nonzeros ascending by
-count.  All trees grow in lockstep, one node of each per step, and a step's
-nodes are searched in batches of at most ``SEARCH_NONZEROS`` gathered
-nonzeros.  The search keeps one row per count a node's samples actually read
-in a candidate column, so its cost and memory follow the nonzeros, not the
+sparse store (no n x V matrix), by column, each column's nonzeros ascending
+by count, and by row, each row's nonzeros pointing at their places in the
+columns.  A node holds its distinct samples and their bootstrap
+multiplicities.  All trees grow in lockstep, one node of each per step.  A
+searched node reads whichever holds fewer nonzeros, its candidates' whole
+columns or its samples' whole rows, and a step's nodes are searched in
+batches of one path and at most ``SEARCH_NONZEROS`` gathered nonzeros.  The
+search keeps one row per count a node's samples actually read in a
+candidate column, so its cost and memory follow the nonzeros, not the
 largest count.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
@@ -33,7 +37,7 @@ import json
 import math
 import operator
 from collections import Counter
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -52,10 +56,17 @@ MODEL_VERSION = 1
 
 #: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
 CHUNK_ROWS = 256
-#: Column nonzeros that one batched split search gathers at most, unless a
-#: single node's candidates hold more.  Its temporaries scale with it: twice
-#: as many cost a fresh ``train-langid`` about 1.2 MiB more peak RSS.
+#: Nonzeros that one batched split search gathers at most, along its nodes'
+#: candidate columns or along their samples' rows, unless a single node
+#: gathers more.  A batch's temporaries are a few arrays of that many
+#: entries, plus one table of its nodes by samples (columns) or by features
+#: (rows); twice as many cost a fresh ``train-langid`` about 0.6 MiB more
+#: peak RSS.
 SEARCH_NONZEROS = 1 << 15
+
+#: About what one more split-search call costs, in gathered nonzeros: a
+#: call's fixed cost is some 150-200 us, a gathered nonzero's 15-25 ns.
+_CALL_NONZEROS = 1 << 13
 
 _MASK64 = (1 << 64) - 1
 # Levels the vote descends between two drops of the pairs at a leaf; 8 made
@@ -311,12 +322,16 @@ def _entries(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, 
 
 
 class _Columns(NamedTuple):
-    """Training samples as a compressed sparse column store.
+    """Training samples as a compressed sparse store, by column and by row.
 
     Feature ``f``'s nonzero counts sit at ``indptr[f]:indptr[f + 1]`` of
     ``counts`` (ascending, in the narrowest unsigned dtype that holds the
     largest count) and ``rows`` (their sample indices, ascending among equal
-    counts); ``y`` is each sample's class index.
+    counts); ``y`` is each sample's class index.  The row view holds the
+    same nonzeros sample by sample: sample ``s``'s at ``row_indptr[s]:
+    row_indptr[s + 1]`` of ``row_features`` (their features) and ``row_pos``
+    (their positions in ``counts`` and ``rows``).  Sample indices, features
+    and positions each take the narrowest unsigned dtype that holds them.
     """
 
     classes: tuple[LanguageCode, ...]
@@ -324,13 +339,16 @@ class _Columns(NamedTuple):
     indptr: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
+    row_indptr: np.ndarray
+    row_features: np.ndarray
+    row_pos: np.ndarray
 
 
 def _column_store(
     samples: Sequence[tuple[FeatureVector, LanguageCode]],
     n_features: Optional[int],
 ) -> _Columns:
-    """The sorted class list and the samples' sparse column store.
+    """The sorted class list and the samples' sparse store.
 
     ``n_features`` defaults to the highest observed feature index + 1; an
     index outside 0..n_features-1 or a negative count is a ValueError.
@@ -355,14 +373,24 @@ def _column_store(
     if not counts.all():  # an explicit 0 is no nonzero
         kept = counts > 0
         rows, features, counts = rows[kept], features[kept], counts[kept]
-    dtype = np.min_scalar_type(int(counts.max()) if counts.size else 0)
+        nnz = counts.size
+    dtype = np.min_scalar_type(int(counts.max()) if nnz else 0)
+    # the row view and the sorted rows are allocated before any wide
+    # temporary is freed: with glibc's malloc they are then mapped apart from
+    # the heap and go back to the system when the fit ends (made later, they
+    # stayed in the heap, and a fresh train-langid's peak RSS rose 1.3 MiB)
+    row_features = features.astype(np.min_scalar_type(n_features))
+    row_pos = np.empty(nnz, dtype=np.min_scalar_type(nnz))
+    sorted_rows = np.empty(nnz, dtype=np.min_scalar_type(len(samples)))
     order = np.lexsort((counts, features))
+    sorted_rows[:] = rows[order]
+    row_pos[order] = np.arange(nnz, dtype=row_pos.dtype)
     indptr = np.zeros(n_features + 1, dtype=np.int64)
     np.bincount(features, minlength=n_features).cumsum(out=indptr[1:])
-    # narrowed last: with glibc's malloc, freeing the wide counts earlier put
-    # the store's arrays in the heap, which kept the 2 MiB they free at the
-    # end of a fit (a fresh train-langid's peak RSS rose 2.3 MiB)
-    return _Columns(classes, y, indptr, rows[order], counts[order].astype(dtype))
+    row_indptr = np.zeros(len(samples) + 1, dtype=np.int64)
+    np.bincount(rows, minlength=len(samples)).cumsum(out=row_indptr[1:])
+    return _Columns(classes, y, indptr, sorted_rows, counts[order].astype(dtype),
+                    row_indptr, row_features, row_pos)
 
 
 def _batches(costs: list[int], limit: int) -> Iterator[slice]:
@@ -388,53 +416,98 @@ def _runs(*keys: np.ndarray) -> np.ndarray:
     return opens
 
 
+def _spans(indptr: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions in spans ``at`` of ``indptr``, span after span, with
+    each span's length and where it ends among them."""
+    starts = indptr[at]
+    lengths = indptr[at + 1] - starts
+    ends = lengths.cumsum()
+    pos = (starts - ends + lengths).repeat(lengths)
+    pos += np.arange(pos.size)
+    return pos, lengths, ends
+
+
+def _reads_rows(column_cost: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
+    """Which of a step's nodes to search along their samples' rows: those
+    whose rows hold fewer nonzeros than their candidates' columns, unless
+    one path for all of them gathers at most ``_CALL_NONZEROS`` more."""
+    by_rows = row_cost < column_cost
+    least = np.minimum(column_cost, row_cost).sum() + _CALL_NONZEROS
+    if column_cost.sum() <= least:
+        return np.zeros_like(by_rows)
+    return np.ones_like(by_rows) if row_cost.sum() <= least else by_rows
+
+
 def _best_splits(
     columns: _Columns,
-    samples: Sequence[np.ndarray],
+    held: Sequence[np.ndarray],
     candidates: np.ndarray,
     totals: np.ndarray,
+    by_rows: bool,
 ) -> list[Optional[tuple[int, float]]]:
     """Every node's exhaustive split search, in one batch.
 
-    Node ``i`` holds the samples ``samples[i]`` (bootstrap repeats included)
-    of class counts ``totals[i]`` and may split on the columns in row ``i``
-    of ``candidates``, ascending.  Thresholds are midpoints between
+    Node ``i`` holds the distinct samples ``held[i][0]``, ascending, each
+    ``held[i][1]`` times (its bootstrap multiplicities), of class counts
+    ``totals[i]``, and may split on the columns in row ``i`` of
+    ``candidates``, ascending.  Thresholds are midpoints between
     consecutive distinct observed values; a node's result is (feature,
     threshold) minimizing weighted child Gini, ties broken by lowest feature
     then lowest threshold, or None when nothing beats the parent.
 
-    The search has one row per distinct nonzero value that a (node,
-    candidate) pair reads, in (node, candidate, value) order: the threshold
-    just under that value, whose right side is that value's samples and the
-    pair's higher ones.  A value that no sample reads, or a pair with no
-    nonzero, bounds no threshold, so it gets no row.  Class counts are exact
-    int64 throughout.
+    The search reads the store one of two ways, with the same result: the
+    whole columns of each node's candidates, kept where the sample is the
+    node's, or (``by_rows``) the whole rows of each node's samples, kept
+    where the feature is one of its candidates.  Either way it has one row
+    per distinct nonzero value that a (node, candidate) pair reads, in
+    (node, candidate, value) order: the threshold just under that value,
+    whose right side is that value's samples and the pair's higher ones.  A
+    value that no sample reads, or a pair with no nonzero, bounds no
+    threshold, so it gets no row.  Class counts are exact int64 throughout.
     """
-    y, indptr = columns.y, columns.indptr
+    y = columns.y
     n_nodes, k = totals.shape
-    n_samples = y.size
+    n_features, m = columns.indptr.size - 1, candidates.shape[1]
     n = totals.sum(axis=1)
-    pair_node = np.arange(n_nodes).repeat(candidates.shape[1])
+    sample, multiplicity = np.concatenate(held, axis=1)
+    owner = np.arange(n_nodes).repeat([h.shape[1] for h in held])
     cand = candidates.ravel()
-    starts = indptr[cand]
-    lengths = indptr[cand + 1] - starts
-    ends = lengths.cumsum()
-    # store position of every nonzero of every pair's column, pair after pair;
-    # a column's nonzeros ascend by value, so each pair's do too
-    pos = (starts - ends + lengths).repeat(lengths)
-    pos += np.arange(pos.size)
-    # each nonzero's (node, sample) cell of the nodes' sample multiplicities
-    owner = (np.arange(n_nodes) * n_samples).repeat([s.size for s in samples])
-    multiplicity = np.bincount(owner + np.concatenate(samples), minlength=n_nodes * n_samples)
-    cell = (pair_node * n_samples).repeat(lengths)
-    cell += columns.rows[pos]
-    weight = multiplicity[cell]
-    keep = weight.nonzero()[0]
     found: list[Optional[tuple[int, float]]] = [None] * n_nodes
-    if keep.size == 0:
-        return found
-    pair = ends.searchsorted(keep, side="right")
-    pos = pos[keep]
+    if by_rows:
+        # every nonzero of every node's samples' rows, sample after sample,
+        # kept where its feature is one of the node's candidates: its slot
+        # among them, plus 1, in a (node, feature) table that is 0 elsewhere
+        at, lengths, ends = _spans(columns.row_indptr, sample)
+        slot = np.zeros(n_nodes * n_features, dtype=np.min_scalar_type(m))
+        slot[(np.arange(n_nodes) * n_features)[:, None] + candidates] = np.arange(1, m + 1)
+        cell = (owner * n_features).repeat(lengths)
+        cell += columns.row_features[at]
+        hit = slot[cell]
+        keep = (hit != 0).nonzero()[0]  # a bool array's nonzero() is about 5x faster
+        if keep.size == 0:
+            return found
+        sample_at = ends.searchsorted(keep, side="right")
+        pair = owner[sample_at] * m + hit[keep] - 1
+        pos, weight = columns.row_pos[at[keep]], multiplicity[sample_at]
+        # a column's nonzeros ascend by value, so (pair, position) order is
+        # (node, candidate, value) order
+        order = np.argsort(pair * columns.rows.size + pos)
+        pair, pos, weight = pair[order], pos[order], weight[order]
+    else:
+        # every nonzero of every pair's column, pair after pair, kept where
+        # its sample is the node's; a column's nonzeros ascend by value, so
+        # each pair's do too
+        pos, lengths, ends = _spans(columns.indptr, cand)
+        n_samples = y.size
+        table = np.zeros(n_nodes * n_samples, dtype=multiplicity.dtype)
+        table[owner * n_samples + sample] = multiplicity
+        cell = (np.arange(n_nodes) * n_samples).repeat(m).repeat(lengths)
+        cell += columns.rows[pos]
+        weight = table[cell]
+        keep = (weight != 0).nonzero()[0]
+        if keep.size == 0:
+            return found
+        pair, pos, weight = ends.searchsorted(keep, side="right"), pos[keep], weight[keep]
     value = columns.counts[pos]
 
     # one row per distinct (pair, value): first the class counts of the
@@ -443,12 +516,12 @@ def _best_splits(
     opens = _runs(pair, value)
     first = opens.nonzero()[0]
     right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
-                        weights=weight[keep], minlength=first.size * k)
+                        weights=weight, minlength=first.size * k)
     right = right.astype(np.int64).reshape(first.size, k)
     pair, value = pair[first], value[first]
     cum = right.cumsum(axis=0)
     right += cum[pair.searchsorted(pair, side="right") - 1] - cum
-    node = pair_node[pair]
+    node = pair // m
     left = totals[node] - right
     n_left = left.sum(axis=1)
     n_right = right.sum(axis=1)
@@ -487,9 +560,11 @@ def fit_forest(
     observed index + 1.
 
     All trees grow in lockstep: each step takes the next node of every
-    unfinished tree, and one :func:`_best_splits` call searches the step's
-    nodes whose candidates hold at most ``SEARCH_NONZEROS`` column nonzeros
-    together (a node with more is searched alone).
+    unfinished tree.  A node is searched along whichever holds fewer
+    nonzeros, its candidates' columns or its distinct samples' rows (see
+    :func:`_reads_rows`), and one :func:`_best_splits` call searches the
+    step's nodes of one path that gather at most ``SEARCH_NONZEROS``
+    nonzeros together (a node that gathers more is searched alone).
     """
     if not samples:
         raise ValueError("fit_forest needs at least one sample")
@@ -508,20 +583,29 @@ def fit_forest(
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(params.seed, t)))
             for t in range(params.num_trees)]
     column_nonzeros = np.diff(indptr)
+    row_nonzeros = np.diff(columns.row_indptr)
     # Per tree, its (feature, threshold, left, right, value) node lists, in
     # preorder.  The stack pops a split's left child right after the split,
     # so the split records left = pos + 1 and only a right child writes its
-    # position back.  Every tree's pending nodes are held at once, so their
-    # sample indices are int32.
+    # position back.  A pending node holds its distinct samples and their
+    # bootstrap multiplicities as the two rows of one array, in the store's
+    # sample dtype, which holds a multiplicity too.
     nodes = [tuple([] for _ in range(5)) for _ in rngs]
-    stacks = [[(rng.integers(0, n_samples, size=n_samples).astype(np.int32), 0, -1)]
-              for rng in rngs]
+    stacks = []
+    for rng in rngs:
+        drawn = np.bincount(rng.integers(0, n_samples, size=n_samples), minlength=n_samples)
+        held = drawn.nonzero()[0]
+        stacks.append([(np.stack([held, drawn[held]]).astype(columns.rows.dtype), 0, -1)])
     growing = list(range(params.num_trees))
     while growing:
         step = [(t, *stacks[t].pop()) for t in growing]
-        sizes = np.array([idx.size for _, idx, _, _ in step])
-        totals = np.array([np.bincount(y[idx], minlength=k) for _, idx, _, _ in step])
-        done = (totals.max(axis=1) == sizes) | (sizes < params.min_samples_split)
+        sizes = [held.shape[1] for _, held, _, _ in step]
+        sample, multiplicity = np.concatenate([held for _, held, _, _ in step], axis=1)
+        owner = np.arange(len(step)).repeat(sizes)
+        totals = np.bincount(owner * k + y[sample], multiplicity, len(step) * k)
+        totals = totals.astype(np.int64).reshape(len(step), k)
+        n_held = totals.sum(axis=1)
+        done = (totals.max(axis=1) == n_held) | (n_held < params.min_samples_split)
         if params.max_depth is not None:
             done |= np.array([depth for _, _, depth, _ in step]) >= params.max_depth
         searched = np.flatnonzero(~done) if m_features else np.arange(0)
@@ -529,30 +613,44 @@ def fit_forest(
                                                  replace=False, shuffle=False)
                          for i in searched.tolist()], dtype=np.int64)
         cand = np.sort(cand.reshape(searched.size, m_features), axis=1)
+        column_cost = row_cost = column_nonzeros[cand].sum(axis=1)
+        by_rows = np.zeros(searched.size, dtype=bool)
+        if column_cost.sum() > _CALL_NONZEROS:  # else _reads_rows reads columns for all
+            row_cost = np.bincount(owner, row_nonzeros[sample], len(step))[searched]
+            by_rows = _reads_rows(column_cost, row_cost)
         splits: list[Optional[tuple[int, float]]] = [None] * len(step)
-        for batch in _batches(column_nonzeros[cand].sum(axis=1).tolist(), SEARCH_NONZEROS):
-            at = searched[batch].tolist()
-            found = _best_splits(columns, [step[i][1] for i in at], cand[batch], totals[at])
-            for i, split in zip(at, found):
-                splits[i] = split
+        for path, cost in ((False, column_cost), (True, row_cost)):
+            chosen = (by_rows == path).nonzero()[0]
+            for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS):
+                at = searched[chosen[batch]].tolist()
+                found = _best_splits(columns, [step[i][1] for i in at], cand[chosen[batch]],
+                                     totals[at], path)
+                for i, split in zip(at, found):
+                    splits[i] = split
+
+        # each node's samples' counts of its split feature, from the whole
+        # column, against its threshold (+inf where the node does not split)
+        split_at = [i for i, split in enumerate(splits) if split is not None]
+        threshold = np.array([split[1] if split else np.inf for split in splits])
+        entries, lengths, _ = _spans(indptr, np.array([splits[i][0] for i in split_at],
+                                                      dtype=np.int64))
+        count = np.zeros(len(step) * n_samples, dtype=columns.counts.dtype)
+        count[(np.array(split_at, dtype=np.int64) * n_samples).repeat(lengths)
+              + columns.rows[entries]] = columns.counts[entries]
+        go_right = count[owner * n_samples + sample] > threshold[owner]
+        ends = list(accumulate(sizes))
 
         majority = totals.argmax(axis=1).tolist()
-        for i, (t, idx, depth, right_of) in enumerate(step):
+        for i, (t, held, depth, right_of) in enumerate(step):
             fields = nodes[t]
             pos = len(fields[0])
             if right_of >= 0:
                 fields[3][right_of] = pos
             if splits[i] is not None:
-                f, thr = splits[i]
-                # a column's nonzeros ascend by value: those above thr are a suffix
-                lo, hi = indptr[f], indptr[f + 1]
-                cut = lo + np.searchsorted(columns.counts[lo:hi], thr, side="right")
-                go_right = np.zeros(n_samples, dtype=bool)
-                go_right[columns.rows[cut:hi]] = True
-                go_right = go_right[idx]
-                stacks[t].append((idx[go_right], depth + 1, pos))
-                stacks[t].append((idx[~go_right], depth + 1, -1))
-                row = (f, thr, pos + 1, -1, -1)
+                right = go_right[ends[i] - sizes[i]:ends[i]]
+                stacks[t].append((held.compress(right, axis=1), depth + 1, pos))
+                stacks[t].append((held.compress(~right, axis=1), depth + 1, -1))
+                row = (*splits[i], pos + 1, -1, -1)
             else:
                 row = (-1, 0.0, -1, -1, majority[i])
             for field, x in zip(fields, row):

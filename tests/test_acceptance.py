@@ -135,11 +135,11 @@ def test_criterion_2_truncation_not_rounding():
 def test_criterion_3_query_compiler():
     with criterion("3 query compiler (examples + 1000-spec grammar)"):
         start = time.perf_counter()
-        assert compile_query(QuerySpec(LanguageCode.EN, 9000, True, 500)) == (
+        assert compile_query(QuerySpec(LanguageCode.EN, 9000, True)) == (
             "min_faves:9000 filter:has_engagement lang:en"
         )
-        assert compile_query(QuerySpec(LanguageCode.HI, 0, False, 500)) == "lang:hi"
-        assert compile_query(QuerySpec(LanguageCode.ZH, 100, True, 10)) == (
+        assert compile_query(QuerySpec(LanguageCode.HI, 0, False)) == "lang:hi"
+        assert compile_query(QuerySpec(LanguageCode.ZH, 100, True)) == (
             "min_faves:100 filter:has_engagement lang:zh"
         )
         grammar = re.compile(r"(min_faves:[0-9]+ )?(filter:has_engagement )?lang:[a-z]{2}")
@@ -150,7 +150,6 @@ def test_criterion_3_query_compiler():
                 language=rng.choice(langs),
                 min_faves=rng.choice([0, 1, 42, 9000, rng.randrange(10**7)]),
                 has_engagement=rng.random() < 0.5,
-                max_results=rng.randint(1, 500),
             )
             assert grammar.fullmatch(compile_query(spec))
         assert time.perf_counter() - start < 1.0

@@ -9,7 +9,6 @@ from tla.errors import LineError
 from tla.ingest import (
     QuerySpec,
     compile_query,
-    filter_trending,
     read_jsonl,
 )
 
@@ -18,23 +17,20 @@ QUERY_GRAMMAR = re.compile(r"(min_faves:[0-9]+ )?(filter:has_engagement )?lang:[
 
 class TestCompileQuery:
     def test_paper_defaults(self):
-        spec = QuerySpec(language=LanguageCode.EN, min_faves=9000,
-                         has_engagement=True, max_results=500)
+        spec = QuerySpec(language=LanguageCode.EN, min_faves=9000, has_engagement=True)
         assert compile_query(spec) == "min_faves:9000 filter:has_engagement lang:en"
 
     def test_all_optional_operators_disabled(self):
-        spec = QuerySpec(language=LanguageCode.HI, min_faves=0,
-                         has_engagement=False, max_results=500)
+        spec = QuerySpec(language=LanguageCode.HI, min_faves=0, has_engagement=False)
         assert compile_query(spec) == "lang:hi"
 
     def test_canonical_order(self):
-        spec = QuerySpec(language=LanguageCode.ZH, min_faves=100,
-                         has_engagement=True, max_results=10)
+        spec = QuerySpec(language=LanguageCode.ZH, min_faves=100, has_engagement=True)
         assert compile_query(spec) == "min_faves:100 filter:has_engagement lang:zh"
 
     def test_defaults_match_spec(self):
         spec = QuerySpec(language=LanguageCode.EN)
-        assert (spec.min_faves, spec.has_engagement, spec.max_results) == (9000, True, 500)
+        assert (spec.min_faves, spec.has_engagement) == (9000, True)
 
     def test_deterministic(self):
         a = QuerySpec(language=LanguageCode.SV, min_faves=7)
@@ -49,13 +45,10 @@ class TestCompileQuery:
                 language=rng.choice(langs),
                 min_faves=rng.choice([0, 1, 9, 9000, rng.randrange(10**6)]),
                 has_engagement=rng.random() < 0.5,
-                max_results=rng.randint(1, 500),
             )
             assert QUERY_GRAMMAR.fullmatch(compile_query(spec))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuerySpec(language=LanguageCode.EN, max_results=0)
         with pytest.raises(ValueError):
             QuerySpec(language=LanguageCode.EN, min_faves=-1)
         with pytest.raises(ValueError):
@@ -214,55 +207,3 @@ class TestReadJsonl:
         pairs = read_jsonl(io.StringIO(data), skip_bad_lines=True)
         assert [(line, tweet.id) for line, tweet in pairs] == [(1, "1"), (4, "3")]
 
-
-def _tweet(tweet_id, likes, replies=1):
-    return RawTweet(id=str(tweet_id), text="t", like_count=likes, reply_count=replies)
-
-
-class TestFilterTrending:
-    def test_threshold(self):
-        tweets = [_tweet(1, 9500), _tweet(2, 100), _tweet(3, 12000)]
-        spec = QuerySpec(language=LanguageCode.EN, min_faves=9000, max_results=500)
-        assert [t.id for t in filter_trending(tweets, spec)] == ["1", "3"]
-
-    def test_cap_semantics(self):
-        tweets = [_tweet(1, 9500), _tweet(2, 9600)]
-        spec = QuerySpec(language=LanguageCode.EN, max_results=1)
-        assert [t.id for t in filter_trending(tweets, spec)] == ["1"]
-
-    def test_empty(self):
-        assert filter_trending([], QuerySpec(language=LanguageCode.EN)) == []
-
-    def test_engagement_requires_a_reply(self):
-        tweets = [_tweet(1, 9500, replies=None), _tweet(2, 9500, replies=0), _tweet(3, 9500, replies=1)]
-        spec = QuerySpec(language=LanguageCode.EN)
-        assert [t.id for t in filter_trending(tweets, spec)] == ["3"]
-
-    def test_engagement_disabled_ignores_replies(self):
-        tweets = [_tweet(1, 9500, replies=None)]
-        spec = QuerySpec(language=LanguageCode.EN, has_engagement=False)
-        assert [t.id for t in filter_trending(tweets, spec)] == ["1"]
-
-    def test_cap_stops_consuming(self):
-        def tweets():
-            yield _tweet(1, 9500)
-            yield _tweet(2, 9500)
-            raise AssertionError("should stop at the cap")
-
-        spec = QuerySpec(language=LanguageCode.EN, max_results=2)
-        assert len(filter_trending(tweets(), spec)) == 2
-
-    def test_subsequence_property(self, rng):
-        tweets = [_tweet(i, rng.randrange(20000), rng.choice([None, 0, 1, 5]))
-                  for i in range(200)]
-        for _ in range(50):
-            spec = QuerySpec(
-                language=LanguageCode.EN,
-                min_faves=rng.randrange(20000),
-                has_engagement=rng.random() < 0.5,
-                max_results=rng.randint(1, 50),
-            )
-            kept = filter_trending(tweets, spec)
-            assert len(kept) <= min(len(tweets), spec.max_results)
-            ids = [int(t.id) for t in kept]
-            assert ids == sorted(ids)  # order preserved -> subsequence

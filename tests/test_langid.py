@@ -222,6 +222,15 @@ def _vectorized(corpus, n_min=1, n_max=2, min_df=1):
     return v, [(vectorize(v, text), lang) for text, lang in corpus]
 
 
+@pytest.fixture(scope="module")
+def benchmark_samples():
+    """The benchmark's training samples, 3,200 texts, and their vocabulary size."""
+    normalized = [(normalize_for_langid(text), lang)
+                  for text, lang in synthetic_corpus(200, seed=42)]
+    v = fit_vectorizer(normalized)
+    return [(vectorize(v, text), lang) for text, lang in normalized], v.size
+
+
 class TestFitForest:
     def test_single_exhaustive_tree_reproduces_its_training_labels(self):
         # An exhaustive CART tree reproduces the labels of the (consistently
@@ -326,22 +335,51 @@ class TestFitForest:
         assert fit_forest(samples, params) == expected
 
     @pytest.mark.parametrize("num_trees", [3, 50])
-    def test_fit_memory_stays_bounded(self, num_trees):
+    def test_fit_memory_stays_bounded(self, benchmark_samples, num_trees):
         # A dense n x V int32 count matrix alone would take 77.5 MiB here
-        # (3,200 texts, vocabulary 6,351); the sparse column store keeps the
-        # fit's peak allocation well below it, also with every tree's nodes
-        # in flight at once.
-        normalized = [(normalize_for_langid(text), lang)
-                      for text, lang in synthetic_corpus(200, seed=42)]
-        v = fit_vectorizer(normalized)
-        samples = [(vectorize(v, text), lang) for text, lang in normalized]
+        # (3,200 texts, vocabulary 6,351); the sparse store keeps the fit's
+        # peak allocation well below it, also with every tree's nodes in
+        # flight at once.
+        samples, n_features = benchmark_samples
         tracemalloc.start()
         try:
-            fit_forest(samples, ForestParams(num_trees=num_trees, seed=42), n_features=v.size)
+            fit_forest(samples, ForestParams(num_trees=num_trees, seed=42), n_features=n_features)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, f"fit_forest peak {peak / 2**20:.1f} MiB"
+        assert peak < 16 * 2**20, f"fit_forest peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("case", ["skewed", "wide"])
+    def test_each_search_path_gives_the_reference_model(self, monkeypatch, case):
+        # A searched node reads its candidates' columns or its samples' rows;
+        # forced to either, the fit must equal the dense reference grower's.
+        # The wide case's counts pass 16 bits.
+        if case == "skewed":
+            samples = _skewed_samples(12, 300, explicit_zeros=True)
+            params = ForestParams(num_trees=8, seed=22)
+        else:
+            samples, params = _wide_count_samples(100_000), ForestParams(num_trees=5, seed=23)
+        expected = reference_fit_forest(samples, params)
+        assert _fit_on_each_path(monkeypatch, samples, params) == [expected] * 3
+
+    def test_each_search_path_gives_one_model_at_the_largest_count(self, monkeypatch):
+        # The dense reference would take about 250 MiB at these counts.
+        default, by_columns, by_rows = _fit_on_each_path(
+            monkeypatch, _wide_count_samples(1_000_000), ForestParams(num_trees=5, seed=23))
+        assert by_columns == default and by_rows == default
+
+    def test_default_fit_searches_along_both_paths(self, monkeypatch, benchmark_samples):
+        samples, n_features = benchmark_samples
+        paths = []
+        search = langid._best_splits
+
+        def spy(*args):
+            paths.append(args[-1])
+            return search(*args)
+
+        monkeypatch.setattr(langid, "_best_splits", spy)
+        fit_forest(samples, ForestParams(num_trees=2, seed=42), n_features=n_features)
+        assert set(paths) == {False, True}
 
     def test_wide_counts_match_dense_reference_grower(self):
         samples = _wide_count_samples(10_000)
@@ -386,6 +424,20 @@ def _wide_count_samples(max_count):
     """12 samples over 2 features and 2 classes; feature 0's counts spread
     evenly from 0 to ``max_count``."""
     return [({0: i * max_count // 11, 1: 7 * i % 5}, (EN, ES)[i % 3 == 0]) for i in range(12)]
+
+
+def _fit_on_each_path(monkeypatch, samples, params):
+    """The default fit's model, then those of fits forced to search every
+    node along its candidates' columns and along its samples' rows."""
+    models = [fit_forest(samples, params)]
+    monkeypatch.setattr(langid, "_CALL_NONZEROS", -1)  # every step asks _reads_rows
+    for by_rows in (False, True):
+        monkeypatch.setattr(langid, "_reads_rows",
+                            lambda column_cost, row_cost, by_rows=by_rows:
+                            np.full(column_cost.shape, by_rows))
+        models.append(fit_forest(samples, params))
+    monkeypatch.undo()
+    return models
 
 
 def _assert_matches_reference(samples, params, n_features):
