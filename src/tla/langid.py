@@ -17,7 +17,8 @@ columns or its samples' whole rows, and a step's nodes are searched in
 batches of one path and at most ``SEARCH_NONZEROS`` gathered nonzeros.  The
 search keeps one row per count a node's samples actually read in a
 candidate column, so its cost and memory follow the nonzeros, not the
-largest count.
+largest count.  It returns each split's right side too, so the fit cuts a
+split node's samples without reading a column a second time.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its trees into one set of node arrays (leaves point to themselves), checked
@@ -37,7 +38,7 @@ import json
 import math
 import operator
 from collections import Counter
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -416,11 +417,10 @@ def _runs(*keys: np.ndarray) -> np.ndarray:
     return opens
 
 
-def _spans(indptr: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions in spans ``at`` of ``indptr``, span after span, with
-    each span's length and where it ends among them."""
-    starts = indptr[at]
-    lengths = indptr[at + 1] - starts
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions ``starts[i]:stops[i]``, span after span, with each
+    span's length and where it ends among them."""
+    lengths = stops - starts
     ends = lengths.cumsum()
     pos = (starts - ends + lengths).repeat(lengths)
     pos += np.arange(pos.size)
@@ -444,7 +444,7 @@ def _best_splits(
     candidates: np.ndarray,
     totals: np.ndarray,
     by_rows: bool,
-) -> list[Optional[tuple[int, float]]]:
+) -> tuple[list[Optional[tuple[int, float]]], np.ndarray, np.ndarray]:
     """Every node's exhaustive split search, in one batch.
 
     Node ``i`` holds the distinct samples ``held[i][0]``, ascending, each
@@ -453,7 +453,9 @@ def _best_splits(
     ``candidates``, ascending.  Thresholds are midpoints between
     consecutive distinct observed values; a node's result is (feature,
     threshold) minimizing weighted child Gini, ties broken by lowest feature
-    then lowest threshold, or None when nothing beats the parent.
+    then lowest threshold, or None when nothing beats the parent.  Next to
+    the results come each split's right side as (node, sample) arrays: the
+    node's samples whose count of its split feature exceeds its threshold.
 
     The search reads the store one of two ways, with the same result: the
     whole columns of each node's candidates, kept where the sample is the
@@ -477,15 +479,13 @@ def _best_splits(
         # every nonzero of every node's samples' rows, sample after sample,
         # kept where its feature is one of the node's candidates: its slot
         # among them, plus 1, in a (node, feature) table that is 0 elsewhere
-        at, lengths, ends = _spans(columns.row_indptr, sample)
+        at, lengths, ends = _spans(columns.row_indptr[sample], columns.row_indptr[sample + 1])
         slot = np.zeros(n_nodes * n_features, dtype=np.min_scalar_type(m))
         slot[(np.arange(n_nodes) * n_features)[:, None] + candidates] = np.arange(1, m + 1)
         cell = (owner * n_features).repeat(lengths)
         cell += columns.row_features[at]
         hit = slot[cell]
         keep = (hit != 0).nonzero()[0]  # a bool array's nonzero() is about 5x faster
-        if keep.size == 0:
-            return found
         sample_at = ends.searchsorted(keep, side="right")
         pair = owner[sample_at] * m + hit[keep] - 1
         pos, weight = columns.row_pos[at[keep]], multiplicity[sample_at]
@@ -497,7 +497,7 @@ def _best_splits(
         # every nonzero of every pair's column, pair after pair, kept where
         # its sample is the node's; a column's nonzeros ascend by value, so
         # each pair's do too
-        pos, lengths, ends = _spans(columns.indptr, cand)
+        pos, lengths, ends = _spans(columns.indptr[cand], columns.indptr[cand + 1])
         n_samples = y.size
         table = np.zeros(n_nodes * n_samples, dtype=multiplicity.dtype)
         table[owner * n_samples + sample] = multiplicity
@@ -505,17 +505,17 @@ def _best_splits(
         cell += columns.rows[pos]
         weight = table[cell]
         keep = (weight != 0).nonzero()[0]
-        if keep.size == 0:
-            return found
         pair, pos, weight = ends.searchsorted(keep, side="right"), pos[keep], weight[keep]
-    value = columns.counts[pos]
+    if pos.size == 0:  # no pair reads a nonzero, so no node splits
+        return found, pair, pair
+    sample, value = columns.rows[pos], columns.counts[pos]
 
     # one row per distinct (pair, value): first the class counts of the
     # value's samples, then those of the right side of the threshold under
     # the value: its own samples and those of the pair's later rows
     opens = _runs(pair, value)
     first = opens.nonzero()[0]
-    right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
+    right = np.bincount((opens.cumsum() - 1) * k + y[sample],
                         weights=weight, minlength=first.size * k)
     right = right.astype(np.int64).reshape(first.size, k)
     pair, value = pair[first], value[first]
@@ -539,10 +539,14 @@ def _best_splits(
     hit = q >= (q_best - eps[present])[node_opens.cumsum() - 1]
     first_hit = np.minimum.reduceat(np.where(hit, np.arange(q.size), q.size), node_first)
     better = (q_best > (parent_q + eps)[present]).nonzero()[0]
-    for i, row in zip(present[better].tolist(), first_hit[better].tolist()):
+    split, rows = present[better], first_hit[better]
+    for i, row in zip(split.tolist(), rows.tolist()):
         below = int(value[row - 1]) if row and pair[row - 1] == pair[row] else 0
         found[i] = int(cand[pair[row]]), (below + int(value[row])) / 2.0
-    return found
+    # a split's right side: the samples of its row and of its pair's later rows
+    stops = np.append(first, sample.size)[pair.searchsorted(pair[rows], side="right")]
+    entries, lengths, _ = _spans(first[rows], stops)
+    return found, split.repeat(lengths), sample[entries]
 
 
 def fit_forest(
@@ -564,7 +568,10 @@ def fit_forest(
     nonzeros, its candidates' columns or its distinct samples' rows (see
     :func:`_reads_rows`), and one :func:`_best_splits` call searches the
     step's nodes of one path that gather at most ``SEARCH_NONZEROS``
-    nonzeros together (a node that gathers more is searched alone).
+    nonzeros together (a node that gathers more is searched alone).  One
+    (nodes x samples) table marks the right sides the search returns and
+    cuts each split node's samples with them; the fit itself reads only the
+    store's ``indptr``s, for the costs.
     """
     if not samples:
         raise ValueError("fit_forest needs at least one sample")
@@ -588,20 +595,20 @@ def fit_forest(
     # preorder.  The stack pops a split's left child right after the split,
     # so the split records left = pos + 1 and only a right child writes its
     # position back.  A pending node holds its distinct samples and their
-    # bootstrap multiplicities as the two rows of one array, in the store's
-    # sample dtype, which holds a multiplicity too.
+    # bootstrap multiplicities as the two rows of one array, in the narrowest
+    # unsigned dtype that holds a sample index, which holds a multiplicity too.
     nodes = [tuple([] for _ in range(5)) for _ in rngs]
     stacks = []
+    dtype = np.min_scalar_type(n_samples)
     for rng in rngs:
         drawn = np.bincount(rng.integers(0, n_samples, size=n_samples), minlength=n_samples)
         held = drawn.nonzero()[0]
-        stacks.append([(np.stack([held, drawn[held]]).astype(columns.rows.dtype), 0, -1)])
+        stacks.append([(np.stack([held, drawn[held]]).astype(dtype), 0, -1)])
     growing = list(range(params.num_trees))
     while growing:
         step = [(t, *stacks[t].pop()) for t in growing]
-        sizes = [held.shape[1] for _, held, _, _ in step]
         sample, multiplicity = np.concatenate([held for _, held, _, _ in step], axis=1)
-        owner = np.arange(len(step)).repeat(sizes)
+        owner = np.arange(len(step)).repeat([held.shape[1] for _, held, _, _ in step])
         totals = np.bincount(owner * k + y[sample], multiplicity, len(step) * k)
         totals = totals.astype(np.int64).reshape(len(step), k)
         n_held = totals.sum(axis=1)
@@ -619,26 +626,16 @@ def fit_forest(
             row_cost = np.bincount(owner, row_nonzeros[sample], len(step))[searched]
             by_rows = _reads_rows(column_cost, row_cost)
         splits: list[Optional[tuple[int, float]]] = [None] * len(step)
+        goes_right = np.zeros((len(step), n_samples), dtype=bool)
         for path, cost in ((False, column_cost), (True, row_cost)):
             chosen = (by_rows == path).nonzero()[0]
             for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS):
-                at = searched[chosen[batch]].tolist()
-                found = _best_splits(columns, [step[i][1] for i in at], cand[chosen[batch]],
-                                     totals[at], path)
-                for i, split in zip(at, found):
+                at = searched[chosen[batch]]
+                found, node, right = _best_splits(columns, [step[i][1] for i in at.tolist()],
+                                                  cand[chosen[batch]], totals[at], path)
+                for i, split in zip(at.tolist(), found):
                     splits[i] = split
-
-        # each node's samples' counts of its split feature, from the whole
-        # column, against its threshold (+inf where the node does not split)
-        split_at = [i for i, split in enumerate(splits) if split is not None]
-        threshold = np.array([split[1] if split else np.inf for split in splits])
-        entries, lengths, _ = _spans(indptr, np.array([splits[i][0] for i in split_at],
-                                                      dtype=np.int64))
-        count = np.zeros(len(step) * n_samples, dtype=columns.counts.dtype)
-        count[(np.array(split_at, dtype=np.int64) * n_samples).repeat(lengths)
-              + columns.rows[entries]] = columns.counts[entries]
-        go_right = count[owner * n_samples + sample] > threshold[owner]
-        ends = list(accumulate(sizes))
+                goes_right[at[node], right] = True
 
         majority = totals.argmax(axis=1).tolist()
         for i, (t, held, depth, right_of) in enumerate(step):
@@ -647,7 +644,7 @@ def fit_forest(
             if right_of >= 0:
                 fields[3][right_of] = pos
             if splits[i] is not None:
-                right = go_right[ends[i] - sizes[i]:ends[i]]
+                right = goes_right[i, held[0]]
                 stacks[t].append((held.compress(right, axis=1), depth + 1, pos))
                 stacks[t].append((held.compress(~right, axis=1), depth + 1, -1))
                 row = (*splits[i], pos + 1, -1, -1)

@@ -160,8 +160,10 @@ def best_splits(instances, candidate_features):
     per instance holding each of its samples once.  The forest's split
     search, ``tla.langid._best_splits``, runs on the chunk along the
     candidates' columns and along the samples' rows, and the two answers
-    must agree.  Ties break toward the lowest feature index, then the
-    lowest threshold.
+    must agree, right sides included: each split instance's right side must
+    hold exactly its samples whose count of the split feature exceeds the
+    threshold, and an instance that does not split must have none.  Ties
+    break toward the lowest feature index, then the lowest threshold.
 
     Along the columns, every node of a chunk reads its candidates' whole
     columns, so that search costs its chunk's size squared; along the rows,
@@ -183,10 +185,14 @@ def best_splits(instances, candidate_features):
         k = len(columns.classes)
         node = np.arange(len(part)).repeat(sizes)
         totals = np.bincount(node * k + columns.y, minlength=len(part) * k).reshape(-1, k)
-        by_columns, by_rows = (
+        (by_columns, *right_side), (by_rows, *rows_right_side) = (
             _best_splits(columns, held, np.tile(candidates, (len(part), 1)), totals, path)
             for path in (False, True))
         assert by_columns == by_rows
+        assert all(map(np.array_equal, right_side, rows_right_side))
+        expected = [(i, s) for i, split in enumerate(by_columns) if split is not None
+                    for s in held[i][0].tolist() if samples[s][0].get(split[0], 0) > split[1]]
+        assert sorted(zip(*(a.tolist() for a in right_side))) == expected
         found += by_columns
     return found
 

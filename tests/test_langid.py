@@ -186,6 +186,12 @@ class TestBestSplit:
         samples = [({}, 0), ({3: 4}, 1)]
         assert best_split(samples, [3]) == (3, 2.0)
 
+    def test_right_side_past_16_bits(self):
+        # best_split checks each path's right side against the counts
+        samples = [({0: 0, 1: 70_000}, 0), ({0: 0}, 0), ({0: 65_535, 1: 0}, 0),
+                   ({0: 65_536, 1: 70_000}, 1), ({0: 131_072}, 1), ({0: 70_000, 1: 0}, 1)]
+        assert best_split(samples, [1, 0]) == (0, 65535.5)
+
     def test_empty_samples(self):
         with pytest.raises(ValueError) as exc:
             best_split([], [0])
