@@ -6,17 +6,18 @@ input is cleaned, lowercased text with stopwords retained (stopwords are
 strong language discriminators).
 
 Training is a pure function of (sample order, parameters): bootstrap rows and
-candidate features come from a per-tree generator in the tree's preorder, so
-repeated fits serialize byte-identically.  The samples are held once as a
-sparse store (no n x V matrix), by column, each column's nonzeros ascending
-by count, and by row, each row's nonzeros pointing at their places in the
-columns.  A node holds its distinct samples and their bootstrap
-multiplicities.  All trees grow in lockstep, one node of each per step.  A
-searched node reads whichever holds fewer nonzeros, its candidates' whole
-columns or its samples' whole rows, and a step's nodes are searched in
-batches of one path and at most ``SEARCH_NONZEROS`` gathered nonzeros.  The
-search keeps one row per count a node's samples actually read in a
-candidate column, so its cost and memory follow the nonzeros, not the
+candidate features are SplitMix64 draws keyed on (seed, tree, node), so no
+draw depends on the order in which nodes grow, and repeated fits serialize
+byte-identically.  The samples are held once as a sparse store (no n x V
+matrix), by column, each column's nonzeros ascending by count, and by row,
+each row's nonzeros pointing at their places in the columns.  A node holds
+its distinct samples and their bootstrap multiplicities.  All trees grow
+together, one depth level per step.  A searched node reads whichever holds
+fewer nonzeros, its candidates' whole columns or its samples' whole rows,
+and a level's nodes are searched in batches of one path, at most
+``SEARCH_NONZEROS`` gathered nonzeros and at most ``SEARCH_CELLS`` table
+cells.  The search keeps one row per count a node's samples actually read in
+a candidate column, so its cost and memory follow the nonzeros, not the
 largest count.  It returns each split's right side too, so the fit cuts a
 split node's samples without reading a column a second time.
 
@@ -64,12 +65,16 @@ CHUNK_ROWS = 256
 #: (rows); twice as many cost a fresh ``train-langid`` about 0.6 MiB more
 #: peak RSS.
 SEARCH_NONZEROS = 1 << 15
+#: Cells of the (nodes x samples) or (nodes x features) table that one
+#: batched split search holds at most, unless a single node needs more.
+SEARCH_CELLS = 1 << 19
 
 #: About what one more split-search call costs, in gathered nonzeros: a
 #: call's fixed cost is some 150-200 us, a gathered nonzero's 15-25 ns.
 _CALL_NONZEROS = 1 << 13
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 # Levels the vote descends between two drops of the pairs at a leaf; 8 made
 # it about a quarter faster than a drop at every level.
 _DESCENT_STEPS = 8
@@ -97,10 +102,23 @@ class ModelFormatError(TlaError):
 
 def derive_seed(seed: int, index: int) -> int:
     """SplitMix64 finalizer over (seed, index); yields independent sub-seeds."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _derive(keys: np.ndarray, index) -> np.ndarray:
+    """:func:`derive_seed` of uint64 ``keys`` and ``index`` (an int or a
+    uint64 array), broadcast together.  Arrays wrap modulo 2**64 as its
+    masks do; numpy scalars would warn, so both are arrays here."""
+    z = keys + (np.asarray(index, np.uint64).reshape(-1) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def normalize_for_langid(text: str) -> str:
@@ -375,7 +393,6 @@ def _column_store(
         kept = counts > 0
         rows, features, counts = rows[kept], features[kept], counts[kept]
         nnz = counts.size
-    dtype = np.min_scalar_type(int(counts.max()) if nnz else 0)
     # the row view and the sorted rows are allocated before any wide
     # temporary is freed: with glibc's malloc they are then mapped apart from
     # the heap and go back to the system when the fit ends (made later, they
@@ -383,23 +400,28 @@ def _column_store(
     row_features = features.astype(np.min_scalar_type(n_features))
     row_pos = np.empty(nnz, dtype=np.min_scalar_type(nnz))
     sorted_rows = np.empty(nnz, dtype=np.min_scalar_type(len(samples)))
-    order = np.lexsort((counts, features))
+    row_indptr = np.zeros(len(samples) + 1, dtype=np.int64)
+    np.bincount(rows, minlength=len(samples)).cumsum(out=row_indptr[1:])
+    # the three wide entry arrays are narrowed or dropped before the sort,
+    # so they are not live next to its int64 order
+    rows = rows.astype(sorted_rows.dtype)
+    counts = counts.astype(np.min_scalar_type(int(counts.max()) if nnz else 0))
+    del features
+    order = np.lexsort((counts, row_features))
     sorted_rows[:] = rows[order]
     row_pos[order] = np.arange(nnz, dtype=row_pos.dtype)
     indptr = np.zeros(n_features + 1, dtype=np.int64)
-    np.bincount(features, minlength=n_features).cumsum(out=indptr[1:])
-    row_indptr = np.zeros(len(samples) + 1, dtype=np.int64)
-    np.bincount(rows, minlength=len(samples)).cumsum(out=row_indptr[1:])
-    return _Columns(classes, y, indptr, sorted_rows, counts[order].astype(dtype),
+    np.bincount(row_features, minlength=n_features).cumsum(out=indptr[1:])
+    return _Columns(classes, y, indptr, sorted_rows, counts[order],
                     row_indptr, row_features, row_pos)
 
 
-def _batches(costs: list[int], limit: int) -> Iterator[slice]:
-    """Consecutive runs of ``costs`` that sum to at most ``limit``; an item
-    that costs more on its own is a run of one."""
+def _batches(costs: list[int], limit: int, most: int) -> Iterator[slice]:
+    """Consecutive runs of at most ``most`` of ``costs`` that sum to at most
+    ``limit``; an item that costs more on its own is a run of one."""
     start, total = 0, 0
     for i, cost in enumerate(costs):
-        if i > start and total + cost > limit:
+        if i > start and (total + cost > limit or i - start == most):
             yield slice(start, i)
             start, total = i, 0
         total += cost
@@ -427,8 +449,34 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, lengths, ends
 
 
+def _candidates(keys: np.ndarray, n_features: int, m: int) -> np.ndarray:
+    """The ``m`` candidate features of each node keyed by ``keys``, ascending.
+
+    Floyd's algorithm draws them: step ``i`` (0 to m-1) draws ``v_i =
+    derive_seed(derive_seed(key, 2), i) mod (V - m + i + 1)`` and takes it,
+    or its top ``V - m + i`` if an earlier step took ``v_i``.  All nodes'
+    steps run at once.  A draw equal to an earlier one is taken already;
+    else it is taken only if it is the top of an earlier step that took its
+    top, which is how the replacements spread until none changes.
+    """
+    low = n_features - m
+    draws = _derive(_derive(keys, 2)[:, None], np.arange(m))
+    draws %= np.arange(low + 1, n_features + 1, dtype=np.uint64)
+    draws = draws.astype(np.int64)
+    # each node's draws ascending, equal ones by step: all but the first are taken
+    value, steps = np.divmod(np.sort(draws * m + np.arange(m), axis=1), m)
+    topped = np.zeros(draws.shape, dtype=bool)
+    topped[np.arange(keys.size)[:, None], steps[:, 1:]] = value[:, 1:] == value[:, :-1]
+    step = draws - low  # the step whose top a draw is, if below its own
+    node, at = ((step >= 0) & (step < np.arange(m)) & ~topped).nonzero()
+    on = step[node, at]
+    while (spread := topped[node, on] & ~topped[node, at]).any():
+        topped[node[spread], at[spread]] = True
+    return np.sort(np.where(topped, np.arange(low, n_features), draws), axis=1)
+
+
 def _reads_rows(column_cost: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
-    """Which of a step's nodes to search along their samples' rows: those
+    """Which of a level's nodes to search along their samples' rows: those
     whose rows hold fewer nonzeros than their candidates' columns, unless
     one path for all of them gathers at most ``_CALL_NONZEROS`` more."""
     by_rows = row_cost < column_cost
@@ -440,22 +488,25 @@ def _reads_rows(column_cost: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
 
 def _best_splits(
     columns: _Columns,
-    held: Sequence[np.ndarray],
+    sample: np.ndarray,
+    multiplicity: np.ndarray,
+    sizes: np.ndarray,
     candidates: np.ndarray,
     totals: np.ndarray,
     by_rows: bool,
-) -> tuple[list[Optional[tuple[int, float]]], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every node's exhaustive split search, in one batch.
 
-    Node ``i`` holds the distinct samples ``held[i][0]``, ascending, each
-    ``held[i][1]`` times (its bootstrap multiplicities), of class counts
-    ``totals[i]``, and may split on the columns in row ``i`` of
-    ``candidates``, ascending.  Thresholds are midpoints between
-    consecutive distinct observed values; a node's result is (feature,
-    threshold) minimizing weighted child Gini, ties broken by lowest feature
-    then lowest threshold, or None when nothing beats the parent.  Next to
-    the results come each split's right side as (node, sample) arrays: the
-    node's samples whose count of its split feature exceeds its threshold.
+    Node ``i`` holds the next ``sizes[i]`` distinct samples of ``sample``,
+    node after node, each its ``multiplicity`` times (its bootstrap
+    multiplicities), of class counts ``totals[i]``, and may split on the
+    columns in row ``i`` of ``candidates``, ascending.  Thresholds are
+    midpoints between consecutive distinct observed values; a node splits on
+    the (feature, threshold) minimizing weighted child Gini, ties broken by
+    lowest feature then lowest threshold, if that beats the parent.  The
+    result is the nodes that split, ascending, with each one's feature and
+    threshold, and their right sides: the places in ``sample`` of their
+    samples whose count of the split feature exceeds the threshold.
 
     The search reads the store one of two ways, with the same result: the
     whole columns of each node's candidates, kept where the sample is the
@@ -471,10 +522,8 @@ def _best_splits(
     n_nodes, k = totals.shape
     n_features, m = columns.indptr.size - 1, candidates.shape[1]
     n = totals.sum(axis=1)
-    sample, multiplicity = np.concatenate(held, axis=1)
-    owner = np.arange(n_nodes).repeat([h.shape[1] for h in held])
+    owner = np.arange(n_nodes).repeat(sizes)
     cand = candidates.ravel()
-    found: list[Optional[tuple[int, float]]] = [None] * n_nodes
     if by_rows:
         # every nonzero of every node's samples' rows, sample after sample,
         # kept where its feature is one of the node's candidates: its slot
@@ -486,37 +535,40 @@ def _best_splits(
         cell += columns.row_features[at]
         hit = slot[cell]
         keep = (hit != 0).nonzero()[0]  # a bool array's nonzero() is about 5x faster
-        sample_at = ends.searchsorted(keep, side="right")
-        pair = owner[sample_at] * m + hit[keep] - 1
-        pos, weight = columns.row_pos[at[keep]], multiplicity[sample_at]
+        entry = ends.searchsorted(keep, side="right")
+        pair = owner[entry] * m + hit[keep] - 1
+        pos = columns.row_pos[at[keep]]
         # a column's nonzeros ascend by value, so (pair, position) order is
         # (node, candidate, value) order
         order = np.argsort(pair * columns.rows.size + pos)
-        pair, pos, weight = pair[order], pos[order], weight[order]
+        pair, pos, entry = pair[order], pos[order], entry[order]
     else:
         # every nonzero of every pair's column, pair after pair, kept where
-        # its sample is the node's; a column's nonzeros ascend by value, so
-        # each pair's do too
+        # its sample is the node's: its place among the node's samples, plus
+        # 1, in a (node, sample) table that is 0 elsewhere; a column's
+        # nonzeros ascend by value, so each pair's do too
         pos, lengths, ends = _spans(columns.indptr[cand], columns.indptr[cand + 1])
         n_samples = y.size
-        table = np.zeros(n_nodes * n_samples, dtype=multiplicity.dtype)
-        table[owner * n_samples + sample] = multiplicity
+        starts = sizes.cumsum() - sizes
+        table = np.zeros(n_nodes * n_samples, dtype=np.min_scalar_type(n_samples))
+        table[owner * n_samples + sample] = np.arange(1, sample.size + 1) - starts.repeat(sizes)
         cell = (np.arange(n_nodes) * n_samples).repeat(m).repeat(lengths)
         cell += columns.rows[pos]
-        weight = table[cell]
-        keep = (weight != 0).nonzero()[0]
-        pair, pos, weight = ends.searchsorted(keep, side="right"), pos[keep], weight[keep]
+        place = table[cell]
+        keep = (place != 0).nonzero()[0]
+        pair, pos = ends.searchsorted(keep, side="right"), pos[keep]
+        entry = starts[pair // m] + place[keep] - 1
     if pos.size == 0:  # no pair reads a nonzero, so no node splits
-        return found, pair, pair
-    sample, value = columns.rows[pos], columns.counts[pos]
+        return pair, pair, np.zeros(0), pair
+    value = columns.counts[pos]
 
     # one row per distinct (pair, value): first the class counts of the
     # value's samples, then those of the right side of the threshold under
     # the value: its own samples and those of the pair's later rows
     opens = _runs(pair, value)
     first = opens.nonzero()[0]
-    right = np.bincount((opens.cumsum() - 1) * k + y[sample],
-                        weights=weight, minlength=first.size * k)
+    right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
+                        weights=multiplicity[entry], minlength=first.size * k)
     right = right.astype(np.int64).reshape(first.size, k)
     pair, value = pair[first], value[first]
     cum = right.cumsum(axis=0)
@@ -540,13 +592,12 @@ def _best_splits(
     first_hit = np.minimum.reduceat(np.where(hit, np.arange(q.size), q.size), node_first)
     better = (q_best > (parent_q + eps)[present]).nonzero()[0]
     split, rows = present[better], first_hit[better]
-    for i, row in zip(split.tolist(), rows.tolist()):
-        below = int(value[row - 1]) if row and pair[row - 1] == pair[row] else 0
-        found[i] = int(cand[pair[row]]), (below + int(value[row])) / 2.0
-    # a split's right side: the samples of its row and of its pair's later rows
-    stops = np.append(first, sample.size)[pair.searchsorted(pair[rows], side="right")]
+    below = np.where((rows > 0) & (pair[rows - 1] == pair[rows]), value[rows - 1], 0)
+    threshold = (below.astype(np.uint64) + value[rows]) / 2.0
+    # a split's right side: the entries of its row and of its pair's later rows
+    stops = np.append(first, entry.size)[pair.searchsorted(pair[rows], side="right")]
     entries, lengths, _ = _spans(first[rows], stops)
-    return found, split.repeat(lengths), sample[entries]
+    return split, cand[pair[rows]], threshold, entry[entries]
 
 
 def fit_forest(
@@ -556,22 +607,30 @@ def fit_forest(
 ) -> ForestModel:
     """Train the bagged CART ensemble.
 
-    Each tree gets a generator seeded by SplitMix64 of (seed, tree index);
-    bootstrap rows and per-node candidate features come from that generator,
-    in the tree's preorder, so the fit is deterministic and trees are
-    independent of scheduling.  ``n_features`` (the vectorizer vocabulary
-    size) bounds the feature sampling range; it defaults to the highest
-    observed index + 1.
+    Every draw is keyed on (seed, tree, node) by SplitMix64
+    (:func:`derive_seed`), so no draw depends on the order in which nodes
+    grow and the fit is deterministic.  Tree ``t``'s root key is
+    ``derive_seed(seed, t)``, a split's children's keys are
+    ``derive_seed(key, 0)`` (left) and ``derive_seed(key, 1)`` (right),
+    bootstrap draw ``i`` of tree ``t`` is ``derive_seed(derive_seed(root,
+    3), i) mod n``, and a node's candidate features come from
+    ``derive_seed(key, 2)`` (see :func:`_candidates`).  ``n_features`` (the
+    vectorizer vocabulary size) bounds the feature sampling range; it
+    defaults to the highest observed index + 1.
 
-    All trees grow in lockstep: each step takes the next node of every
-    unfinished tree.  A node is searched along whichever holds fewer
-    nonzeros, its candidates' columns or its distinct samples' rows (see
+    All trees grow together, one depth level per step.  A level's nodes
+    hold their distinct samples and bootstrap multiplicities in flat
+    arrays, node after node.  A node is searched along whichever holds fewer
+    nonzeros, its candidates' columns or its samples' rows (see
     :func:`_reads_rows`), and one :func:`_best_splits` call searches the
-    step's nodes of one path that gather at most ``SEARCH_NONZEROS``
-    nonzeros together (a node that gathers more is searched alone).  One
-    (nodes x samples) table marks the right sides the search returns and
-    cuts each split node's samples with them; the fit itself reads only the
-    store's ``indptr``s, for the costs.
+    level's nodes of one path that gather at most ``SEARCH_NONZEROS``
+    nonzeros together (a node that gathers more is searched alone) and
+    whose table of nodes by samples (columns) or by features (rows) holds at
+    most ``SEARCH_CELLS`` cells.  The right sides the search returns make
+    one mask over the level's samples, which cuts them into the next
+    level's: the split nodes' left children, then their right children.
+    The levels' node records are renumbered to each tree's preorder at the
+    end; the fit itself reads only the store's ``indptr``s, for the costs.
     """
     if not samples:
         raise ValueError("fit_forest needs at least one sample")
@@ -587,74 +646,89 @@ def fit_forest(
         if m_features * m_features < n_features:
             m_features += 1
 
-    rngs = [np.random.Generator(np.random.PCG64(derive_seed(params.seed, t)))
-            for t in range(params.num_trees)]
     column_nonzeros = np.diff(indptr)
     row_nonzeros = np.diff(columns.row_indptr)
-    # Per tree, its (feature, threshold, left, right, value) node lists, in
-    # preorder.  The stack pops a split's left child right after the split,
-    # so the split records left = pos + 1 and only a right child writes its
-    # position back.  A pending node holds its distinct samples and their
-    # bootstrap multiplicities as the two rows of one array, in the narrowest
-    # unsigned dtype that holds a sample index, which holds a multiplicity too.
-    nodes = [tuple([] for _ in range(5)) for _ in rngs]
-    stacks = []
+    tree = np.arange(params.num_trees)
+    keys = _derive(np.array([params.seed & _MASK64], np.uint64), tree)
+    draws = _derive(_derive(keys, 3)[:, None], np.arange(n_samples)) % np.uint64(n_samples)
+    draws += (tree * n_samples).astype(np.uint64)[:, None]
+    drawn = np.bincount(draws.ravel().astype(np.intp), minlength=draws.size)
+    # The level's nodes, by key and tree, and their distinct samples and
+    # bootstrap multiplicities, node after node, in the narrowest unsigned
+    # dtype that holds a sample index, which holds a multiplicity too
+    held = drawn.nonzero()[0]
+    node, sample = np.divmod(held, n_samples)
     dtype = np.min_scalar_type(n_samples)
-    for rng in rngs:
-        drawn = np.bincount(rng.integers(0, n_samples, size=n_samples), minlength=n_samples)
-        held = drawn.nonzero()[0]
-        stacks.append([(np.stack([held, drawn[held]]).astype(dtype), 0, -1)])
-    growing = list(range(params.num_trees))
-    while growing:
-        step = [(t, *stacks[t].pop()) for t in growing]
-        sample, multiplicity = np.concatenate([held for _, held, _, _ in step], axis=1)
-        owner = np.arange(len(step)).repeat([held.shape[1] for _, held, _, _ in step])
-        totals = np.bincount(owner * k + y[sample], multiplicity, len(step) * k)
-        totals = totals.astype(np.int64).reshape(len(step), k)
+    sample, multiplicity = sample.astype(dtype), drawn[held].astype(dtype)
+    levels = []
+    while keys.size:
+        n_nodes = keys.size
+        totals = np.bincount(node * k + y[sample], multiplicity, n_nodes * k)
+        totals = totals.astype(np.int64).reshape(n_nodes, k)
         n_held = totals.sum(axis=1)
         done = (totals.max(axis=1) == n_held) | (n_held < params.min_samples_split)
-        if params.max_depth is not None:
-            done |= np.array([depth for _, _, depth, _ in step]) >= params.max_depth
-        searched = np.flatnonzero(~done) if m_features else np.arange(0)
-        cand = np.array([rngs[step[i][0]].choice(n_features, size=m_features,
-                                                 replace=False, shuffle=False)
-                         for i in searched.tolist()], dtype=np.int64)
-        cand = np.sort(cand.reshape(searched.size, m_features), axis=1)
+        if not m_features or (params.max_depth is not None and len(levels) >= params.max_depth):
+            done[:] = True
+        searched = np.flatnonzero(~done)
+        cand = _candidates(keys[searched], n_features, m_features)
+        starts = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.bincount(node, minlength=n_nodes).cumsum(out=starts[1:])
         column_cost = row_cost = column_nonzeros[cand].sum(axis=1)
         by_rows = np.zeros(searched.size, dtype=bool)
         if column_cost.sum() > _CALL_NONZEROS:  # else _reads_rows reads columns for all
-            row_cost = np.bincount(owner, row_nonzeros[sample], len(step))[searched]
+            row_cost = np.bincount(node, row_nonzeros[sample], n_nodes)[searched]
             by_rows = _reads_rows(column_cost, row_cost)
-        splits: list[Optional[tuple[int, float]]] = [None] * len(step)
-        goes_right = np.zeros((len(step), n_samples), dtype=bool)
-        for path, cost in ((False, column_cost), (True, row_cost)):
+        feature = np.full(n_nodes, -1)
+        threshold = np.zeros(n_nodes)
+        goes_right = np.zeros(node.size, dtype=bool)
+        for path, cost, width in ((False, column_cost, n_samples), (True, row_cost, n_features)):
             chosen = (by_rows == path).nonzero()[0]
-            for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS):
+            for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS,
+                                  max(1, SEARCH_CELLS // max(width, 1))):
                 at = searched[chosen[batch]]
-                found, node, right = _best_splits(columns, [step[i][1] for i in at.tolist()],
-                                                  cand[chosen[batch]], totals[at], path)
-                for i, split in zip(at.tolist(), found):
-                    splits[i] = split
-                goes_right[at[node], right] = True
+                entries, sizes, _ = _spans(starts[at], starts[at + 1])
+                split, split_feature, split_threshold, right = _best_splits(
+                    columns, sample[entries], multiplicity[entries], sizes, cand[chosen[batch]],
+                    totals[at], path)
+                feature[at[split]], threshold[at[split]] = split_feature, split_threshold
+                goes_right[entries[right]] = True
+        splits = feature >= 0
+        levels.append((tree, splits, feature, threshold,
+                       np.where(splits, -1, totals.argmax(axis=1))))
+        # the next level: a split's left child at its rank among the splits,
+        # its right child that many places further, each with its side's samples
+        rank = splits.cumsum() - 1
+        left = splits[node] & ~goes_right
+        node = np.concatenate([rank[node[left]], rank[node[goes_right]] + rank[-1] + 1])
+        sample = np.concatenate([sample[left], sample[goes_right]])
+        multiplicity = np.concatenate([multiplicity[left], multiplicity[goes_right]])
+        keys = _derive(keys[splits][:, None], np.arange(2)).T.ravel()
+        tree = np.tile(tree[splits], 2)
 
-        majority = totals.argmax(axis=1).tolist()
-        for i, (t, held, depth, right_of) in enumerate(step):
-            fields = nodes[t]
-            pos = len(fields[0])
-            if right_of >= 0:
-                fields[3][right_of] = pos
-            if splits[i] is not None:
-                right = goes_right[i, held[0]]
-                stacks[t].append((held.compress(right, axis=1), depth + 1, pos))
-                stacks[t].append((held.compress(~right, axis=1), depth + 1, -1))
-                row = (*splits[i], pos + 1, -1, -1)
-            else:
-                row = (-1, 0.0, -1, -1, majority[i])
-            for field, x in zip(fields, row):
-                field.append(x)
-        growing = [t for t in growing if stacks[t]]
-
-    trees = tuple(DecisionTree(*map(tuple, fields)) for fields in nodes)
+    # each node's subtree size, deepest level first; then, from the roots
+    # down, its place in its tree's preorder, where a split's left child
+    # comes right after it and its right child after the left one's subtree
+    subtree = [np.zeros(0, dtype=np.int64)]
+    for _, splits, *_ in reversed(levels):
+        size = np.ones(splits.size, dtype=np.int64)
+        size[splits] += subtree[-1].reshape(2, -1).sum(axis=0)
+        subtree.append(size)
+    subtree.reverse()
+    first = np.append(0, subtree[0].cumsum())  # each tree's first node in the forest
+    fields = [np.empty(first[-1], dtype=np.int64) for _ in dataclasses.fields(DecisionTree)]
+    fields[1] = np.empty(first[-1])  # the thresholds
+    place = np.zeros(params.num_trees, dtype=np.int64)
+    for (tree, splits, feature, threshold, value), below in zip(levels, subtree[1:]):
+        left = np.where(splits, place + 1, -1)
+        right = left.copy()
+        right[splits] += below[:below.size // 2]
+        at = first[tree] + place
+        for field, values in zip(fields, (feature, threshold, left, right, value)):
+            field[at] = values
+        place = np.concatenate([left[splits], right[splits]])
+    fields = [field.tolist() for field in fields]
+    trees = tuple(DecisionTree(*(tuple(field[a:b]) for field in fields))
+                  for a, b in zip(first[:-1].tolist(), first[1:].tolist()))
     return ForestModel(params=params, classes=columns.classes, trees=trees)
 
 

@@ -179,21 +179,25 @@ def best_splits(instances, candidate_features):
         samples = [sample for instance in part for sample in instance]
         n_features = 1 + max(candidates + [f for vec, _ in samples for f in vec])
         columns = _column_store(samples, n_features)
-        sizes = [len(instance) for instance in part]
-        held = [np.stack([np.arange(start - size, start), np.ones(size, dtype=np.int64)])
-                for start, size in zip(np.cumsum(sizes).tolist(), sizes)]
+        sizes = np.array([len(instance) for instance in part])
+        sample = np.arange(len(samples))  # each node holds its instance's samples once
         k = len(columns.classes)
         node = np.arange(len(part)).repeat(sizes)
         totals = np.bincount(node * k + columns.y, minlength=len(part) * k).reshape(-1, k)
-        (by_columns, *right_side), (by_rows, *rows_right_side) = (
-            _best_splits(columns, held, np.tile(candidates, (len(part), 1)), totals, path)
+        by_columns, by_rows = (
+            _best_splits(columns, sample, np.ones_like(sample), sizes,
+                         np.tile(candidates, (len(part), 1)), totals, path)
             for path in (False, True))
-        assert by_columns == by_rows
-        assert all(map(np.array_equal, right_side, rows_right_side))
-        expected = [(i, s) for i, split in enumerate(by_columns) if split is not None
-                    for s in held[i][0].tolist() if samples[s][0].get(split[0], 0) > split[1]]
-        assert sorted(zip(*(a.tolist() for a in right_side))) == expected
-        found += by_columns
+        assert all(map(np.array_equal, by_columns, by_rows))
+        split, feature, threshold, right = by_columns
+        answers = [None] * len(part)
+        for i, f, t in zip(split.tolist(), feature.tolist(), threshold.tolist()):
+            answers[i] = (f, t)
+        expected = [(i, s) for i, answer in enumerate(answers) if answer is not None
+                    for s in sample[node == i].tolist()
+                    if samples[s][0].get(answer[0], 0) > answer[1]]
+        assert sorted(zip(node[right].tolist(), sample[right].tolist())) == expected
+        found += answers
     return found
 
 
@@ -211,8 +215,28 @@ def best_split(samples, candidate_features):
 
 
 # A dense reference grower: the whole (n, n_features) count matrix, each
-# node's block gathered with ``np.ix_`` and searched on its own.  ``fit_forest``
-# must reproduce its trees node for node.
+# tree grown in preorder, each node's block gathered with ``np.ix_`` and
+# searched on its own, every draw from Python-int ``derive_seed`` keys.
+# ``fit_forest`` must reproduce its trees node for node.
+
+def reference_bootstrap(seed, tree, n):
+    """Tree ``tree``'s bootstrap rows: draw ``i`` is
+    ``derive_seed(derive_seed(root, 3), i) mod n`` under its root key."""
+    stream = derive_seed(derive_seed(seed, tree), 3)
+    return [derive_seed(stream, i) % n for i in range(n)]
+
+
+def reference_candidates(key, n_features, m):
+    """Floyd's algorithm one step at a time: ``m`` distinct features of
+    ``range(n_features)``, ascending, drawn under the node key ``key``."""
+    stream = derive_seed(key, 2)
+    taken = set()
+    for i in range(m):
+        top = n_features - m + i
+        draw = derive_seed(stream, i) % (top + 1)
+        taken.add(top if draw in taken else draw)
+    return sorted(taken)
+
 
 def _reference_best_split(values, y, n_classes):
     """Exhaustive split search over a dense (n_samples, n_features) block."""
@@ -254,13 +278,13 @@ def _reference_best_split(values, y, n_classes):
     return col, (v + nxt) / 2.0
 
 
-def _reference_grow_tree(X, y, n_classes, rng, params, m_features):
+def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
     n_samples, n_features = X.shape
-    boot = rng.integers(0, n_samples, size=n_samples)
+    boot = np.array(reference_bootstrap(seed, tree, n_samples))
     feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(boot, 0, -1, False)]
+    stack = [(boot, 0, -1, False, derive_seed(seed, tree))]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, depth, parent, is_left, key = stack.pop()
         pos = len(feature)
         if parent >= 0:
             if is_left:
@@ -274,12 +298,7 @@ def _reference_grow_tree(X, y, n_classes, rng, params, m_features):
         at_depth_limit = params.max_depth is not None and depth >= params.max_depth
         split = None
         if not (pure or at_depth_limit or idx.size < params.min_samples_split or m_features == 0):
-            if m_features < n_features:
-                cand = np.sort(
-                    rng.choice(n_features, size=m_features, replace=False, shuffle=False)
-                )
-            else:
-                cand = np.arange(n_features)
+            cand = np.array(reference_candidates(key, n_features, m_features))
             found = _reference_best_split(X[np.ix_(idx, cand)], y[idx], n_classes)
             if found is not None:
                 split = (int(cand[found[0]]), found[1])
@@ -299,8 +318,8 @@ def _reference_grow_tree(X, y, n_classes, rng, params, m_features):
         left.append(-1)
         right.append(-1)
         value.append(-1)
-        stack.append((idx[~go_left], depth + 1, pos, False))
-        stack.append((idx[go_left], depth + 1, pos, True))
+        stack.append((idx[~go_left], depth + 1, pos, False, derive_seed(key, 1)))
+        stack.append((idx[go_left], depth + 1, pos, True, derive_seed(key, 0)))
 
     return DecisionTree(
         tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value)
@@ -326,11 +345,7 @@ def reference_fit_forest(samples, params, n_features=None):
         if m_features * m_features < n_features:
             m_features += 1
     trees = tuple(
-        _reference_grow_tree(
-            X, y, len(classes),
-            np.random.Generator(np.random.PCG64(derive_seed(params.seed, t))),
-            params, m_features,
-        )
+        _reference_grow_tree(X, y, len(classes), params.seed, t, params, m_features)
         for t in range(params.num_trees)
     )
     return ForestModel(params=params, classes=classes, trees=trees)

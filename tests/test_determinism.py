@@ -19,8 +19,10 @@ import pytest
 from tla import LanguageCode, load_bundled_lexicon, synthetic_corpus
 from tla.cli import run
 
-#: The numpy version the digests were taken with.  ``numpy.random.Generator``
-#: streams may change between numpy releases, and the forest draws from them.
+#: The numpy version the digests were taken with.  The forest draws nothing
+#: from ``numpy.random``: every draw is SplitMix64 over (seed, tree, node)
+#: keys in uint64 arithmetic, so the digests depend on numpy only through
+#: exact integer and IEEE float operations; CI keeps numpy pinned all the same.
 DIGESTS_NUMPY = "2.4.6"
 #: The Unicode database (Python 3.11) the digests were taken with.  Cleaning
 #: reads its categories (through the symbol and punctuation translate table),
@@ -39,7 +41,7 @@ CHAIN_TRAIN_ARGV = (
     "--output", "chain.tlam",
 )
 
-MODEL_DIGEST = "68433e8a4023c670bc5f8fe9e65da0f86d7a5293061f87cd3fd88df18085f4eb"
+MODEL_DIGEST = "84e837c2fdcb6d840b47d27b2c4d01bf228cfa4e6e503f736b2ced326eacdde8"
 
 #: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
 #: 6,351, 50 full-depth trees.
@@ -47,19 +49,19 @@ BENCH_TRAIN_ARGV = (
     "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
     "--output", "bench.tlam",
 )
-BENCH_MODEL_DIGEST = "3a4cc53b39d0f050faff31ff5d246aac2a3a983bf60ab79f9d4fb98b0b84310b"
+BENCH_MODEL_DIGEST = "644d38e3b053a87e3e64527c118c736405f4ea622cd8397a5918af05dc60ebb7"
 
 CHAIN_DIGESTS = {
-    "identify.stdout": "d7a2c8d0b533e7f1bffdd8ee462577672b69dbe03c7eef9400e7e8c499d57b7c",
-    "chain.tlam": "b2567b5af3f11457409a57a0074b351764f4bfcbfb25d141698b60b3ef1e94e1",
+    "identify.stdout": "d438d52c527f7ba7802cad2ca4bc79ec6565e6b05c86a242edfb353816338f76",
+    "chain.tlam": "b9c74df7c009e2c04cc8f1b5fbfce6d999dae474c6fa945625159ceb0d6d59b4",
     "clean.csv": "7f92f5c09c2f0e23367505e254ce8395a86b2206606ece69f6a532b090bb124e",
-    "identified.csv": "1008b20a2df7e897268323095f1b0884dd5afdc18e5eb42396b74e183df3159b",
+    "identified.csv": "d8ca11daea21e6b97c874081a99fd14a4ea5b65ba61ca0070f4b2df01464e04c",
     "labeled/en.csv": "ca702e0d0324c6809373ce8d0dd28b3da0a7dea767da175c28cca54d24c07306",
     "labeled/es.csv": "54d4a5f419c91a31ca091348cbe6a907ad97c1f8207aa61b0ba73c654053ccb0",
     "labeled/fa.csv": "30362c1097becb1e4272fe8a77c69c9ab4ef6727c0f411460c72720fd42246da",
-    "labeled/fr.csv": "66a4fa3cd15b48663362f54a333716d7135d9bd2c1b2ef67b3a522a841d2552d",
+    "labeled/fr.csv": "e132d713f9ea93ac4dda7b3834ab038243d0f58cfef7dd83fec737055cf6c385",
     "labeled/hi.csv": "06fc51098c818982e6719930a4e0ae571563943df2b88710081097e9640d6ad0",
-    "labeled/id.csv": "cdbd3bfe5252773a4a0911dc53a7c9db5efd02753866795555f8d4aa41f5bf4b",
+    "labeled/id.csv": "b21238e1e4765b4fe71da509acae836dc28f18a75c861abecd9786e9e175c748",
     "labeled/ja.csv": "87692ba3f6b07e00f3318c59bdc7224b0aa809c2c570a54a9f473db18216539e",
     "labeled/nl.csv": "7187b328ca605ac8790d3da42891473592eb809cdf1df0cd38655fd6e01faca9",
     "labeled/pt.csv": "fb2dc263bbb5d62cbb8a77394590f49a90b3db8be0a14f7a8f246eab42dfa01e",
@@ -70,9 +72,9 @@ CHAIN_DIGESTS = {
     "labeled/tr.csv": "f2364648afdde6ff87bf375f9caf6b10f606f0662e04d3835c4d6154adad3b63",
     "labeled/ur.csv": "1cfb1ca158b759d9827d044e6e88184636be35a213c75bdd5d08e4edd4854e65",
     "labeled/zh.csv": "d904b9a3d48d420ff35963d00f8bb770de473cd2a75330c8ed82f2d3204a114a",
-    "report.csv": "ec8bc5b208d98b7f45935f768e058e097e59e45bcb1a7e97a2f60a1adea7e4b0",
-    "report.md": "0d5b8dfe192b79505daa976ad8bccbdc4f7d4c7057c2752cb38bba82c6a87aad",
-    "report.txt": "cd6ffe6b80e9e3639342ce45ff445ecce6d22109b40e1bf6d2a673222da616e1",
+    "report.csv": "a518bf8f0149e7dee278996a680ba87a456826cd78642572e3aad38ba3354540",
+    "report.md": "6be97fd8df8cd0f3d357aa345355e31f0364f8494d4b4687984b7de4aeb4c555",
+    "report.txt": "dcfd5559e5c0c277fbd5c038dfd4823f6e69dbd79cc6f234f35c798868cc8d2e",
 }
 
 
@@ -112,8 +114,8 @@ def _assert_digests(outputs, expected):
     assert not wrong, (
         f"outputs differ from their committed sha256 digests: {', '.join(wrong)}; "
         f"the digests were taken with numpy {DIGESTS_NUMPY} and Unicode "
-        f"{DIGESTS_UNIDATA}, and this run has numpy {np.__version__}, whose "
-        f"Generator streams may differ, and Unicode {unicodedata.unidata_version} "
+        f"{DIGESTS_UNIDATA}, and this run has numpy {np.__version__} and "
+        f"Unicode {unicodedata.unidata_version} "
         f"(Python {sys.version.split()[0]}), whose character categories may differ"
     )
 

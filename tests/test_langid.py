@@ -17,6 +17,7 @@ from tla.langid import (
     ForestParams,
     ModelFormatError,
     NgramVectorizer,
+    derive_seed,
     evaluate_model,
     extract_char_ngrams,
     fit_forest,
@@ -36,6 +37,8 @@ from conftest import (
     exhaustive_best_split,
     fit_nb,
     predict_nb,
+    reference_bootstrap,
+    reference_candidates,
     reference_extract_char_ngrams,
     reference_fit_forest,
     reference_predict,
@@ -247,13 +250,8 @@ class TestFitForest:
         v, samples = _vectorized(corpus)
         params = ForestParams(num_trees=1, features_per_split=v.size, seed=3)
         model = fit_forest(samples, params, n_features=v.size)
-
-        from tla.langid import derive_seed
-
-        rng = np.random.Generator(np.random.PCG64(derive_seed(3, 0)))
-        boot = rng.integers(0, len(samples), size=len(samples))
-        for i in boot:
-            x, lang = samples[int(i)]
+        for i in reference_bootstrap(3, 0, len(samples)):
+            x, lang = samples[i]
             assert predict_language(model, [x])[0][0] == lang
 
     def test_zero_trees_rejected(self):
@@ -310,12 +308,63 @@ class TestFitForest:
         (6, ForestParams(num_trees=3, seed=16), 45, 300),
         (7, ForestParams(num_trees=2, seed=17), 0, 0),
         (8, ForestParams(num_trees=2, features_per_split=3, seed=18), 9, 0),
+        (13, ForestParams(num_trees=6, max_depth=3, seed=31), None, 5),
+        (14, ForestParams(num_trees=6, min_samples_split=9, seed=32), None, 300),
+        (15, ForestParams(num_trees=6, features_per_split=30, seed=33), 30, 5),
     ])
     def test_matches_dense_reference_grower(self, seed, params, n_features, max_count):
         # Every tree must equal, node for node, the one the dense reference
-        # grows from the same generator.
+        # grows in preorder from the same keys.
         samples = _skewed_samples(seed, max_count)
         _assert_matches_reference(samples, params, n_features)
+
+    def test_wide_vocabulary_matches_dense_reference_grower(self):
+        # V > 10,000 with m > V // 50: where numpy's Generator.choice, which
+        # the forest once drew from, switched to a tail shuffle.
+        rng = random.Random(16)
+        langs = list(LanguageCode)[:4]
+        samples = [({f: rng.randint(1, 4) for f in rng.sample(range(12_000), 400)
+                     if f % 4 == i % 4 or rng.random() < 0.2}, langs[i % 4])
+                   for i in range(60)]
+        params = ForestParams(num_trees=3, features_per_split=300, seed=34)
+        assert params.features_per_split > 12_500 // 50
+        model = _assert_matches_reference(samples, params, 12_500)
+        assert sum(f >= 0 for tree in model.trees for f in tree.feature) >= 10
+
+    def test_key_derivation_matches_derive_seed(self):
+        keys = [0, 1, 2**64 - 1]
+        index = [0, 1, 2, 3, 2**32, 2**64 - 2, 2**64 - 1]
+        derived = langid._derive(np.array(keys, dtype=np.uint64)[:, None],
+                                 np.array(index, dtype=np.uint64))
+        assert derived.tolist() == [[derive_seed(key, i) for i in index] for key in keys]
+        assert langid._derive(np.array(keys, dtype=np.uint64), 3).tolist() == [
+            derive_seed(key, 3) for key in keys]
+
+    @pytest.mark.parametrize("n_features, m", [
+        (1, 1), (2, 1), (2, 2), (3, 2), (5, 1), (5, 4), (5, 5), (12, 6), (12, 11),
+        (12, 12), (40, 1), (40, 39), (40, 40), (100, 80), (6_351, 80), (12_000, 300),
+    ])
+    def test_level_candidates_match_sequential_floyd(self, n_features, m):
+        # Draws resolved for the whole level at once, including the chains
+        # of draws that hit an earlier step's top when m is near V.
+        keys = [derive_seed(n_features, i) for i in range(200)] + [0, 1, 2**64 - 1]
+        candidates = langid._candidates(np.array(keys, dtype=np.uint64), n_features, m)
+        assert candidates.tolist() == [reference_candidates(key, n_features, m) for key in keys]
+
+    def test_fit_draws_nothing_from_numpy_random(self, monkeypatch):
+        def model_bytes():
+            sink = io.BytesIO()
+            corpus, params = synthetic_corpus(6, seed=3), ForestParams(num_trees=6, seed=5)
+            train_identifier(corpus, params).save(sink)
+            return sink.getvalue()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit drew from numpy.random")
+
+        expected = model_bytes()
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        monkeypatch.setattr(np.random, "PCG64", refuse)
+        assert model_bytes() == expected
 
     @pytest.mark.parametrize("seed, params, max_count", [
         (9, ForestParams(num_trees=16, seed=19), 300),
@@ -386,6 +435,31 @@ class TestFitForest:
         monkeypatch.setattr(langid, "_best_splits", spy)
         fit_forest(samples, ForestParams(num_trees=2, seed=42), n_features=n_features)
         assert set(paths) == {False, True}
+
+    def test_search_tables_stay_within_their_cells(self, monkeypatch, benchmark_samples):
+        # A level of many small nodes is searched in several calls, each
+        # with a (nodes x samples) or (nodes x features) table of at most
+        # SEARCH_CELLS cells unless it searches one node; the trees are the
+        # same as with the default cap.
+        samples, n_features = benchmark_samples
+        samples = samples[::8]
+        params = ForestParams(num_trees=6, seed=42)
+        expected = fit_forest(samples, params, n_features=n_features)
+        cells = []
+        search = langid._best_splits
+
+        def spy(columns, sample, multiplicity, sizes, *rest):
+            width = n_features if rest[-1] else len(samples)
+            cells.append((sizes.size, sizes.size * width))
+            return search(columns, sample, multiplicity, sizes, *rest)
+
+        monkeypatch.setattr(langid, "_best_splits", spy)
+        fit_forest(samples, params, n_features=n_features)
+        unbounded, cells[:] = len(cells), []
+        monkeypatch.setattr(langid, "SEARCH_CELLS", 1 << 12)
+        assert fit_forest(samples, params, n_features=n_features) == expected
+        assert all(nodes == 1 or table <= 1 << 12 for nodes, table in cells)
+        assert len(cells) > unbounded and max(nodes for nodes, _ in cells) > 1
 
     def test_wide_counts_match_dense_reference_grower(self):
         samples = _wide_count_samples(10_000)
@@ -468,13 +542,16 @@ class TestPredictLanguage:
 
     def test_disjoint_support(self):
         # Queries whose gram counts exceed every 0-vs-positive midpoint land
-        # on the right side of every bootstrapped tree: confidence 1.0.
+        # on the right side of every tree whose bootstrap holds both
+        # languages; a tree whose bootstrap holds one language votes for it.
         v, samples = _vectorized(_pure_alphabet_corpus())
         model = fit_forest(samples, ForestParams(num_trees=9, seed=2), n_features=v.size)
-        code, confidence = predict_language(model, [vectorize(v, "aaaaa")])[0]
-        assert code is EN and confidence == 1.0
-        code, confidence = predict_language(model, [vectorize(v, "bbbbb")])[0]
-        assert code is ES and confidence == 1.0
+        held = [{samples[i][1] for i in reference_bootstrap(2, t, len(samples))}
+                for t in range(9)]
+        shares = [sum(lang in languages for languages in held) / 9 for lang in (EN, ES)]
+        assert shares == [6 / 9, 1.0]  # three trees drew only ES texts
+        for text, lang, share in (("aaaaa", EN, shares[0]), ("bbbbb", ES, shares[1])):
+            assert predict_language(model, [vectorize(v, text)]) == [(lang, share)]
 
     def test_empty_vector_routes_all_left(self):
         # A vector whose only key lies outside the vocabulary reads as all
@@ -674,8 +751,8 @@ class TestIntegerVote:
         samples = [({0: 5 * 10**9}, EN), ({0: 1}, ES), ({0: 5 * 10**9}, EN), ({0: 2}, ES)]
         model = fit_forest(samples, ForestParams(num_trees=5, seed=1), n_features=1)
         x = {0: 4_000_000_000}
-        assert reference_predict(model, x) == (EN, 1.0)
-        assert predict_language(model, [x]) == [(EN, 1.0)]
+        assert reference_predict(model, x) == (EN, 0.8)  # tree 2 drew only ES samples
+        assert predict_language(model, [x]) == [(EN, 0.8)]
 
     def test_one_chunk_of_the_benchmark_model_votes_in_bounded_memory(self):
         # Every threshold of the benchmark's model is below 255, so a chunk
@@ -888,7 +965,7 @@ class TestModelSerialization:
             (lambda p: split_tree(p)["right"].__setitem__(0, 0),  # a cycle
              "tree 0 node 0 has an invalid child index"),
             (lambda p: p["trees"][0]["value"].__setitem__(-1, len(p["classes"])),
-             "tree 0 node 4 has an invalid leaf class index (of 2 classes)"),
+             "tree 0 node 2 has an invalid leaf class index (of 2 classes)"),
             (lambda p: split_tree(p)["left"].__setitem__(0, 2**64),
              "Python int too large to convert to C long"),
             (lambda p: split_tree(p)["threshold"].__setitem__(0, "0.5"),
