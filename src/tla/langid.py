@@ -12,14 +12,15 @@ byte-identically.  The samples are held once as a sparse store (no n x V
 matrix), by column, each column's nonzeros ascending by count, and by row,
 each row's nonzeros pointing at their places in the columns.  A node holds
 its distinct samples and their bootstrap multiplicities.  All trees grow
-together, one depth level per step.  A searched node reads whichever holds
-fewer nonzeros, its candidates' whole columns or its samples' whole rows,
-and a level's nodes are searched in batches of one path, at most
-``SEARCH_NONZEROS`` gathered nonzeros and at most ``SEARCH_CELLS`` table
-cells.  The search keeps one row per count a node's samples actually read in
-a candidate column, so its cost and memory follow the nonzeros, not the
-largest count.  It returns each split's right side too, so the fit cuts a
-split node's samples without reading a column a second time.
+together, one depth level per step, its nodes' candidates drawn at most
+``DRAW_CELLS`` (node, candidate) pairs at a time.  A searched node reads
+whichever holds fewer nonzeros, its candidates' whole columns or its
+samples' whole rows, and a level's nodes are searched in batches of one
+path and at most ``SEARCH_NONZEROS`` gathered nonzeros.  The search keeps
+one row per count a node's samples actually read in a candidate column, so
+its cost and memory follow the nonzeros, not the largest count.  It
+returns each split's right side too, so the fit cuts a split node's samples
+without reading a column a second time.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its trees into one set of node arrays (leaves point to themselves), checked
@@ -65,9 +66,14 @@ CHUNK_ROWS = 256
 #: (rows); twice as many cost a fresh ``train-langid`` about 0.6 MiB more
 #: peak RSS.
 SEARCH_NONZEROS = 1 << 15
-#: Cells of the (nodes x samples) or (nodes x features) table that one
-#: batched split search holds at most, unless a single node needs more.
-SEARCH_CELLS = 1 << 19
+#: (node, candidate) pairs of a level that the fit draws and searches at a
+#: time, unless a single node has more candidates, and (tree, sample) pairs
+#: of the bootstrap that it draws at a time, unless a tree has more
+#: samples.  A draw's temporaries are a few 8-byte arrays of that many
+#: entries; drawing a whole level at once took a 50-tree fit with every
+#: feature a candidate from 74.5 MiB peak RSS (one node's draw at a time)
+#: to 190 MiB.
+DRAW_CELLS = 1 << 16
 
 #: About what one more split-search call costs, in gathered nonzeros: a
 #: call's fixed cost is some 150-200 us, a gathered nonzero's 15-25 ns.
@@ -416,12 +422,12 @@ def _column_store(
                     row_indptr, row_features, row_pos)
 
 
-def _batches(costs: list[int], limit: int, most: int) -> Iterator[slice]:
-    """Consecutive runs of at most ``most`` of ``costs`` that sum to at most
-    ``limit``; an item that costs more on its own is a run of one."""
+def _batches(costs: list[int], limit: int) -> Iterator[slice]:
+    """Consecutive runs of ``costs`` that sum to at most ``limit``; an item
+    that costs more on its own is a run of one."""
     start, total = 0, 0
     for i, cost in enumerate(costs):
-        if i > start and (total + cost > limit or i - start == most):
+        if i > start and total + cost > limit:
             yield slice(start, i)
             start, total = i, 0
         total += cost
@@ -457,8 +463,11 @@ def _candidates(keys: np.ndarray, n_features: int, m: int) -> np.ndarray:
     or its top ``V - m + i`` if an earlier step took ``v_i``.  All nodes'
     steps run at once.  A draw equal to an earlier one is taken already;
     else it is taken only if it is the top of an earlier step that took its
-    top, which is how the replacements spread until none changes.
+    top, which is how the replacements spread until none changes.  When
+    ``m`` is ``V`` the candidates are every feature, whatever the draws.
     """
+    if m == n_features:  # the draw would take them all, at some 75 ns a candidate
+        return np.broadcast_to(np.arange(m), (keys.size, m))
     low = n_features - m
     draws = _derive(_derive(keys, 2)[:, None], np.arange(m))
     draws %= np.arange(low + 1, n_features + 1, dtype=np.uint64)
@@ -469,10 +478,35 @@ def _candidates(keys: np.ndarray, n_features: int, m: int) -> np.ndarray:
     topped[np.arange(keys.size)[:, None], steps[:, 1:]] = value[:, 1:] == value[:, :-1]
     step = draws - low  # the step whose top a draw is, if below its own
     node, at = ((step >= 0) & (step < np.arange(m)) & ~topped).nonzero()
-    on = step[node, at]
-    while (spread := topped[node, on] & ~topped[node, at]).any():
-        topped[node[spread], at[spread]] = True
+    # each untaken draw's cell and the cell of the step whose top it is, in
+    # the flat table; a draw taken drops out
+    cell, on = node * m + at, node * m + step[node, at]
+    flat = topped.ravel()
+    while (spread := flat[on]).any():
+        flat[cell[spread]] = True
+        cell, on = cell[~spread], on[~spread]
     return np.sort(np.where(topped, np.arange(low, n_features), draws), axis=1)
+
+
+def _bootstrap(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bootstrap of each tree keyed by ``keys``: ``n`` draws, draw ``i``
+    ``derive_seed(derive_seed(key, 3), i) mod n``.  The result is the
+    distinct samples drawn, tree after tree, ascending within a tree, with
+    each one's tree and multiplicity; the samples and multiplicities in the
+    narrowest unsigned dtype that holds a sample index, which holds a
+    multiplicity too.  Runs of trees with at most ``DRAW_CELLS`` draws
+    together are drawn one after another."""
+    run = max(1, DRAW_CELLS // n)
+    dtype = np.min_scalar_type(n)
+    parts = []
+    for first in range(0, keys.size, run):
+        draws = _derive(_derive(keys[first:first + run], 3)[:, None], np.arange(n))
+        draws %= np.uint64(n)
+        draws += (np.arange(draws.shape[0], dtype=np.uint64) * np.uint64(n))[:, None]
+        drawn = np.bincount(draws.ravel().view(np.int64), minlength=draws.size)
+        tree, sample = np.divmod(drawn.nonzero()[0], n)
+        parts.append((tree + first, sample.astype(dtype), drawn[drawn > 0].astype(dtype)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _reads_rows(column_cost: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
@@ -620,15 +654,16 @@ def fit_forest(
 
     All trees grow together, one depth level per step.  A level's nodes
     hold their distinct samples and bootstrap multiplicities in flat
-    arrays, node after node.  A node is searched along whichever holds fewer
-    nonzeros, its candidates' columns or its samples' rows (see
-    :func:`_reads_rows`), and one :func:`_best_splits` call searches the
-    level's nodes of one path that gather at most ``SEARCH_NONZEROS``
-    nonzeros together (a node that gathers more is searched alone) and
-    whose table of nodes by samples (columns) or by features (rows) holds at
-    most ``SEARCH_CELLS`` cells.  The right sides the search returns make
-    one mask over the level's samples, which cuts them into the next
-    level's: the split nodes' left children, then their right children.
+    arrays, node after node.  Its searched nodes' candidates are drawn for
+    runs of nodes with at most ``DRAW_CELLS`` candidates together, and each
+    run is searched before the next is drawn.  A node is searched along
+    whichever holds fewer nonzeros, its candidates' columns or its samples'
+    rows (see :func:`_reads_rows`), and one :func:`_best_splits` call
+    searches a run's nodes of one path that gather at most
+    ``SEARCH_NONZEROS`` nonzeros together (a node that gathers more is
+    searched alone).  The right sides the search returns make one mask over
+    the level's samples, which cuts them into the next level's: the split
+    nodes' left children, then their right children.
     The levels' node records are renumbered to each tree's preorder at the
     end; the fit itself reads only the store's ``indptr``s, for the costs.
     """
@@ -648,18 +683,11 @@ def fit_forest(
 
     column_nonzeros = np.diff(indptr)
     row_nonzeros = np.diff(columns.row_indptr)
+    run = max(1, DRAW_CELLS // max(m_features, 1))  # nodes whose candidates are drawn together
     tree = np.arange(params.num_trees)
     keys = _derive(np.array([params.seed & _MASK64], np.uint64), tree)
-    draws = _derive(_derive(keys, 3)[:, None], np.arange(n_samples)) % np.uint64(n_samples)
-    draws += (tree * n_samples).astype(np.uint64)[:, None]
-    drawn = np.bincount(draws.ravel().astype(np.intp), minlength=draws.size)
-    # The level's nodes, by key and tree, and their distinct samples and
-    # bootstrap multiplicities, node after node, in the narrowest unsigned
-    # dtype that holds a sample index, which holds a multiplicity too
-    held = drawn.nonzero()[0]
-    node, sample = np.divmod(held, n_samples)
-    dtype = np.min_scalar_type(n_samples)
-    sample, multiplicity = sample.astype(dtype), drawn[held].astype(dtype)
+    # the level's nodes, by key and tree, and their samples (see _bootstrap)
+    node, sample, multiplicity = _bootstrap(keys, n_samples)
     levels = []
     while keys.size:
         n_nodes = keys.size
@@ -670,28 +698,28 @@ def fit_forest(
         if not m_features or (params.max_depth is not None and len(levels) >= params.max_depth):
             done[:] = True
         searched = np.flatnonzero(~done)
-        cand = _candidates(keys[searched], n_features, m_features)
         starts = np.zeros(n_nodes + 1, dtype=np.int64)
         np.bincount(node, minlength=n_nodes).cumsum(out=starts[1:])
-        column_cost = row_cost = column_nonzeros[cand].sum(axis=1)
-        by_rows = np.zeros(searched.size, dtype=bool)
-        if column_cost.sum() > _CALL_NONZEROS:  # else _reads_rows reads columns for all
-            row_cost = np.bincount(node, row_nonzeros[sample], n_nodes)[searched]
-            by_rows = _reads_rows(column_cost, row_cost)
         feature = np.full(n_nodes, -1)
         threshold = np.zeros(n_nodes)
         goes_right = np.zeros(node.size, dtype=bool)
-        for path, cost, width in ((False, column_cost, n_samples), (True, row_cost, n_features)):
-            chosen = (by_rows == path).nonzero()[0]
-            for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS,
-                                  max(1, SEARCH_CELLS // max(width, 1))):
-                at = searched[chosen[batch]]
-                entries, sizes, _ = _spans(starts[at], starts[at + 1])
-                split, split_feature, split_threshold, right = _best_splits(
-                    columns, sample[entries], multiplicity[entries], sizes, cand[chosen[batch]],
-                    totals[at], path)
-                feature[at[split]], threshold[at[split]] = split_feature, split_threshold
-                goes_right[entries[right]] = True
+        for part in np.split(searched, range(run, searched.size, run)):
+            cand = _candidates(keys[part], n_features, m_features)
+            column_cost = row_cost = column_nonzeros[cand].sum(axis=1)
+            by_rows = np.zeros(part.size, dtype=bool)
+            if column_cost.sum() > _CALL_NONZEROS:  # else _reads_rows reads columns for all
+                row_cost = np.bincount(node, row_nonzeros[sample], n_nodes)[part]
+                by_rows = _reads_rows(column_cost, row_cost)
+            for path, cost in ((False, column_cost), (True, row_cost)):
+                chosen = (by_rows == path).nonzero()[0]
+                for batch in _batches(cost[chosen].tolist(), SEARCH_NONZEROS):
+                    at = part[chosen[batch]]
+                    entries, sizes, _ = _spans(starts[at], starts[at + 1])
+                    split, split_feature, split_threshold, right = _best_splits(
+                        columns, sample[entries], multiplicity[entries], sizes,
+                        cand[chosen[batch]], totals[at], path)
+                    feature[at[split]], threshold[at[split]] = split_feature, split_threshold
+                    goes_right[entries[right]] = True
         splits = feature >= 0
         levels.append((tree, splits, feature, threshold,
                        np.where(splits, -1, totals.argmax(axis=1))))
@@ -726,6 +754,7 @@ def fit_forest(
         for field, values in zip(fields, (feature, threshold, left, right, value)):
             field[at] = values
         place = np.concatenate([left[splits], right[splits]])
+    del levels, subtree  # freed before the model's Python objects are made
     fields = [field.tolist() for field in fields]
     trees = tuple(DecisionTree(*(tuple(field[a:b]) for field in fields))
                   for a, b in zip(first[:-1].tolist(), first[1:].tolist()))

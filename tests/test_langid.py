@@ -389,6 +389,25 @@ class TestFitForest:
         monkeypatch.setattr(langid, "SEARCH_NONZEROS", 1)
         assert fit_forest(samples, params) == expected
 
+    def test_draws_in_runs_give_the_same_trees(self, monkeypatch, benchmark_samples):
+        # A level's candidates, and the bootstrap, are drawn in runs of at
+        # most DRAW_CELLS draws; smaller runs change no tree.
+        samples, n_features = benchmark_samples
+        samples = samples[::8]
+        params = ForestParams(num_trees=6, seed=42)
+        expected = fit_forest(samples, params, n_features=n_features)
+        runs = []
+        draw = langid._candidates
+
+        def spy(keys, n_features, m):
+            runs.append(keys.size * m)
+            return draw(keys, n_features, m)
+
+        monkeypatch.setattr(langid, "_candidates", spy)
+        monkeypatch.setattr(langid, "DRAW_CELLS", 1 << 9)
+        assert fit_forest(samples, params, n_features=n_features) == expected
+        assert max(runs) <= 1 << 9 and runs.count(max(runs)) > 1
+
     @pytest.mark.parametrize("num_trees", [3, 50])
     def test_fit_memory_stays_bounded(self, benchmark_samples, num_trees):
         # A dense n x V int32 count matrix alone would take 77.5 MiB here
@@ -435,31 +454,6 @@ class TestFitForest:
         monkeypatch.setattr(langid, "_best_splits", spy)
         fit_forest(samples, ForestParams(num_trees=2, seed=42), n_features=n_features)
         assert set(paths) == {False, True}
-
-    def test_search_tables_stay_within_their_cells(self, monkeypatch, benchmark_samples):
-        # A level of many small nodes is searched in several calls, each
-        # with a (nodes x samples) or (nodes x features) table of at most
-        # SEARCH_CELLS cells unless it searches one node; the trees are the
-        # same as with the default cap.
-        samples, n_features = benchmark_samples
-        samples = samples[::8]
-        params = ForestParams(num_trees=6, seed=42)
-        expected = fit_forest(samples, params, n_features=n_features)
-        cells = []
-        search = langid._best_splits
-
-        def spy(columns, sample, multiplicity, sizes, *rest):
-            width = n_features if rest[-1] else len(samples)
-            cells.append((sizes.size, sizes.size * width))
-            return search(columns, sample, multiplicity, sizes, *rest)
-
-        monkeypatch.setattr(langid, "_best_splits", spy)
-        fit_forest(samples, params, n_features=n_features)
-        unbounded, cells[:] = len(cells), []
-        monkeypatch.setattr(langid, "SEARCH_CELLS", 1 << 12)
-        assert fit_forest(samples, params, n_features=n_features) == expected
-        assert all(nodes == 1 or table <= 1 << 12 for nodes, table in cells)
-        assert len(cells) > unbounded and max(nodes for nodes, _ in cells) > 1
 
     def test_wide_counts_match_dense_reference_grower(self):
         samples = _wide_count_samples(10_000)
