@@ -5,6 +5,15 @@ Gini-split decision trees, with a versioned binary model format.  Classifier
 input is cleaned, lowercased text with stopwords retained (stopwords are
 strong language discriminators).
 
+Training texts are featurized in array passes over chunks of at most
+``CHUNK_CHARS`` characters: each chunk's characters are ranked, then each
+n-gram's id is its (n-1)-gram prefix's rank times the chunk's alphabet size
+plus its last character's rank, and one sort per length groups the ids,
+ranks them for the next length, and counts them per text.  Only each distinct
+n-gram of a chunk becomes a Python string: for the merge of document
+frequencies, and for the vocabulary lookup.  The samples reach the forest as
+CSR rows (:class:`SparseRows`); per-text :func:`vectorize` serves prediction.
+
 Training is a pure function of (sample order, parameters): bootstrap rows and
 candidate features are SplitMix64 draws keyed on (seed, tree, node), so no
 draw depends on the order in which nodes grow, and repeated fits serialize
@@ -40,7 +49,7 @@ import json
 import math
 import operator
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -59,13 +68,20 @@ MODEL_VERSION = 1
 
 #: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
 CHUNK_ROWS = 256
+#: Characters (a text's length plus one) that the training featurizer ranks
+#: and sorts at a time, unless a single text has more.  A chunk's temporaries
+#: are int64 arrays of about an entry a character per n-gram length, and its
+#: distinct n-grams as strings: on the benchmark corpus they peak at about
+#: 4.5 MiB (17.5 MiB at 2**16), and 2**14 featurizes as fast as 2**15.
+CHUNK_CHARS = 1 << 14
 #: Nonzeros that one batched split search gathers at most, along its nodes'
 #: candidate columns or along their samples' rows, unless a single node
 #: gathers more.  A batch's temporaries are a few arrays of that many
 #: entries, plus one table of its nodes by samples (columns) or by features
-#: (rows); twice as many cost a fresh ``train-langid`` about 0.6 MiB more
-#: peak RSS.
-SEARCH_NONZEROS = 1 << 15
+#: (rows).  Raised from 2**15, it cut the benchmark's 50-tree fit from 0.68
+#: to 0.56 s and added 3.4 MiB to its traced peak (11.5 MiB) and 1.7 MiB to
+#: a fresh ``train-langid``'s peak RSS; 2**18 took the traced peak to 15.8 MiB.
+SEARCH_NONZEROS = 1 << 17
 #: (node, candidate) pairs of a level that the fit draws and searches at a
 #: time, unless a single node has more candidates, and (tree, sample) pairs
 #: of the bootstrap that it draws at a time, unless a tree has more
@@ -177,6 +193,74 @@ class NgramVectorizer:
         return len(self.vocabulary)
 
 
+class SparseRows(NamedTuple):
+    """Sparse count vectors as CSR arrays: row ``i``'s features and their
+    counts sit at ``indptr[i]:indptr[i + 1]`` of ``features`` and ``counts``."""
+
+    indptr: np.ndarray
+    features: np.ndarray
+    counts: np.ndarray
+
+
+def _chunk_ngrams(
+    texts: Sequence[str], n_min: int, n_max: int
+) -> Iterator[tuple[slice, list[str], np.ndarray, np.ndarray, np.ndarray]]:
+    """The n-grams of each chunk of ``texts`` (see ``CHUNK_CHARS``).
+
+    Yields, chunk after chunk, its slice of ``texts``; its distinct n-grams
+    of each length in [n_min, n_max], lengths ascending, each length's in
+    code point order (Python's string order); and one entry per distinct
+    (n-gram, text) pair, ascending: the n-gram's place among them, the
+    text's place in the chunk, and the n-gram's count in the text.
+
+    The ids are exact at every length, with no limit on n: a chunk's
+    1-grams are its code points, and an n-gram's id is the rank of its
+    (n-1)-gram prefix among the chunk's distinct ones times the alphabet
+    size plus its last character's rank.  So an id is below 2**21 or the
+    chunk's character count squared, and an (id, text) key below that times
+    the chunk's texts: 2**42 in a chunk of texts at ``CHUNK_CHARS`` = 2**14,
+    and a longer text is a chunk of its own.
+    """
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+    for part in _batches((len(text) + 1 for text in texts), CHUNK_CHARS):
+        chunk = texts[part]
+        joined = "".join(chunk)
+        lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
+        # each n-gram's start in ``joined``, its text, and where its text ends
+        start = np.arange(len(joined))
+        text = np.arange(len(chunk)).repeat(lengths)
+        end = lengths.cumsum().repeat(lengths)
+        ids = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), np.uint32)
+        ids = ids.astype(np.int64)
+        grams: list[str] = []
+        gram, doc, count = [], [], []
+        for n in range(1, min(n_max, int(lengths.max(initial=0))) + 1):
+            if n > 1:
+                fits = start + n <= end
+                start, text, end = start[fits], text[fits], end[fits]
+                ids = rank[fits] * alphabet + char_rank[start + n - 1]
+            # an argsort, not np.unique: np.unique(x) with no return_* flag
+            # took 0.37 s on 438,762 int64 values in numpy 2.4.6, where
+            # np.sort took 4 ms and np.unique(x, return_counts=True) 10 ms
+            order = np.argsort(ids * len(chunk) + text)
+            sorted_ids, sorted_text = ids[order], text[order]
+            opens = _runs(sorted_ids)
+            sorted_rank = opens.cumsum() - 1
+            rank = np.empty_like(sorted_rank)
+            rank[order] = sorted_rank
+            if n == 1:
+                char_rank, alphabet = rank, int(sorted_rank[-1]) + 1
+            if n >= n_min:
+                pair = _runs(sorted_ids, sorted_text).nonzero()[0]
+                gram.append(sorted_rank[pair] + len(grams))
+                doc.append(sorted_text[pair])
+                count.append(np.diff(pair, append=ids.size))
+                grams += [joined[at:at + n] for at in start[order[opens]].tolist()]
+        if gram:
+            yield part, grams, *map(np.concatenate, (gram, doc, count))
+
+
 def fit_vectorizer(
     corpus: Sequence[tuple[str, LanguageCode]],
     n_min: int = 1,
@@ -187,8 +271,8 @@ def fit_vectorizer(
     if not corpus:
         raise ValueError("cannot fit a vectorizer on an empty corpus")
     doc_freq: Counter = Counter()
-    for text, _ in corpus:
-        doc_freq.update(set(extract_char_ngrams(text, n_min, n_max)))
+    for _, grams, gram, _, _ in _chunk_ngrams([text for text, _ in corpus], n_min, n_max):
+        doc_freq.update(dict(zip(grams, np.bincount(gram).tolist())))
     kept = sorted(g for g, df in doc_freq.items() if df >= min_doc_freq)
     if not kept:
         raise EmptyVocabularyError(
@@ -204,6 +288,44 @@ def vectorize(vectorizer: NgramVectorizer, text: str) -> FeatureVector:
     counts = Counter(map(vectorizer.vocabulary.get, grams))
     del counts[None]  # a Counter ignores a missing key
     return counts
+
+
+def vectorize_batch(vectorizer: NgramVectorizer, texts: Sequence[str]) -> SparseRows:
+    """Each text's :func:`vectorize` counts as one CSR row, features
+    ascending, each array in the narrowest unsigned dtype that holds it.
+
+    The texts are featurized a chunk at a time (see :func:`_chunk_ngrams`),
+    and ``features`` and ``counts`` grow in place by each chunk's rows, so
+    the result is never held twice.
+    """
+    vocabulary, n_features = vectorizer.vocabulary, vectorizer.size
+    longest = max(map(len, texts), default=0)
+    # a text holds at most one n-gram of each length at each character, so
+    # no n-gram more often than it has characters
+    n_lengths = min(vectorizer.n_max - vectorizer.n_min + 1, longest)
+    indptr = np.zeros(len(texts) + 1, np.min_scalar_type(sum(map(len, texts)) * n_lengths))
+    features = np.zeros(0, dtype=np.min_scalar_type(max(n_features - 1, 0)))
+    counts = np.zeros(0, dtype=np.min_scalar_type(longest))
+    for part, grams, gram, text, count in _chunk_ngrams(
+            texts, vectorizer.n_min, vectorizer.n_max):
+        feature = np.fromiter(map(vocabulary.get, grams, repeat(-1)), np.int64, len(grams))[gram]
+        kept = (feature >= 0).nonzero()[0]
+        text, feature = text[kept], feature[kept]
+        order = np.argsort(text * n_features + feature)
+        indptr[part.start + 1:part.stop + 1] = np.bincount(text, minlength=part.stop - part.start)
+        _extend(features, feature[order])
+        _extend(counts, count[kept[order]])
+    indptr.cumsum(out=indptr)
+    return SparseRows(indptr.astype(np.min_scalar_type(features.size), copy=False), features,
+                      counts.astype(np.min_scalar_type(int(counts.max(initial=0))), copy=False))
+
+
+def _extend(array: np.ndarray, values: np.ndarray) -> None:
+    """Append ``values`` to ``array`` in place, by one realloc: an
+    ``np.concatenate`` of all chunks' parts would hold them twice."""
+    size = array.size
+    array.resize(size + values.size, refcheck=False)
+    array[size:] = values
 
 
 @dataclass(frozen=True)
@@ -336,16 +458,6 @@ def _flatten(trees: Sequence[DecisionTree], n_classes: int) -> _FlatForest:
     )
 
 
-def _entries(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (row, feature, count) arrays of every entry of the sparse vectors,
-    row after row."""
-    sizes = [len(x) for x in vectors]
-    nnz = sum(sizes)
-    features = np.fromiter(chain.from_iterable(vectors), np.int64, nnz)
-    counts = np.fromiter(chain.from_iterable(x.values() for x in vectors), np.int64, nnz)
-    return np.arange(len(vectors)).repeat(sizes), features, counts
-
-
 class _Columns(NamedTuple):
     """Training samples as a compressed sparse store, by column and by row.
 
@@ -370,18 +482,21 @@ class _Columns(NamedTuple):
 
 
 def _column_store(
-    samples: Sequence[tuple[FeatureVector, LanguageCode]],
+    samples: SparseRows,
+    labels: Sequence[LanguageCode],
     n_features: Optional[int],
 ) -> _Columns:
-    """The sorted class list and the samples' sparse store.
+    """The sorted class list and the sparse store of the CSR ``samples``,
+    one per label.
 
     ``n_features`` defaults to the highest observed feature index + 1; an
     index outside 0..n_features-1 or a negative count is a ValueError.
     """
-    classes = tuple(sorted({lang for _, lang in samples}))
+    classes = tuple(sorted(set(labels)))
     class_index = {lang: i for i, lang in enumerate(classes)}
-    y = np.array([class_index[lang] for _, lang in samples], dtype=np.int64)
-    rows, features, counts = _entries([vec for vec, _ in samples])
+    y = np.array([class_index[lang] for lang in labels], dtype=np.int64)
+    indptr, features, counts = samples
+    rows = np.arange(len(labels)).repeat(np.diff(indptr))
     nnz = features.size
     if n_features is None:
         n_features = int(features.max()) + 1 if nnz else 0
@@ -405,9 +520,9 @@ def _column_store(
     # stayed in the heap, and a fresh train-langid's peak RSS rose 1.3 MiB)
     row_features = features.astype(np.min_scalar_type(n_features))
     row_pos = np.empty(nnz, dtype=np.min_scalar_type(nnz))
-    sorted_rows = np.empty(nnz, dtype=np.min_scalar_type(len(samples)))
-    row_indptr = np.zeros(len(samples) + 1, dtype=np.int64)
-    np.bincount(rows, minlength=len(samples)).cumsum(out=row_indptr[1:])
+    sorted_rows = np.empty(nnz, dtype=np.min_scalar_type(len(labels)))
+    row_indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.bincount(rows, minlength=len(labels)).cumsum(out=row_indptr[1:])
     # the three wide entry arrays are narrowed or dropped before the sort,
     # so they are not live next to its int64 order
     rows = rows.astype(sorted_rows.dtype)
@@ -422,17 +537,17 @@ def _column_store(
                     row_indptr, row_features, row_pos)
 
 
-def _batches(costs: list[int], limit: int) -> Iterator[slice]:
+def _batches(costs: Iterable[int], limit: int) -> Iterator[slice]:
     """Consecutive runs of ``costs`` that sum to at most ``limit``; an item
     that costs more on its own is a run of one."""
-    start, total = 0, 0
+    start, total, i = 0, 0, -1
     for i, cost in enumerate(costs):
         if i > start and total + cost > limit:
             yield slice(start, i)
             start, total = i, 0
         total += cost
-    if costs:
-        yield slice(start, len(costs))
+    if i >= start:
+        yield slice(start, i + 1)
 
 
 def _runs(*keys: np.ndarray) -> np.ndarray:
@@ -635,11 +750,13 @@ def _best_splits(
 
 
 def fit_forest(
-    samples: Sequence[tuple[FeatureVector, LanguageCode]],
+    samples: SparseRows,
+    labels: Sequence[LanguageCode],
     params: ForestParams,
     n_features: Optional[int] = None,
 ) -> ForestModel:
-    """Train the bagged CART ensemble.
+    """Train the bagged CART ensemble on the CSR ``samples`` (as
+    :func:`vectorize_batch` gives them), row ``i`` labelled ``labels[i]``.
 
     Every draw is keyed on (seed, tree, node) by SplitMix64
     (:func:`derive_seed`), so no draw depends on the order in which nodes
@@ -667,9 +784,12 @@ def fit_forest(
     The levels' node records are renumbered to each tree's preorder at the
     end; the fit itself reads only the store's ``indptr``s, for the costs.
     """
-    if not samples:
+    if not len(labels):
         raise ValueError("fit_forest needs at least one sample")
-    columns = _column_store(samples, n_features)
+    if len(samples.indptr) != len(labels) + 1:
+        raise ValueError(f"fit_forest needs one label per row, got {len(labels)} "
+                         f"for {len(samples.indptr) - 1}")
+    columns = _column_store(samples, labels, n_features)
     y, indptr = columns.y, columns.indptr
     n_samples, n_features = y.size, indptr.size - 1
     k = len(columns.classes)
@@ -782,8 +902,11 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
     for start in range(0, len(vectors), CHUNK_ROWS):
         chunk = vectors[start:start + CHUNK_ROWS]
         n = len(chunk)
-        rows, features, counts = _entries(chunk)
-        cells = rows * n_columns
+        sizes = [len(x) for x in chunk]
+        features = np.fromiter(chain.from_iterable(chunk), np.int64, sum(sizes))
+        counts = np.fromiter(chain.from_iterable(x.values() for x in chunk), np.int64,
+                             features.size)
+        cells = np.arange(n).repeat(sizes) * n_columns
         cells += column_of[features.clip(-1, column_of.size - 1)]
         block = np.zeros((n, n_columns), dtype=flat.floor.dtype)
         block.ravel()[cells] = counts.clip(limits.min, limits.max)  # ravel: a view
@@ -970,6 +1093,7 @@ def train_identifier(
     """Normalize texts, fit the vectorizer, and train the forest on counts."""
     normalized = [(normalize_for_langid(text), lang) for text, lang in corpus]
     vectorizer = fit_vectorizer(normalized, n_min, n_max, min_doc_freq)
-    samples = [(vectorize(vectorizer, text), lang) for text, lang in normalized]
-    model = fit_forest(samples, params or ForestParams(), n_features=vectorizer.size)
+    texts, labels = zip(*normalized)
+    model = fit_forest(vectorize_batch(vectorizer, texts), labels, params or ForestParams(),
+                       n_features=vectorizer.size)
     return ForestPredictor(vectorizer=vectorizer, model=model)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,10 +20,14 @@ from tla.corpus import (
 )
 from tla.langid import (
     DecisionTree,
+    EmptyVocabularyError,
     ForestModel,
+    NgramVectorizer,
+    SparseRows,
     _best_splits,
     _column_store,
     derive_seed,
+    extract_char_ngrams,
 )
 from tla.preprocess import _EMOJI_BLOCKS, _UNSEGMENTED_BLOCKS, _URL_RE
 
@@ -118,7 +124,20 @@ def rng() -> random.Random:
 
 
 # Per-substring references for the vectorizer.  ``extract_char_ngrams`` and
-# ``vectorize`` must equal them on every text, in order.
+# ``vectorize`` must equal them on every text, in order, and
+# ``fit_vectorizer`` and ``vectorize_batch`` must equal the per-text ones.
+
+def reference_fit_vectorizer(corpus, n_min=1, n_max=3, min_doc_freq=2):
+    """``fit_vectorizer`` one text at a time: each text's set of n-grams
+    counts once into the document frequencies."""
+    doc_freq = Counter()
+    for text, _ in corpus:
+        doc_freq.update(set(extract_char_ngrams(text, n_min, n_max)))
+    kept = sorted(g for g, df in doc_freq.items() if df >= min_doc_freq)
+    if not kept:
+        raise EmptyVocabularyError(f"no n-gram reached document frequency {min_doc_freq}")
+    return NgramVectorizer(n_min, n_max, min_doc_freq, {g: i for i, g in enumerate(kept)})
+
 
 def reference_extract_char_ngrams(text, n_min, n_max):
     """Every substring of each length in [n_min, n_max], sliced one at a
@@ -139,6 +158,19 @@ def reference_vectorize(vectorizer, text):
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
     return counts
+
+
+def sparse_samples(samples):
+    """(feature -> count dict, label) pairs as ``fit_forest``'s input: their
+    CSR rows, int64 so that a negative feature or count reaches its checks,
+    and their labels."""
+    sizes = [len(vec) for vec, _ in samples]
+    indptr = np.zeros(len(samples) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    features = np.fromiter(chain.from_iterable(vec for vec, _ in samples), np.int64, indptr[-1])
+    counts = np.fromiter(chain.from_iterable(vec.values() for vec, _ in samples), np.int64,
+                         indptr[-1])
+    return SparseRows(indptr, features, counts), [label for _, label in samples]
 
 
 def dense_histogram(values, y, n_classes):
@@ -178,7 +210,7 @@ def best_splits(instances, candidate_features):
         part = instances[start:start + 64]
         samples = [sample for instance in part for sample in instance]
         n_features = 1 + max(candidates + [f for vec, _ in samples for f in vec])
-        columns = _column_store(samples, n_features)
+        columns = _column_store(*sparse_samples(samples), n_features)
         sizes = np.array([len(instance) for instance in part])
         sample = np.arange(len(samples))  # each node holds its instance's samples once
         k = len(columns.classes)
@@ -504,7 +536,7 @@ def fit_nb(samples, alpha=1.0, n_features=None):
         raise ValueError("fit_nb needs at least one sample")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    columns = _column_store(samples, n_features)
+    columns = _column_store(*sparse_samples(samples), n_features)
     k, n_features = len(columns.classes), columns.indptr.size - 1
     feature = np.repeat(np.arange(n_features), np.diff(columns.indptr))
     feature_counts = np.bincount(

@@ -1012,9 +1012,9 @@ def test_identifier_names_resolve_on_first_use():
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
     # the layers are imported from tla.langid, where they are defined
-    for name in ("ForestModel", "NgramVectorizer", "extract_char_ngrams", "fit_forest",
-                 "fit_vectorizer", "load_model", "predict_language", "save_model",
-                 "vectorize"):
+    for name in ("ForestModel", "NgramVectorizer", "SparseRows", "extract_char_ngrams",
+                 "fit_forest", "fit_vectorizer", "load_model", "predict_language",
+                 "save_model", "vectorize", "vectorize_batch"):
         assert callable(getattr(tla.langid, name))
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(tla, name)

@@ -28,6 +28,7 @@ from tla.langid import (
     save_model,
     train_identifier,
     vectorize,
+    vectorize_batch,
 )
 
 from tla.synth import synthetic_corpus, synthetic_split
@@ -41,8 +42,10 @@ from conftest import (
     reference_candidates,
     reference_extract_char_ngrams,
     reference_fit_forest,
+    reference_fit_vectorizer,
     reference_predict,
     reference_vectorize,
+    sparse_samples,
 )
 
 EN, ES = LanguageCode.EN, LanguageCode.ES
@@ -105,6 +108,123 @@ def test_ngrams_and_counts_match_the_slicing_reference(text, other, lengths):
     assert counts == expected
     assert list(counts.items()) == list(expected.items())  # same key order too
     assert isinstance(counts, dict)
+
+
+#: NUL, a lone surrogate and "?" besides: the array featurizer reads each
+#: text's code points from UTF-32, which encodes a lone surrogate only with
+#: "surrogatepass" ("replace" would make it a "?").
+BATCH_ALPHABET = NGRAM_ALPHABET + "\x00\ud800?"
+
+
+def _csr_rows(samples):
+    """The rows of CSR ``samples`` as feature -> count dicts."""
+    indptr, features, counts = (array.tolist() for array in samples)
+    return [dict(zip(features[a:b], counts[a:b])) for a, b in zip(indptr, indptr[1:])]
+
+
+def _assert_narrowest(samples, n_features):
+    indptr, features, counts = samples
+    assert indptr.dtype == np.min_scalar_type(features.size)
+    assert features.dtype == np.min_scalar_type(max(n_features - 1, 0))
+    assert counts.dtype == np.min_scalar_type(int(counts.max(initial=0)))
+    assert counts.all()
+    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        assert (np.diff(features[a:b].astype(np.int64)) > 0).all()  # ascending in a row
+
+
+@given(texts=st.lists(st.text(BATCH_ALPHABET, max_size=12), min_size=1, max_size=8),
+       lengths=st.lists(st.integers(1, 5), min_size=2, max_size=2).map(sorted),
+       min_doc_freq=st.integers(1, 3))
+@example(texts=["", "a\ud800", "\ud800\x00?"], lengths=[1, 2], min_doc_freq=1)
+@example(texts=["ab", "a", ""], lengths=[3, 5], min_doc_freq=1)  # all shorter than n_min
+@example(texts=["e\u0301\U0001F600", "e\u0301"], lengths=[1, 4], min_doc_freq=2)
+def test_array_featurizer_matches_the_per_text_reference(texts, lengths, min_doc_freq):
+    n_min, n_max = lengths
+    corpus = [(text, EN) for text in texts]
+    try:
+        expected = reference_fit_vectorizer(corpus, n_min, n_max, min_doc_freq)
+    except EmptyVocabularyError as exc:
+        with pytest.raises(EmptyVocabularyError, match=str(exc)):
+            fit_vectorizer(corpus, n_min, n_max, min_doc_freq)
+        expected = None
+    else:
+        fitted = fit_vectorizer(corpus, n_min, n_max, min_doc_freq)
+        assert list(fitted.vocabulary.items()) == list(expected.vocabulary.items())
+    # every other n-gram of the texts, so that some of each text's drop
+    grams = sorted({gram for text in texts
+                    for gram in reference_extract_char_ngrams(text, n_min, n_max)})
+    sparse = NgramVectorizer(n_min, n_max, 1, {g: i for i, g in enumerate(grams[::2])})
+    for v in filter(None, (expected, sparse)):
+        samples = vectorize_batch(v, texts)
+        assert _csr_rows(samples) == [reference_vectorize(v, text) for text in texts]
+        _assert_narrowest(samples, v.size)
+
+
+class TestVectorizeBatch:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [(normalize_for_langid(text), lang) for text, lang in synthetic_corpus(8, seed=5)]
+
+    def test_tiny_chunks_give_the_same_arrays(self, monkeypatch, corpus):
+        texts = [text for text, _ in corpus] + ["", "x" * 40]
+        v = fit_vectorizer(corpus, 1, 4)
+        expected = vectorize_batch(v, texts)
+        chunks = []
+        batches = langid._batches
+
+        def spy(costs, limit):
+            for part in batches(costs, limit):
+                chunks.append(part)
+                yield part
+
+        monkeypatch.setattr(langid, "_batches", spy)
+        for limit in (1, 7, 100):
+            monkeypatch.setattr(langid, "CHUNK_CHARS", limit)
+            assert fit_vectorizer(corpus, 1, 4) == v
+            got = vectorize_batch(v, texts)
+            assert [a.dtype for a in got] == [a.dtype for a in expected]
+            assert all(map(np.array_equal, got, expected))
+        assert len(chunks) > 2 * len(texts)  # a chunk a text at the smallest limits
+
+    def test_unbounded_n_max_stops_at_the_longest_text(self, corpus):
+        longest = max(len(text) for text, _ in corpus)
+        huge = fit_vectorizer(corpus, 2, 10**8, min_doc_freq=1)
+        exact = fit_vectorizer(corpus, 2, longest, min_doc_freq=1)
+        assert huge.vocabulary == exact.vocabulary
+        assert max(map(len, huge.vocabulary)) == longest
+        texts = [text for text, _ in corpus]
+        assert all(map(np.array_equal, vectorize_batch(huge, texts), vectorize_batch(exact, texts)))
+
+    def test_no_texts(self):
+        v = NgramVectorizer(1, 2, 1, {"a": 0})
+        indptr, features, counts = vectorize_batch(v, [])
+        assert indptr.tolist() == [0] and features.size == counts.size == 0
+
+    def test_featurizing_memory_stays_bounded(self, benchmark_corpus):
+        # The per-text path held a Counter per text, 11.4 MiB of them.
+        # Featurized a chunk at a time, the benchmark corpus peaks at 4.2 MiB
+        # (the vocabulary fit) and 5.4 MiB (its 0.89 MiB of CSR rows).
+        texts, labels, v = benchmark_corpus
+        corpus, grown = list(zip(texts, labels)), texts * 4
+
+        def traced(featurize, *args):
+            tracemalloc.start()
+            try:
+                result = featurize(*args)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fitted, fit_peak = traced(fit_vectorizer, corpus)
+        samples, peak = traced(vectorize_batch, v, texts)
+        grown_samples, grown_peak = traced(vectorize_batch, v, grown)
+        assert fitted == v
+        assert fit_peak < 5 * 2**20, f"fit_vectorizer peak {fit_peak / 2**20:.2f} MiB"
+        assert peak < 6.25 * 2**20, f"vectorize_batch peak {peak / 2**20:.2f} MiB"
+        # four times the texts add their rows and nothing else: the chunks
+        # fall at other texts, which moved the peak by 5 kB
+        csr_growth = sum(a.nbytes for a in grown_samples) - sum(a.nbytes for a in samples)
+        assert grown_peak - peak <= csr_growth + 2**16, (grown_peak - peak, csr_growth)
 
 
 class TestFitVectorizer:
@@ -232,12 +352,13 @@ def _vectorized(corpus, n_min=1, n_max=2, min_df=1):
 
 
 @pytest.fixture(scope="module")
-def benchmark_samples():
-    """The benchmark's training samples, 3,200 texts, and their vocabulary size."""
+def benchmark_corpus():
+    """The benchmark's 3,200 normalized training texts, their labels and
+    their vectorizer."""
     normalized = [(normalize_for_langid(text), lang)
                   for text, lang in synthetic_corpus(200, seed=42)]
-    v = fit_vectorizer(normalized)
-    return [(vectorize(v, text), lang) for text, lang in normalized], v.size
+    texts, labels = map(list, zip(*normalized))
+    return texts, labels, fit_vectorizer(normalized)
 
 
 class TestFitForest:
@@ -249,7 +370,7 @@ class TestFitForest:
         corpus = _pure_alphabet_corpus()
         v, samples = _vectorized(corpus)
         params = ForestParams(num_trees=1, features_per_split=v.size, seed=3)
-        model = fit_forest(samples, params, n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), params, n_features=v.size)
         for i in reference_bootstrap(3, 0, len(samples)):
             x, lang = samples[i]
             assert predict_language(model, [x])[0][0] == lang
@@ -272,7 +393,7 @@ class TestFitForest:
         params = ForestParams(num_trees=5, seed=99)
         blobs = []
         for _ in range(2):
-            model = fit_forest(samples, params, n_features=v.size)
+            model = fit_forest(*sparse_samples(samples), params, n_features=v.size)
             sink = io.BytesIO()
             save_model(model, v, sink)
             blobs.append(sink.getvalue())
@@ -282,7 +403,7 @@ class TestFitForest:
         corpus = _disjoint_corpus()
         v, samples = _vectorized(corpus)
         params = ForestParams(num_trees=3, max_depth=1, seed=0)
-        model = fit_forest(samples, params, n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), params, n_features=v.size)
         for tree in model.trees:
             # a depth-1 tree has at most one internal node (the root)
             assert sum(1 for f in tree.feature if f >= 0) <= 1
@@ -291,13 +412,18 @@ class TestFitForest:
         corpus = _disjoint_corpus()
         v, samples = _vectorized(corpus)
         params = ForestParams(num_trees=1, min_samples_split=100, seed=0)
-        model = fit_forest(samples, params, n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), params, n_features=v.size)
         assert len(model.trees[0].feature) == 1  # a lone leaf
 
     def test_empty_samples(self):
         with pytest.raises(ValueError) as exc:
-            fit_forest([], ForestParams())
+            fit_forest(*sparse_samples([]), ForestParams())
         assert str(exc.value) == "fit_forest needs at least one sample"
+
+    def test_one_label_per_row(self):
+        samples, labels = sparse_samples([({0: 1}, EN), ({1: 2}, ES)])
+        with pytest.raises(ValueError, match="one label per row, got 1 for 2"):
+            fit_forest(samples, labels[:1], ForestParams())
 
     @pytest.mark.parametrize("seed, params, n_features, max_count", [
         (1, ForestParams(num_trees=4, seed=11), None, 5),
@@ -385,17 +511,17 @@ class TestFitForest:
         # One node per search call gives the trees of the default budget.
         samples = _skewed_samples(12, 300, explicit_zeros=True)
         params = ForestParams(num_trees=8, seed=22)
-        expected = fit_forest(samples, params)
+        expected = fit_forest(*sparse_samples(samples), params)
         monkeypatch.setattr(langid, "SEARCH_NONZEROS", 1)
-        assert fit_forest(samples, params) == expected
+        assert fit_forest(*sparse_samples(samples), params) == expected
 
-    def test_draws_in_runs_give_the_same_trees(self, monkeypatch, benchmark_samples):
+    def test_draws_in_runs_give_the_same_trees(self, monkeypatch, benchmark_corpus):
         # A level's candidates, and the bootstrap, are drawn in runs of at
         # most DRAW_CELLS draws; smaller runs change no tree.
-        samples, n_features = benchmark_samples
-        samples = samples[::8]
+        texts, labels, v = benchmark_corpus
+        samples, labels, n_features = vectorize_batch(v, texts[::8]), labels[::8], v.size
         params = ForestParams(num_trees=6, seed=42)
-        expected = fit_forest(samples, params, n_features=n_features)
+        expected = fit_forest(samples, labels, params, n_features=n_features)
         runs = []
         draw = langid._candidates
 
@@ -405,19 +531,21 @@ class TestFitForest:
 
         monkeypatch.setattr(langid, "_candidates", spy)
         monkeypatch.setattr(langid, "DRAW_CELLS", 1 << 9)
-        assert fit_forest(samples, params, n_features=n_features) == expected
+        assert fit_forest(samples, labels, params, n_features=n_features) == expected
         assert max(runs) <= 1 << 9 and runs.count(max(runs)) > 1
 
     @pytest.mark.parametrize("num_trees", [3, 50])
-    def test_fit_memory_stays_bounded(self, benchmark_samples, num_trees):
+    def test_fit_memory_stays_bounded(self, benchmark_corpus, num_trees):
         # A dense n x V int32 count matrix alone would take 77.5 MiB here
         # (3,200 texts, vocabulary 6,351); the sparse store keeps the fit's
         # peak allocation well below it, also with every tree's nodes in
         # flight at once.
-        samples, n_features = benchmark_samples
+        texts, labels, v = benchmark_corpus
+        samples = vectorize_batch(v, texts)
         tracemalloc.start()
         try:
-            fit_forest(samples, ForestParams(num_trees=num_trees, seed=42), n_features=n_features)
+            fit_forest(samples, labels, ForestParams(num_trees=num_trees, seed=42),
+                       n_features=v.size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,8 +570,8 @@ class TestFitForest:
             monkeypatch, _wide_count_samples(1_000_000), ForestParams(num_trees=5, seed=23))
         assert by_columns == default and by_rows == default
 
-    def test_default_fit_searches_along_both_paths(self, monkeypatch, benchmark_samples):
-        samples, n_features = benchmark_samples
+    def test_default_fit_searches_along_both_paths(self, monkeypatch, benchmark_corpus):
+        texts, labels, v = benchmark_corpus
         paths = []
         search = langid._best_splits
 
@@ -452,7 +580,8 @@ class TestFitForest:
             return search(*args)
 
         monkeypatch.setattr(langid, "_best_splits", spy)
-        fit_forest(samples, ForestParams(num_trees=2, seed=42), n_features=n_features)
+        fit_forest(vectorize_batch(v, texts), labels, ForestParams(num_trees=2, seed=42),
+                   n_features=v.size)
         assert set(paths) == {False, True}
 
     def test_wide_counts_match_dense_reference_grower(self):
@@ -462,10 +591,10 @@ class TestFitForest:
     def test_fit_memory_does_not_grow_with_the_largest_count(self):
         # The fit's memory must not follow the largest count: a histogram
         # with a value axis that wide would take about 200 MiB here.
-        samples = _wide_count_samples(1_000_000)
+        samples, labels = sparse_samples(_wide_count_samples(1_000_000))
         tracemalloc.start()
         try:
-            model = fit_forest(samples, ForestParams(num_trees=5, seed=23))
+            model = fit_forest(samples, labels, ForestParams(num_trees=5, seed=23))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -503,20 +632,20 @@ def _wide_count_samples(max_count):
 def _fit_on_each_path(monkeypatch, samples, params):
     """The default fit's model, then those of fits forced to search every
     node along its candidates' columns and along its samples' rows."""
-    models = [fit_forest(samples, params)]
+    models = [fit_forest(*sparse_samples(samples), params)]
     monkeypatch.setattr(langid, "_CALL_NONZEROS", -1)  # every step asks _reads_rows
     for by_rows in (False, True):
         monkeypatch.setattr(langid, "_reads_rows",
                             lambda column_cost, row_cost, by_rows=by_rows:
                             np.full(column_cost.shape, by_rows))
-        models.append(fit_forest(samples, params))
+        models.append(fit_forest(*sparse_samples(samples), params))
     monkeypatch.undo()
     return models
 
 
 def _assert_matches_reference(samples, params, n_features):
     expected = reference_fit_forest(samples, params, n_features)
-    model = fit_forest(samples, params, n_features)
+    model = fit_forest(*sparse_samples(samples), params, n_features)
     assert model == expected
     # preorder growth puts every split's left child right after it
     for tree in model.trees:
@@ -530,7 +659,8 @@ class TestPredictLanguage:
     def test_single_class_confidence_one(self):
         corpus = [("aaa", EN), ("aab", EN)]
         v, samples = _vectorized(corpus)
-        model = fit_forest(samples, ForestParams(num_trees=7, seed=1), n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=7, seed=1),
+                           n_features=v.size)
         code, confidence = predict_language(model, [vectorize(v, "ab")])[0]
         assert code is EN and confidence == 1.0
 
@@ -539,7 +669,8 @@ class TestPredictLanguage:
         # on the right side of every tree whose bootstrap holds both
         # languages; a tree whose bootstrap holds one language votes for it.
         v, samples = _vectorized(_pure_alphabet_corpus())
-        model = fit_forest(samples, ForestParams(num_trees=9, seed=2), n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=9, seed=2),
+                           n_features=v.size)
         held = [{samples[i][1] for i in reference_bootstrap(2, t, len(samples))}
                 for t in range(9)]
         shares = [sum(lang in languages for languages in held) / 9 for lang in (EN, ES)]
@@ -551,7 +682,8 @@ class TestPredictLanguage:
         # A vector whose only key lies outside the vocabulary reads as all
         # zeros but still votes; an empty one is no evidence.
         v, samples = _vectorized(_disjoint_corpus())
-        model = fit_forest(samples, ForestParams(num_trees=9, seed=4), n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=9, seed=4),
+                           n_features=v.size)
 
         def leftmost_class(tree):
             i = 0
@@ -569,7 +701,8 @@ class TestPredictLanguage:
 
     def test_confidence_in_half_open_interval(self):
         v, samples = _vectorized(_disjoint_corpus())
-        model = fit_forest(samples, ForestParams(num_trees=10, seed=5), n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=10, seed=5),
+                           n_features=v.size)
         for text in ["a", "b", "ab"]:
             code, confidence = predict_language(model, [vectorize(v, text)])[0]
             assert 0.0 < confidence <= 1.0
@@ -666,7 +799,7 @@ class TestBatchedVote:
     def test_forest_of_lone_leaves(self):
         v, samples = _vectorized(_disjoint_corpus())
         params = ForestParams(num_trees=3, min_samples_split=100, seed=0)
-        model = fit_forest(samples, params, n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), params, n_features=v.size)
         vectors = [{}, {0: 4}, *(x for x, _ in samples)]
         assert predict_language(model, vectors) == [
             reference_predict(model, x) for x in vectors
@@ -674,7 +807,8 @@ class TestBatchedVote:
 
     def test_model_file_does_not_depend_on_prediction(self):
         v, samples = _vectorized(_disjoint_corpus())
-        fresh = fit_forest(samples, ForestParams(num_trees=4, seed=7), n_features=v.size)
+        fresh = fit_forest(*sparse_samples(samples), ForestParams(num_trees=4, seed=7),
+                           n_features=v.size)
         assert "_flat" not in vars(fresh)  # a fit does not flatten the trees it never votes with
         before, after = io.BytesIO(), io.BytesIO()
         save_model(fresh, v, before)
@@ -743,7 +877,8 @@ class TestIntegerVote:
         # Thresholds of about 2.5e9: a block clipped to int32 sent a count
         # of 4e9 left of them.
         samples = [({0: 5 * 10**9}, EN), ({0: 1}, ES), ({0: 5 * 10**9}, EN), ({0: 2}, ES)]
-        model = fit_forest(samples, ForestParams(num_trees=5, seed=1), n_features=1)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=5, seed=1),
+                           n_features=1)
         x = {0: 4_000_000_000}
         assert reference_predict(model, x) == (EN, 0.8)  # tree 2 drew only ES samples
         assert predict_language(model, [x]) == [(EN, 0.8)]
@@ -796,7 +931,8 @@ class TestNaiveBayes:
 
     def test_disjoint_support_agrees_with_forest(self):
         v, samples = _vectorized(_disjoint_corpus())
-        model = fit_forest(samples, ForestParams(num_trees=15, seed=6), n_features=v.size)
+        model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=15, seed=6),
+                           n_features=v.size)
         nb = fit_nb(samples, n_features=v.size)
         for x, lang in samples:
             forest_says = predict_language(model, [x])[0][0]
@@ -828,7 +964,7 @@ class TestNaiveBayes:
     def test_feature_index_out_of_range(self):
         # the same check as fit_forest's: -1 must not count into the last column
         fits = (fit_nb, lambda samples, n_features: fit_forest(
-            samples, ForestParams(num_trees=1), n_features=n_features))
+            *sparse_samples(samples), ForestParams(num_trees=1), n_features=n_features))
         for fit in fits:
             for bad in (-1, 2):
                 samples = [({0: 1, bad: 5}, EN), ({1: 2}, ES)]
@@ -838,7 +974,7 @@ class TestNaiveBayes:
     def test_negative_count_rejected(self):
         # counts are stored unsigned, so a negative one must not wrap around
         samples = [({0: 1, 1: -3}, EN), ({1: 2}, ES)]
-        for fit in (fit_nb, lambda s: fit_forest(s, ForestParams(num_trees=1))):
+        for fit in (fit_nb, lambda s: fit_forest(*sparse_samples(s), ForestParams(num_trees=1))):
             with pytest.raises(ValueError, match="sample 0: feature 1 has negative count -3"):
                 fit(samples)
 
@@ -846,7 +982,8 @@ class TestNaiveBayes:
 @pytest.fixture(scope="module")
 def trained():
     v, samples = _vectorized(_disjoint_corpus())
-    model = fit_forest(samples, ForestParams(num_trees=8, seed=7), n_features=v.size)
+    model = fit_forest(*sparse_samples(samples), ForestParams(num_trees=8, seed=7),
+                       n_features=v.size)
     return model, v
 
 
