@@ -17,7 +17,7 @@ from .corpus import (
 )
 from .errors import TlaError
 from .ingest import QuerySpec, compile_query, read_jsonl
-from .preprocess import StopwordTable, clean_text, preprocess_tweet, remove_stopwords, tokenize
+from .preprocess import StopwordTable, clean_text, preprocess_tweet, tokenize
 from .sentiment import Lexicon, label_sentiment, load_bundled_lexicon, load_lexicon, score_tokens
 from .analyze import (
     AnalysisRow,

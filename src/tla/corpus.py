@@ -57,8 +57,8 @@ class LanguageCode(str, Enum):
     def parse(cls, code: str) -> "LanguageCode":
         """Parse a two-letter code; anything outside the closed set is an error."""
         try:
-            return cls(code)
-        except ValueError:
+            return _LANGUAGES[code]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValueError(f"unknown language code: {code!r}") from None
 
     @property
@@ -92,6 +92,8 @@ _DISPLAY_NAMES = {
 
 #: Canonical report order: the sixteen languages in definition order.
 LANGUAGE_ORDER = tuple(LanguageCode)
+# A member equals and hashes as its code, so it finds its own entry.
+_LANGUAGES = {lang.value: lang for lang in LanguageCode}
 
 
 class SentimentLabel(Enum):
@@ -103,9 +105,13 @@ class SentimentLabel(Enum):
     @classmethod
     def parse(cls, value: str) -> "SentimentLabel":
         try:
-            return cls(value)
-        except ValueError:
+            return _LABELS[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValueError(f"unknown sentiment label: {value!r}") from None
+
+
+# A member hashes by its name, so it is a key of its own.
+_LABELS = {key: label for label in SentimentLabel for key in (label.value, label)}
 
 
 def validate_token(token: str) -> str:
@@ -130,7 +136,7 @@ def validate_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
     tokens = tuple(tokens)
     try:
         joined = " ".join(tokens)
-        valid = joined == joined.lower() and joined.split() == list(tokens)
+        valid = joined == joined.lower() and tuple(joined.split()) == tokens
     except TypeError:
         valid = False
     if not valid:
@@ -167,8 +173,8 @@ def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
     280-scalar-value limit.  An id or text holding a lone surrogate is a
     violation, since it cannot be written as UTF-8.
     """
-    missing = [name for name in ("id", "text") if name not in record]
-    if missing:
+    if "id" not in record or "text" not in record:
+        missing = [name for name in ("id", "text") if name not in record]
         raise ValueError("missing required field(s): " + ", ".join(missing))
     violations: list[str] = []
 
@@ -185,7 +191,7 @@ def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
     text = record["text"]
     if not isinstance(text, str):
         violations.append("BadType(text)")
-    elif not text.strip():
+    elif not text or text.isspace():
         violations.append("EmptyText")
     else:
         if _SURROGATE_RE.search(text):
@@ -216,16 +222,10 @@ def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
     if violations:
         raise ValueError("; ".join(violations))
 
-    return RawTweet(
-        id=tweet_id,
-        text=text,
-        lang_hint=lang_hint,
-        like_count=like_count,
-        reply_count=reply_count,
-    )
+    return RawTweet(tweet_id, text, lang_hint, like_count, reply_count)
 
 
-@dataclass
+@dataclass(slots=True)
 class CleanRow:
     """One row of the cleaned table (``CLEAN_HEADER``) and, once its
     ``label`` is set, of the labeled table (``CSV_HEADER``).

@@ -67,7 +67,7 @@ def read_jsonl(
     for line_num, line in enumerate(source, start=1):
         try:
             line = decoded(line, line_num, path, "malformed JSON: ")
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
                 record = json.loads(line)

@@ -24,7 +24,10 @@ from .corpus import LanguageCode
 # An HTML tag (``<b>``, ``</b>``, ``<br/>``, ``<a href="x">``): a ``<`` that is
 # directly followed by a name, so ``<3`` and ``a < b > c`` are not tags.
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
-_URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
+# ``http://``, ``https://`` or ``www.`` in any letter case (each class holds
+# what ``re.IGNORECASE`` matches: U+017F, long s, folds to s), then any
+# non-whitespace.  Every link holds ``://`` or ``.``: no other text is scanned.
+_URL_RE = re.compile(r"(?:[Hh][Tt][Tt][Pp][Ss\u017f]?://|[Ww][Ww][Ww]\.)\S*")
 
 # Symbol removal covers Unicode category S* plus these blocks, which catch
 # emoji machinery (variation selectors, newer codepoints unicodedata may not
@@ -64,15 +67,22 @@ class _RemovedTable(dict):
 _REMOVED = _RemovedTable()
 
 
+def _stripped(text: str) -> str:
+    """Tags, URLs, symbols/emoji and punctuation each replaced by a space;
+    whitespace is left as it is."""
+    text = _TAG_RE.sub(" ", text)
+    if "." in text or "://" in text:
+        text = _URL_RE.sub(" ", text)
+    return text.translate(_REMOVED)
+
+
 def clean_text(text: str) -> str:
     """Strip tags, URLs, symbols/emoji, and punctuation; normalize whitespace.
 
     Each removal substitutes a single space.  Letters, combining marks, and
     digits of every script survive untouched.
     """
-    text = _TAG_RE.sub(" ", text)
-    text = _URL_RE.sub(" ", text)
-    return " ".join(text.translate(_REMOVED).split())
+    return " ".join(_stripped(text).split())
 
 
 @cache
@@ -133,18 +143,8 @@ class StopwordTable:
         return self._table.get(lang, frozenset())
 
 
-def remove_stopwords(
-    tokens: Iterable[str], lang: LanguageCode, table: StopwordTable
-) -> list[str]:
-    """Drop tokens whose casefold is in the language's stopword set;
-    survivors keep their order."""
+def preprocess_tweet(text: str, lang: LanguageCode, table: StopwordTable) -> list[str]:
+    """Full chain: clean, tokenize (which ignores whitespace runs, so the
+    cleaned text is not normalized), drop stopwords, lowercase each token."""
     stop = table.stopwords(lang)
-    return [t for t in tokens if t.casefold() not in stop]
-
-
-def preprocess_tweet(
-    text: str, lang: LanguageCode, table: StopwordTable
-) -> list[str]:
-    """Full chain: clean, tokenize, remove stopwords, lowercase each token."""
-    tokens = tokenize(clean_text(text), lang)
-    return [t.lower() for t in remove_stopwords(tokens, lang, table)]
+    return [t.lower() for t in tokenize(_stripped(text), lang) if t.casefold() not in stop]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable, Union
 
 from .assets import data_dir
@@ -84,8 +85,7 @@ def load_bundled_lexicon(lang: LanguageCode) -> Lexicon:
 
 def score_tokens(tokens: Iterable[str], lexicon: Lexicon) -> float:
     """Sum of lexicon weights; absent tokens add 0, repeats count each time."""
-    weights = lexicon.weights
-    return float(sum(weights.get(token, 0.0) for token in tokens))
+    return float(sum(map(lexicon.weights.get, tokens, repeat(0.0))))
 
 
 def label_sentiment(

@@ -29,7 +29,7 @@ from tla.langid import (
     derive_seed,
     extract_char_ngrams,
 )
-from tla.preprocess import _EMOJI_BLOCKS, _UNSEGMENTED_BLOCKS, _URL_RE
+from tla.preprocess import _EMOJI_BLOCKS, _UNSEGMENTED_BLOCKS
 
 settings.register_profile(
     "suite",
@@ -63,6 +63,7 @@ SCRIPT_LETTERS = {
 NOISE_PIECES = [
     "<b>", "</b>", "<i>", "</i>", '<a href="x">', "<br/>",
     "https://t.co/Ab3xYz", "http://example.com/page?q=1&r=2", "www.example.org/path",
+    "HTTPS://X", "hTtP://x", "http\u017f://x", "WwW.x",
     "😀", "🎉", "❤️", "🤖", "😡😡",
     "!!!", "?!", "...", ",", ".", ";", ":", "(", ")", "[", "]", "«", "»",
     "#tag", "@name", "$", "%", "+", "=", "^", "~", "—", "_", '"', "'",
@@ -459,6 +460,8 @@ def is_punctuation(ch):
 def _tag_end(text, i):
     """The end of the HTML tag starting at ``text[i]``, or None: ``<``, an
     optional ``/``, an ASCII letter, then anything but ``<``/``>`` up to ``>``."""
+    if text[i] != "<":
+        return None
     j = i + 1 + text.startswith("/", i + 1)
     if j >= len(text) or not (text[j].isascii() and text[j].isalpha()):
         return None
@@ -467,22 +470,39 @@ def _tag_end(text, i):
     return j + 1 if text.startswith(">", j) else None
 
 
-def reference_strip_tags(text):
-    """Each HTML tag, scanned left to right, replaced by a space."""
+#: What starts a link, in any letter case.
+_URL_PREFIXES = ("http://", "https://", "www.")
+
+
+def _url_end(text, i):
+    """The end of the link starting at ``text[i]``, or None: a prefix whose
+    characters casefold one by one to those of ``_URL_PREFIXES``, then a run
+    of non-whitespace."""
+    for prefix in _URL_PREFIXES:
+        j = i + len(prefix)
+        if j <= len(text) and all(ch.casefold() == p for ch, p in zip(text[i:j], prefix)):
+            while j < len(text) and not text[j].isspace():
+                j += 1
+            return j
+    return None
+
+
+def _strip_scanned(text, end_at):
+    """Each span that ``end_at(text, i)`` ends, scanned left to right,
+    replaced by a space."""
     out, i = [], 0
     while i < len(text):
-        end = _tag_end(text, i) if text[i] == "<" else None
+        end = end_at(text, i)
         out.append(text[i] if end is None else " ")
         i = i + 1 if end is None else end
     return "".join(out)
 
 
 def reference_clean_text(text):
-    """Tags by a scan and URLs by regex, then symbols and punctuation one
+    """Tags, then links, by a scan, then symbols and punctuation one
     character at a time; each removal becomes a space and whitespace is
     normalized."""
-    text = reference_strip_tags(text)
-    text = _URL_RE.sub(" ", text)
+    text = _strip_scanned(_strip_scanned(text, _tag_end), _url_end)
     text = "".join(" " if is_symbol(ch) or is_punctuation(ch) else ch for ch in text)
     return " ".join(text.split())
 

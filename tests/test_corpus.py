@@ -25,6 +25,9 @@ from tla.errors import LineError
 from conftest import random_dataset
 
 ALL_CODES = ["en", "es", "fa", "fr", "hi", "id", "ja", "nl", "pt", "ro", "ru", "sv", "th", "tr", "ur", "zh"]
+#: Values neither parser accepts: an unknown string, and non-strings,
+#: unhashable ones included.
+NOT_PARSED = ["xx", None, 5, ["en"], {}]
 
 
 class TestLanguageCode:
@@ -36,10 +39,15 @@ class TestLanguageCode:
         assert LanguageCode.parse(code).value == code
         assert str(LanguageCode.parse(code)) == code
 
-    @pytest.mark.parametrize("bad", ["", "EN", "english", "de", "zz", "e", "eng"])
+    @pytest.mark.parametrize("bad", ["", "EN", "english", "de", "zz", "e", "eng", *NOT_PARSED])
     def test_closed_set(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             LanguageCode.parse(bad)
+        assert str(exc.value) == f"unknown language code: {bad!r}"
+
+    def test_a_member_parses_to_itself(self):
+        for lang in LanguageCode:
+            assert LanguageCode.parse(lang) is lang
 
     def test_unsegmented_scripts(self):
         unsegmented = {lang for lang in LanguageCode if lang.unsegmented}
@@ -52,10 +60,16 @@ class TestSentimentLabel:
         assert SentimentLabel.NEGATIVE.value == "Negative"
         assert len(SentimentLabel) == 2
 
-    @pytest.mark.parametrize("bad", ["positive", "NEGATIVE", "Neutral", ""])
+    @pytest.mark.parametrize("bad", ["positive", "NEGATIVE", "Neutral", "", *NOT_PARSED])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             SentimentLabel.parse(bad)
+        assert str(exc.value) == f"unknown sentiment label: {bad!r}"
+
+    def test_a_member_parses_to_itself(self):
+        # a member hashes by its name, not by its value
+        for label in SentimentLabel:
+            assert SentimentLabel.parse(label) is label
 
 
 class TestValidateTweet:

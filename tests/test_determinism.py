@@ -78,6 +78,40 @@ CHAIN_DIGESTS = {
 }
 
 
+#: Digests of ``clean`` and of ``identify --output`` (which cleans each
+#: relabeled row again in its new language) on the noisy tweets below.
+NOISY_DIGESTS = {
+    "noisy.csv": "07dbd9cf442cc967c25f91e6835317e818c2ad0f8ab762a852624a09383f0ded",
+    "noisy-identified.csv": "79bd5c38f268bb48c70c11981624176c7f24b3c17c236a17afea3b8517184b1d",
+}
+
+#: Noise for the noisy tweets: tags (a heart and comparisons are not tags),
+#: links in mixed letter case, emoji with variation selectors, skin tones and
+#: joiners, punctuation, capitals (a final sigma, casefold expansions) and
+#: text in the unsegmented scripts.
+NOISE = (
+    "<b>", "</b>", '<a href="x">', "<br/>", "i <3 it", "a < b > c",
+    "HTTPS://T.CO/Ab3", "hTtP://x.org/p?q=1", "WwW.Example.ORG/x", "httpſ://x", "www.x.co",
+    "\u2764\ufe0f", "\U0001f468\u200d\U0001f469\u200d\U0001f467", "\U0001f44d\U0001f3fd",
+    "!!!", "?!", "...", "«»", "—", "#Tag", "@Name", "$5", "9:30", "e.g.",
+    "LOUD", "ΟΔΟΣ", "İstanbul", "Straße",
+    "สวัสดีครับ", "你好，世界。", "私はAIが好き",
+)
+
+
+def _write_noisy_tweets(path, seed=20240602):
+    """98 records: each of 96 synthetic sentences between two noise pieces,
+    then a text holding a bare CR and one that cleaning empties."""
+    records = []
+    for i, (text, lang) in enumerate(synthetic_corpus(6, seed=seed)):
+        before, after = NOISE[i % len(NOISE)], NOISE[(7 * i + 3) % len(NOISE)]
+        records.append({"id": f"n{i}", "text": f"{before} {text}{after}", "lang": lang.value})
+    records.append({"id": "cr", "text": "First line\rSecond line", "lang": "en"})
+    records.append({"id": "emptied", "text": "<b>\U0001f600!!!</b> https://t.co/x", "lang": "en"})
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                    encoding="utf-8")
+
+
 def _write_tweets(path, per_language=6, seed=20240601):
     """A small JSONL from the synthetic corpus: every fourth ``lang`` hint is
     wrong, and each text gets one lexicon word so both labels occur."""
@@ -154,6 +188,16 @@ def test_chain_digests(work):
              "report.csv", "report.md", "report.txt"]
     outputs = {name: (work / name).read_bytes() for name in names}
     _assert_digests({"identify.stdout": predictions.encode("utf-8"), **outputs}, CHAIN_DIGESTS)
+
+
+def test_noisy_clean_digests(work):
+    _tla(*TRAIN_ARGV)
+    _write_noisy_tweets(work / "noisy.jsonl")
+    _tla("clean", "--input", "noisy.jsonl", "--output", "noisy.csv")
+    _tla("identify", "--model", "model.tlam", "--input", "noisy.csv",
+         "--output", "noisy-identified.csv")
+    _assert_digests({name: (work / name).read_bytes() for name in NOISY_DIGESTS},
+                    NOISY_DIGESTS)
 
 
 def test_digest_failure_names_the_library_versions():

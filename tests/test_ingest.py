@@ -105,6 +105,11 @@ class TestReadJsonl:
             _read('{"id":"1","text":" ","lang":null}\n')
         assert str(exc.value) == "line 1: EmptyText; BadLanguage(None)"
 
+    def test_unhashable_lang_is_a_bad_language(self):
+        with pytest.raises(LineError) as exc:
+            _read('{"id":"1","text":"a","lang":["en"]}\n')
+        assert str(exc.value) == "line 1: BadLanguage(['en'])"
+
     def test_numeric_id_coerced(self):
         [tweet] = _read('{"id":123,"text":"a"}\n')
         assert tweet.id == "123"

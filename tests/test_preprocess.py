@@ -10,8 +10,8 @@ from tla.preprocess import (
     StopwordTable,
     _RemovedTable,
     clean_text,
+    _URL_RE,
     preprocess_tweet,
-    remove_stopwords,
     tokenize,
 )
 
@@ -147,26 +147,23 @@ class TestTokenize:
 class TestStopwords:
     def test_bundled_english_contains_the(self):
         table = StopwordTable.load_bundled()
-        assert remove_stopwords(["the", "The"], LanguageCode.EN, table) == []
+        assert preprocess_tweet("the The", LanguageCode.EN, table) == []
 
     def test_case_insensitive_both_sides(self):
         table = StopwordTable({LanguageCode.EN: ["ThE"]})
-        assert remove_stopwords(["the"], LanguageCode.EN, table) == []
+        assert preprocess_tweet("the THE", LanguageCode.EN, table) == []
 
     def test_remove_stopwords_example(self):
         table = StopwordTable.load_bundled()
-        assert remove_stopwords(["The", "good", "vibes"], LanguageCode.EN, table) == [
-            "good",
-            "vibes",
-        ]
+        assert preprocess_tweet("The good vibes", LanguageCode.EN, table) == ["good", "vibes"]
 
     def test_empty_token_list(self):
         table = StopwordTable.load_bundled()
-        assert remove_stopwords([], LanguageCode.EN, table) == []
+        assert preprocess_tweet("\U0001f600 !!! https://t.co/x", LanguageCode.EN, table) == []
 
     def test_empty_set_is_identity(self):
         table = StopwordTable({})
-        assert remove_stopwords(["你", "好"], LanguageCode.ZH, table) == ["你", "好"]
+        assert preprocess_tweet("你好", LanguageCode.ZH, table) == ["你", "好"]
 
     def test_bundled_unsegmented_lists_are_empty(self):
         table = StopwordTable.load_bundled()
@@ -274,6 +271,16 @@ class TestAgainstPerCharacterReferences:
                 " " if is_symbol(ch) or is_punctuation(ch) else ch for ch in chars
             )
             assert chars.translate(_RemovedTable()) == expected, hex(start)
+
+    def test_url_letter_classes_are_the_ignorecase_letters(self):
+        # Each class of the link pattern matches, at every code point, what
+        # its letter matches under re.IGNORECASE.
+        chars = "".join(map(chr, range(0x110000)))
+        classes = re.findall(r"\[[^]]*\]", _URL_RE.pattern)
+        assert [c[1].lower() for c in classes] == list("httpswww")
+        for letter_class in classes:
+            assert (re.findall(letter_class, chars)
+                    == re.compile(letter_class[1], re.IGNORECASE).findall(chars)), letter_class
 
     def test_regex_whitespace_is_isspace_at_every_code_point(self):
         # The unsegmented tokenizer splits on ``\s``; the reference on isspace().

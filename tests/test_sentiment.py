@@ -107,6 +107,18 @@ class TestScoreTokens:
     def test_absent_tokens_add_zero(self):
         assert score_tokens(["mystery"], Lexicon(EN, {"good": 1.0})) == 0.0
 
+    @given(st.lists(st.sampled_from(["good", "bad", "meh", "odd", "mystery"]), max_size=40),
+           st.dictionaries(st.sampled_from(["good", "bad", "meh", "odd"]),
+                           st.floats(-1e300, 1e300).filter(bool)
+                           | st.integers(-2**70, 2**70).filter(bool)))
+    def test_equals_a_per_token_sum(self, tokens, weights):
+        # The same additions in the same order give the same float.  The
+        # reference sums with ``sum`` too: from Python 3.12 it compensates
+        # float rounding, which a ``+=`` loop does not.
+        lexicon = Lexicon(EN, weights)
+        expected = float(sum(lexicon.weights.get(token, 0.0) for token in tokens))
+        assert score_tokens(tokens, lexicon) == expected
+
 
 class TestLabelSentiment:
     def test_positive(self):
