@@ -125,19 +125,28 @@ def validate_token(token: str) -> str:
     return token
 
 
-def validate_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
-    """Check a row of tokens against the token rules with one comparison.
+def validate_token_field(field: str) -> tuple[str, ...]:
+    """The tokens of a space-joined field (none if it is empty), checked
+    against the token rules: their one owner, called by ``read_table`` on
+    each field as read and by :func:`validate_tokens` on a row's join.  A
+    failing field is checked token by token, to name the offending token."""
+    tokens = field.split(" ") if field else []
+    # Only capital sigma lowercases by context; the space is the only printable whitespace.
+    if field != field.lower() or not (
+            field.isprintable() and "" not in tokens or field.split() == tokens):
+        for token in tokens:
+            validate_token(token)
+    return tuple(tokens)
 
-    The joined row splits back into the tokens iff none is empty or holds
-    whitespace, and is lowercase iff every token is: lowercasing is per
-    character except for capital sigma, which never maps to itself.  Only a
-    failing row is checked token by token, to name the offending token.
-    """
+
+def validate_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
+    """Check a row of tokens against the token rules: their join passes
+    :func:`validate_token_field` and splits back into them.  Only a failing
+    row is checked token by token, to name the offending token."""
     tokens = tuple(tokens)
     try:
-        joined = " ".join(tokens)
-        valid = joined == joined.lower() and tuple(joined.split()) == tokens
-    except TypeError:
+        valid = validate_token_field(" ".join(tokens)) == tokens
+    except (TypeError, ValueError):  # TypeError: a token that is not a string
         valid = False
     if not valid:
         for token in tokens:
@@ -230,8 +239,9 @@ class CleanRow:
     """One row of the cleaned table (``CLEAN_HEADER``) and, once its
     ``label`` is set, of the labeled table (``CSV_HEADER``).
 
-    Construction checks the language, the label and the token rules; the row
-    stays mutable, so a stage relabels it in place instead of rebuilding it.
+    Construction checks the language, the label and the token rules, the
+    rules :func:`read_table` checks on a row's fields as read; the row stays
+    mutable, so a stage relabels it in place instead of rebuilding it.
     """
 
     id: str
@@ -277,11 +287,12 @@ def read_table(
     """Lazily yield ``(line, row)`` per nonblank record of a UTF-8 CSV table
     whose header is one of ``headers``.
 
-    Each row is checked here, once: field count, language, label, nonempty id
-    and text, ids unique within the file (and not in ``seen``, the ids of
-    earlier files, which gains this file's), and the token rules; the tweet
-    length limit is an ingest policy and is not.  Errors name the line and,
-    if the source has a ``name``, its path.
+    Each row is checked here, once, on its fields as read: field count,
+    language, label, nonempty id and text, ids unique within the file (and
+    not in ``seen``, the ids of earlier files, which gains this file's), and
+    the token rules; the row is built without rerunning them in
+    :class:`CleanRow`.  The ingest length limit is not checked.  Errors name
+    the line and, if the source has a ``name``, its path.
     """
     path = getattr(source, "name", None)
     reader = csv.reader(decoded(line, n, path) for n, line in enumerate(source, start=1))
@@ -299,29 +310,26 @@ def read_table(
             if len(record) != len(header):
                 raise LineError(path, line, f"expected {len(header)} fields, got {len(record)}")
             tweet_id, lang_field, text, tokens_field = record[:4]
-            try:
-                lang = LanguageCode.parse(lang_field)
-            except ValueError:
-                raise LineError(path, line, f"bad language code {lang_field!r}") from None
-            label = None
-            if labeled:
-                try:
-                    label = SentimentLabel.parse(record[4])
-                except ValueError:
-                    raise LineError(path, line, f"bad label {record[4]!r} "
-                                    "(expected Positive or Negative)") from None
+            lang = _LANGUAGES.get(lang_field)
+            if lang is None:
+                raise LineError(path, line, f"bad language code {lang_field!r}")
+            label = _LABELS.get(record[4]) if labeled else None
+            if labeled and label is None:
+                raise LineError(path, line, f"bad label {record[4]!r} "
+                                "(expected Positive or Negative)")
             if not tweet_id:
                 raise LineError(path, line, "empty id")
-            if not text.strip():
+            if not text or text.isspace():
                 raise LineError(path, line, "empty text")
             if tweet_id in seen:
                 raise LineError(path, line, f"duplicate id {tweet_id!r}")
             seen.add(tweet_id)
-            tokens = tokens_field.split(" ") if tokens_field else ()
             try:
-                row = CleanRow(tweet_id, lang, text, tokens, label)
+                tokens = validate_token_field(tokens_field)
             except ValueError as exc:
                 raise LineError(path, line, str(exc)) from None
+            row = object.__new__(CleanRow)  # checked above: skip CleanRow's own checks
+            row.id, row.lang, row.text, row.tokens, row.label = tweet_id, lang, text, tokens, label
             yield line, row
     except csv.Error as exc:
         raise LineError(path, reader.line_num, str(exc)) from None

@@ -1,8 +1,8 @@
 """The cleaning chain: markup, links, symbols, punctuation, stopwords, case.
 
 Stage order is fixed: tags -> URLs -> symbols/emoji -> punctuation ->
-tokenize -> stopwords -> lowercase.  Stopword comparison casefolds both
-sides, so running lowercasing last cannot create misses.
+tokenize -> Cf-only tokens -> stopwords -> lowercase.  Stopword comparison
+casefolds both sides, so running lowercasing last cannot create misses.
 
 The per-character work runs in C.  Symbols and punctuation go in one
 ``str.translate`` through ``_REMOVED``, a dict that maps each code point to
@@ -145,6 +145,13 @@ class StopwordTable:
 
 def preprocess_tweet(text: str, lang: LanguageCode, table: StopwordTable) -> list[str]:
     """Full chain: clean, tokenize (which ignores whitespace runs, so the
-    cleaned text is not normalized), drop stopwords, lowercase each token."""
+    cleaned text is not normalized), drop tokens made only of format (Cf)
+    characters (a joiner left by a removed emoji; one inside a word stays),
+    drop stopwords, lowercase each token."""
     stop = table.stopwords(lang)
-    return [t.lower() for t in tokenize(_stripped(text), lang) if t.casefold() not in stop]
+    stripped = _stripped(text)
+    tokens = tokenize(stripped, lang)
+    if not stripped.isprintable():  # else it holds no Cf character
+        tokens = [t for t in tokens
+                  if t.isprintable() or any(unicodedata.category(c) != "Cf" for c in t)]
+    return [t.lower() for t in tokens if t.casefold() not in stop]

@@ -531,9 +531,12 @@ def reference_tokenize(text, lang):
 
 
 def reference_preprocess_tweet(text, lang, table):
-    """Clean, tokenize, drop each token whose casefold is a stopword, lowercase."""
+    """Clean, tokenize, drop each token made only of format (Cf) characters
+    and each token whose casefold is a stopword, lowercase."""
     tokens = reference_tokenize(reference_clean_text(text), lang)
-    return [t.lower() for t in tokens if t.casefold() not in table.stopwords(lang)]
+    return [t.lower() for t in tokens
+            if not all(unicodedata.category(ch) == "Cf" for ch in t)
+            and t.casefold() not in table.stopwords(lang)]
 
 
 # Multinomial naive Bayes: an identifier independent of the forest, used as

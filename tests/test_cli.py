@@ -1177,18 +1177,23 @@ class TestStageContracts:
 
 
 class TestOneTokenCheckPerRow:
+    """The token rules run once per row read: ``validate_token_field``, their
+    one owner, is called by the reader on each field and by a constructed
+    row's ``validate_tokens``, so a row the reader built and then checked
+    again would count twice."""
+
     ROWS = 6
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         calls = []
-        check = tla.corpus.validate_tokens
+        check = tla.corpus.validate_token_field
 
-        def counting(tokens):
-            calls.append(tokens)
-            return check(tokens)
+        def counting(field):
+            calls.append(field)
+            return check(field)
 
-        monkeypatch.setattr(tla.corpus, "validate_tokens", counting)
+        monkeypatch.setattr(tla.corpus, "validate_token_field", counting)
         return calls
 
     def _rows(self, langs, label=""):

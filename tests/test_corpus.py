@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tla.corpus import (
     CLEAN_HEADER,
@@ -430,3 +430,53 @@ class TestTableCodec:
         assert data == ('id,lang,text,tokens\n"1","en","good a\rb day","good b day"\n'
                         "2,en,plain,plain\n")
         assert [row.fields() for _, row in _table(data.encode())] == rows
+
+
+#: Every whitespace character; a blank text holds only these.
+WHITESPACE = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+#: Token fields as a row's join writes them and as a hand-edited file may
+#: hold them: empty, and with doubled, leading and trailing spaces.
+TOKEN_FIELDS = st.one_of(
+    st.sampled_from(["", " ", "a  b", " a", "a ", "σς", "σΣ"]),
+    st.lists(st.text(st.sampled_from(TOKEN_CHARS), max_size=4), max_size=4).map(" ".join),
+)
+TEXTS = st.one_of(st.just("hi"), st.text(st.sampled_from(WHITESPACE), max_size=3))
+
+
+def _parent_rule(text, field):
+    """The error a row's text and token field get by the rule the reader had
+    when it built each row with ``CleanRow``: a text that strips to nothing,
+    then the first token of ``field.split(" ")`` that breaks a token rule."""
+    if not text.strip():
+        return "empty text"
+    for token in field.split(" ") if field else ():
+        try:
+            validate_token(token)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+class TestReaderChecksFieldsAsRead:
+    def test_space_is_the_only_printable_whitespace(self):
+        # validate_token_field skips the whitespace split on a printable field.
+        assert [ch for ch in WHITESPACE if ch.isprintable()] == [" "]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(TEXTS, TOKEN_FIELDS), min_size=1, max_size=5))
+    def test_accepts_exactly_what_the_parent_rule_accepts(self, rows):
+        sink = io.StringIO()
+        write_table(sink, CLEAN_HEADER, [(str(i), "en", text, field)
+                                         for i, (text, field) in enumerate(rows, start=1)])
+        line, expected = 1, []
+        for text, field in rows:
+            line += 1 + (text + field).count("\n")  # a quoted newline ends a line
+            error = _parent_rule(text, field)
+            if error is not None:
+                with pytest.raises(LineError) as exc:
+                    _table(sink.getvalue().encode("utf-8"))
+                assert str(exc.value) == f"line {line}: {error}"
+                return
+            expected.append((line, text, tuple(field.split(" ")) if field else ()))
+        read = _table(sink.getvalue().encode("utf-8"))
+        assert [(line, row.text, row.tokens) for line, row in read] == expected

@@ -199,6 +199,24 @@ class TestPreprocessTweet:
     def test_russian_stopword(self, table):
         assert preprocess_tweet("Я люблю кофе", LanguageCode.RU, table) == ["люблю", "кофе"]
 
+    @pytest.mark.parametrize("lang, word", [
+        (LanguageCode.FA, "\u0645\u06cc\u200c\u062e\u0648\u0627\u0647\u0645"),  # ZWNJ
+        (LanguageCode.HI, "\u0915\u094d\u200d\u0937"),  # ZWJ in a conjunct
+    ])
+    def test_format_character_inside_a_word_stays(self, table, lang, word):
+        assert clean_text(word) == word
+        assert preprocess_tweet(word, lang, table) == [word]
+
+    @pytest.mark.parametrize("ch", ["\u200b", "\u200c", "\u200d", "\u2060", "\ufeff"])
+    @pytest.mark.parametrize("lang", [LanguageCode.EN, LanguageCode.TH])
+    def test_token_of_format_characters_alone_is_dropped(self, table, ch, lang):
+        assert preprocess_tweet(ch, lang, table) == []
+        assert preprocess_tweet(f"{ch} good {ch}{ch}\n", lang, table) == ["good"]
+
+    def test_joiners_of_a_removed_emoji_are_dropped(self, table):
+        family = "\U0001f468\u200d\U0001f469\u200d\U0001f467"
+        assert preprocess_tweet(f"{family} good", LanguageCode.EN, table) == ["good"]
+
     def test_output_token_invariants(self, table, rng):
         for _ in range(300):
             lang = rng.choice(list(LanguageCode))
