@@ -261,7 +261,7 @@ def _cmd_clean(ns, out, err) -> int:
                 raise LineError(ns.input, line, f"tweet {tweet.id}: record has no lang field "
                                 "and no --lang fallback was given")
             tokens = preprocess_tweet(tweet.text, lang, table)
-            yield CleanRow(tweet.id, lang, tweet.text, tokens).fields()
+            yield tweet.id, lang.value, tweet.text, " ".join(tokens)
 
     with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
         count = write_table(sink, CLEAN_HEADER, cleaned(source))

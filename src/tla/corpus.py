@@ -127,9 +127,9 @@ def validate_token(token: str) -> str:
 
 def validate_token_field(field: str) -> tuple[str, ...]:
     """The tokens of a space-joined field (none if it is empty), checked
-    against the token rules: their one owner, called by ``read_table`` on
-    each field as read and by :func:`validate_tokens` on a row's join.  A
-    failing field is checked token by token, to name the offending token."""
+    against the token rules: their one owner, called by :func:`read_table`
+    on each field as read.  A failing field is checked token by token, to
+    name the offending token."""
     tokens = field.split(" ") if field else []
     # Only capital sigma lowercases by context; the space is the only printable whitespace.
     if field != field.lower() or not (
@@ -137,21 +137,6 @@ def validate_token_field(field: str) -> tuple[str, ...]:
         for token in tokens:
             validate_token(token)
     return tuple(tokens)
-
-
-def validate_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
-    """Check a row of tokens against the token rules: their join passes
-    :func:`validate_token_field` and splits back into them.  Only a failing
-    row is checked token by token, to name the offending token."""
-    tokens = tuple(tokens)
-    try:
-        valid = validate_token_field(" ".join(tokens)) == tokens
-    except (TypeError, ValueError):  # TypeError: a token that is not a string
-        valid = False
-    if not valid:
-        for token in tokens:
-            validate_token(token)
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -239,9 +224,9 @@ class CleanRow:
     """One row of the cleaned table (``CLEAN_HEADER``) and, once its
     ``label`` is set, of the labeled table (``CSV_HEADER``).
 
-    Construction checks the language, the label and the token rules, the
-    rules :func:`read_table` checks on a row's fields as read; the row stays
-    mutable, so a stage relabels it in place instead of rebuilding it.
+    A plain record: :func:`read_table` checks a row's fields as read, and
+    a row built in code is checked only where its table is read back.  It
+    stays mutable, so a stage relabels it in place instead of rebuilding it.
     """
 
     id: str
@@ -249,13 +234,6 @@ class CleanRow:
     text: str
     tokens: tuple[str, ...]
     label: Optional[SentimentLabel] = None
-
-    def __post_init__(self):
-        if not isinstance(self.lang, LanguageCode):
-            raise ValueError(f"language must be a LanguageCode, got {self.lang!r}")
-        if self.label is not None and not isinstance(self.label, SentimentLabel):
-            raise ValueError(f"label must be a SentimentLabel, got {self.label!r}")
-        self.tokens = validate_tokens(self.tokens)
 
     def fields(self) -> tuple[str, ...]:
         """The row's CSV fields: those of ``CLEAN_HEADER``, then the label if set."""
@@ -290,9 +268,9 @@ def read_table(
     Each row is checked here, once, on its fields as read: field count,
     language, label, nonempty id and text, ids unique within the file (and
     not in ``seen``, the ids of earlier files, which gains this file's), and
-    the token rules; the row is built without rerunning them in
-    :class:`CleanRow`.  The ingest length limit is not checked.  Errors name
-    the line and, if the source has a ``name``, its path.
+    the token rules, which no other code checks on a table.  The ingest
+    length limit is not checked.  Errors name the line and, if the source
+    has a ``name``, its path.
     """
     path = getattr(source, "name", None)
     reader = csv.reader(decoded(line, n, path) for n, line in enumerate(source, start=1))
@@ -328,9 +306,7 @@ def read_table(
                 tokens = validate_token_field(tokens_field)
             except ValueError as exc:
                 raise LineError(path, line, str(exc)) from None
-            row = object.__new__(CleanRow)  # checked above: skip CleanRow's own checks
-            row.id, row.lang, row.text, row.tokens, row.label = tweet_id, lang, text, tokens, label
-            yield line, row
+            yield line, CleanRow(tweet_id, lang, text, tokens, label)
     except csv.Error as exc:
         raise LineError(path, reader.line_num, str(exc)) from None
 

@@ -1177,10 +1177,10 @@ class TestStageContracts:
 
 
 class TestOneTokenCheckPerRow:
-    """The token rules run once per row read: ``validate_token_field``, their
-    one owner, is called by the reader on each field and by a constructed
-    row's ``validate_tokens``, so a row the reader built and then checked
-    again would count twice."""
+    """The token rules run once per row read and never on a row written:
+    ``validate_token_field``, their one owner, is called by the reader on
+    each field, and the tokens ``clean`` and ``identify --output`` write are
+    made by ``preprocess_tweet``, which meets the rules by construction."""
 
     ROWS = 6
 
@@ -1209,6 +1209,22 @@ class TestOneTokenCheckPerRow:
         cleaned = tmp_path / "clean.csv"
         cleaned.write_text("id,lang,text,tokens\n" + self._rows(("en", "es")), encoding="utf-8")
         code, _, err = invoke("label", "--input", str(cleaned), "--out-dir", str(tmp_path / "l"))
+        assert code == 0, err
+        assert len(calls) == self.ROWS
+
+    def test_clean(self, calls, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps({"id": str(i), "text": "Good day", "lang": "en"}) + "\n"
+                               for i in range(self.ROWS)), encoding="utf-8")
+        code, _, err = invoke("clean", "--input", str(src), "--output", str(tmp_path / "c.csv"))
+        assert code == 0, err
+        assert calls == []
+
+    def test_identify_output(self, calls, tmp_path, model_file):
+        cleaned = tmp_path / "clean.csv"
+        cleaned.write_text("id,lang,text,tokens\n" + self._rows(("en", "es")), encoding="utf-8")
+        code, _, err = invoke("identify", "--model", str(model_file), "--input", str(cleaned),
+                              "--output", str(tmp_path / "identified.csv"))
         assert code == 0, err
         assert len(calls) == self.ROWS
 

@@ -14,7 +14,7 @@ from tla.corpus import (
     read_dataset_csv,
     read_table,
     validate_token,
-    validate_tokens,
+    validate_token_field,
     validate_tweet,
     write_dataset_csv,
     write_table,
@@ -157,22 +157,6 @@ class TestValidateTweet:
         with pytest.raises(ValueError) as exc:
             validate_tweet({"id": "1", "text": "hi", "lang": lang})
         assert str(exc.value) == f"BadLanguage({lang!r})"
-
-
-class TestLabeledTypes:
-    def test_token_rules_enforced(self):
-        for bad in [("",), ("UPPER",), ("two words",), ("tab\tsep",)]:
-            with pytest.raises(ValueError):
-                CleanRow("1", LanguageCode.EN, "Hi", bad, SentimentLabel.POSITIVE)
-
-    @pytest.mark.parametrize("lang, label, message", [
-        ("en", None, "language must be a LanguageCode, got 'en'"),
-        (LanguageCode.EN, "Positive", "label must be a SentimentLabel, got 'Positive'"),
-    ])
-    def test_lang_and_label_must_be_their_enums(self, lang, label, message):
-        with pytest.raises(ValueError) as exc:
-            CleanRow("1", lang, "t", (), label)
-        assert str(exc.value) == message
 
 
 def _row(tweet_id="1", text="hello there", tokens=("hello", "there"),
@@ -341,28 +325,30 @@ def _token_rules_hold(tokens) -> bool:
 
 
 class TestValidateTokens:
+    """The token rules as ``validate_token_field`` applies them to a table's
+    tokens field, the only place a table's tokens are checked."""
+
     @given(st.lists(TOKENS, max_size=5))
     def test_row_check_agrees_with_per_token_check(self, tokens):
-        if _token_rules_hold(tokens):
-            assert validate_tokens(tokens) == tuple(tokens)
+        field = " ".join(tokens)
+        split = tuple(field.split(" ")) if field else ()
+        if _token_rules_hold(split):
+            assert validate_token_field(field) == split
         else:
             with pytest.raises(ValueError):
-                validate_tokens(tokens)
+                validate_token_field(field)
 
     @pytest.mark.parametrize("token, message", [
         ("", "empty token: ''"),
-        ("a b", "token contains whitespace: 'a b'"),
         ("a\u3000b", "token contains whitespace: 'a\\u3000b'"),
         ("\u03a3", "token is not lowercase: '\u03a3'"),
     ])
     def test_names_the_offending_token(self, token, message):
-        with pytest.raises(ValueError) as exc:
-            validate_tokens(["ok", token, "fine"])
-        assert str(exc.value) == message
-
-    def test_non_string_token(self):
-        with pytest.raises(ValueError, match="empty token"):
-            validate_tokens(["ok", None])
+        data = f"id,lang,text,tokens\n1,en,hi,hi\n2,en,ok,ok {token} fine\n".encode()
+        with pytest.raises(LineError) as exc:
+            _table(data)
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message}"
 
 
 def _table(data: bytes, headers=(CLEAN_HEADER,)):

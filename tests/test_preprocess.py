@@ -1,11 +1,12 @@
 import re
 import unicodedata
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tla.corpus import LanguageCode
+from tla.corpus import LanguageCode, validate_token_field
 from tla.preprocess import (
     StopwordTable,
     _RemovedTable,
@@ -279,7 +280,19 @@ class TestAgainstPerCharacterReferences:
     @settings(max_examples=200)
     @given(_texts, st.sampled_from(list(LanguageCode)))
     def test_preprocess_tweet_equals_the_reference(self, table, text, lang):
-        assert preprocess_tweet(text, lang, table) == reference_preprocess_tweet(text, lang, table)
+        tokens = preprocess_tweet(text, lang, table)
+        assert tokens == reference_preprocess_tweet(text, lang, table)
+        # what clean writes, read_table accepts: the token rules hold by construction
+        assert validate_token_field(" ".join(tokens)) == tuple(tokens)
+
+    def test_lowercase_of_every_character_meets_the_token_rules(self):
+        # A token holds no whitespace, so its lowercase joins these pieces
+        # (capital sigma, the one context-dependent case, is in none of them):
+        # nonempty, already lowercase and free of whitespace.
+        for ch in map(chr, chain(range(0xD800), range(0xE000, 0x110000))):
+            low = ch.lower()
+            assert low and low == low.lower() and "\u03a3" not in low, hex(ord(ch))
+            assert ch.isspace() or low.split() == [low], hex(ord(ch))
 
     def test_translate_table_matches_categories_at_every_code_point(self):
         # A fresh table per block, so the sweep leaves no 1.1M-entry dict behind.
