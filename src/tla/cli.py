@@ -311,11 +311,16 @@ def _cmd_train(ns, out, err) -> int:
 
 
 def _cmd_identify(ns, out, err) -> int:
-    from .langid import ForestPredictor
+    from .langid import ForestPredictor, ModelFormatError
     if ns.text is not None and ns.output is not None:
         raise UsageError("identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
-        predictor = ForestPredictor.load(source)
+        try:
+            predictor = ForestPredictor.load(source)
+        except ModelFormatError as exc:
+            if exc.args[0].startswith("unsupported model version"):
+                raise TlaError(f"{exc}; retrain the model with tla train-langid") from None
+            raise
 
     if ns.text is not None:
         code, confidence = predictor.predict(ns.text)

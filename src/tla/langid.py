@@ -31,15 +31,17 @@ its cost and memory follow the nonzeros, not the largest count.  It
 returns each split's right side too, so the fit cuts a split node's samples
 without reading a column a second time.
 
+A forest is one set of preorder node arrays from the fit to the model file,
+which holds them as raw little-endian bytes after a JSON header.
+
 Prediction is one batched vote.  A model's first vote, or its load, flattens
-its trees into one set of node arrays (leaves point to themselves), checked
-there once, with split features renumbered to the columns the forest splits on.
+its node arrays into the vote's (leaves point to themselves), checked there
+once, with split features renumbered to the columns the forest splits on.
 Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense block over
 those columns only, in the narrowest integer dtype that holds every
 threshold's floor; every (row, tree) pair then descends one level per step,
 and every few steps the pairs at a leaf drop out.  The vote is a per-row
-bincount of leaf classes.  The flat arrays are not fields: they are never
-serialized, so a model file holds only the per-tree arrays.
+bincount of leaf classes.  The flat arrays are not fields, so never saved.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import json
 import math
 import operator
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -64,7 +66,10 @@ FeatureVector = dict  # feature index -> positive count (vectorize's is a Counte
 Prediction = tuple[Optional[LanguageCode], float]  # (language, share of the trees' votes)
 
 MODEL_MAGIC = b"TLAM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+_HEADER_AT = 9  # after magic, version byte and the header's length
+#: The dtypes of a model file's integer node arrays, narrowest first.
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 #: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
 CHUNK_ROWS = 256
@@ -167,7 +172,7 @@ def extract_char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
 
 @dataclass(frozen=True)
 class NgramVectorizer:
-    """Character n-gram vocabulary; indices follow lexicographic n-gram order."""
+    """Character n-gram vocabulary, in lexicographic order: each index is its n-gram's rank."""
 
     n_min: int = 1
     n_max: int = 3
@@ -181,9 +186,8 @@ class NgramVectorizer:
             raise ValueError(f"min_doc_freq must be >= 1, got {self.min_doc_freq}")
         vocab = dict(self.vocabulary or {})
         object.__setattr__(self, "vocabulary", vocab)
-        expected = {gram: i for i, gram in enumerate(sorted(vocab))}
-        if vocab != expected:
-            raise ValueError("vocabulary indices must be the lexicographic rank 0..V-1")
+        if list(vocab.values()) != list(range(len(vocab))) or list(vocab) != sorted(vocab):
+            raise ValueError("vocabulary must be in lexicographic order, indexed 0..V-1")
         for gram in vocab:
             if not self.n_min <= len(gram) <= self.n_max:
                 raise ValueError(f"n-gram {gram!r} outside length range")
@@ -353,37 +357,45 @@ class ForestParams:
             )
 
 
-@dataclass(frozen=True)
-class DecisionTree:
-    """Flat preorder node arrays; feature -1 marks a leaf holding a class index."""
+class Nodes(NamedTuple):
+    """Preorder node arrays, a forest's tree after tree: ``feature`` -1 marks a
+    leaf holding the class index ``value``; a split sends a count above its
+    ``threshold`` to ``right``, else to ``left``, each a place in its tree."""
 
-    feature: tuple[int, ...]
-    threshold: tuple[float, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    value: tuple[int, ...]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    """A bagged ensemble of decision trees over an ordered class list; its trees
-    are checked (ValueError) when flattened: at its first vote, or at load."""
+    """A bagged ensemble of decision trees over an ordered class list: tree
+    ``t`` is the next ``sizes[t]`` places of ``nodes``.  Its nodes are checked
+    (ValueError) when flattened: at its first vote, or at load."""
 
     params: ForestParams
     classes: tuple[LanguageCode, ...]
-    trees: tuple[DecisionTree, ...]
+    sizes: np.ndarray
+    nodes: Nodes
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("model must have at least one class")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("duplicate class in model")
-        if not self.trees:
+        if not len(self.sizes):
             raise ValueError("model must have at least one tree")
+
+    @property
+    def trees(self) -> tuple[Nodes, ...]:
+        """Each tree's nodes, as views of ``nodes`` (the benchmark's save hook reads them)."""
+        return tuple(map(Nodes, *(np.split(f, np.cumsum(self.sizes)[:-1]) for f in self.nodes)))
 
     @cached_property  # kept in the instance __dict__, which frozen does not guard
     def _flat(self) -> _FlatForest:
-        return _flatten(self.trees, len(self.classes))
+        return _flatten(self.sizes, self.nodes, len(self.classes))
 
 
 class _FlatForest(NamedTuple):
@@ -404,49 +416,50 @@ class _FlatForest(NamedTuple):
     roots: np.ndarray
 
 
-def _flatten(trees: Sequence[DecisionTree], n_classes: int) -> _FlatForest:
-    """The trees as one set of node arrays.
+def _narrowest(lo: int, hi: int, dtypes: Sequence):
+    """The first of the integer ``dtypes`` that holds both ``lo`` and ``hi``."""
+    return next(t for t in dtypes if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
-    Each tree's arrays must be nonempty and equally long, every split's
-    children must lie after it in its own tree, so that every descent ends
-    at a leaf, and every leaf's class must be below ``n_classes``.
+
+def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
+    """The forest's node arrays as the vote's.
+
+    Each tree must be nonempty and each node array as long as all trees
+    together, every threshold finite, every split's children must lie after
+    it in its own tree, so that every descent ends at a leaf, and every
+    leaf's class must be below ``n_classes``.
 
     A count exceeds a threshold exactly when it exceeds its floor.  The
     floors, clipped to the int64 range (to ``2**63 - 1024``, its last float),
     take the narrowest dtype holding ``[min(0, lowest), max(0, highest) + 1]``,
     so a count clipped to that dtype keeps each comparison (below the clip).
     """
-    lengths = [[len(getattr(t, f.name)) for t in trees] for f in dataclasses.fields(DecisionTree)]
-    sizes = lengths[0]
-    if min(sizes) == 0 or any(other != sizes for other in lengths[1:]):
+    total = int(sizes.sum())
+    if sizes.min() < 1 or any(np.shape(field) != (total,) for field in nodes):
         raise ValueError("tree node arrays must be nonempty and equal-length")
-    total = sum(sizes)
-
-    def concat(field, dtype=np.int64):
-        return np.fromiter(chain.from_iterable(getattr(t, field) for t in trees), dtype, total)
-
-    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = nodes
+    roots = np.cumsum(sizes) - sizes
     shift = np.repeat(roots, sizes)
     size = np.repeat(sizes, sizes)
-    feature, left, right, value = map(concat, ("feature", "left", "right", "value"))
     leaf = feature < 0
     node = np.arange(total)
     local = node - shift
-    bad = np.where(leaf, (value < 0) | (value >= n_classes),
-                   (left <= local) | (left >= size) | (right <= local) | (right >= size))
+    finite = np.isfinite(threshold)
+    bad = ~finite | np.where(leaf, (value < 0) | (value >= n_classes),
+                             (left <= local) | (left >= size) | (right <= local) | (right >= size))
     if bad.any():
         at = int(np.argmax(bad))
         t = int(np.searchsorted(roots, at, side="right")) - 1
-        what = f"leaf class index (of {n_classes} classes)" if leaf[at] else "child index"
+        what = ("threshold" if not finite[at] else
+                f"leaf class index (of {n_classes} classes)" if leaf[at] else "child index")
         raise ValueError(f"tree {t} node {at - roots[t]} has an invalid {what}")
     # np.unique would do, but its first call in a process costs ~10 ms; a
     # bincount would allocate up to a split feature that nothing bounds yet
     split_features = np.sort(feature[~leaf])
     columns = split_features[np.diff(split_features, prepend=-1) != 0]
-    floor = np.floor(concat("threshold", np.float64)).clip(-2.0**63, 2.0**63 - 1024)
-    lo, hi = min(0, int(floor.min())), max(0, int(floor.max())) + 1
-    dtype = next(t for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64)
-                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    floor = np.floor(threshold).clip(-2.0**63, 2.0**63 - 1024)
+    dtype = _narrowest(min(0, int(floor.min())), max(0, int(floor.max())) + 1,
+                       (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64))
     return _FlatForest(
         columns=columns,
         feature=np.where(leaf, -1, np.searchsorted(columns, feature)).repeat(2),
@@ -863,7 +876,7 @@ def fit_forest(
         subtree.append(size)
     subtree.reverse()
     first = np.append(0, subtree[0].cumsum())  # each tree's first node in the forest
-    fields = [np.empty(first[-1], dtype=np.int64) for _ in dataclasses.fields(DecisionTree)]
+    fields = [np.empty(first[-1], dtype=np.int64) for _ in Nodes._fields]
     fields[1] = np.empty(first[-1])  # the thresholds
     place = np.zeros(params.num_trees, dtype=np.int64)
     for (tree, splits, feature, threshold, value), below in zip(levels, subtree[1:]):
@@ -874,11 +887,7 @@ def fit_forest(
         for field, values in zip(fields, (feature, threshold, left, right, value)):
             field[at] = values
         place = np.concatenate([left[splits], right[splits]])
-    del levels, subtree  # freed before the model's Python objects are made
-    fields = [field.tolist() for field in fields]
-    trees = tuple(DecisionTree(*(tuple(field[a:b]) for field in fields))
-                  for a, b in zip(first[:-1].tolist(), first[1:].tolist()))
-    return ForestModel(params=params, classes=columns.classes, trees=trees)
+    return ForestModel(params, columns.classes, subtree[0], Nodes(*fields))
 
 
 def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> list[Prediction]:
@@ -946,76 +955,35 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes]) -> int:
-    """Write magic, version byte, and the canonical JSON payload; returns bytes.
-
-    The payload is ``model``'s fields plus ``vectorizer``; each dataclass is
-    encoded as an object keyed by its field names, so the flat forest, which
-    is not a field, is never written (``dataclasses.asdict`` would deep-copy
-    every tree node first).
-    """
-    payload = {**_field_values(model), "vectorizer": vectorizer}
-    text = json.dumps(payload, default=_field_values, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-    blob = MODEL_MAGIC + bytes([MODEL_VERSION]) + text.encode("utf-8")
-    sink.write(blob)
-    return len(blob)
-
-
-def _field_values(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """Write magic, version byte, the header's length (little-endian uint32),
+    the canonical JSON header, then each node array's raw bytes, in turn (the
+    file is never held whole); returns bytes.  Each array takes the narrowest
+    little-endian integer dtype that holds it, the thresholds ``<f8``."""
+    dtypes = ["<f8" if name == "threshold" else _narrowest(int(f.min()), int(f.max()), _INT_DTYPES)
+              for name, f in zip(Nodes._fields, model.nodes)]
+    header = json.dumps({
+        **dataclasses.asdict(model.params), **vars(vectorizer), "classes": model.classes,
+        "dtypes": dtypes, "nodes": model.sizes.tolist(), "vocabulary": list(vectorizer.vocabulary),
+    }, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    sink.write(MODEL_MAGIC + bytes([MODEL_VERSION]) + len(header).to_bytes(4, "little") + header)
+    fields = [np.ascontiguousarray(field, dtype) for field, dtype in zip(model.nodes, dtypes)]
+    sink.writelines(fields)
+    return _HEADER_AT + len(header) + sum(field.nbytes for field in fields)
 
 
-def _integers(values) -> tuple:
-    """``values`` as a tuple if each is a JSON integer (a float or a bool is not)."""
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"expected an integer, got {bad!r:.40}")
-    return tuple(values)
-
-
-def _numbers(values) -> tuple:
-    """``values`` as floats if each is a finite JSON number (a string, a bool,
-    NaN or an infinity is not)."""
-    if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
-        bad = next(v for v in values if type(v) not in (int, float) or not math.isfinite(v))
-        raise ValueError(f"expected a finite number, got {bad!r:.40}")
-    return tuple(map(float, values))
-
-
-def _vocabulary(spec) -> dict:
-    """``spec`` if it maps each n-gram to a JSON integer."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"expected an n-gram -> index object, got {spec!r:.40}")
-    _integers(spec.values())
-    return spec
-
-
-# JSON -> field value, by the field's annotation.  Every field of a class that
-# `_from_json` builds needs an entry here, so no field is loaded unchecked.
-_DECODERS = {
-    "ForestParams": lambda spec: _from_json(ForestParams, spec),
-    "tuple[LanguageCode, ...]": lambda codes: tuple(map(LanguageCode.parse, codes)),
-    "tuple[DecisionTree, ...]": lambda specs: tuple(_from_json(DecisionTree, t) for t in specs),
-    "tuple[int, ...]": _integers,
-    "tuple[float, ...]": _numbers,
-    "dict": _vocabulary,
-    "int": lambda value: _integers([value])[0],
-    "Optional[int]": lambda value: value if value is None else _integers([value])[0],
-}
-
-
-def _from_json(cls, spec):
-    """``cls`` built from a JSON object whose keys are exactly its field names."""
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
-    if not isinstance(spec, dict) or spec.keys() != set(names):
-        raise ValueError(f"{cls.__name__} needs exactly the keys {names}")
-    return cls(**{f.name: _DECODERS[f.type](spec[f.name]) for f in fields})
+def _integer(value, optional: bool = False):
+    """``value`` if a JSON integer, or null where ``optional`` (a float or a bool is not)."""
+    if type(value) is not int and not (optional and value is None):
+        raise ValueError(f"expected an integer, got {value!r:.40}")
+    return value
 
 
 def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
     """Exact inverse of :func:`save_model`.  A source that is not a model is a
-    ModelFormatError naming the source's ``name``, if it has one."""
+    ModelFormatError naming the source's ``name``, if it has one.
+
+    Every length the header states is checked, in Python ints, before the
+    rest of the header is read and before any array is built."""
     path = getattr(source, "name", None)
     data = source.read()
     if data[:4] != MODEL_MAGIC:
@@ -1025,11 +993,36 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
     if data[4] != MODEL_VERSION:
         raise ModelFormatError(path, f"unsupported model version {data[4]:#04x}")
     try:
-        payload = json.loads(data[5:].decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not a JSON object")
-        vectorizer = _from_json(NgramVectorizer, payload.pop("vectorizer", None))
-        model = _from_json(ForestModel, payload)
+        end = _HEADER_AT + int.from_bytes(data[5:_HEADER_AT], "little")
+        if end > len(data):
+            raise ValueError(f"header ends at byte {end} of a {len(data)}-byte file")
+        header = json.loads(data[_HEADER_AT:end].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
+        sizes, dtypes = list(map(_integer, header.get("nodes", ()))), header.get("dtypes")
+        allowed = [("<f8",) if name == "threshold" else _INT_DTYPES for name in Nodes._fields]
+        if type(dtypes) is not list or len(dtypes) != len(allowed) or not all(
+                map(operator.contains, allowed, dtypes)):
+            raise ValueError(f"unsupported node dtypes {dtypes!r:.80}")
+        total, widths = sum(sizes), [np.dtype(dtype).itemsize for dtype in dtypes]
+        if total * sum(widths) != len(data) - end:
+            raise ValueError(f"header states {total} nodes of {sum(widths)} bytes, "
+                             f"but {len(data) - end} bytes follow it")
+        settings = dataclasses.fields(NgramVectorizer)[:-1]  # all but the vocabulary
+        keys = sorted(["classes", "dtypes", "nodes", "vocabulary",
+                       *(f.name for f in dataclasses.fields(ForestParams) + settings)])
+        if sorted(header) != keys:
+            raise ValueError(f"header needs exactly the keys {keys}")
+        params = ForestParams(**{f.name: _integer(header[f.name], f.type != "int")
+                                 for f in dataclasses.fields(ForestParams)})
+        if type(grams := header["vocabulary"]) is not list:
+            raise ValueError(f"expected an n-gram list, got {grams!r:.40}")
+        vectorizer = NgramVectorizer(*(_integer(header[f.name]) for f in settings),
+                                     dict(zip(grams, range(len(grams)))))
+        offsets = accumulate((total * width for width in widths[:-1]), initial=end)
+        nodes = Nodes(*map(np.frombuffer, repeat(data), dtypes, repeat(total), offsets))
+        model = ForestModel(params, tuple(map(LanguageCode.parse, header["classes"])),
+                            np.array(sizes, np.int64), nodes)
         columns = model._flat.columns
         if columns.size and columns[-1] >= vectorizer.size:
             raise ValueError(f"the forest splits on feature {columns[-1]} "

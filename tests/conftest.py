@@ -19,10 +19,10 @@ from tla.corpus import (
     SentimentLabel,
 )
 from tla.langid import (
-    DecisionTree,
     EmptyVocabularyError,
     ForestModel,
     NgramVectorizer,
+    Nodes,
     SparseRows,
     _best_splits,
     _column_store,
@@ -354,9 +354,7 @@ def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
         stack.append((idx[~go_left], depth + 1, pos, False, derive_seed(key, 1)))
         stack.append((idx[go_left], depth + 1, pos, True, derive_seed(key, 0)))
 
-    return DecisionTree(
-        tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value)
-    )
+    return Nodes(feature, threshold, left, right, value)
 
 
 def reference_fit_forest(samples, params, n_features=None):
@@ -381,7 +379,22 @@ def reference_fit_forest(samples, params, n_features=None):
         _reference_grow_tree(X, y, len(classes), params.seed, t, params, m_features)
         for t in range(params.num_trees)
     )
-    return ForestModel(params=params, classes=classes, trees=trees)
+    return forest_model(params, classes, trees)
+
+
+def forest_model(params, classes, trees):
+    """The ForestModel of per-tree node lists ``trees`` (each a ``Nodes``)."""
+    fields = [np.array(list(chain.from_iterable(field)), dtype)
+              for field, dtype in zip(zip(*trees), (np.int64, float, np.int64, np.int64, np.int64))]
+    return ForestModel(params, classes, np.array([len(t.feature) for t in trees]), Nodes(*fields))
+
+
+def assert_same_forest(model, expected):
+    """The same parameters, classes and trees, every field of every node equal."""
+    assert (model.params, model.classes) == (expected.params, expected.classes)
+    assert model.sizes.tolist() == expected.sizes.tolist()
+    for name, field, other in zip(Nodes._fields, model.nodes, expected.nodes):
+        assert np.array_equal(field, other), f"{name} differs"
 
 
 def reference_predict(model, x):

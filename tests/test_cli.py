@@ -314,9 +314,12 @@ class TestTrainAndIdentify:
         # No n-gram is longer than its text, so n_max = 10**8 counts nothing
         # more; each run must not take a pass per length either.
         data = model_file.read_bytes()
-        payload = json.loads(data[5:].decode("utf-8"))
-        payload["vectorizer"]["n_max"] = 10**8
-        (tmp_path / "edited.tlam").write_bytes(data[:5] + json.dumps(payload).encode("utf-8"))
+        end = 9 + int.from_bytes(data[5:9], "little")  # the JSON header's
+        header = json.loads(data[9:end].decode("utf-8"))
+        header["n_max"] = 10**8
+        edited = json.dumps(header).encode("utf-8")
+        (tmp_path / "edited.tlam").write_bytes(
+            data[:5] + len(edited).to_bytes(4, "little") + edited + data[end:])
         text = "hello world, what a day"
         result = _python_m_tla("identify", "--model", "edited.tlam", "--text", text,
                                cwd=tmp_path, timeout=20)
@@ -327,15 +330,25 @@ class TestTrainAndIdentify:
                                cwd=tmp_path, timeout=20)
         assert result.returncode == 0, result.stderr
 
-    def test_identify_bad_model_file(self, tmp_path):
+    def test_identify_bad_model_file(self, model_file, tmp_path):
         bad = tmp_path / "bad.tlam"
         bad.write_bytes(b"NOPE")
         code, _, err = invoke("identify", "--model", str(bad), "--text", "hi")
         assert (code, err) == (1, f"error: {bad}: bad magic bytes (expected b'TLAM')\n")
-        bad.write_bytes(b"TLAM\x01" + b"[" * 100_000)
-        code, _, err = invoke("identify", "--model", str(bad), "--text", "hi")
-        assert code == 1
-        assert err.startswith(f"error: {bad}: corrupt model payload: ")
+        (tmp_path / "truncated.tlam").write_bytes(model_file.read_bytes()[:-1])
+        result = _python_m_tla("identify", "--model", "truncated.tlam", "--text", "hi",
+                               cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith(
+            "error: truncated.tlam: corrupt model payload: header states ")
+        assert result.stderr.count("\n") == 1  # one line, no traceback
+
+    def test_identify_version_one_model_says_to_retrain(self, tmp_path):
+        old = tmp_path / "old.tlam"
+        old.write_bytes(b"TLAM\x01{}")
+        assert invoke("identify", "--model", str(old), "--text", "hi") == (
+            1, "", f"error: {old}: unsupported model version 0x01; "
+                   "retrain the model with tla train-langid\n")
 
     def test_identify_rewrites_clean_csv(self, model_file, tmp_path):
         src = tmp_path / "tweets.jsonl"

@@ -16,7 +16,7 @@ import unicodedata
 import numpy as np
 import pytest
 
-from tla import LanguageCode, load_bundled_lexicon, synthetic_corpus
+from tla import ForestPredictor, LanguageCode, load_bundled_lexicon, synthetic_corpus
 from tla.cli import run
 
 #: The numpy version the digests were taken with.  The forest draws nothing
@@ -41,7 +41,7 @@ CHAIN_TRAIN_ARGV = (
     "--output", "chain.tlam",
 )
 
-MODEL_DIGEST = "84e837c2fdcb6d840b47d27b2c4d01bf228cfa4e6e503f736b2ced326eacdde8"
+MODEL_DIGEST = "910ebe5fcec55ae47a35e213f591cc8a689d545440be5424a3ca012122cbb6c0"
 
 #: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
 #: 6,351, 50 full-depth trees.
@@ -49,11 +49,11 @@ BENCH_TRAIN_ARGV = (
     "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
     "--output", "bench.tlam",
 )
-BENCH_MODEL_DIGEST = "644d38e3b053a87e3e64527c118c736405f4ea622cd8397a5918af05dc60ebb7"
+BENCH_MODEL_DIGEST = "87b4b9e1aaa230e75a2897f309a8321a261e2daf556419c496e9e00f513f973d"
 
 CHAIN_DIGESTS = {
     "identify.stdout": "d438d52c527f7ba7802cad2ca4bc79ec6565e6b05c86a242edfb353816338f76",
-    "chain.tlam": "b9c74df7c009e2c04cc8f1b5fbfce6d999dae474c6fa945625159ceb0d6d59b4",
+    "chain.tlam": "7e29f1121493cbaa74a0d81a555e64c0f43584b2c6d0c99927af94089a7a428b",
     "clean.csv": "7f92f5c09c2f0e23367505e254ce8395a86b2206606ece69f6a532b090bb124e",
     "identified.csv": "d8ca11daea21e6b97c874081a99fd14a4ea5b65ba61ca0070f4b2df01464e04c",
     "labeled/en.csv": "ca702e0d0324c6809373ce8d0dd28b3da0a7dea767da175c28cca54d24c07306",
@@ -169,8 +169,11 @@ def test_model_digest(work):
 
 def test_bench_model_digest(work):
     _tla(*BENCH_TRAIN_ARGV)
-    _assert_digests({"bench.tlam": (work / "bench.tlam").read_bytes()},
-                    {"bench.tlam": BENCH_MODEL_DIGEST})
+    data = (work / "bench.tlam").read_bytes()
+    _assert_digests({"bench.tlam": data}, {"bench.tlam": BENCH_MODEL_DIGEST})
+    resaved = io.BytesIO()
+    ForestPredictor.load(io.BytesIO(data)).save(resaved)
+    assert resaved.getvalue() == data
 
 
 def test_chain_digests(work):

@@ -11,12 +11,12 @@ from tla import langid
 from tla.corpus import LanguageCode
 from tla.langid import (
     CHUNK_ROWS,
-    DecisionTree,
     EmptyVocabularyError,
     ForestModel,
     ForestParams,
     ModelFormatError,
     NgramVectorizer,
+    Nodes,
     derive_seed,
     evaluate_model,
     extract_char_ngrams,
@@ -34,9 +34,11 @@ from tla.langid import (
 from tla.synth import synthetic_corpus, synthetic_split
 
 from conftest import (
+    assert_same_forest,
     best_split,
     exhaustive_best_split,
     fit_nb,
+    forest_model,
     predict_nb,
     reference_bootstrap,
     reference_candidates,
@@ -513,7 +515,7 @@ class TestFitForest:
         params = ForestParams(num_trees=8, seed=22)
         expected = fit_forest(*sparse_samples(samples), params)
         monkeypatch.setattr(langid, "SEARCH_NONZEROS", 1)
-        assert fit_forest(*sparse_samples(samples), params) == expected
+        assert_same_forest(fit_forest(*sparse_samples(samples), params), expected)
 
     def test_draws_in_runs_give_the_same_trees(self, monkeypatch, benchmark_corpus):
         # A level's candidates, and the bootstrap, are drawn in runs of at
@@ -531,7 +533,7 @@ class TestFitForest:
 
         monkeypatch.setattr(langid, "_candidates", spy)
         monkeypatch.setattr(langid, "DRAW_CELLS", 1 << 9)
-        assert fit_forest(samples, labels, params, n_features=n_features) == expected
+        assert_same_forest(fit_forest(samples, labels, params, n_features=n_features), expected)
         assert max(runs) <= 1 << 9 and runs.count(max(runs)) > 1
 
     @pytest.mark.parametrize("num_trees", [3, 50])
@@ -562,13 +564,15 @@ class TestFitForest:
         else:
             samples, params = _wide_count_samples(100_000), ForestParams(num_trees=5, seed=23)
         expected = reference_fit_forest(samples, params)
-        assert _fit_on_each_path(monkeypatch, samples, params) == [expected] * 3
+        for model in _fit_on_each_path(monkeypatch, samples, params):
+            assert_same_forest(model, expected)
 
     def test_each_search_path_gives_one_model_at_the_largest_count(self, monkeypatch):
         # The dense reference would take about 250 MiB at these counts.
         default, by_columns, by_rows = _fit_on_each_path(
             monkeypatch, _wide_count_samples(1_000_000), ForestParams(num_trees=5, seed=23))
-        assert by_columns == default and by_rows == default
+        assert_same_forest(by_columns, default)
+        assert_same_forest(by_rows, default)
 
     def test_default_fit_searches_along_both_paths(self, monkeypatch, benchmark_corpus):
         texts, labels, v = benchmark_corpus
@@ -646,7 +650,7 @@ def _fit_on_each_path(monkeypatch, samples, params):
 def _assert_matches_reference(samples, params, n_features):
     expected = reference_fit_forest(samples, params, n_features)
     model = fit_forest(*sparse_samples(samples), params, n_features)
-    assert model == expected
+    assert_same_forest(model, expected)
     # preorder growth puts every split's left child right after it
     for tree in model.trees:
         for i, f in enumerate(tree.feature):
@@ -842,7 +846,7 @@ def _random_tree(rng, thresholds, n_features, n_classes, depth):
         return pos
 
     grow(depth)
-    return DecisionTree(*map(tuple, fields))
+    return Nodes(*fields)
 
 
 class TestIntegerVote:
@@ -864,8 +868,8 @@ class TestIntegerVote:
     def test_every_block_dtype_votes_as_the_walk(self, thresholds, dtype):
         rng = random.Random(repr(thresholds))
         classes = (EN, ES, LanguageCode.FR)
-        trees = tuple(_random_tree(rng, thresholds, 6, len(classes), 5) for _ in range(9))
-        model = ForestModel(ForestParams(num_trees=9), classes, trees)
+        trees = [_random_tree(rng, thresholds, 6, len(classes), 5) for _ in range(9)]
+        model = forest_model(ForestParams(num_trees=9), classes, trees)
         vectors = [{}]
         for _ in range(400):  # features 6 and 7 are split on by no tree
             features = rng.sample(range(8), rng.randint(1, 6))
@@ -905,16 +909,11 @@ class TestIntegerVote:
 
     def test_model_file_with_huge_thresholds(self, trained):
         model, v = trained
-        sink = io.BytesIO()
-        save_model(model, v, sink)
-        payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
-        splits = [(t, i) for t, tree in enumerate(payload["trees"])
-                  for i, f in enumerate(tree["feature"]) if f >= 0]
-        for (t, i), edge in zip(splits, (1e300, -1e300, 1e300)):
-            payload["trees"][t]["threshold"][i] = edge
-        data = sink.getvalue()[:5] + json.dumps(payload).encode("utf-8")
-        edited, _ = load_model(io.BytesIO(data))
-        assert edited.trees != model.trees
+        header, fields = _model_parts(_saved(model, v))
+        splits = (fields["feature"] >= 0).nonzero()[0]
+        fields["threshold"][splits[:3]] = (1e300, -1e300, 1e300)
+        edited, _ = load_model(io.BytesIO(_model_blob(header, fields)))
+        assert not np.array_equal(edited.nodes.threshold, model.nodes.threshold)
         rng = random.Random(31)
         vectors = [{f: rng.choice(EDGE_COUNTS) for f in range(v.size) if rng.random() < 0.4}
                    for _ in range(300)]
@@ -987,30 +986,81 @@ def trained():
     return model, v
 
 
+def _saved(model, vectorizer) -> bytes:
+    sink = io.BytesIO()
+    assert save_model(model, vectorizer, sink) == len(sink.getvalue())
+    return sink.getvalue()
+
+
+def _model_parts(blob: bytes) -> tuple[dict, dict]:
+    """A model file's JSON header and its node arrays, read with the
+    header's explicit little-endian dtypes (writable copies)."""
+    end = 9 + int.from_bytes(blob[5:9], "little")
+    header = json.loads(blob[9:end].decode("utf-8"))
+    fields, total = {}, sum(header["nodes"])
+    for name, dtype in zip(Nodes._fields, header["dtypes"]):
+        fields[name] = np.frombuffer(blob, dtype, total, end).copy()
+        end += fields[name].nbytes
+    assert end == len(blob)
+    return header, fields
+
+
+def _model_blob(header: dict, fields: dict) -> bytes:
+    """A v2 model file of ``header`` and the raw bytes of ``fields``, in order."""
+    text = json.dumps(header).encode("utf-8")
+    return (b"TLAM\x02" + len(text).to_bytes(4, "little") + text
+            + b"".join(field.tobytes() for field in fields.values()))
+
+
 class TestModelSerialization:
     def test_round_trip_predictions_on_random_vectors(self, trained):
         model, v = trained
-        sink = io.BytesIO()
-        n_bytes = save_model(model, v, sink)
-        assert n_bytes == len(sink.getvalue())
-        sink.seek(0)
-        loaded_model, loaded_v = load_model(sink)
+        loaded_model, loaded_v = load_model(io.BytesIO(_saved(model, v)))
         assert loaded_v == v
-        assert loaded_model == model
+        assert_same_forest(loaded_model, model)
         rng = random.Random(11)
         for _ in range(1000):
             x = {f: rng.randint(1, 5) for f in range(v.size) if rng.random() < 0.3}
             assert predict_language(loaded_model, [x])[0] == predict_language(model, [x])[0]
 
+    def test_save_of_a_loaded_model_is_byte_identical(self, trained):
+        blob = _saved(*trained)
+        assert _saved(*load_model(io.BytesIO(blob))) == blob
+
     def test_envelope_layout(self, trained):
         model, v = trained
-        sink = io.BytesIO()
-        save_model(model, v, sink)
-        data = sink.getvalue()
-        assert data[:4] == b"TLAM"
-        assert data[4] == 0x01
-        payload = json.loads(data[5:].decode("utf-8"))
-        assert set(payload) == {"classes", "params", "trees", "vectorizer"}
+        blob = _saved(model, v)
+        assert blob[:5] == b"TLAM\x02"
+        header, fields = _model_parts(blob)
+        assert header == {
+            "classes": ["en", "es"],
+            "dtypes": ["<i1", "<f8", "<i1", "<i1", "<i1"],
+            "features_per_split": None,
+            "max_depth": None,
+            "min_doc_freq": 1,
+            "min_samples_split": 2,
+            "n_max": 2,
+            "n_min": 1,
+            "nodes": model.sizes.tolist(),
+            "num_trees": 8,
+            "seed": 7,
+            "vocabulary": sorted(v.vocabulary),
+        }
+        # canonical JSON: sorted keys, no insignificant whitespace
+        end = 9 + int.from_bytes(blob[5:9], "little")
+        assert blob[9:end] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        for name, field, saved in zip(Nodes._fields, model.nodes, fields.values()):
+            assert np.array_equal(saved, field), name
+
+    def test_benchmark_model_arrays_read_back_under_explicit_dtypes(self, benchmark_corpus):
+        texts, labels, v = benchmark_corpus
+        model = fit_forest(vectorize_batch(v, texts), labels, ForestParams(num_trees=50, seed=42),
+                           n_features=v.size)
+        header, fields = _model_parts(_saved(model, v))
+        assert (sum(header["nodes"]), len(header["vocabulary"])) == (21_986, 6_351)
+        assert header["dtypes"] == ["<i2", "<f8", "<i2", "<i2", "<i1"]
+        for name, field, saved in zip(Nodes._fields, model.nodes, fields.values()):
+            assert np.array_equal(saved, field), name
 
     @staticmethod
     def _load_error(blob):
@@ -1020,130 +1070,143 @@ class TestModelSerialization:
         return str(exc.value)
 
     def test_bad_magic(self):
-        assert self._load_error(b"NOPE\x01{}") == "bad magic bytes (expected b'TLAM')"
+        assert self._load_error(b"NOPE\x02{}") == "bad magic bytes (expected b'TLAM')"
 
     def test_missing_version_byte(self):
         assert self._load_error(b"TLAM") == "corrupt model payload: missing version byte"
 
     def test_unsupported_version(self, trained):
-        model, v = trained
-        sink = io.BytesIO()
-        save_model(model, v, sink)
-        data = bytearray(sink.getvalue())
-        data[4] = 0x02
-        assert self._load_error(bytes(data)) == "unsupported model version 0x02"
+        data = bytearray(_saved(*trained))
+        data[4] = 0x03
+        assert self._load_error(bytes(data)) == "unsupported model version 0x03"
+
+    def test_version_one_file(self):
+        assert self._load_error(b"TLAM\x01{}") == "unsupported model version 0x01"
 
     def test_error_names_the_file(self, tmp_path):
         path = tmp_path / "bad.tlam"
-        path.write_bytes(b"NOPE\x01{}")
+        path.write_bytes(b"NOPE\x02{}")
         with open(path, "rb") as source, pytest.raises(ModelFormatError) as exc:
             load_model(source)
         assert exc.value.path == str(path)
         assert str(exc.value) == f"{path}: bad magic bytes (expected b'TLAM')"
 
+    def test_every_truncation_names_the_file(self, trained, tmp_path):
+        blob = _saved(*trained)
+        path = tmp_path / "truncated.tlam"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with open(path, "rb") as source, pytest.raises(ModelFormatError) as exc:
+                load_model(source)
+            assert str(exc.value).startswith(f"{path}: "), size
+
+    def test_header_claiming_huge_node_count_fails_at_once(self):
+        header = {"dtypes": ["<i1", "<f8", "<i1", "<i1", "<i1"], "nodes": [2**40]}
+        blob = _model_blob(header, {})
+        assert len(blob) < 100
+        assert self._load_error(blob) == (
+            "corrupt model payload: header states 1099511627776 nodes of 12 bytes, "
+            "but 0 bytes follow it")
+
     def test_corrupt_json(self):
-        assert self._load_error(b"TLAM\x01{oops") == (
+        assert self._load_error(b"TLAM\x02\x05\x00\x00\x00{oops") == (
             "corrupt model payload: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)"
         )
 
-    @pytest.mark.parametrize("payload, message", [
+    @pytest.mark.parametrize("header, message", [
         (b"[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array "
                          "from a unicode string"),
-        (b'{"trees":' + b"9" * 5000 + b"}",
+        (b'{"nodes":' + b"9" * 5000 + b"}",
          "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
          "digits; use sys.set_int_max_str_digits() to increase the limit"),
     ], ids=["deep", "long_int"])
-    def test_unparsable_payload_is_corrupt(self, payload, message):
+    def test_unparsable_payload_is_corrupt(self, header, message):
         # Nesting past the interpreter's recursion limit, and an integer too
         # long to convert, are corrupt payloads and not raw Python errors.
-        assert self._load_error(b"TLAM\x01" + payload) == f"corrupt model payload: {message}"
+        blob = b"TLAM\x02" + len(header).to_bytes(4, "little") + header
+        assert self._load_error(blob) == f"corrupt model payload: {message}"
 
     def test_corrupt_structure(self, trained):
         model, v = trained
-        sink = io.BytesIO()
-        save_model(model, v, sink)
+        blob = _saved(model, v)
+        header_keys = ("header needs exactly the keys ['classes', 'dtypes', "
+                       "'features_per_split', 'max_depth', 'min_doc_freq', 'min_samples_split', "
+                       "'n_max', 'n_min', 'nodes', 'num_trees', 'seed', 'vocabulary']")
 
-        def split_tree(p):  # the first tree whose root is a split
-            return next(t for t in p["trees"] if t["feature"][0] >= 0)
+        assert model.nodes.feature[0] >= 0  # tree 0's root is a split
+        last = int(model.sizes.sum()) - 1  # the last tree's last node, a leaf
 
-        vectorizer_keys = ("NgramVectorizer needs exactly the keys "
-                           "['n_min', 'n_max', 'min_doc_freq', 'vocabulary']")
-        params_keys = ("ForestParams needs exactly the keys "
-                       "['num_trees', 'max_depth', 'min_samples_split', 'features_per_split', "
-                       "'seed']")
-        tree_keys = ("DecisionTree needs exactly the keys "
-                     "['feature', 'threshold', 'left', 'right', 'value']")
+        def set_node(name, at, value):
+            return lambda h, f: f[name].__setitem__(at, value)
+
+        def drop_trees(h, f):
+            h["nodes"] = []
+            f.clear()
+
+        def empty_tree(h, f):
+            h["nodes"][:2] = [0, h["nodes"][0] + h["nodes"][1]]
+
+        def longer_tree(h, f):
+            h["nodes"][0] += 1
+
+        n_leaf = model.sizes[-1] - 1
         corruptions = [
-            (lambda p: p["vectorizer"].update(vocabulary={"a": 0, "c": 2}),
-             "vocabulary indices must be the lexicographic rank 0..V-1"),
-            (lambda p: p.pop("vectorizer"), vectorizer_keys),
-            (lambda p: p.update(extra=1),
-             "ForestModel needs exactly the keys ['params', 'classes', 'trees']"),
-            (lambda p: p["params"].pop("num_trees"), params_keys),
-            (lambda p: p["params"].update(extra=1), params_keys),
-            (lambda p: p["vectorizer"].pop("min_doc_freq"), vectorizer_keys),
-            (lambda p: p["vectorizer"].update(extra=1), vectorizer_keys),
-            (lambda p: p["trees"][0].pop("threshold"), tree_keys),
-            (lambda p: p["trees"][-1].update(extra=[]), tree_keys),
-            (lambda p: p.update(trees=[[]]), tree_keys),
-            (lambda p: p["vectorizer"].update(n_max=p["vectorizer"]["n_max"] + 0.5),
-             "expected an integer, got 2.5"),
-            (lambda p: split_tree(p)["left"].__setitem__(0, 1.5),
-             "expected an integer, got 1.5"),
-            (lambda p: p["trees"][0]["value"].__setitem__(-1, True),  # a leaf: the last node
-             "expected an integer, got True"),
-            (lambda p: split_tree(p)["right"].__setitem__(0, 0),  # a cycle
+            (lambda h, f: h.update(vocabulary=["a", "c", "b"]),
+             "vocabulary must be in lexicographic order, indexed 0..V-1"),
+            (lambda h, f: h.update(vocabulary=["a", "a"]),
+             "vocabulary must be in lexicographic order, indexed 0..V-1"),
+            (lambda h, f: h.pop("vocabulary"), header_keys),
+            (lambda h, f: h.update(extra=1), header_keys),
+            (lambda h, f: h.pop("num_trees"), header_keys),
+            (lambda h, f: h.update(n_max=h["n_max"] + 0.5), "expected an integer, got 2.5"),
+            (lambda h, f: h.update(seed=None), "expected an integer, got None"),
+            (lambda h, f: h.update(num_trees=8.0), "expected an integer, got 8.0"),
+            (lambda h, f: h["nodes"].__setitem__(0, str(h["nodes"][0])),
+             f"expected an integer, got '{model.sizes[0]}'"),
+            (set_node("right", 0, 0),  # a cycle
              "tree 0 node 0 has an invalid child index"),
-            (lambda p: p["trees"][0]["value"].__setitem__(-1, len(p["classes"])),
-             "tree 0 node 2 has an invalid leaf class index (of 2 classes)"),
-            (lambda p: split_tree(p)["left"].__setitem__(0, 2**64),
-             "Python int too large to convert to C long"),
-            (lambda p: split_tree(p)["threshold"].__setitem__(0, "0.5"),
-             "expected a finite number, got '0.5'"),
-            (lambda p: split_tree(p)["threshold"].__setitem__(0, True),
-             "expected a finite number, got True"),
-            (lambda p: split_tree(p)["threshold"].__setitem__(0, float("nan")),
-             "expected a finite number, got nan"),
-            (lambda p: split_tree(p)["threshold"].__setitem__(0, float("-inf")),
-             "expected a finite number, got -inf"),
-            (lambda p: split_tree(p)["threshold"].__setitem__(0, 10**400),
-             "int too large to convert to float"),
-            (lambda p: p["vectorizer"]["vocabulary"].update(
-                {gram: float(i) for gram, i in p["vectorizer"]["vocabulary"].items() if i == 1}
-            ), "expected an integer, got 1.0"),
-            (lambda p: p["vectorizer"].update(vocabulary=sorted(p["vectorizer"]["vocabulary"])),
-             "expected an n-gram -> index object, got [' ', ' a', ' b', 'a', 'a ', 'aa', 'b', "),
-            (lambda p: p["vectorizer"].update(vocabulary=None),
-             "expected an n-gram -> index object, got None"),
-            (lambda p: p["vectorizer"].update(n_min=3), "need 1 <= n_min <= n_max, got 3..2"),
-            (lambda p: p["vectorizer"].update(n_min=0), "need 1 <= n_min <= n_max, got 0..2"),
-            (lambda p: p["vectorizer"].update(min_doc_freq=0), "min_doc_freq must be >= 1, got 0"),
-            (lambda p: p["vectorizer"].update(n_max=1), "n-gram ' a' outside length range"),
-            (lambda p: p.update(classes=[]), "model must have at least one class"),
-            (lambda p: p.update(classes=["en", "en"]), "duplicate class in model"),
-            (lambda p: p.update(trees=[]), "model must have at least one tree"),
-            (lambda p: p["trees"][0]["threshold"].pop(),
-             "tree node arrays must be nonempty and equal-length"),
+            (set_node("value", last, len(model.classes)),
+             f"tree 7 node {n_leaf} has an invalid leaf class index (of 2 classes)"),
+            (set_node("threshold", 0, float("nan")),
+             "tree 0 node 0 has an invalid threshold"),
+            (set_node("threshold", last, float("-inf")),
+             f"tree 7 node {n_leaf} has an invalid threshold"),
+            (lambda h, f: h.update(vocabulary={"a": 0}), "expected an n-gram list, got {'a': 0}"),
+            (lambda h, f: h.update(vocabulary=None), "expected an n-gram list, got None"),
+            (lambda h, f: h.update(n_min=3), "need 1 <= n_min <= n_max, got 3..2"),
+            (lambda h, f: h.update(n_min=0), "need 1 <= n_min <= n_max, got 0..2"),
+            (lambda h, f: h.update(min_doc_freq=0), "min_doc_freq must be >= 1, got 0"),
+            (lambda h, f: h.update(n_max=1), "n-gram ' a' outside length range"),
+            (lambda h, f: h.update(classes=[]), "model must have at least one class"),
+            (lambda h, f: h.update(classes=["en", "en"]), "duplicate class in model"),
+            (drop_trees, "model must have at least one tree"),
+            (empty_tree, "tree node arrays must be nonempty and equal-length"),
+            (longer_tree, f"header states {model.sizes.sum() + 1} nodes of 12 bytes, "
+                          f"but {model.sizes.sum() * 12} bytes follow it"),
+            (lambda h, f: h["dtypes"].__setitem__(4, ">i1"),
+             "unsupported node dtypes ['<i1', '<f8', '<i1', '<i1', '>i1']"),
+            (lambda h, f: h["dtypes"].__setitem__(1, "<f4"),
+             "unsupported node dtypes ['<i1', '<f4', '<i1', '<i1', '<i1']"),
+            (lambda h, f: h.pop("dtypes"), "unsupported node dtypes None"),
         ]
         for corrupt, message in corruptions:
-            payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
-            corrupt(payload)
-            blob = b"TLAM\x01" + json.dumps(payload).encode("utf-8")
-            assert self._load_error(blob) == f"corrupt model payload: {message}"
-        assert self._load_error(b"TLAM\x01[]") == (
-            "corrupt model payload: payload is not a JSON object"
-        )
+            header, fields = _model_parts(blob)
+            corrupt(header, fields)
+            assert self._load_error(_model_blob(header, fields)) == (
+                f"corrupt model payload: {message}")
+        text = b"[]"
+        assert self._load_error(b"TLAM\x02" + len(text).to_bytes(4, "little") + text) == (
+            "corrupt model payload: header is not a JSON object")
+        assert self._load_error(b"TLAM\x02\x01\x00") == (
+            "corrupt model payload: header ends at byte 10 of a 7-byte file")
+        assert self._load_error(blob[:5] + (2**31).to_bytes(4, "little") + blob[9:]) == (
+            f"corrupt model payload: header ends at byte {2**31 + 9} of a {len(blob)}-byte file")
 
     def test_feature_beyond_vocabulary(self, trained):
-        model, v = trained
-        sink = io.BytesIO()
-        save_model(model, v, sink)
-        payload = json.loads(sink.getvalue()[5:].decode("utf-8"))
-        payload["vectorizer"]["vocabulary"] = {"a": 0}
-        payload["vectorizer"]["n_max"] = 1
-        blob = b"TLAM\x01" + json.dumps(payload).encode("utf-8")
-        assert self._load_error(blob) == (
+        header, fields = _model_parts(_saved(*trained))
+        header.update(vocabulary=["a"], n_max=1)
+        assert self._load_error(_model_blob(header, fields)) == (
             "corrupt model payload: the forest splits on feature 8 beyond vocabulary size 1"
         )
 
