@@ -36,7 +36,9 @@ for r, c in np.argwhere((confusion > 0) & ~np.eye(16, dtype=bool)):
 print()
 sink = io.BytesIO()
 n_bytes = predictor.save(sink)
-print(f"serialized model: {n_bytes} bytes (magic TLAM, version 1, canonical JSON)")
+blob = sink.getvalue()
+print(f"serialized model: {n_bytes} bytes (magic {blob[:4].decode('ascii')}, "
+      f"version {blob[4]})")
 sink.seek(0)
 loaded = ForestPredictor.load(sink)
 text = "the train was late again so we walked along the river"

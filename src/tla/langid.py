@@ -31,8 +31,10 @@ its cost and memory follow the nonzeros, not the largest count.  It
 returns each split's right side too, so the fit cuts a split node's samples
 without reading a column a second time.
 
-A forest is one set of preorder node arrays from the fit to the model file,
-which holds them as raw little-endian bytes after a JSON header.
+A forest is one set of breadth-first node arrays from the fit to the model
+file, which holds them as raw little-endian bytes after a JSON header.  A
+tree's ``j``-th split has its children at places ``2j + 1`` and ``2j + 2``
+of its tree, so no node stores where its children are.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its node arrays into the vote's (leaves point to themselves), checked there
@@ -66,7 +68,7 @@ FeatureVector = dict  # feature index -> positive count (vectorize's is a Counte
 Prediction = tuple[Optional[LanguageCode], float]  # (language, share of the trees' votes)
 
 MODEL_MAGIC = b"TLAM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 _HEADER_AT = 9  # after magic, version byte and the header's length
 #: The dtypes of a model file's integer node arrays, narrowest first.
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
@@ -358,14 +360,13 @@ class ForestParams:
 
 
 class Nodes(NamedTuple):
-    """Preorder node arrays, a forest's tree after tree: ``feature`` -1 marks a
-    leaf holding the class index ``value``; a split sends a count above its
-    ``threshold`` to ``right``, else to ``left``, each a place in its tree."""
+    """Breadth-first node arrays, a forest's tree after tree: ``feature`` -1
+    marks a leaf holding the class index ``value``; the tree's ``j``-th split
+    sends a count at most its ``threshold`` to place ``2j + 1`` of its tree,
+    a higher one to ``2j + 2``."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
 
@@ -399,19 +400,20 @@ class ForestModel:
 
 
 class _FlatForest(NamedTuple):
-    """All trees' nodes in one set of arrays; tree ``t`` starts at ``roots[t]``.
+    """All trees' nodes in one set of arrays, as in :class:`Nodes`; tree
+    ``t`` starts at ``roots[t]``.
 
     ``columns`` holds the vocabulary indices the forest splits on, ascending:
-    the columns of the dense block.  Node ``i``'s id is ``2 * i``: its column
-    (-1 at a leaf), threshold floor and leaf class are at ``2 * i`` and
-    ``2 * i + 1`` of ``feature``, ``floor`` and ``value``, and its left and
-    right child's ids at those of ``children`` (a leaf's both are its own).
+    the columns of the dense block, which ``feature`` holds (-1 at a leaf).
+    A count moves from node ``i`` to ``child[i]`` if at most ``floor[i]``,
+    else to the node after it.  A leaf is its own ``child``, and its floor the
+    dtype's largest value, so no count moves it.
     """
 
     columns: np.ndarray
     feature: np.ndarray
     floor: np.ndarray
-    children: np.ndarray
+    child: np.ndarray
     value: np.ndarray
     roots: np.ndarray
 
@@ -425,9 +427,10 @@ def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
     """The forest's node arrays as the vote's.
 
     Each tree must be nonempty and each node array as long as all trees
-    together, every threshold finite, every split's children must lie after
-    it in its own tree, so that every descent ends at a leaf, and every
-    leaf's class must be below ``n_classes``.
+    together, each tree must hold ``2 * splits + 1`` nodes, each split's
+    left child must come after it, so that every descent ends at a leaf of
+    its tree, every threshold must be finite and every leaf's class below
+    ``n_classes``.
 
     A count exceeds a threshold exactly when it exceeds its floor.  The
     floors, clipped to the int64 range (to ``2**63 - 1024``, its last float),
@@ -437,37 +440,44 @@ def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
     total = int(sizes.sum())
     if sizes.min() < 1 or any(np.shape(field) != (total,) for field in nodes):
         raise ValueError("tree node arrays must be nonempty and equal-length")
-    feature, threshold, left, right, value = nodes
+    feature, threshold, value = nodes
     roots = np.cumsum(sizes) - sizes
-    shift = np.repeat(roots, sizes)
-    size = np.repeat(sizes, sizes)
-    leaf = feature < 0
+    split = feature >= 0
+    splits = np.add.reduceat(split, roots)
+    bad = (2 * splits + 1 != sizes).nonzero()[0]
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"tree {t} holds {sizes[t]} nodes, not 2 * {splits[t]} splits + 1")
+    # each split's left child, its place in its tree: 2 * its rank among the tree's splits + 1
     node = np.arange(total)
+    shift = np.repeat(roots, sizes)
     local = node - shift
+    left = 2 * (split.cumsum() - split - np.repeat(splits.cumsum() - splits, sizes)) + 1
     finite = np.isfinite(threshold)
-    bad = ~finite | np.where(leaf, (value < 0) | (value >= n_classes),
-                             (left <= local) | (left >= size) | (right <= local) | (right >= size))
+    bad = ~finite | np.where(split, left <= local, (value < 0) | (value >= n_classes))
     if bad.any():
         at = int(np.argmax(bad))
         t = int(np.searchsorted(roots, at, side="right")) - 1
         what = ("threshold" if not finite[at] else
-                f"leaf class index (of {n_classes} classes)" if leaf[at] else "child index")
-        raise ValueError(f"tree {t} node {at - roots[t]} has an invalid {what}")
+                f"place for a split (its left child's is {left[at]})" if split[at] else
+                f"leaf class index (of {n_classes} classes)")
+        raise ValueError(f"tree {t} node {local[at]} has an invalid {what}")
     # np.unique would do, but its first call in a process costs ~10 ms; a
     # bincount would allocate up to a split feature that nothing bounds yet
-    split_features = np.sort(feature[~leaf])
+    split_features = np.sort(feature[split])
     columns = split_features[np.diff(split_features, prepend=-1) != 0]
     floor = np.floor(threshold).clip(-2.0**63, 2.0**63 - 1024)
     dtype = _narrowest(min(0, int(floor.min())), max(0, int(floor.max())) + 1,
                        (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64))
+    floor = floor.astype(dtype)
+    floor[~split] = np.iinfo(dtype).max  # after the cast: int64's largest is no float
     return _FlatForest(
         columns=columns,
-        feature=np.where(leaf, -1, np.searchsorted(columns, feature)).repeat(2),
-        floor=floor.astype(dtype).repeat(2),
-        children=2 * np.stack([np.where(leaf, node, left + shift),
-                               np.where(leaf, node, right + shift)], axis=1).ravel(),
-        value=value.repeat(2),
-        roots=2 * roots,
+        feature=np.where(split, np.searchsorted(columns, feature), -1),
+        floor=floor,
+        child=np.where(split, shift + left, node),
+        value=value,
+        roots=roots,
     )
 
 
@@ -792,10 +802,11 @@ def fit_forest(
     searches a run's nodes of one path that gather at most
     ``SEARCH_NONZEROS`` nonzeros together (a node that gathers more is
     searched alone).  The right sides the search returns make one mask over
-    the level's samples, which cuts them into the next level's: the split
-    nodes' left children, then their right children.
-    The levels' node records are renumbered to each tree's preorder at the
-    end; the fit itself reads only the store's ``indptr``s, for the costs.
+    the level's samples, which cuts them into the next level's: each split
+    node's left child, then its right child.  A level's nodes are in tree
+    order, so one stable sort by tree of all levels' node records gives each
+    tree's breadth-first node list (see :class:`Nodes`).  The fit itself
+    reads only the store's ``indptr``s, for the costs.
     """
     if not len(labels):
         raise ValueError("fit_forest needs at least one sample")
@@ -854,40 +865,22 @@ def fit_forest(
                     feature[at[split]], threshold[at[split]] = split_feature, split_threshold
                     goes_right[entries[right]] = True
         splits = feature >= 0
-        levels.append((tree, splits, feature, threshold,
-                       np.where(splits, -1, totals.argmax(axis=1))))
-        # the next level: a split's left child at its rank among the splits,
-        # its right child that many places further, each with its side's samples
-        rank = splits.cumsum() - 1
-        left = splits[node] & ~goes_right
-        node = np.concatenate([rank[node[left]], rank[node[goes_right]] + rank[-1] + 1])
-        sample = np.concatenate([sample[left], sample[goes_right]])
-        multiplicity = np.concatenate([multiplicity[left], multiplicity[goes_right]])
-        keys = _derive(keys[splits][:, None], np.arange(2)).T.ravel()
-        tree = np.tile(tree[splits], 2)
+        levels.append((tree, feature, threshold, np.where(splits, -1, totals.argmax(axis=1))))
+        # the next level: each split's left child, then its right child, each
+        # with its side's samples in their order (a stable sort keeps it)
+        kept = splits[node].nonzero()[0]
+        child = 2 * (splits.cumsum() - 1)[node[kept]] + goes_right[kept]
+        order = np.argsort(child, kind="stable")
+        kept = kept[order]
+        node, sample, multiplicity = child[order], sample[kept], multiplicity[kept]
+        del kept, child, order  # not held through the next level's search
+        keys = _derive(keys[splits][:, None], np.arange(2)).ravel()
+        tree = tree[splits].repeat(2)
 
-    # each node's subtree size, deepest level first; then, from the roots
-    # down, its place in its tree's preorder, where a split's left child
-    # comes right after it and its right child after the left one's subtree
-    subtree = [np.zeros(0, dtype=np.int64)]
-    for _, splits, *_ in reversed(levels):
-        size = np.ones(splits.size, dtype=np.int64)
-        size[splits] += subtree[-1].reshape(2, -1).sum(axis=0)
-        subtree.append(size)
-    subtree.reverse()
-    first = np.append(0, subtree[0].cumsum())  # each tree's first node in the forest
-    fields = [np.empty(first[-1], dtype=np.int64) for _ in Nodes._fields]
-    fields[1] = np.empty(first[-1])  # the thresholds
-    place = np.zeros(params.num_trees, dtype=np.int64)
-    for (tree, splits, feature, threshold, value), below in zip(levels, subtree[1:]):
-        left = np.where(splits, place + 1, -1)
-        right = left.copy()
-        right[splits] += below[:below.size // 2]
-        at = first[tree] + place
-        for field, values in zip(fields, (feature, threshold, left, right, value)):
-            field[at] = values
-        place = np.concatenate([left[splits], right[splits]])
-    return ForestModel(params, columns.classes, subtree[0], Nodes(*fields))
+    tree, *fields = map(np.concatenate, zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=params.num_trees)
+    return ForestModel(params, columns.classes, sizes, Nodes(*(f[order] for f in fields)))
 
 
 def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> list[Prediction]:
@@ -936,7 +929,8 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
 
     All active (row, tree) pairs descend one level per step; every
     ``_DESCENT_STEPS`` steps, those at a leaf drop out.  Until then they
-    step in place, as a leaf is its own child (its column -1 reads any cell).
+    step in place, as a leaf is its own child and no count exceeds its floor
+    (its column -1 reads any cell).
     """
     n_trees = flat.roots.size
     n_rows, n_columns = block.shape
@@ -947,7 +941,7 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
     while active.size:
         at = node[active]
         for _ in range(_DESCENT_STEPS):
-            at = flat.children[at + (cells[row_start + flat.feature[at]] > flat.floor[at])]
+            at = flat.child[at] + (cells[row_start + flat.feature[at]] > flat.floor[at])
         node[active] = at
         live = flat.feature[at] >= 0
         active, row_start = active[live], row_start[live]

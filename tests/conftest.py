@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -248,9 +248,9 @@ def best_split(samples, candidate_features):
 
 
 # A dense reference grower: the whole (n, n_features) count matrix, each
-# tree grown in preorder, each node's block gathered with ``np.ix_`` and
-# searched on its own, every draw from Python-int ``derive_seed`` keys.
-# ``fit_forest`` must reproduce its trees node for node.
+# tree grown breadth-first from a FIFO queue, each node's block gathered with
+# ``np.ix_`` and searched on its own, every draw from Python-int
+# ``derive_seed`` keys.  ``fit_forest`` must reproduce its trees node for node.
 
 def reference_bootstrap(seed, tree, n):
     """Tree ``tree``'s bootstrap rows: draw ``i`` is
@@ -312,19 +312,15 @@ def _reference_best_split(values, y, n_classes):
 
 
 def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
+    """One tree's nodes in the order they leave a FIFO queue, which queues a
+    split's left child, then its right one: its ``j``-th split's children
+    are then nodes ``2j + 1`` and ``2j + 2``."""
     n_samples, n_features = X.shape
     boot = np.array(reference_bootstrap(seed, tree, n_samples))
-    feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(boot, 0, -1, False, derive_seed(seed, tree))]
-    while stack:
-        idx, depth, parent, is_left, key = stack.pop()
-        pos = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = pos
-            else:
-                right[parent] = pos
-
+    feature, threshold, value = [], [], []
+    queue = deque([(boot, 0, derive_seed(seed, tree))])
+    while queue:
+        idx, depth, key = queue.popleft()
         counts = np.bincount(y[idx], minlength=n_classes)
         majority = int(np.argmax(counts))
         pure = int(counts.max()) == idx.size
@@ -339,8 +335,6 @@ def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
         if split is None:
             feature.append(-1)
             threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
             value.append(majority)
             continue
 
@@ -348,13 +342,11 @@ def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
         go_left = X[idx, f] <= thr
         feature.append(f)
         threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
         value.append(-1)
-        stack.append((idx[~go_left], depth + 1, pos, False, derive_seed(key, 1)))
-        stack.append((idx[go_left], depth + 1, pos, True, derive_seed(key, 0)))
+        queue.append((idx[go_left], depth + 1, derive_seed(key, 0)))
+        queue.append((idx[~go_left], depth + 1, derive_seed(key, 1)))
 
-    return Nodes(feature, threshold, left, right, value)
+    return Nodes(feature, threshold, value)
 
 
 def reference_fit_forest(samples, params, n_features=None):
@@ -385,7 +377,7 @@ def reference_fit_forest(samples, params, n_features=None):
 def forest_model(params, classes, trees):
     """The ForestModel of per-tree node lists ``trees`` (each a ``Nodes``)."""
     fields = [np.array(list(chain.from_iterable(field)), dtype)
-              for field, dtype in zip(zip(*trees), (np.int64, float, np.int64, np.int64, np.int64))]
+              for field, dtype in zip(zip(*trees), (np.int64, float, np.int64))]
     return ForestModel(params, classes, np.array([len(t.feature) for t in trees]), Nodes(*fields))
 
 
@@ -398,7 +390,8 @@ def assert_same_forest(model, expected):
 
 
 def reference_predict(model, x):
-    """The per-tree walk and plurality vote over one sparse vector.
+    """The per-tree walk, from a tree's ``j``-th split to its node ``2j + 1``
+    or ``2j + 2``, and plurality vote over one sparse vector.
 
     ``predict_language`` must give the same (class, confidence) for every
     vector: absent entries read as 0, ties go to the lowest class index and
@@ -411,10 +404,8 @@ def reference_predict(model, x):
     for tree in model.trees:
         i = 0
         while tree.feature[i] >= 0:
-            if x.get(tree.feature[i], 0) <= tree.threshold[i]:
-                i = tree.left[i]
-            else:
-                i = tree.right[i]
+            j = int(np.count_nonzero(tree.feature[:i] >= 0))  # node i is the tree's j-th split
+            i = 2 * j + 1 + (x.get(tree.feature[i], 0) > tree.threshold[i])
         votes[tree.value[i]] += 1
     winner = int(np.argmax(votes))
     return model.classes[winner], int(votes[winner]) / len(model.trees)

@@ -345,10 +345,11 @@ class TestTrainAndIdentify:
 
     def test_identify_version_one_model_says_to_retrain(self, tmp_path):
         old = tmp_path / "old.tlam"
-        old.write_bytes(b"TLAM\x01{}")
-        assert invoke("identify", "--model", str(old), "--text", "hi") == (
-            1, "", f"error: {old}: unsupported model version 0x01; "
-                   "retrain the model with tla train-langid\n")
+        for version in (1, 2):  # canonical JSON, then preorder node arrays
+            old.write_bytes(b"TLAM" + bytes([version]) + b"{}")
+            assert invoke("identify", "--model", str(old), "--text", "hi") == (
+                1, "", f"error: {old}: unsupported model version {version:#04x}; "
+                       "retrain the model with tla train-langid\n")
 
     def test_identify_rewrites_clean_csv(self, model_file, tmp_path):
         src = tmp_path / "tweets.jsonl"

@@ -41,7 +41,7 @@ CHAIN_TRAIN_ARGV = (
     "--output", "chain.tlam",
 )
 
-MODEL_DIGEST = "910ebe5fcec55ae47a35e213f591cc8a689d545440be5424a3ca012122cbb6c0"
+MODEL_DIGEST = "3a66ca6f9793dfa5eb705722706a5778f26570c213c8ce8e6ef88041a682b3ab"
 
 #: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
 #: 6,351, 50 full-depth trees.
@@ -49,11 +49,11 @@ BENCH_TRAIN_ARGV = (
     "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
     "--output", "bench.tlam",
 )
-BENCH_MODEL_DIGEST = "87b4b9e1aaa230e75a2897f309a8321a261e2daf556419c496e9e00f513f973d"
+BENCH_MODEL_DIGEST = "d37326cfaf8d8f08df11e23f44736754a335a6b2943abcd0ab185f2f8e0ac49d"
 
 CHAIN_DIGESTS = {
     "identify.stdout": "d438d52c527f7ba7802cad2ca4bc79ec6565e6b05c86a242edfb353816338f76",
-    "chain.tlam": "7e29f1121493cbaa74a0d81a555e64c0f43584b2c6d0c99927af94089a7a428b",
+    "chain.tlam": "31251fb9d168936818bf7d5a9997c2d1711dcbd5eab0649ba09ddd34e2af94fb",
     "clean.csv": "7f92f5c09c2f0e23367505e254ce8395a86b2206606ece69f6a532b090bb124e",
     "identified.csv": "d8ca11daea21e6b97c874081a99fd14a4ea5b65ba61ca0070f4b2df01464e04c",
     "labeled/en.csv": "ca702e0d0324c6809373ce8d0dd28b3da0a7dea767da175c28cca54d24c07306",

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import tracemalloc
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -442,7 +443,7 @@ class TestFitForest:
     ])
     def test_matches_dense_reference_grower(self, seed, params, n_features, max_count):
         # Every tree must equal, node for node, the one the dense reference
-        # grows in preorder from the same keys.
+        # grows breadth-first from the same keys.
         samples = _skewed_samples(seed, max_count)
         _assert_matches_reference(samples, params, n_features)
 
@@ -651,11 +652,6 @@ def _assert_matches_reference(samples, params, n_features):
     expected = reference_fit_forest(samples, params, n_features)
     model = fit_forest(*sparse_samples(samples), params, n_features)
     assert_same_forest(model, expected)
-    # preorder growth puts every split's left child right after it
-    for tree in model.trees:
-        for i, f in enumerate(tree.feature):
-            children = (tree.left[i], tree.right[i])
-            assert children[0] == i + 1 if f >= 0 else children == (-1, -1)
     return model
 
 
@@ -693,7 +689,8 @@ class TestPredictLanguage:
             i = 0
             while tree.feature[i] >= 0:
                 # all thresholds are midpoints of nonnegative counts, so 0 <= t
-                i = tree.left[i] if 0 <= tree.threshold[i] else tree.right[i]
+                j = int(np.count_nonzero(tree.feature[:i] >= 0))  # node i is the j-th split
+                i = 2 * j + 1 if 0 <= tree.threshold[i] else 2 * j + 2
             return tree.value[i]
 
         votes = np.zeros(len(model.classes), dtype=int)
@@ -829,24 +826,70 @@ EDGE_COUNTS = (1, 255, 256, 65536, 2**31, 2**40)
 
 
 def _random_tree(rng, thresholds, n_features, n_classes, depth):
-    """A preorder tree of splits on random features and thresholds."""
-    fields = ([], [], [], [], [])
-    feature, threshold, left, right, value = fields
-
-    def grow(d):
-        pos = len(feature)
+    """A breadth-first tree of splits on random features and thresholds."""
+    fields = ([], [], [])
+    queue = deque([depth])
+    while queue:
+        d = queue.popleft()
         leaf = d == 0 or rng.random() < 0.2
-        row = ((-1, 0.0, -1, -1, rng.randrange(n_classes)) if leaf else
-               (rng.randrange(n_features), rng.choice(thresholds), -1, -1, -1))
+        row = ((-1, 0.0, rng.randrange(n_classes)) if leaf else
+               (rng.randrange(n_features), rng.choice(thresholds), -1))
         for field, x in zip(fields, row):
             field.append(x)
         if not leaf:
-            left[pos] = grow(d - 1)
-            right[pos] = grow(d - 1)
-        return pos
-
-    grow(depth)
+            queue.extend((d - 1, d - 1))
     return Nodes(*fields)
+
+
+def _breaks_a_rule(feature):
+    """Whether a tree of these split features (-1 a leaf) does not hold 2 *
+    splits + 1 nodes, or has a ``j``-th split at or after its node ``2j + 1``."""
+    splits = [i for i, f in enumerate(feature) if f >= 0]
+    return 2 * len(splits) + 1 != len(feature) or any(2 * j + 1 <= i for j, i in enumerate(splits))
+
+
+def test_any_node_pattern_votes_as_the_walk_or_names_a_broken_tree():
+    # Small forests of breadth-first trees and of trees with arbitrary sizes
+    # and leaf/split patterns: flattening one either names a tree that breaks
+    # the count or the order rule, or every descent it allows ends at a leaf
+    # of its own tree and the vote equals the walk's.
+    rng = random.Random(34)
+    classes = (EN, ES, LanguageCode.FR)
+    outcomes = Counter()
+    for _ in range(300):
+        trees = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                trees.append(_random_tree(rng, (0.5, 1.5, 2.5), 4, len(classes), rng.randint(0, 3)))
+                continue
+            size = rng.randint(1, 9)
+            n_splits = (size - 1) // 2 if rng.random() < 0.7 else rng.randint(0, size)
+            splits = set(rng.sample(range(size), n_splits))
+            trees.append(Nodes([rng.randrange(4) if i in splits else -1 for i in range(size)],
+                               [rng.choice((0.5, 1.5, 2.5)) for _ in range(size)],
+                               [-1 if i in splits else rng.randrange(3) for i in range(size)]))
+        model = forest_model(ForestParams(num_trees=len(trees)), classes, trees)
+        broken = [_breaks_a_rule(tree.feature) for tree in trees]
+        if any(broken):
+            with pytest.raises(ValueError, match=r"^tree \d+ ") as exc:
+                model._flat
+            assert broken[int(str(exc.value).split()[1])], str(exc.value)
+            outcomes["broken"] += 1
+            continue
+        flat = model._flat
+        node = np.arange(flat.child.size)
+        tree_of = np.repeat(np.arange(len(trees)), model.sizes)
+        split = flat.feature >= 0
+        for side in (0, 1):  # each step stays in its tree and ends at a leaf or moves on
+            step = flat.child + side * split
+            assert np.array_equal(tree_of[step], tree_of)
+            assert np.array_equal(step > node, split) and np.array_equal(step[~split], node[~split])
+        assert (flat.floor[~split] == np.iinfo(flat.floor.dtype).max).all()
+        vectors = [{f: rng.randint(1, 3) for f in range(4) if rng.random() < 0.5}
+                   for _ in range(20)]
+        assert predict_language(model, vectors) == [reference_predict(model, x) for x in vectors]
+        outcomes["voted"] += 1
+    assert min(outcomes["broken"], outcomes["voted"]) > 50, outcomes
 
 
 class TestIntegerVote:
@@ -1006,9 +1049,9 @@ def _model_parts(blob: bytes) -> tuple[dict, dict]:
 
 
 def _model_blob(header: dict, fields: dict) -> bytes:
-    """A v2 model file of ``header`` and the raw bytes of ``fields``, in order."""
+    """A v3 model file of ``header`` and the raw bytes of ``fields``, in order."""
     text = json.dumps(header).encode("utf-8")
-    return (b"TLAM\x02" + len(text).to_bytes(4, "little") + text
+    return (b"TLAM\x03" + len(text).to_bytes(4, "little") + text
             + b"".join(field.tobytes() for field in fields.values()))
 
 
@@ -1030,11 +1073,11 @@ class TestModelSerialization:
     def test_envelope_layout(self, trained):
         model, v = trained
         blob = _saved(model, v)
-        assert blob[:5] == b"TLAM\x02"
+        assert blob[:5] == b"TLAM\x03"
         header, fields = _model_parts(blob)
         assert header == {
             "classes": ["en", "es"],
-            "dtypes": ["<i1", "<f8", "<i1", "<i1", "<i1"],
+            "dtypes": ["<i1", "<f8", "<i1"],
             "features_per_split": None,
             "max_depth": None,
             "min_doc_freq": 1,
@@ -1058,7 +1101,7 @@ class TestModelSerialization:
                            n_features=v.size)
         header, fields = _model_parts(_saved(model, v))
         assert (sum(header["nodes"]), len(header["vocabulary"])) == (21_986, 6_351)
-        assert header["dtypes"] == ["<i2", "<f8", "<i2", "<i2", "<i1"]
+        assert header["dtypes"] == ["<i2", "<f8", "<i1"]
         for name, field, saved in zip(Nodes._fields, model.nodes, fields.values()):
             assert np.array_equal(saved, field), name
 
@@ -1077,8 +1120,8 @@ class TestModelSerialization:
 
     def test_unsupported_version(self, trained):
         data = bytearray(_saved(*trained))
-        data[4] = 0x03
-        assert self._load_error(bytes(data)) == "unsupported model version 0x03"
+        data[4] = 0x02  # the preorder binary format that version 0x03 replaced
+        assert self._load_error(bytes(data)) == "unsupported model version 0x02"
 
     def test_version_one_file(self):
         assert self._load_error(b"TLAM\x01{}") == "unsupported model version 0x01"
@@ -1101,15 +1144,15 @@ class TestModelSerialization:
             assert str(exc.value).startswith(f"{path}: "), size
 
     def test_header_claiming_huge_node_count_fails_at_once(self):
-        header = {"dtypes": ["<i1", "<f8", "<i1", "<i1", "<i1"], "nodes": [2**40]}
+        header = {"dtypes": ["<i1", "<f8", "<i1"], "nodes": [2**40]}
         blob = _model_blob(header, {})
         assert len(blob) < 100
         assert self._load_error(blob) == (
-            "corrupt model payload: header states 1099511627776 nodes of 12 bytes, "
+            "corrupt model payload: header states 1099511627776 nodes of 10 bytes, "
             "but 0 bytes follow it")
 
     def test_corrupt_json(self):
-        assert self._load_error(b"TLAM\x02\x05\x00\x00\x00{oops") == (
+        assert self._load_error(b"TLAM\x03\x05\x00\x00\x00{oops") == (
             "corrupt model payload: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)"
         )
@@ -1124,7 +1167,7 @@ class TestModelSerialization:
     def test_unparsable_payload_is_corrupt(self, header, message):
         # Nesting past the interpreter's recursion limit, and an integer too
         # long to convert, are corrupt payloads and not raw Python errors.
-        blob = b"TLAM\x02" + len(header).to_bytes(4, "little") + header
+        blob = b"TLAM\x03" + len(header).to_bytes(4, "little") + header
         assert self._load_error(blob) == f"corrupt model payload: {message}"
 
     def test_corrupt_structure(self, trained):
@@ -1150,6 +1193,10 @@ class TestModelSerialization:
         def longer_tree(h, f):
             h["nodes"][0] += 1
 
+        def root_after_leaf(h, f):  # tree 0 becomes leaf, split, leaf
+            for name in ("feature", "value"):
+                f[name][[0, 1]] = f[name][[1, 0]]
+
         n_leaf = model.sizes[-1] - 1
         corruptions = [
             (lambda h, f: h.update(vocabulary=["a", "c", "b"]),
@@ -1164,8 +1211,10 @@ class TestModelSerialization:
             (lambda h, f: h.update(num_trees=8.0), "expected an integer, got 8.0"),
             (lambda h, f: h["nodes"].__setitem__(0, str(h["nodes"][0])),
              f"expected an integer, got '{model.sizes[0]}'"),
-            (set_node("right", 0, 0),  # a cycle
-             "tree 0 node 0 has an invalid child index"),
+            (set_node("feature", last, 0),  # a second split in a tree of three nodes
+             "tree 7 holds 3 nodes, not 2 * 2 splits + 1"),
+            (root_after_leaf,  # node 1 would be its own left child
+             "tree 0 node 1 has an invalid place for a split (its left child's is 1)"),
             (set_node("value", last, len(model.classes)),
              f"tree 7 node {n_leaf} has an invalid leaf class index (of 2 classes)"),
             (set_node("threshold", 0, float("nan")),
@@ -1182,12 +1231,12 @@ class TestModelSerialization:
             (lambda h, f: h.update(classes=["en", "en"]), "duplicate class in model"),
             (drop_trees, "model must have at least one tree"),
             (empty_tree, "tree node arrays must be nonempty and equal-length"),
-            (longer_tree, f"header states {model.sizes.sum() + 1} nodes of 12 bytes, "
-                          f"but {model.sizes.sum() * 12} bytes follow it"),
-            (lambda h, f: h["dtypes"].__setitem__(4, ">i1"),
-             "unsupported node dtypes ['<i1', '<f8', '<i1', '<i1', '>i1']"),
+            (longer_tree, f"header states {model.sizes.sum() + 1} nodes of 10 bytes, "
+                          f"but {model.sizes.sum() * 10} bytes follow it"),
+            (lambda h, f: h["dtypes"].__setitem__(2, ">i1"),
+             "unsupported node dtypes ['<i1', '<f8', '>i1']"),
             (lambda h, f: h["dtypes"].__setitem__(1, "<f4"),
-             "unsupported node dtypes ['<i1', '<f4', '<i1', '<i1', '<i1']"),
+             "unsupported node dtypes ['<i1', '<f4', '<i1']"),
             (lambda h, f: h.pop("dtypes"), "unsupported node dtypes None"),
         ]
         for corrupt, message in corruptions:
@@ -1196,9 +1245,9 @@ class TestModelSerialization:
             assert self._load_error(_model_blob(header, fields)) == (
                 f"corrupt model payload: {message}")
         text = b"[]"
-        assert self._load_error(b"TLAM\x02" + len(text).to_bytes(4, "little") + text) == (
+        assert self._load_error(b"TLAM\x03" + len(text).to_bytes(4, "little") + text) == (
             "corrupt model payload: header is not a JSON object")
-        assert self._load_error(b"TLAM\x02\x01\x00") == (
+        assert self._load_error(b"TLAM\x03\x01\x00") == (
             "corrupt model payload: header ends at byte 10 of a 7-byte file")
         assert self._load_error(blob[:5] + (2**31).to_bytes(4, "little") + blob[9:]) == (
             f"corrupt model payload: header ends at byte {2**31 + 9} of a {len(blob)}-byte file")
