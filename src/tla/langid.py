@@ -31,17 +31,18 @@ its cost and memory follow the nonzeros, not the largest count.  It
 returns each split's right side too, so the fit cuts a split node's samples
 without reading a column a second time.
 
-A forest is one set of breadth-first node arrays from the fit to the model
-file, which holds them as raw little-endian bytes after a JSON header.  A
-tree's ``j``-th split has its children at places ``2j + 1`` and ``2j + 2``
-of its tree, so no node stores where its children are.
+A forest is one set of breadth-first integer node arrays from the fit to
+the model file, which holds them as raw little-endian bytes after a JSON
+header.  A tree's ``j``-th split has its children at places ``2j + 1`` and
+``2j + 2`` of its tree, so no node stores where its children are, and its
+threshold is the largest count that goes left.
 
 Prediction is one batched vote.  A model's first vote, or its load, flattens
 its node arrays into the vote's (leaves point to themselves), checked there
 once, with split features renumbered to the columns the forest splits on.
 Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense block over
 those columns only, in the narrowest integer dtype that holds every
-threshold's floor; every (row, tree) pair then descends one level per step,
+threshold; every (row, tree) pair then descends one level per step,
 and every few steps the pairs at a leaf drop out.  The vote is a per-row
 bincount of leaf classes.  The flat arrays are not fields, so never saved.
 """
@@ -68,9 +69,9 @@ FeatureVector = dict  # feature index -> positive count (vectorize's is a Counte
 Prediction = tuple[Optional[LanguageCode], float]  # (language, share of the trees' votes)
 
 MODEL_MAGIC = b"TLAM"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 _HEADER_AT = 9  # after magic, version byte and the header's length
-#: The dtypes of a model file's integer node arrays, narrowest first.
+#: The dtypes of a model file's node arrays, narrowest first.
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 #: Rows per dense block of the vote, and texts that ``predict_batch`` reads at a time.
@@ -360,10 +361,10 @@ class ForestParams:
 
 
 class Nodes(NamedTuple):
-    """Breadth-first node arrays, a forest's tree after tree: ``feature`` -1
-    marks a leaf holding the class index ``value``; the tree's ``j``-th split
-    sends a count at most its ``threshold`` to place ``2j + 1`` of its tree,
-    a higher one to ``2j + 2``."""
+    """Breadth-first integer node arrays, a forest's tree after tree:
+    ``feature`` -1 marks a leaf holding the class index ``value``; the tree's
+    ``j``-th split sends a count at most its ``threshold`` to place ``2j + 1``
+    of its tree, a higher one to ``2j + 2``."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -405,14 +406,15 @@ class _FlatForest(NamedTuple):
 
     ``columns`` holds the vocabulary indices the forest splits on, ascending:
     the columns of the dense block, which ``feature`` holds (-1 at a leaf).
-    A count moves from node ``i`` to ``child[i]`` if at most ``floor[i]``,
-    else to the node after it.  A leaf is its own ``child``, and its floor the
-    dtype's largest value, so no count moves it.
+    A count moves from node ``i`` to ``child[i]`` if at most
+    ``threshold[i]``, else to the node after it.  A leaf is its own
+    ``child``, and its threshold the dtype's largest value, so no count
+    moves it.
     """
 
     columns: np.ndarray
     feature: np.ndarray
-    floor: np.ndarray
+    threshold: np.ndarray
     child: np.ndarray
     value: np.ndarray
     roots: np.ndarray
@@ -429,13 +431,11 @@ def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
     Each tree must be nonempty and each node array as long as all trees
     together, each tree must hold ``2 * splits + 1`` nodes, each split's
     left child must come after it, so that every descent ends at a leaf of
-    its tree, every threshold must be finite and every leaf's class below
-    ``n_classes``.
+    its tree, and every leaf's class must be below ``n_classes``.
 
-    A count exceeds a threshold exactly when it exceeds its floor.  The
-    floors, clipped to the int64 range (to ``2**63 - 1024``, its last float),
-    take the narrowest dtype holding ``[min(0, lowest), max(0, highest) + 1]``,
-    so a count clipped to that dtype keeps each comparison (below the clip).
+    The integer thresholds take the narrowest dtype holding ``[min(0,
+    lowest), max(0, highest) + 1]`` (int64 at most), so a count clipped to
+    that dtype keeps each comparison.
     """
     total = int(sizes.sum())
     if sizes.min() < 1 or any(np.shape(field) != (total,) for field in nodes):
@@ -453,28 +453,26 @@ def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
     shift = np.repeat(roots, sizes)
     local = node - shift
     left = 2 * (split.cumsum() - split - np.repeat(splits.cumsum() - splits, sizes)) + 1
-    finite = np.isfinite(threshold)
-    bad = ~finite | np.where(split, left <= local, (value < 0) | (value >= n_classes))
+    bad = np.where(split, left <= local, (value < 0) | (value >= n_classes))
     if bad.any():
         at = int(np.argmax(bad))
         t = int(np.searchsorted(roots, at, side="right")) - 1
-        what = ("threshold" if not finite[at] else
-                f"place for a split (its left child's is {left[at]})" if split[at] else
+        what = (f"place for a split (its left child's is {left[at]})" if split[at] else
                 f"leaf class index (of {n_classes} classes)")
         raise ValueError(f"tree {t} node {local[at]} has an invalid {what}")
     # np.unique would do, but its first call in a process costs ~10 ms; a
     # bincount would allocate up to a split feature that nothing bounds yet
     split_features = np.sort(feature[split])
     columns = split_features[np.diff(split_features, prepend=-1) != 0]
-    floor = np.floor(threshold).clip(-2.0**63, 2.0**63 - 1024)
-    dtype = _narrowest(min(0, int(floor.min())), max(0, int(floor.max())) + 1,
+    highest = min(max(0, int(threshold.max())) + 1, 2**63 - 1)  # no int64 count exceeds it
+    dtype = _narrowest(min(0, int(threshold.min())), highest,
                        (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64))
-    floor = floor.astype(dtype)
-    floor[~split] = np.iinfo(dtype).max  # after the cast: int64's largest is no float
+    threshold = threshold.astype(dtype)
+    threshold[~split] = np.iinfo(dtype).max
     return _FlatForest(
         columns=columns,
         feature=np.where(split, np.searchsorted(columns, feature), -1),
-        floor=floor,
+        threshold=threshold,
         child=np.where(split, shift + left, node),
         value=value,
         roots=roots,
@@ -672,8 +670,9 @@ def _best_splits(
     Node ``i`` holds the next ``sizes[i]`` distinct samples of ``sample``,
     node after node, each its ``multiplicity`` times (its bootstrap
     multiplicities), of class counts ``totals[i]``, and may split on the
-    columns in row ``i`` of ``candidates``, ascending.  Thresholds are
-    midpoints between consecutive distinct observed values; a node splits on
+    columns in row ``i`` of ``candidates``, ascending.  Thresholds are the
+    floors of the midpoints between consecutive distinct observed values, so
+    each is the largest count of its left side; a node splits on
     the (feature, threshold) minimizing weighted child Gini, ties broken by
     lowest feature then lowest threshold, if that beats the parent.  The
     result is the nodes that split, ascending, with each one's feature and
@@ -731,7 +730,7 @@ def _best_splits(
         pair, pos = ends.searchsorted(keep, side="right"), pos[keep]
         entry = starts[pair // m] + place[keep] - 1
     if pos.size == 0:  # no pair reads a nonzero, so no node splits
-        return pair, pair, np.zeros(0), pair
+        return pair, pair, np.zeros(0, np.int64), pair
     value = columns.counts[pos]
 
     # one row per distinct (pair, value): first the class counts of the
@@ -742,7 +741,7 @@ def _best_splits(
     right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
                         weights=multiplicity[entry], minlength=first.size * k)
     right = right.astype(np.int64).reshape(first.size, k)
-    pair, value = pair[first], value[first]
+    pair, value = pair[first], value[first].astype(np.int64)  # a narrow unsigned sum wraps
     cum = right.cumsum(axis=0)
     right += cum[pair.searchsorted(pair, side="right") - 1] - cum
     node = pair // m
@@ -765,7 +764,7 @@ def _best_splits(
     better = (q_best > (parent_q + eps)[present]).nonzero()[0]
     split, rows = present[better], first_hit[better]
     below = np.where((rows > 0) & (pair[rows - 1] == pair[rows]), value[rows - 1], 0)
-    threshold = (below.astype(np.uint64) + value[rows]) / 2.0
+    threshold = (below + value[rows]) // 2
     # a split's right side: the entries of its row and of its pair's later rows
     stops = np.append(first, entry.size)[pair.searchsorted(pair[rows], side="right")]
     entries, lengths, _ = _spans(first[rows], stops)
@@ -845,7 +844,7 @@ def fit_forest(
         starts = np.zeros(n_nodes + 1, dtype=np.int64)
         np.bincount(node, minlength=n_nodes).cumsum(out=starts[1:])
         feature = np.full(n_nodes, -1)
-        threshold = np.zeros(n_nodes)
+        threshold = np.zeros(n_nodes, np.int64)
         goes_right = np.zeros(node.size, dtype=bool)
         for part in np.split(searched, range(run, searched.size, run)):
             cand = _candidates(keys[part], n_features, m_features)
@@ -889,8 +888,9 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
 
     Missing sparse entries read as 0; ties go to the lowest class index.
     Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense block
-    of its counts of the features the forest splits on, in the dtype of the
-    thresholds' floors (see :func:`_flatten`): uint8 while all are below 255.
+    of its counts of the features the forest splits on, in the narrowest
+    dtype that holds the thresholds (see :func:`_flatten`): uint8 while all
+    are below 255.
     """
     flat = model._flat
     n_trees, n_classes = flat.roots.size, len(model.classes)
@@ -899,7 +899,7 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
     n_columns = flat.columns.size + 1
     column_of = np.full(int(flat.columns[-1]) + 2 if n_columns > 1 else 1, n_columns - 1)
     column_of[flat.columns] = np.arange(n_columns - 1)
-    limits = np.iinfo(flat.floor.dtype)
+    limits = np.iinfo(flat.threshold.dtype)
     predictions = []
     for start in range(0, len(vectors), CHUNK_ROWS):
         chunk = vectors[start:start + CHUNK_ROWS]
@@ -910,7 +910,7 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
                              features.size)
         cells = np.arange(n).repeat(sizes) * n_columns
         cells += column_of[features.clip(-1, column_of.size - 1)]
-        block = np.zeros((n, n_columns), dtype=flat.floor.dtype)
+        block = np.zeros((n, n_columns), dtype=flat.threshold.dtype)
         block.ravel()[cells] = counts.clip(limits.min, limits.max)  # ravel: a view
         owner = np.repeat(np.arange(n) * n_classes, n_trees)
         votes = np.bincount(owner + _leaf_classes(flat, block).ravel(),
@@ -929,8 +929,8 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
 
     All active (row, tree) pairs descend one level per step; every
     ``_DESCENT_STEPS`` steps, those at a leaf drop out.  Until then they
-    step in place, as a leaf is its own child and no count exceeds its floor
-    (its column -1 reads any cell).
+    step in place, as a leaf is its own child and no count exceeds its
+    threshold (its column -1 reads any cell).
     """
     n_trees = flat.roots.size
     n_rows, n_columns = block.shape
@@ -941,7 +941,7 @@ def _leaf_classes(flat: _FlatForest, block: np.ndarray) -> np.ndarray:
     while active.size:
         at = node[active]
         for _ in range(_DESCENT_STEPS):
-            at = flat.child[at] + (cells[row_start + flat.feature[at]] > flat.floor[at])
+            at = flat.child[at] + (cells[row_start + flat.feature[at]] > flat.threshold[at])
         node[active] = at
         live = flat.feature[at] >= 0
         active, row_start = active[live], row_start[live]
@@ -952,9 +952,8 @@ def save_model(model: ForestModel, vectorizer: NgramVectorizer, sink: IO[bytes])
     """Write magic, version byte, the header's length (little-endian uint32),
     the canonical JSON header, then each node array's raw bytes, in turn (the
     file is never held whole); returns bytes.  Each array takes the narrowest
-    little-endian integer dtype that holds it, the thresholds ``<f8``."""
-    dtypes = ["<f8" if name == "threshold" else _narrowest(int(f.min()), int(f.max()), _INT_DTYPES)
-              for name, f in zip(Nodes._fields, model.nodes)]
+    of the little-endian integer ``_INT_DTYPES`` that holds it."""
+    dtypes = [_narrowest(int(f.min()), int(f.max()), _INT_DTYPES) for f in model.nodes]
     header = json.dumps({
         **dataclasses.asdict(model.params), **vars(vectorizer), "classes": model.classes,
         "dtypes": dtypes, "nodes": model.sizes.tolist(), "vocabulary": list(vectorizer.vocabulary),
@@ -994,9 +993,8 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
         sizes, dtypes = list(map(_integer, header.get("nodes", ()))), header.get("dtypes")
-        allowed = [("<f8",) if name == "threshold" else _INT_DTYPES for name in Nodes._fields]
-        if type(dtypes) is not list or len(dtypes) != len(allowed) or not all(
-                map(operator.contains, allowed, dtypes)):
+        if type(dtypes) is not list or len(dtypes) != len(Nodes._fields) or not all(
+                dtype in _INT_DTYPES for dtype in dtypes):
             raise ValueError(f"unsupported node dtypes {dtypes!r:.80}")
         total, widths = sum(sizes), [np.dtype(dtype).itemsize for dtype in dtypes]
         if total * sum(widths) != len(data) - end:

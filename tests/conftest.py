@@ -308,13 +308,14 @@ def _reference_best_split(values, y, n_classes):
     col, v = divmod(pos, stride)
     observed_values = np.nonzero(observed[col])[0]
     nxt = int(observed_values[observed_values > v][0])
-    return col, (v + nxt) / 2.0
+    return col, (v + nxt) // 2
 
 
 def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
     """One tree's nodes in the order they leave a FIFO queue, which queues a
     split's left child, then its right one: its ``j``-th split's children
-    are then nodes ``2j + 1`` and ``2j + 2``."""
+    are then nodes ``2j + 1`` and ``2j + 2``.  A split stores the floor of
+    its midpoint, the largest count that goes left."""
     n_samples, n_features = X.shape
     boot = np.array(reference_bootstrap(seed, tree, n_samples))
     feature, threshold, value = [], [], []
@@ -334,7 +335,7 @@ def _reference_grow_tree(X, y, n_classes, seed, tree, params, m_features):
 
         if split is None:
             feature.append(-1)
-            threshold.append(0.0)
+            threshold.append(0)
             value.append(majority)
             continue
 
@@ -376,8 +377,7 @@ def reference_fit_forest(samples, params, n_features=None):
 
 def forest_model(params, classes, trees):
     """The ForestModel of per-tree node lists ``trees`` (each a ``Nodes``)."""
-    fields = [np.array(list(chain.from_iterable(field)), dtype)
-              for field, dtype in zip(zip(*trees), (np.int64, float, np.int64))]
+    fields = [np.array(list(chain.from_iterable(field)), np.int64) for field in zip(*trees)]
     return ForestModel(params, classes, np.array([len(t.feature) for t in trees]), Nodes(*fields))
 
 
@@ -417,6 +417,10 @@ def exhaustive_best_split(samples, candidate_features):
     Same contract as each best_splits answer: minimize weighted child Gini
     over all (feature, midpoint) pairs, ties to lowest feature then lowest
     threshold, None when no split strictly reduces the parent impurity.
+    The midpoints are exact ``Fraction``s, and the answer's threshold is the
+    floor of the best one.  That floor loses nothing: for consecutive
+    distinct counts ``a < b`` it lies in ``[a, b - 1]``, and those ranges
+    are disjoint, so each of a feature's midpoints has its own floor.
     """
     from fractions import Fraction
 
@@ -443,7 +447,7 @@ def exhaustive_best_split(samples, candidate_features):
                 best = (score, feature, threshold)
     if best is None:
         return None
-    return best[1], float(best[2])
+    return best[1], math.floor(best[2])
 
 
 # Per-character references for the cleaning chain.  ``clean_text``,

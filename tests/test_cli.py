@@ -345,7 +345,7 @@ class TestTrainAndIdentify:
 
     def test_identify_version_one_model_says_to_retrain(self, tmp_path):
         old = tmp_path / "old.tlam"
-        for version in (1, 2):  # canonical JSON, then preorder node arrays
+        for version in (1, 2, 3):  # canonical JSON, preorder nodes, float thresholds
             old.write_bytes(b"TLAM" + bytes([version]) + b"{}")
             assert invoke("identify", "--model", str(old), "--text", "hi") == (
                 1, "", f"error: {old}: unsupported model version {version:#04x}; "

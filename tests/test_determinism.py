@@ -41,7 +41,7 @@ CHAIN_TRAIN_ARGV = (
     "--output", "chain.tlam",
 )
 
-MODEL_DIGEST = "3a66ca6f9793dfa5eb705722706a5778f26570c213c8ce8e6ef88041a682b3ab"
+MODEL_DIGEST = "69a668b021f7234ef9c780e5450eb00c1451de99526c858f81f44a61b7eb9a0d"
 
 #: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
 #: 6,351, 50 full-depth trees.
@@ -49,11 +49,11 @@ BENCH_TRAIN_ARGV = (
     "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
     "--output", "bench.tlam",
 )
-BENCH_MODEL_DIGEST = "d37326cfaf8d8f08df11e23f44736754a335a6b2943abcd0ab185f2f8e0ac49d"
+BENCH_MODEL_DIGEST = "de66611f99b9abd939f95dbcf42bd1a8e8b9281122e5e6970f94211f3290fe66"
 
 CHAIN_DIGESTS = {
     "identify.stdout": "d438d52c527f7ba7802cad2ca4bc79ec6565e6b05c86a242edfb353816338f76",
-    "chain.tlam": "31251fb9d168936818bf7d5a9997c2d1711dcbd5eab0649ba09ddd34e2af94fb",
+    "chain.tlam": "fd311da9dd9aaa46b52e92af3d2e4b9298497d61d3a09fcec9e461fcd9284240",
     "clean.csv": "7f92f5c09c2f0e23367505e254ce8395a86b2206606ece69f6a532b090bb124e",
     "identified.csv": "d8ca11daea21e6b97c874081a99fd14a4ea5b65ba61ca0070f4b2df01464e04c",
     "labeled/en.csv": "ca702e0d0324c6809373ce8d0dd28b3da0a7dea767da175c28cca54d24c07306",

@@ -290,7 +290,7 @@ def _samples(values, classes, feature=0):
 class TestBestSplit:
     def test_spec_example(self):
         samples = _samples([0, 0, 2, 3], [0, 0, 1, 1], feature=5)
-        assert best_split(samples, [5]) == (5, 1.0)
+        assert best_split(samples, [5]) == (5, 1)
 
     def test_pure_node_no_split(self):
         assert best_split(_samples([0, 1, 2], [0, 0, 0]), [0]) is None
@@ -301,22 +301,22 @@ class TestBestSplit:
     def test_feature_tie_breaks_low(self):
         # both features separate perfectly; feature 1 < feature 4
         samples = [({1: 0, 4: 0}, 0), ({1: 2, 4: 2}, 1)]
-        assert best_split(samples, [4, 1]) == (1, 1.0)
+        assert best_split(samples, [4, 1]) == (1, 1)
 
     def test_threshold_tie_breaks_low(self):
         samples = _samples([0, 1, 1, 2], [0, 0, 1, 1])
-        # thresholds 0.5 and 1.5 both give weighted gini 1/3; pick 0.5
-        assert best_split(samples, [0]) == (0, 0.5)
+        # midpoints 0.5 and 1.5 (thresholds 0 and 1) both give weighted gini 1/3; pick 0
+        assert best_split(samples, [0]) == (0, 0)
 
     def test_absent_features_read_as_zero(self):
         samples = [({}, 0), ({3: 4}, 1)]
-        assert best_split(samples, [3]) == (3, 2.0)
+        assert best_split(samples, [3]) == (3, 2)
 
     def test_right_side_past_16_bits(self):
         # best_split checks each path's right side against the counts
         samples = [({0: 0, 1: 70_000}, 0), ({0: 0}, 0), ({0: 65_535, 1: 0}, 0),
                    ({0: 65_536, 1: 70_000}, 1), ({0: 131_072}, 1), ({0: 70_000, 1: 0}, 1)]
-        assert best_split(samples, [1, 0]) == (0, 65535.5)
+        assert best_split(samples, [1, 0]) == (0, 65535)
 
     def test_empty_samples(self):
         with pytest.raises(ValueError) as exc:
@@ -688,7 +688,7 @@ class TestPredictLanguage:
         def leftmost_class(tree):
             i = 0
             while tree.feature[i] >= 0:
-                # all thresholds are midpoints of nonnegative counts, so 0 <= t
+                # all thresholds are floors of midpoints of nonnegative counts, so 0 <= t
                 j = int(np.count_nonzero(tree.feature[:i] >= 0))  # node i is the j-th split
                 i = 2 * j + 1 if 0 <= tree.threshold[i] else 2 * j + 2
             return tree.value[i]
@@ -819,10 +819,12 @@ class TestBatchedVote:
         assert after.getvalue() == before.getvalue()
 
 
-#: Thresholds at and around each block dtype's limits, and two a fit
-#: cannot produce but a model file may hold.
-EDGE_THRESHOLDS = (-1e300, -2.5, 0.0, 0.5, 254.5, 255.5, 65535.5, 2**31 + 0.5, 2.5e9, 1e300)
-EDGE_COUNTS = (1, 255, 256, 65536, 2**31, 2**40)
+INT64 = np.iinfo(np.int64)
+#: Thresholds at and around each block dtype's limits, and int64's extremes,
+#: which a fit cannot produce but a model file may hold.
+EDGE_THRESHOLDS = (INT64.min, -3, 0, 1, 254, 255, 65534, 65535, 2**31 - 1, 2**31, 2**32 - 1,
+                   INT64.max)
+EDGE_COUNTS = (1, 254, 255, 256, 65535, 65536, 2**31 - 1, 2**31, 2**32, 2**40, INT64.max)
 
 
 def _random_tree(rng, thresholds, n_features, n_classes, depth):
@@ -832,7 +834,7 @@ def _random_tree(rng, thresholds, n_features, n_classes, depth):
     while queue:
         d = queue.popleft()
         leaf = d == 0 or rng.random() < 0.2
-        row = ((-1, 0.0, rng.randrange(n_classes)) if leaf else
+        row = ((-1, 0, rng.randrange(n_classes)) if leaf else
                (rng.randrange(n_features), rng.choice(thresholds), -1))
         for field, x in zip(fields, row):
             field.append(x)
@@ -860,13 +862,13 @@ def test_any_node_pattern_votes_as_the_walk_or_names_a_broken_tree():
         trees = []
         for _ in range(rng.randint(1, 4)):
             if rng.random() < 0.5:
-                trees.append(_random_tree(rng, (0.5, 1.5, 2.5), 4, len(classes), rng.randint(0, 3)))
+                trees.append(_random_tree(rng, (0, 1, 2), 4, len(classes), rng.randint(0, 3)))
                 continue
             size = rng.randint(1, 9)
             n_splits = (size - 1) // 2 if rng.random() < 0.7 else rng.randint(0, size)
             splits = set(rng.sample(range(size), n_splits))
             trees.append(Nodes([rng.randrange(4) if i in splits else -1 for i in range(size)],
-                               [rng.choice((0.5, 1.5, 2.5)) for _ in range(size)],
+                               [rng.choice((0, 1, 2)) for _ in range(size)],
                                [-1 if i in splits else rng.randrange(3) for i in range(size)]))
         model = forest_model(ForestParams(num_trees=len(trees)), classes, trees)
         broken = [_breaks_a_rule(tree.feature) for tree in trees]
@@ -884,7 +886,7 @@ def test_any_node_pattern_votes_as_the_walk_or_names_a_broken_tree():
             step = flat.child + side * split
             assert np.array_equal(tree_of[step], tree_of)
             assert np.array_equal(step > node, split) and np.array_equal(step[~split], node[~split])
-        assert (flat.floor[~split] == np.iinfo(flat.floor.dtype).max).all()
+        assert (flat.threshold[~split] == np.iinfo(flat.threshold.dtype).max).all()
         vectors = [{f: rng.randint(1, 3) for f in range(4) if rng.random() < 0.5}
                    for _ in range(20)]
         assert predict_language(model, vectors) == [reference_predict(model, x) for x in vectors]
@@ -893,19 +895,20 @@ def test_any_node_pattern_votes_as_the_walk_or_names_a_broken_tree():
 
 
 class TestIntegerVote:
-    """The vote compares counts with threshold floors in the narrowest dtype
-    that holds them, and must still equal the per-tree walk."""
+    """The vote compares counts with thresholds in the narrowest dtype that
+    holds them and 1 past the highest, and must still equal the per-tree walk."""
 
     @pytest.mark.parametrize("thresholds, dtype", [
-        ((0.0, 0.5, 254.5), np.uint8),
-        ((-2.5, 0.5), np.int8),
-        ((0.5, 255.5), np.uint16),
-        ((-2.5, 255.5), np.int16),
-        ((65535.5, 2**31 + 0.5, 2.5e9), np.uint32),
-        ((-2.5, 65535.5), np.int32),
-        ((-2.5, 2**31 + 0.5), np.int64),
-        ((0.5, 1e300), np.int64),
-        ((-1e300, 0.5), np.int64),
+        ((0, 1, 254), np.uint8),
+        ((-3, 0, 126), np.int8),
+        ((0, 255, 65534), np.uint16),
+        ((-3, 255), np.int16),
+        ((65535, 2**31, 2**32 - 2), np.uint32),
+        ((-3, 65535, 2**31 - 2), np.int32),
+        ((-3, 2**31 - 1), np.int64),
+        ((0, 2**32 - 1), np.int64),
+        ((0, INT64.max), np.int64),
+        ((INT64.min, 0), np.int64),
         (EDGE_THRESHOLDS, np.int64),
     ])
     def test_every_block_dtype_votes_as_the_walk(self, thresholds, dtype):
@@ -918,7 +921,7 @@ class TestIntegerVote:
             features = rng.sample(range(8), rng.randint(1, 6))
             vectors.append({f: rng.choice(EDGE_COUNTS) for f in features})
         assert predict_language(model, vectors) == [reference_predict(model, x) for x in vectors]
-        assert model._flat.floor.dtype == dtype
+        assert model._flat.threshold.dtype == dtype
 
     def test_counts_past_int32_vote_as_the_walk(self):
         # Thresholds of about 2.5e9: a block clipped to int32 sent a count
@@ -931,9 +934,9 @@ class TestIntegerVote:
         assert predict_language(model, [x]) == [(EN, 0.8)]
 
     def test_one_chunk_of_the_benchmark_model_votes_in_bounded_memory(self):
-        # Every threshold of the benchmark's model is below 255, so a chunk
-        # votes on a uint8 block: 823 kB here, where an int32 one took 3.3 MB
-        # and the chunk's traced peak 4.90 MB.
+        # The benchmark's model's highest threshold is 11 (the README says
+        # so), so a chunk votes on a uint8 block: 823 kB here, where an int32
+        # one took 3.3 MB and the chunk's traced peak 4.90 MB.
         identifier = train_identifier(synthetic_corpus(200, seed=42),
                                       ForestParams(num_trees=50, seed=42))
         texts = [normalize_for_langid(text) for text, _ in synthetic_corpus(16, seed=7)]
@@ -947,21 +950,27 @@ class TestIntegerVote:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model._flat.floor.dtype == np.uint8
+        assert int(model.nodes.threshold.max()) == 11
+        assert model._flat.threshold.dtype == np.uint8
         assert peak < 3 * 2**20, f"one chunk's vote peaked at {peak / 2**20:.2f} MiB"
 
     def test_model_file_with_huge_thresholds(self, trained):
+        # Thresholds at int64's extremes: the largest must not ask for a dtype past int64.
         model, v = trained
         header, fields = _model_parts(_saved(model, v))
         splits = (fields["feature"] >= 0).nonzero()[0]
-        fields["threshold"][splits[:3]] = (1e300, -1e300, 1e300)
+        fields["threshold"] = fields["threshold"].astype("<i8")
+        fields["threshold"][splits[:3]] = (INT64.max, INT64.min, INT64.max)
+        header["dtypes"][1] = "<i8"
         edited, _ = load_model(io.BytesIO(_model_blob(header, fields)))
-        assert not np.array_equal(edited.nodes.threshold, model.nodes.threshold)
+        assert np.array_equal(edited.nodes.threshold, fields["threshold"])
+        saved_header, saved = _model_parts(_saved(edited, v))
+        assert saved_header == header and all(map(np.array_equal, saved.values(), fields.values()))
         rng = random.Random(31)
         vectors = [{f: rng.choice(EDGE_COUNTS) for f in range(v.size) if rng.random() < 0.4}
                    for _ in range(300)]
         assert predict_language(edited, vectors) == [reference_predict(edited, x) for x in vectors]
-        assert edited._flat.floor.dtype == np.int64
+        assert edited._flat.threshold.dtype == np.int64
 
 
 class TestNaiveBayes:
@@ -1049,9 +1058,9 @@ def _model_parts(blob: bytes) -> tuple[dict, dict]:
 
 
 def _model_blob(header: dict, fields: dict) -> bytes:
-    """A v3 model file of ``header`` and the raw bytes of ``fields``, in order."""
+    """A v4 model file of ``header`` and the raw bytes of ``fields``, in order."""
     text = json.dumps(header).encode("utf-8")
-    return (b"TLAM\x03" + len(text).to_bytes(4, "little") + text
+    return (b"TLAM\x04" + len(text).to_bytes(4, "little") + text
             + b"".join(field.tobytes() for field in fields.values()))
 
 
@@ -1073,11 +1082,11 @@ class TestModelSerialization:
     def test_envelope_layout(self, trained):
         model, v = trained
         blob = _saved(model, v)
-        assert blob[:5] == b"TLAM\x03"
+        assert blob[:5] == b"TLAM\x04"
         header, fields = _model_parts(blob)
         assert header == {
             "classes": ["en", "es"],
-            "dtypes": ["<i1", "<f8", "<i1"],
+            "dtypes": ["<i1", "<i1", "<i1"],
             "features_per_split": None,
             "max_depth": None,
             "min_doc_freq": 1,
@@ -1101,7 +1110,7 @@ class TestModelSerialization:
                            n_features=v.size)
         header, fields = _model_parts(_saved(model, v))
         assert (sum(header["nodes"]), len(header["vocabulary"])) == (21_986, 6_351)
-        assert header["dtypes"] == ["<i2", "<f8", "<i1"]
+        assert header["dtypes"] == ["<i2", "<i1", "<i1"]
         for name, field, saved in zip(Nodes._fields, model.nodes, fields.values()):
             assert np.array_equal(saved, field), name
 
@@ -1120,8 +1129,8 @@ class TestModelSerialization:
 
     def test_unsupported_version(self, trained):
         data = bytearray(_saved(*trained))
-        data[4] = 0x02  # the preorder binary format that version 0x03 replaced
-        assert self._load_error(bytes(data)) == "unsupported model version 0x02"
+        data[4] = 0x03  # the float-threshold format that version 0x04 replaced
+        assert self._load_error(bytes(data)) == "unsupported model version 0x03"
 
     def test_version_one_file(self):
         assert self._load_error(b"TLAM\x01{}") == "unsupported model version 0x01"
@@ -1144,7 +1153,7 @@ class TestModelSerialization:
             assert str(exc.value).startswith(f"{path}: "), size
 
     def test_header_claiming_huge_node_count_fails_at_once(self):
-        header = {"dtypes": ["<i1", "<f8", "<i1"], "nodes": [2**40]}
+        header = {"dtypes": ["<i1", "<i8", "<i1"], "nodes": [2**40]}
         blob = _model_blob(header, {})
         assert len(blob) < 100
         assert self._load_error(blob) == (
@@ -1152,7 +1161,7 @@ class TestModelSerialization:
             "but 0 bytes follow it")
 
     def test_corrupt_json(self):
-        assert self._load_error(b"TLAM\x03\x05\x00\x00\x00{oops") == (
+        assert self._load_error(b"TLAM\x04\x05\x00\x00\x00{oops") == (
             "corrupt model payload: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)"
         )
@@ -1167,7 +1176,7 @@ class TestModelSerialization:
     def test_unparsable_payload_is_corrupt(self, header, message):
         # Nesting past the interpreter's recursion limit, and an integer too
         # long to convert, are corrupt payloads and not raw Python errors.
-        blob = b"TLAM\x03" + len(header).to_bytes(4, "little") + header
+        blob = b"TLAM\x04" + len(header).to_bytes(4, "little") + header
         assert self._load_error(blob) == f"corrupt model payload: {message}"
 
     def test_corrupt_structure(self, trained):
@@ -1217,10 +1226,6 @@ class TestModelSerialization:
              "tree 0 node 1 has an invalid place for a split (its left child's is 1)"),
             (set_node("value", last, len(model.classes)),
              f"tree 7 node {n_leaf} has an invalid leaf class index (of 2 classes)"),
-            (set_node("threshold", 0, float("nan")),
-             "tree 0 node 0 has an invalid threshold"),
-            (set_node("threshold", last, float("-inf")),
-             f"tree 7 node {n_leaf} has an invalid threshold"),
             (lambda h, f: h.update(vocabulary={"a": 0}), "expected an n-gram list, got {'a': 0}"),
             (lambda h, f: h.update(vocabulary=None), "expected an n-gram list, got None"),
             (lambda h, f: h.update(n_min=3), "need 1 <= n_min <= n_max, got 3..2"),
@@ -1231,10 +1236,12 @@ class TestModelSerialization:
             (lambda h, f: h.update(classes=["en", "en"]), "duplicate class in model"),
             (drop_trees, "model must have at least one tree"),
             (empty_tree, "tree node arrays must be nonempty and equal-length"),
-            (longer_tree, f"header states {model.sizes.sum() + 1} nodes of 10 bytes, "
-                          f"but {model.sizes.sum() * 10} bytes follow it"),
+            (longer_tree, f"header states {model.sizes.sum() + 1} nodes of 3 bytes, "
+                          f"but {model.sizes.sum() * 3} bytes follow it"),
             (lambda h, f: h["dtypes"].__setitem__(2, ">i1"),
-             "unsupported node dtypes ['<i1', '<f8', '>i1']"),
+             "unsupported node dtypes ['<i1', '<i1', '>i1']"),
+            (lambda h, f: h["dtypes"].__setitem__(1, "<f8"),
+             "unsupported node dtypes ['<i1', '<f8', '<i1']"),
             (lambda h, f: h["dtypes"].__setitem__(1, "<f4"),
              "unsupported node dtypes ['<i1', '<f4', '<i1']"),
             (lambda h, f: h.pop("dtypes"), "unsupported node dtypes None"),
@@ -1245,9 +1252,9 @@ class TestModelSerialization:
             assert self._load_error(_model_blob(header, fields)) == (
                 f"corrupt model payload: {message}")
         text = b"[]"
-        assert self._load_error(b"TLAM\x03" + len(text).to_bytes(4, "little") + text) == (
+        assert self._load_error(b"TLAM\x04" + len(text).to_bytes(4, "little") + text) == (
             "corrupt model payload: header is not a JSON object")
-        assert self._load_error(b"TLAM\x03\x01\x00") == (
+        assert self._load_error(b"TLAM\x04\x01\x00") == (
             "corrupt model payload: header ends at byte 10 of a 7-byte file")
         assert self._load_error(blob[:5] + (2**31).to_bytes(4, "little") + blob[9:]) == (
             f"corrupt model payload: header ends at byte {2**31 + 9} of a {len(blob)}-byte file")
