@@ -330,20 +330,26 @@ def _cmd_identify(ns, out, err) -> int:
         return 0
 
     table = StopwordTable.load_bundled() if ns.output is not None else None
+    own = 0  # rows that keep their own lang: their text gives no evidence (code None)
+
+    def identified(rows):
+        nonlocal own
+        rows, texts = tee(rows)
+        for row, (code, confidence) in zip(rows, predictor.predict_batch(r.text for r in texts)):
+            own += code is None
+            yield row, code or row.lang, confidence
+
     with open(ns.input, "rb") as source, _committed(ns.output, out) as sink:
-        rows, texts = tee(row for _, row in read_table(source))
-        identified = zip(rows, predictor.predict_batch(row.text for row in texts))
-        # a text that gives no evidence (code None) keeps its row's lang
+        voted = identified(row for _, row in read_table(source))
         if table is None:
             count = write_table(sink, ("id", "lang", "confidence"), (
-                (row.id, (code or row.lang).value, f"{confidence:.4f}")
-                for row, (code, confidence) in identified
+                (row.id, code.value, f"{confidence:.4f}") for row, code, confidence in voted
             ))
         else:
             count = write_table(sink, CLEAN_HEADER, (
-                _relabeled(row, code or row.lang, table).fields() for row, (code, _) in identified
+                _relabeled(row, code, table).fields() for row, code, _ in voted
             ))
-    print(f"{count} rows", file=err)
+    print(f"{count} rows, {own} kept their own lang (no evidence)", file=err)
     return 0
 
 
@@ -360,26 +366,29 @@ def _cmd_label(ns, out, err) -> int:
     # dataset replaces its file only when every language is written and every
     # target was found not to be a directory: a failed run leaves the
     # directory as it was, unless the OS refuses a rename after earlier ones.
-    lexicons: dict = {}
-    groups: dict = {}
+    groups: dict = {}  # each language's lexicon, rows, and rows of score 0
     with open(ns.input, "rb") as source:
         for _, row in read_table(source):
-            if row.lang not in lexicons:
-                lexicons[row.lang] = load_bundled_lexicon(row.lang)
-            row.label = label_sentiment(row.tokens, lexicons[row.lang], tie)
-            groups.setdefault(row.lang, []).append(row)
+            if row.lang not in groups:
+                groups[row.lang] = load_bundled_lexicon(row.lang), [], []
+            lexicon, rows, tied = groups[row.lang]
+            row.label = label_sentiment(row.tokens, lexicon, None)
+            if row.label is None:
+                row.label = tie
+                tied.append(row)
+            rows.append(row)
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     with ExitStack() as stack:
-        for lang, rows in groups.items():
+        for lang, (_, rows, tied) in groups.items():
             path = out_dir / f"{lang.value}.csv"
             sink = stack.enter_context(_committed(str(path), out))
-            counts[path] = write_dataset_csv(rows, sink)
+            counts[path] = write_dataset_csv(rows, sink), len(tied)
             sink.flush()  # so that no write is left to fail after a rename
-    for path, count in counts.items():
-        print(f"{path}: {count} rows", file=err)
+    for path, (count, tied) in counts.items():
+        print(f"{path}: {count} rows, {tied} by the tie label (score 0)", file=err)
     # The directory holds exactly this input's languages: a dataset left by
     # an earlier run would otherwise be counted again by analyze.  The input
     # itself is never removed, whatever its name.

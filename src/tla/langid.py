@@ -37,14 +37,15 @@ header.  A tree's ``j``-th split has its children at places ``2j + 1`` and
 ``2j + 2`` of its tree, so no node stores where its children are, and its
 threshold is the largest count that goes left.
 
-Prediction is one batched vote.  A model's first vote, or its load, flattens
-its node arrays into the vote's (leaves point to themselves), checked there
-once, with split features renumbered to the columns the forest splits on.
-Each chunk of at most ``CHUNK_ROWS`` sparse vectors becomes a dense block over
-those columns only, in the narrowest integer dtype that holds every
-threshold; every (row, tree) pair then descends one level per step,
-and every few steps the pairs at a leaf drop out.  The vote is a per-row
-bincount of leaf classes.  The flat arrays are not fields, so never saved.
+Prediction is one batched vote.  The model keeps only the n-grams its forest
+splits on, so one numbering runs from :func:`vectorize` to the vote.  A
+model's first vote, or its load, flattens its node arrays into the vote's
+(leaves point to themselves), checked there once.  Each chunk of at most
+``CHUNK_ROWS`` sparse vectors becomes a dense block up to the highest split
+feature, in the narrowest integer dtype that holds every threshold; every
+(row, tree) pair then descends one level per step, and every few steps the
+pairs at a leaf drop out.  The vote is a per-row bincount of leaf classes.
+The flat arrays are not fields, so never saved.
 """
 
 from __future__ import annotations
@@ -401,18 +402,14 @@ class ForestModel:
 
 
 class _FlatForest(NamedTuple):
-    """All trees' nodes in one set of arrays, as in :class:`Nodes`; tree
-    ``t`` starts at ``roots[t]``.
-
-    ``columns`` holds the vocabulary indices the forest splits on, ascending:
-    the columns of the dense block, which ``feature`` holds (-1 at a leaf).
-    A count moves from node ``i`` to ``child[i]`` if at most
+    """All trees' nodes in one set of arrays, as in :class:`Nodes` (a split's
+    vocabulary index is the block column it reads); tree ``t`` starts at
+    ``roots[t]``.  A count moves from node ``i`` to ``child[i]`` if at most
     ``threshold[i]``, else to the node after it.  A leaf is its own
-    ``child``, and its threshold the dtype's largest value, so no count
-    moves it.
+    ``child``, its ``feature`` -1 and its threshold the dtype's largest
+    value, so no count moves it.
     """
 
-    columns: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
@@ -426,7 +423,7 @@ def _narrowest(lo: int, hi: int, dtypes: Sequence):
 
 
 def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
-    """The forest's node arrays as the vote's.
+    """The forest's node arrays as the vote's; a split's feature stays its vocabulary index.
 
     Each tree must be nonempty and each node array as long as all trees
     together, each tree must hold ``2 * splits + 1`` nodes, each split's
@@ -460,18 +457,13 @@ def _flatten(sizes: np.ndarray, nodes: Nodes, n_classes: int) -> _FlatForest:
         what = (f"place for a split (its left child's is {left[at]})" if split[at] else
                 f"leaf class index (of {n_classes} classes)")
         raise ValueError(f"tree {t} node {local[at]} has an invalid {what}")
-    # np.unique would do, but its first call in a process costs ~10 ms; a
-    # bincount would allocate up to a split feature that nothing bounds yet
-    split_features = np.sort(feature[split])
-    columns = split_features[np.diff(split_features, prepend=-1) != 0]
     highest = min(max(0, int(threshold.max())) + 1, 2**63 - 1)  # no int64 count exceeds it
     dtype = _narrowest(min(0, int(threshold.min())), highest,
                        (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64))
     threshold = threshold.astype(dtype)
     threshold[~split] = np.iinfo(dtype).max
     return _FlatForest(
-        columns=columns,
-        feature=np.where(split, np.searchsorted(columns, feature), -1),
+        feature=np.where(split, feature, -1),
         threshold=threshold,
         child=np.where(split, shift + left, node),
         value=value,
@@ -886,19 +878,15 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
     """Each vector's plurality vote across trees, with the winning vote share
     as its confidence; an empty vector is no evidence: ``(None, 0.0)``.
 
-    Missing sparse entries read as 0; ties go to the lowest class index.
-    Vectors are voted ``CHUNK_ROWS`` at a time, each chunk as a dense block
-    of its counts of the features the forest splits on, in the narrowest
-    dtype that holds the thresholds (see :func:`_flatten`): uint8 while all
-    are below 255.
+    Missing sparse entries, and keys no split reads, read as 0; ties go to
+    the lowest class index.  Vectors are voted ``CHUNK_ROWS`` at a time, each
+    chunk as a dense block of its counts up to the highest split feature, in
+    the narrowest dtype that holds the thresholds (see :func:`_flatten`):
+    uint8 while all are below 255.
     """
     flat = model._flat
     n_trees, n_classes = flat.roots.size, len(model.classes)
-    # a vocabulary index's column; the block's last column takes the counts
-    # no split reads, as does column_of's last entry any index past the highest
-    n_columns = flat.columns.size + 1
-    column_of = np.full(int(flat.columns[-1]) + 2 if n_columns > 1 else 1, n_columns - 1)
-    column_of[flat.columns] = np.arange(n_columns - 1)
+    n_columns = int(flat.feature.max()) + 1  # no split reads a key past the highest
     limits = np.iinfo(flat.threshold.dtype)
     predictions = []
     for start in range(0, len(vectors), CHUNK_ROWS):
@@ -908,10 +896,10 @@ def predict_language(model: ForestModel, vectors: Sequence[FeatureVector]) -> li
         features = np.fromiter(chain.from_iterable(chunk), np.int64, sum(sizes))
         counts = np.fromiter(chain.from_iterable(x.values() for x in chunk), np.int64,
                              features.size)
-        cells = np.arange(n).repeat(sizes) * n_columns
-        cells += column_of[features.clip(-1, column_of.size - 1)]
+        kept = ((features >= 0) & (features < n_columns)).nonzero()[0]
+        cells = np.arange(n).repeat(sizes)[kept] * n_columns + features[kept]
         block = np.zeros((n, n_columns), dtype=flat.threshold.dtype)
-        block.ravel()[cells] = counts.clip(limits.min, limits.max)  # ravel: a view
+        block.ravel()[cells] = counts[kept].clip(limits.min, limits.max)  # ravel: a view
         owner = np.repeat(np.arange(n) * n_classes, n_trees)
         votes = np.bincount(owner + _leaf_classes(flat, block).ravel(),
                             minlength=n * n_classes).reshape(n, n_classes)
@@ -1015,9 +1003,9 @@ def load_model(source: IO[bytes]) -> tuple[ForestModel, NgramVectorizer]:
         nodes = Nodes(*map(np.frombuffer, repeat(data), dtypes, repeat(total), offsets))
         model = ForestModel(params, tuple(map(LanguageCode.parse, header["classes"])),
                             np.array(sizes, np.int64), nodes)
-        columns = model._flat.columns
-        if columns.size and columns[-1] >= vectorizer.size:
-            raise ValueError(f"the forest splits on feature {columns[-1]} "
+        highest = int(model._flat.feature.max())
+        if highest >= vectorizer.size:
+            raise ValueError(f"the forest splits on feature {highest} "
                              f"beyond vocabulary size {vectorizer.size}")
     # bad UTF-8, JSON or structure; deep nesting; an integer beyond int64
     except (TypeError, ValueError, RecursionError, OverflowError) as exc:
@@ -1075,10 +1063,16 @@ def train_identifier(
     n_max: int = 3,
     min_doc_freq: int = 2,
 ) -> ForestPredictor:
-    """Normalize texts, fit the vectorizer, and train the forest on counts."""
+    """Normalize texts, fit the vectorizer and train the forest on counts; keep
+    only the n-grams it splits on, renumbered by rank (so still sorted), as are its splits."""
     normalized = [(normalize_for_langid(text), lang) for text, lang in corpus]
     vectorizer = fit_vectorizer(normalized, n_min, n_max, min_doc_freq)
     texts, labels = zip(*normalized)
     model = fit_forest(vectorize_batch(vectorizer, texts), labels, params or ForestParams(),
                        n_features=vectorizer.size)
-    return ForestPredictor(vectorizer=vectorizer, model=model)
+    feature, grams = model.nodes.feature, list(vectorizer.vocabulary)
+    kept = np.flatnonzero(np.bincount(feature[feature >= 0], minlength=len(grams)))
+    nodes = model.nodes._replace(feature=np.where(feature >= 0, kept.searchsorted(feature), -1))
+    vectorizer = dataclasses.replace(vectorizer, vocabulary={
+        grams[i]: rank for rank, i in enumerate(kept.tolist())})
+    return ForestPredictor(vectorizer=vectorizer, model=dataclasses.replace(model, nodes=nodes))

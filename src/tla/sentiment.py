@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Optional, Union
 
 from .assets import data_dir
 from .corpus import LanguageCode, SentimentLabel, validate_token
@@ -91,9 +91,10 @@ def score_tokens(tokens: Iterable[str], lexicon: Lexicon) -> float:
 def label_sentiment(
     tokens: Iterable[str],
     lexicon: Lexicon,
-    tie: SentimentLabel = SentimentLabel.POSITIVE,
-) -> SentimentLabel:
-    """Sign of the token score; an exact zero falls back to the tie label."""
+    tie: Optional[SentimentLabel] = SentimentLabel.POSITIVE,
+) -> Optional[SentimentLabel]:
+    """Sign of the token score; an exact zero falls back to the tie label
+    (None, for a caller that counts the ties)."""
     score = score_tokens(tokens, lexicon)
     if score > 0:
         return SentimentLabel.POSITIVE

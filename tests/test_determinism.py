@@ -12,12 +12,14 @@ import io
 import json
 import sys
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tla import ForestPredictor, LanguageCode, load_bundled_lexicon, synthetic_corpus
+from tla import ForestPredictor, LanguageCode, load_bundled_lexicon, score_tokens, synthetic_corpus
 from tla.cli import run
+from tla.corpus import read_table
 
 #: The numpy version the digests were taken with.  The forest draws nothing
 #: from ``numpy.random``: every draw is SplitMix64 over (seed, tree, node)
@@ -41,19 +43,19 @@ CHAIN_TRAIN_ARGV = (
     "--output", "chain.tlam",
 )
 
-MODEL_DIGEST = "69a668b021f7234ef9c780e5450eb00c1451de99526c858f81f44a61b7eb9a0d"
+MODEL_DIGEST = "884cd4fa844e7b963b3650aeb32468b80167dc96140b1b422a38365af42ec61c"
 
-#: The model of the benchmark's ``train`` workload: 3,200 texts, vocabulary
-#: 6,351, 50 full-depth trees.
+#: The model of the benchmark's ``train`` workload: 3,200 texts, 50 full-depth
+#: trees that split on 3,081 of the fit's 6,351 n-grams, the ones it keeps.
 BENCH_TRAIN_ARGV = (
     "train-langid", "--synthetic", "200", "--seed", "42", "--trees", "50",
     "--output", "bench.tlam",
 )
-BENCH_MODEL_DIGEST = "de66611f99b9abd939f95dbcf42bd1a8e8b9281122e5e6970f94211f3290fe66"
+BENCH_MODEL_DIGEST = "62f597032eb93d5bac533106d5bbbd167ddac8992926c28feb405daf1ba29f43"
 
 CHAIN_DIGESTS = {
     "identify.stdout": "d438d52c527f7ba7802cad2ca4bc79ec6565e6b05c86a242edfb353816338f76",
-    "chain.tlam": "fd311da9dd9aaa46b52e92af3d2e4b9298497d61d3a09fcec9e461fcd9284240",
+    "chain.tlam": "443ca07f07dacf35ab5e6318b01b77166ba0bc43d33a25c29555705a825bb23e",
     "clean.csv": "7f92f5c09c2f0e23367505e254ce8395a86b2206606ece69f6a532b090bb124e",
     "identified.csv": "d8ca11daea21e6b97c874081a99fd14a4ea5b65ba61ca0070f4b2df01464e04c",
     "labeled/en.csv": "ca702e0d0324c6809373ce8d0dd28b3da0a7dea767da175c28cca54d24c07306",
@@ -82,7 +84,7 @@ CHAIN_DIGESTS = {
 #: relabeled row again in its new language) on the noisy tweets below.
 NOISY_DIGESTS = {
     "noisy.csv": "6e6d92b1244a5bb764997c9c819d005f578422b06cb4907290b8c7c96fc29aac",
-    "noisy-identified.csv": "9cde9a567bdafcc86b6051e354a3c41d3045536a1b48733a4e88a01a37882a04",
+    "noisy-identified.csv": "fdd178d5e8dfdb0bcd5d75ddcf1fe167d8f81e0241bd882856b9e32494707498",
 }
 
 #: Noise for the noisy tweets: tags (a heart and comparisons are not tags),
@@ -134,10 +136,11 @@ def _write_tweets(path, per_language=6, seed=20240601):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _tla(*argv):
+def _tla(*argv, stderr=None):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out, err)
     assert code == 0, err.getvalue()
+    assert stderr is None or err.getvalue() == stderr
     return out.getvalue()
 
 
@@ -152,6 +155,18 @@ def _assert_digests(outputs, expected):
         f"Unicode {unicodedata.unidata_version} "
         f"(Python {sys.version.split()[0]}), whose character categories may differ"
     )
+
+
+def _tie_counts(path):
+    """``label``'s expected stderr for the cleaned CSV at ``path``: each
+    language's rows and those of lexicon score 0, by first appearance."""
+    rows, ties = Counter(), Counter()
+    with open(path, "rb") as source:
+        for _, row in read_table(source):
+            rows[row.lang] += 1
+            ties[row.lang] += score_tokens(row.tokens, load_bundled_lexicon(row.lang)) == 0
+    return "".join(f"labeled/{lang.value}.csv: {n} rows, {ties[lang]} by the tie label "
+                   f"(score 0)\n" for lang, n in rows.items())
 
 
 @pytest.fixture()
@@ -183,7 +198,8 @@ def test_chain_digests(work):
     predictions = _tla("identify", "--model", "chain.tlam", "--input", "clean.csv")
     _tla("identify", "--model", "chain.tlam", "--input", "clean.csv",
          "--output", "identified.csv")
-    _tla("label", "--input", "identified.csv", "--out-dir", "labeled")
+    _tla("label", "--input", "identified.csv", "--out-dir", "labeled",
+         stderr=_tie_counts(work / "identified.csv"))
     labeled = sorted(p.relative_to(work).as_posix() for p in (work / "labeled").glob("*.csv"))
     for fmt, name in (("csv", "report.csv"), ("markdown", "report.md"), ("plain", "report.txt")):
         _tla("analyze", "--format", fmt, "--output", name, "--input", *labeled)
@@ -197,8 +213,10 @@ def test_noisy_clean_digests(work):
     _tla(*TRAIN_ARGV)
     _write_noisy_tweets(work / "noisy.jsonl")
     _tla("clean", "--input", "noisy.jsonl", "--output", "noisy.csv")
+    # the emptied tweet and 16 whose n-grams the forest never splits on
     _tla("identify", "--model", "model.tlam", "--input", "noisy.csv",
-         "--output", "noisy-identified.csv")
+         "--output", "noisy-identified.csv",
+         stderr="98 rows, 17 kept their own lang (no evidence)\n")
     _assert_digests({name: (work / name).read_bytes() for name in NOISY_DIGESTS},
                     NOISY_DIGESTS)
 

@@ -15,6 +15,7 @@ from tla.langid import (
     EmptyVocabularyError,
     ForestModel,
     ForestParams,
+    ForestPredictor,
     ModelFormatError,
     NgramVectorizer,
     Nodes,
@@ -722,6 +723,73 @@ def split_forest():
     return identifier, texts, vectors
 
 
+def _unpruned_pair(train, params):
+    """The vectorizer and forest that :func:`train_identifier` fits, before it
+    keeps only the n-grams the forest splits on."""
+    normalized = [(normalize_for_langid(text), lang) for text, lang in train]
+    vectorizer = fit_vectorizer(normalized)
+    texts, labels = zip(*normalized)
+    return vectorizer, fit_forest(vectorize_batch(vectorizer, texts), labels, params,
+                                  n_features=vectorizer.size)
+
+
+@pytest.fixture(scope="module")
+def unpruned_forest():
+    """``split_forest``'s vectorizer and forest over the full vocabulary."""
+    train, _ = synthetic_split(60, 25, seed=9)
+    return _unpruned_pair(train, ForestParams(num_trees=12, seed=9))
+
+
+class TestKeptNgrams:
+    """``train_identifier`` keeps only the n-grams its forest splits on."""
+
+    def test_votes_as_the_unpruned_walk_or_no_evidence(self):
+        # The acceptance split's held-out texts, their 4- and 8-character
+        # prefixes and random strings of their characters: a text with a
+        # split n-gram votes as the walk over the unpruned forest does, and
+        # any other text is no evidence, also where the full vocabulary holds
+        # some of its n-grams.
+        seed = 20240901  # the acceptance suite's split; 12 trees keep the walks short
+        train, test = synthetic_split(200, 50, seed=seed)
+        params = ForestParams(num_trees=12, seed=seed)
+        identifier = train_identifier(train, params)
+        vectorizer, model = _unpruned_pair(train, params)
+        split_on = np.unique(model.nodes.feature[model.nodes.feature >= 0]).tolist()
+        grams, walked_on = list(vectorizer.vocabulary), set(split_on)
+        assert list(identifier.vectorizer.vocabulary) == [grams[f] for f in split_on]
+        assert identifier.model.sizes.tolist() == model.sizes.tolist()
+        texts = [text[:length] for text, _ in test for length in (None, 4, 8)]
+        rng = random.Random(seed)
+        alphabet = sorted(set("".join(texts)))
+        texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 6))) for _ in range(400)]
+        expected, unsplit, walked = [], 0, {}
+        for text in texts:
+            full = vectorize(vectorizer, normalize_for_langid(text))
+            # the walk reads only the split features' counts
+            read = frozenset((f, n) for f, n in full.items() if f in walked_on)
+            if not read:
+                unsplit += bool(full)
+                expected.append((None, 0.0))
+                continue
+            if read not in walked:
+                walked[read] = reference_predict(model, full)
+            expected.append(walked[read])
+        assert list(identifier.predict_batch(texts)) == expected
+        assert unsplit and sum(code is not None for code, _ in expected) > len(test)
+
+    def test_an_unpruned_model_file_votes_as_the_walk(self, unpruned_forest, split_forest):
+        vectorizer, model = unpruned_forest
+        sink = io.BytesIO()
+        save_model(model, vectorizer, sink)
+        loaded = ForestPredictor.load(io.BytesIO(sink.getvalue()))
+        assert loaded.vectorizer.size == vectorizer.size > split_forest[0].vectorizer.size
+        texts = split_forest[1]
+        vectors = [vectorize(vectorizer, normalize_for_langid(text)) for text in texts]
+        expected = [reference_predict(model, x) for x in vectors]
+        assert list(loaded.predict_batch(texts)) == expected
+        assert list(split_forest[0].predict_batch(texts)) == expected
+
+
 class TestBatchedVote:
     """``predict_language`` against the per-tree walk of ``reference_predict``."""
 
@@ -762,11 +830,13 @@ class TestBatchedVote:
         mixed_vectors = [vectors[0], empty, *vectors[1:CHUNK_ROWS + 5]]
         assert predict_language(identifier.model, mixed_vectors) == batched
 
-    def test_random_vectors(self, split_forest):
+    def test_random_vectors(self, split_forest, unpruned_forest):
         # Empty vectors, features the forest never splits on (inside and
-        # beyond the vocabulary) and counts above every threshold.
-        identifier = split_forest[0]
-        model, size = identifier.model, identifier.vectorizer.size
+        # beyond the vocabulary) and counts above every threshold, voted by
+        # the forest over the full vocabulary and by the one over the kept
+        # n-grams, whose vocabulary holds no index that is never split on.
+        vectorizer, model = unpruned_forest
+        size = vectorizer.size
         split_on = sorted({f for tree in model.trees for f in tree.feature if f >= 0})
         unused = sorted(set(range(size)) - set(split_on))
         top = int(max(t for tree in model.trees for t in tree.threshold)) + 1
@@ -779,8 +849,9 @@ class TestBatchedVote:
             vectors.append({f: rng.choice([1, 2, rng.randint(1, top), top, 10 * top, 2**40])
                             for f in features})
         vectors.append({10**12: 3, -1: 2, split_on[0]: top})
-        expected = [reference_predict(model, x) for x in vectors]
-        assert predict_language(model, vectors) == expected
+        for forest in (model, split_forest[0].model):
+            assert predict_language(forest, vectors) == [reference_predict(forest, x)
+                                                         for x in vectors]
 
     def test_keys_outside_the_vocabulary_are_ignored(self, split_forest):
         identifier, _, vectors = split_forest
