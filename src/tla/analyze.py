@@ -8,8 +8,7 @@ with trailing zeros and a trailing decimal point trimmed: 391/457 displays as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import LANGUAGE_ORDER, CleanRow, LanguageCode, SentimentLabel
 
@@ -36,19 +35,25 @@ def truncate_pct(numerator: int, denominator: int) -> str:
     return text.rstrip("0").rstrip(".")
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
-    """One language's label counts; total and display percentages derive from them."""
-
+class _AnalysisFields(NamedTuple):
     language: LanguageCode
     positive_count: int
     negative_count: int
 
-    def __post_init__(self):
+
+class AnalysisRow(_AnalysisFields):
+    """One language's label counts; total and display percentages derive from them."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.positive_count < 0 or self.negative_count < 0:
             raise ValueError("label counts must be nonnegative")
         if self.total < 1:
             raise ValueError(f"total must be positive, got {self.total}")
+        return self
 
     @property
     def total(self) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 
 from .errors import TlaError, decoded
@@ -19,7 +18,7 @@ def data_dir() -> Path:
         if not Path(env).is_dir():
             raise TlaError(f"{DATA_DIR_ENV}={env}: not a directory")
         return Path(env)
-    return Path(str(resources.files("tla"))) / "data"
+    return Path(__file__).parent / "data"
 
 
 def read_utf8(path: Path) -> str:

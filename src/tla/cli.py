@@ -18,7 +18,7 @@ from itertools import tee
 from pathlib import Path
 from typing import IO, Iterator, Optional
 
-from .analyze import REPORT_FORMATS, aggregate_dataset, render_report
+from .analyze import REPORT_FORMATS
 from .corpus import (
     CLEAN_HEADER,
     CSV_HEADER,
@@ -26,16 +26,15 @@ from .corpus import (
     CleanRow,
     LanguageCode,
     SentimentLabel,
-    TweetLengthWarning,
     read_dataset_csv,
     read_table,
     write_dataset_csv,
     write_table,
 )
-from .errors import LineError, TlaError
-from .ingest import QuerySpec, compile_query, read_jsonl
-from .preprocess import StopwordTable, preprocess_tweet
-from .sentiment import DuplicateTokenWarning, label_sentiment, load_bundled_lexicon
+from .errors import DuplicateTokenWarning, LineError, TlaError, TweetLengthWarning
+
+# Each stage imports its own modules when it starts, so a stage loads only
+# what it runs: numpy only for the identifier's two, json only with ingest.
 
 
 class UsageError(TlaError):
@@ -43,11 +42,10 @@ class UsageError(TlaError):
 
 
 def __getattr__(name: str):
-    # perfbench/run.py's setup probe reads tla.cli.ForestPredictor
-    if name == "ForestPredictor":
-        from .langid import ForestPredictor
-        return ForestPredictor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # perfbench/run.py's setup probe reads these from this module
+    if name not in ("ForestPredictor", "StopwordTable", "load_bundled_lexicon"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)  # the package imports it on first use
 
 
 def _at_least(minimum: int):
@@ -200,6 +198,7 @@ def main() -> None:
 
 
 def _cmd_query(ns, out, err) -> int:
+    from .ingest import QuerySpec, compile_query
     spec = QuerySpec(
         language=LanguageCode.parse(ns.lang),
         min_faves=ns.min_faves,
@@ -249,6 +248,8 @@ def _committed(path: Optional[str], out: IO[str]) -> Iterator[IO[str]]:
 
 
 def _cmd_clean(ns, out, err) -> int:
+    from .ingest import read_jsonl
+    from .preprocess import StopwordTable, preprocess_tweet
     table = StopwordTable.load_bundled()
     fallback = None if ns.lang is None else LanguageCode.parse(ns.lang)
 
@@ -312,6 +313,7 @@ def _cmd_train(ns, out, err) -> int:
 
 def _cmd_identify(ns, out, err) -> int:
     from .langid import ForestPredictor, ModelFormatError
+    from .preprocess import StopwordTable, preprocess_tweet
     if ns.text is not None and ns.output is not None:
         raise UsageError("identify --output needs --input, not --text")
     with open(ns.model, "rb") as source:
@@ -332,6 +334,11 @@ def _cmd_identify(ns, out, err) -> int:
     table = StopwordTable.load_bundled() if ns.output is not None else None
     own = 0  # rows that keep their own lang: their text gives no evidence (code None)
 
+    def relabeled(row: CleanRow, code: LanguageCode) -> CleanRow:
+        if code is not row.lang:  # tokenizer and stopwords depend on the language
+            row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
+        return row
+
     def identified(rows):
         nonlocal own
         rows, texts = tee(rows)
@@ -347,19 +354,14 @@ def _cmd_identify(ns, out, err) -> int:
             ))
         else:
             count = write_table(sink, CLEAN_HEADER, (
-                _relabeled(row, code, table).fields() for row, code, _ in voted
+                relabeled(row, code).fields() for row, code, _ in voted
             ))
     print(f"{count} rows, {own} kept their own lang (no evidence)", file=err)
     return 0
 
 
-def _relabeled(row: CleanRow, code: LanguageCode, table: StopwordTable) -> CleanRow:
-    if code is not row.lang:  # tokenizer and stopwords depend on the language
-        row.lang, row.tokens = code, tuple(preprocess_tweet(row.text, code, table))
-    return row
-
-
 def _cmd_label(ns, out, err) -> int:
+    from .sentiment import label_sentiment, load_bundled_lexicon
     tie = SentimentLabel.parse(ns.tie_label)
 
     # The rows are held so that each language is written in one call, and a
@@ -412,6 +414,7 @@ def _labeled_rows(paths):
 
 
 def _cmd_analyze(ns, out, err) -> int:
+    from .analyze import aggregate_dataset, render_report
     # an unusable --output is reported before any input is read
     with _committed(ns.output, out) as sink:
         sink.write(render_report(aggregate_dataset(_labeled_rows(ns.input)), ns.format))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import LineError, decoded
+from .errors import TweetLengthWarning  # ingest's warning, importable here as before
 
 MAX_TWEET_LENGTH = 280
 
@@ -139,8 +139,7 @@ def validate_token_field(field: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-@dataclass(frozen=True)
-class RawTweet:
+class RawTweet(NamedTuple):
     """One ingested tweet. Use :func:`validate_tweet` to enforce invariants."""
 
     id: str
@@ -148,10 +147,6 @@ class RawTweet:
     lang_hint: Optional[LanguageCode] = None
     like_count: int = 0
     reply_count: Optional[int] = None
-
-
-class TweetLengthWarning(UserWarning):
-    """The JSONL reader's warning for a lenient tweet over the length limit."""
 
 
 def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
@@ -219,21 +214,38 @@ def validate_tweet(record: Mapping, *, lenient: bool = False) -> RawTweet:
     return RawTweet(tweet_id, text, lang_hint, like_count, reply_count)
 
 
-@dataclass(slots=True)
 class CleanRow:
     """One row of the cleaned table (``CLEAN_HEADER``) and, once its
     ``label`` is set, of the labeled table (``CSV_HEADER``).
 
     A plain record: :func:`read_table` checks a row's fields as read, and
     a row built in code is checked only where its table is read back.  It
-    stays mutable, so a stage relabels it in place instead of rebuilding it.
+    stays mutable, so a stage relabels it in place instead of rebuilding it;
+    rows of equal fields are equal, and, being mutable, unhashable.
     """
 
-    id: str
-    lang: LanguageCode
-    text: str
-    tokens: tuple[str, ...]
-    label: Optional[SentimentLabel] = None
+    __slots__ = __match_args__ = ("id", "lang", "text", "tokens", "label")
+    __hash__ = None
+
+    def __init__(self, id: str, lang: LanguageCode, text: str, tokens: tuple[str, ...],
+                 label: Optional[SentimentLabel] = None):
+        self.id = id
+        self.lang = lang
+        self.text = text
+        self.tokens = tokens
+        self.label = label
+
+    def _values(self) -> tuple:
+        return self.id, self.lang, self.text, self.tokens, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
     def fields(self) -> tuple[str, ...]:
         """The row's CSV fields: those of ``CLEAN_HEADER``, then the label if set."""

@@ -5,6 +5,8 @@ Every reader of an input file (JSONL export, cleaned and labeled CSV tables,
 lexicons, stopword lists, seed texts) raises :class:`LineError` for a bad
 line, built where the line is read with the file's path, and decodes each
 line with :func:`decoded`, which also drops a leading byte order mark.
+The package's two warnings live here too, so that the command line sets
+their filters without importing the modules that issue them.
 """
 
 
@@ -25,6 +27,14 @@ class LineError(TlaError):
 
     def __str__(self) -> str:
         return f"{where(self.path, self.line)}: {self.args[0]}"
+
+
+class TweetLengthWarning(UserWarning):
+    """The JSONL reader's warning for a lenient tweet over the length limit."""
+
+
+class DuplicateTokenWarning(UserWarning):
+    """Issued when a lexicon repeats a token; the last entry wins."""
 
 
 def where(path, line: int) -> str:

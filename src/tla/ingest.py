@@ -4,32 +4,31 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Union
 
-from .corpus import (
-    MAX_TWEET_LENGTH,
-    LanguageCode,
-    RawTweet,
-    TweetLengthWarning,
-    validate_tweet,
-)
-from .errors import LineError, decoded, where
+from .corpus import MAX_TWEET_LENGTH, LanguageCode, RawTweet, validate_tweet
+from .errors import LineError, TweetLengthWarning, decoded, where
 
 
-@dataclass(frozen=True)
-class QuerySpec:
-    """Search-query parameters: language, like threshold, engagement."""
-
+class _QueryFields(NamedTuple):
     language: LanguageCode
     min_faves: int = 9000
     has_engagement: bool = True
 
-    def __post_init__(self):
+
+class QuerySpec(_QueryFields):
+    """Search-query parameters: language, like threshold, engagement."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.language, LanguageCode):
             raise ValueError(f"language must be a LanguageCode, got {self.language!r}")
         if self.min_faves < 0:
             raise ValueError(f"min_faves must be >= 0, got {self.min_faves}")
+        return self
 
 
 def compile_query(spec: QuerySpec) -> str:

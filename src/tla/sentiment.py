@@ -9,32 +9,34 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .assets import data_dir
 from .corpus import LanguageCode, SentimentLabel, validate_token
 from .errors import LineError, decoded, where
+from .errors import DuplicateTokenWarning  # load_lexicon's warning, importable here as before
 
 
-class DuplicateTokenWarning(UserWarning):
-    """Issued when a lexicon repeats a token; the last entry wins."""
-
-
-@dataclass(frozen=True)
-class Lexicon:
-    """Map from lowercase token to a finite, nonzero polarity weight."""
-
+class _LexiconFields(NamedTuple):
     language: LanguageCode
     weights: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
-        for token, weight in self.weights.items():
+
+class Lexicon(_LexiconFields):
+    """Map from lowercase token to a finite, nonzero polarity weight; the
+    weights are copied."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, language: LanguageCode, weights: dict):
+        weights = dict(weights)
+        for token, weight in weights.items():
             validate_token(token)
             if not isinstance(weight, (int, float)) or not math.isfinite(weight) or weight == 0:
                 raise ValueError(f"weight for {token!r} must be finite and nonzero")
+        return super().__new__(cls, language, weights)
 
 
 def load_lexicon(source: Union[IO[bytes], IO[str], Iterable[str]], lang: LanguageCode) -> Lexicon:

@@ -112,6 +112,18 @@ class TestAnalysisRow:
             AnalysisRow(LanguageCode.EN, positive, negative)
         assert str(exc.value) == "label counts must be nonnegative"
 
+    def test_a_frozen_record(self):
+        row = AnalysisRow(LanguageCode.EN, 1, 2)
+        assert row == AnalysisRow(language=LanguageCode.EN, positive_count=1, negative_count=2)
+        assert row != AnalysisRow(LanguageCode.EN, 2, 1)
+        assert repr(row) == ("AnalysisRow(language=<LanguageCode.EN: 'en'>, positive_count=1, "
+                             "negative_count=2)")
+        for name in ("positive_count", "other"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, 3)
+        with pytest.raises(ValueError, match="total must be positive"):
+            row._replace(positive_count=0, negative_count=0)
+
     def test_exact_fraction_percentages(self):
         row = AnalysisRow(language=LanguageCode.RU, positive_count=134, negative_count=79)
         assert row.positive_display == "62.91"

@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import tla
 import tla.cli
 import tla.corpus
+import tla.errors
 import tla.langid
 from tla.cli import run
 from tla.corpus import LanguageCode, read_dataset_csv
@@ -1032,37 +1034,91 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert result.stdout == "min_faves:9000 filter:has_engagement lang:en\n"
 
 
-#: Imports tla, then runs every stage but the two that use the language
-#: identifier, printing after each step whether numpy is loaded; then
-#: train-langid, which must load it (else the check proves nothing).
-NUMPY_FREE_STAGES = """\
+#: Printed after the code before it, in a fresh interpreter: the tla modules
+#: loaded, then which of numpy, dataclasses and json are.
+LOADED = """
 import sys
-def numpy_loaded(after):
-    print(after, "numpy" in sys.modules)
-import tla
-numpy_loaded("import tla")
-import tla.cli
-numpy_loaded("import tla.cli")
-for argv in (
-    ["query", "--lang", "en"],
-    ["clean", "--input", "t.jsonl", "--output", "clean.csv"],
-    ["label", "--input", "clean.csv", "--out-dir", "labeled"],
-    ["analyze", "--input", "labeled/en.csv", "labeled/es.csv", "labeled/ru.csv"],
-    ["train-langid", "--synthetic", "2", "--trees", "1", "--seed", "1", "--output", "m.tlam"],
-):
-    assert tla.cli.run(argv, stdout=sys.stderr) == 0, argv
-    numpy_loaded(argv[0])
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "tla"))
+print(*(name for name in ("numpy", "dataclasses", "json") if name in sys.modules))
 """
+
+#: The modules every stage loads: the package, the CLI and what its parser needs.
+CLI_MODULES = ["tla", "tla.analyze", "tla.cli", "tla.corpus", "tla.errors"]
+
+#: Each step in its own fresh interpreter, in an order where each finds the
+#: files it reads: an import, or a stage's argv; the tla modules it loads
+#: (a stage's beyond CLI_MODULES); and which of numpy, dataclasses and json.
+IMPORT_STEPS = [
+    ("import tla", ["tla"], []),
+    ("import tla.cli", CLI_MODULES, []),
+    (["query", "--lang", "en"], ["tla.ingest"], ["json"]),
+    (["clean", "--input", "t.jsonl", "--output", "clean.csv"],
+     ["tla.assets", "tla.ingest", "tla.preprocess"], ["json"]),
+    (["label", "--input", "clean.csv", "--out-dir", "labeled"],
+     ["tla.assets", "tla.sentiment"], []),
+    (["analyze", "--input", "labeled/en.csv", "labeled/es.csv", "labeled/ru.csv"], [], []),
+    (["train-langid", "--synthetic", "2", "--trees", "1", "--seed", "1", "--output", "m.tlam"],
+     ["tla.assets", "tla.langid", "tla.preprocess", "tla.synth"],
+     ["numpy", "dataclasses", "json"]),
+    (["identify", "--model", "m.tlam", "--input", "clean.csv", "--output", "identified.csv"],
+     ["tla.assets", "tla.langid", "tla.preprocess"], ["numpy", "dataclasses", "json"]),
+]
 
 
 def test_only_the_identifier_stages_import_numpy(tmp_path):
+    # a stage imports only the modules it runs; the identifier's two load
+    # numpy (else the check proves nothing)
     (tmp_path / "t.jsonl").write_text(JSONL, encoding="utf-8")
-    result = _python("-c", NUMPY_FREE_STAGES, cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "import tla False", "import tla.cli False", "query False", "clean False",
-        "label False", "analyze False", "train-langid True",
-    ]
+    loaded, expected = [], []
+    for step, modules, heavy in IMPORT_STEPS:
+        if isinstance(step, list):
+            step = f"import sys, tla.cli\nassert tla.cli.run({step!r}, stdout=sys.stderr) == 0"
+            modules = sorted(CLI_MODULES + modules)
+        result = _python("-c", step + LOADED, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        loaded.append((step, result.stdout.splitlines()))
+        expected.append((step, [" ".join(modules), " ".join(heavy)]))
+    assert loaded == expected
+
+
+#: Binds ``from tla import *`` in a fresh interpreter, then prints the names
+#: of ``__all__`` it left unbound and whether numpy is loaded.
+STAR_IMPORT = """\
+import sys
+from tla import *
+import tla
+print(*[name for name in tla.__all__ if name not in globals()], "numpy" in sys.modules)
+"""
+
+
+def test_star_import_binds_all_but_the_identifier_names_without_numpy(tmp_path):
+    result = _python("-c", STAR_IMPORT, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    identifier = {"ForestParams", "ForestPredictor", "evaluate_model", "train_identifier",
+                  "synthetic_corpus", "synthetic_split"}
+    assert sorted(tla._LAZY.keys() - tla.__all__) == sorted(identifier)
+    assert tla._LAZY.keys() <= set(dir(tla))
+    for name, module in tla._LAZY.items():
+        assert getattr(tla, name) is getattr(importlib.import_module(f"tla.{module}"), name)
+
+
+def test_the_names_the_benchmark_reads_are_their_modules_own():
+    import tla.preprocess
+    import tla.sentiment
+    import tla.synth
+
+    # perfbench/run.py's setup probe reads these from tla.cli
+    assert tla.cli.LanguageCode is tla.corpus.LanguageCode
+    assert tla.cli.StopwordTable is tla.preprocess.StopwordTable
+    assert tla.cli.load_bundled_lexicon is tla.sentiment.load_bundled_lexicon
+    assert tla.cli.ForestPredictor is tla.langid.ForestPredictor
+    # and perfbench/gen.py these from tla
+    from tla import LanguageCode, load_bundled_lexicon, synthetic_corpus
+    assert (LanguageCode, load_bundled_lexicon, synthetic_corpus) == (
+        tla.corpus.LanguageCode, tla.sentiment.load_bundled_lexicon, tla.synth.synthetic_corpus)
+    # the warnings the CLI filters are importable where they were
+    assert tla.corpus.TweetLengthWarning is tla.errors.TweetLengthWarning
+    assert tla.sentiment.DuplicateTokenWarning is tla.errors.DuplicateTokenWarning
 
 
 def test_identifier_names_resolve_on_first_use():
@@ -1072,7 +1128,6 @@ def test_identifier_names_resolve_on_first_use():
     assert (ForestPredictor, synthetic_corpus) == (
         tla.langid.ForestPredictor, tla.synth.synthetic_corpus
     )
-    assert tla.cli.ForestPredictor is tla.langid.ForestPredictor
     for name in ("ForestParams", "evaluate_model", "train_identifier"):
         assert getattr(tla, name) is getattr(tla.langid, name)
     assert tla.synthetic_split is tla.synth.synthetic_split

@@ -195,6 +195,21 @@ class TestWriteDatasetCsv:
         assert b"\r" not in data
         assert b",Positive\n" in data and b",Negative\n" in data
 
+    def test_row_is_a_mutable_record(self):
+        row = CleanRow("1", LanguageCode.EN, "hi", ("hi",))
+        assert row == CleanRow(id="1", lang=LanguageCode.EN, text="hi", tokens=("hi",),
+                               label=None)
+        assert row != CleanRow("1", LanguageCode.EN, "hi", ("hi",), SentimentLabel.POSITIVE)
+        assert row != ("1", LanguageCode.EN, "hi", ("hi",), None)
+        assert repr(row) == ("CleanRow(id='1', lang=<LanguageCode.EN: 'en'>, text='hi', "
+                             "tokens=('hi',), label=None)")
+        row.lang, row.label = LanguageCode.FR, SentimentLabel.NEGATIVE
+        assert row.fields() == ("1", "fr", "hi", "hi", "Negative")
+        with pytest.raises(AttributeError):
+            row.other = 1
+        with pytest.raises(TypeError):
+            hash(row)
+
     def test_unlabeled_row_rejected(self):
         row = CleanRow("1", LanguageCode.EN, "hi", ("hi",))
         with pytest.raises(ValueError, match="row 1: no label"):

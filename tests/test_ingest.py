@@ -54,6 +54,20 @@ class TestCompileQuery:
         with pytest.raises(ValueError):
             QuerySpec(language="en")
 
+    def test_spec_is_a_frozen_record(self):
+        spec = QuerySpec(LanguageCode.EN)
+        assert spec == QuerySpec(language=LanguageCode.EN, min_faves=9000, has_engagement=True)
+        assert spec != QuerySpec(LanguageCode.EN, 9000, False)
+        assert spec == (LanguageCode.EN, 9000, True)  # a NamedTuple equals its fields' tuple
+        assert repr(spec) == ("QuerySpec(language=<LanguageCode.EN: 'en'>, min_faves=9000, "
+                              "has_engagement=True)")
+        for name in ("min_faves", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 1)
+        assert spec._replace(min_faves=7).min_faves == 7
+        with pytest.raises(ValueError, match="min_faves must be >= 0"):
+            spec._replace(min_faves=-1)
+
 
 def _tweets(source, **kwargs):
     return [tweet for _, tweet in read_jsonl(source, **kwargs)]
@@ -68,6 +82,17 @@ class TestReadJsonl:
         [tweet] = _read('{"id":"7","text":"hi there","likeCount":9500}\n')
         assert tweet == RawTweet(id="7", text="hi there", lang_hint=None,
                                  like_count=9500, reply_count=None)
+
+    def test_tweet_is_a_frozen_record(self):
+        tweet = RawTweet("7", "hi")
+        assert tweet == RawTweet(id="7", text="hi", lang_hint=None, like_count=0,
+                                 reply_count=None)
+        assert tweet != RawTweet("7", "hi", LanguageCode.EN)
+        assert repr(tweet) == ("RawTweet(id='7', text='hi', lang_hint=None, like_count=0, "
+                               "reply_count=None)")
+        for name in ("text", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tweet, name, "x")
 
     def test_missing_text(self):
         with pytest.raises(LineError) as exc:

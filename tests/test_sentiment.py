@@ -84,6 +84,21 @@ class TestLoadLexicon:
         with pytest.raises(ValueError):
             Lexicon(language=EN, weights={"two words": 1.0})
 
+    def test_lexicon_is_a_frozen_record_of_its_own_weights(self):
+        weights = {"good": 1.0}
+        lexicon = Lexicon(EN, weights)
+        weights["bad"] = -1.0
+        assert lexicon.weights == {"good": 1.0}
+        assert lexicon == Lexicon(language=EN, weights={"good": 1.0})
+        assert lexicon != Lexicon(EN, {"good": 2.0})
+        assert repr(lexicon) == "Lexicon(language=<LanguageCode.EN: 'en'>, weights={'good': 1.0})"
+        for name in ("weights", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lexicon, name, {})
+        assert lexicon._replace(weights=weights).weights is not weights
+        with pytest.raises(ValueError):
+            lexicon._replace(weights={"good": 0})
+
     @pytest.mark.parametrize("lang", list(LanguageCode))
     def test_bundled_lexicons_load(self, lang):
         lexicon = load_bundled_lexicon(lang)
