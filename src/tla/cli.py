@@ -13,6 +13,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from itertools import tee
 from pathlib import Path
@@ -368,29 +369,30 @@ def _cmd_label(ns, out, err) -> int:
     # dataset replaces its file only when every language is written and every
     # target was found not to be a directory: a failed run leaves the
     # directory as it was, unless the OS refuses a rename after earlier ones.
-    groups: dict = {}  # each language's lexicon, rows, and rows of score 0
+    groups: dict = {}  # each language's lexicon and rows
+    tied: Counter = Counter()  # each language's rows of score 0
     with open(ns.input, "rb") as source:
         for _, row in read_table(source):
             if row.lang not in groups:
-                groups[row.lang] = load_bundled_lexicon(row.lang), [], []
-            lexicon, rows, tied = groups[row.lang]
+                groups[row.lang] = load_bundled_lexicon(row.lang), []
+            lexicon, rows = groups[row.lang]
             row.label = label_sentiment(row.tokens, lexicon, None)
             if row.label is None:
                 row.label = tie
-                tied.append(row)
+                tied[row.lang] += 1
             rows.append(row)
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     with ExitStack() as stack:
-        for lang, (_, rows, tied) in groups.items():
+        for lang, (_, rows) in groups.items():
             path = out_dir / f"{lang.value}.csv"
             sink = stack.enter_context(_committed(str(path), out))
-            counts[path] = write_dataset_csv(rows, sink), len(tied)
+            counts[path] = write_dataset_csv(rows, sink), tied[lang]
             sink.flush()  # so that no write is left to fail after a rename
-    for path, (count, tied) in counts.items():
-        print(f"{path}: {count} rows, {tied} by the tie label (score 0)", file=err)
+    for path, (count, n_tied) in counts.items():
+        print(f"{path}: {count} rows, {n_tied} by the tie label (score 0)", file=err)
     # The directory holds exactly this input's languages: a dataset left by
     # an earlier run would otherwise be counted again by analyze.  The input
     # itself is never removed, whatever its name.

@@ -17,10 +17,10 @@ CSR rows (:class:`SparseRows`); per-text :func:`vectorize` serves prediction.
 Training is a pure function of (sample order, parameters): bootstrap rows and
 candidate features are SplitMix64 draws keyed on (seed, tree, node), so no
 draw depends on the order in which nodes grow, and repeated fits serialize
-byte-identically.  The samples are held once as a sparse store (no n x V
-matrix), by column, each column's nonzeros ascending by count, and by row,
-each row's nonzeros pointing at their places in the columns.  A node holds
-its distinct samples and their bootstrap multiplicities.  All trees grow
+byte-identically.  The samples are held as a sparse store (no n x V
+matrix): by column, each column's nonzeros ascending by count, and by row,
+as the CSR rows the fit is given.  A node holds its distinct samples and
+their bootstrap multiplicities.  All trees grow
 together, one depth level per step, its nodes' candidates drawn at most
 ``DRAW_CELLS`` (node, candidate) pairs at a time.  A searched node reads
 whichever holds fewer nonzeros, its candidates' whole columns or its
@@ -88,8 +88,8 @@ CHUNK_CHARS = 1 << 14
 #: gathers more.  A batch's temporaries are a few arrays of that many
 #: entries, plus one table of its nodes by samples (columns) or by features
 #: (rows).  Raised from 2**15, it cut the benchmark's 50-tree fit from 0.68
-#: to 0.56 s and added 3.4 MiB to its traced peak (11.5 MiB) and 1.7 MiB to
-#: a fresh ``train-langid``'s peak RSS; 2**18 took the traced peak to 15.8 MiB.
+#: to 0.56 s and added 1.7 MiB to a fresh ``train-langid``'s peak RSS; the
+#: fit's traced peak is 5.9 MiB at 2**15, 9.7 MiB at 2**17 and 13.9 MiB at 2**18.
 SEARCH_NONZEROS = 1 << 17
 #: (node, candidate) pairs of a level that the fit draws and searches at a
 #: time, unless a single node has more candidates, and (tree, sample) pairs
@@ -477,11 +477,10 @@ class _Columns(NamedTuple):
     Feature ``f``'s nonzero counts sit at ``indptr[f]:indptr[f + 1]`` of
     ``counts`` (ascending, in the narrowest unsigned dtype that holds the
     largest count) and ``rows`` (their sample indices, ascending among equal
-    counts); ``y`` is each sample's class index.  The row view holds the
-    same nonzeros sample by sample: sample ``s``'s at ``row_indptr[s]:
-    row_indptr[s + 1]`` of ``row_features`` (their features) and ``row_pos``
-    (their positions in ``counts`` and ``rows``).  Sample indices, features
-    and positions each take the narrowest unsigned dtype that holds them.
+    counts, in the narrowest unsigned dtype that holds them); ``y`` is each
+    sample's class index.  The row view is the CSR samples themselves:
+    sample ``s``'s nonzeros at ``row_indptr[s]:row_indptr[s + 1]`` of
+    ``row_features`` and ``row_counts``.
     """
 
     classes: tuple[LanguageCode, ...]
@@ -491,7 +490,7 @@ class _Columns(NamedTuple):
     counts: np.ndarray
     row_indptr: np.ndarray
     row_features: np.ndarray
-    row_pos: np.ndarray
+    row_counts: np.ndarray
 
 
 def _column_store(
@@ -503,13 +502,15 @@ def _column_store(
     one per label.
 
     ``n_features`` defaults to the highest observed feature index + 1; an
-    index outside 0..n_features-1 or a negative count is a ValueError.
+    index outside 0..n_features-1 or a negative count is a ValueError.  The
+    row view is ``samples`` with int64 offsets, or a copy without their
+    explicit 0 counts if they hold any.
     """
     classes = tuple(sorted(set(labels)))
     class_index = {lang: i for i, lang in enumerate(classes)}
     y = np.array([class_index[lang] for lang in labels], dtype=np.int64)
     indptr, features, counts = samples
-    rows = np.arange(len(labels)).repeat(np.diff(indptr))
+    rows = np.arange(len(labels), dtype=np.min_scalar_type(len(labels))).repeat(np.diff(indptr))
     nnz = features.size
     if n_features is None:
         n_features = int(features.max()) + 1 if nnz else 0
@@ -523,31 +524,17 @@ def _column_store(
         raise ValueError(
             f"sample {rows[at]}: feature {features[at]} has negative count {counts[at]}"
         )
+    row_indptr = indptr.astype(np.int64)
     if not counts.all():  # an explicit 0 is no nonzero
         kept = counts > 0
         rows, features, counts = rows[kept], features[kept], counts[kept]
-        nnz = counts.size
-    # the row view and the sorted rows are allocated before any wide
-    # temporary is freed: with glibc's malloc they are then mapped apart from
-    # the heap and go back to the system when the fit ends (made later, they
-    # stayed in the heap, and a fresh train-langid's peak RSS rose 1.3 MiB)
-    row_features = features.astype(np.min_scalar_type(n_features))
-    row_pos = np.empty(nnz, dtype=np.min_scalar_type(nnz))
-    sorted_rows = np.empty(nnz, dtype=np.min_scalar_type(len(labels)))
-    row_indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    np.bincount(rows, minlength=len(labels)).cumsum(out=row_indptr[1:])
-    # the three wide entry arrays are narrowed or dropped before the sort,
-    # so they are not live next to its int64 order
-    rows = rows.astype(sorted_rows.dtype)
-    counts = counts.astype(np.min_scalar_type(int(counts.max()) if nnz else 0))
-    del features
-    order = np.lexsort((counts, row_features))
-    sorted_rows[:] = rows[order]
-    row_pos[order] = np.arange(nnz, dtype=row_pos.dtype)
-    indptr = np.zeros(n_features + 1, dtype=np.int64)
-    np.bincount(row_features, minlength=n_features).cumsum(out=indptr[1:])
-    return _Columns(classes, y, indptr, sorted_rows, counts[order],
-                    row_indptr, row_features, row_pos)
+        np.bincount(rows, minlength=len(labels)).cumsum(out=row_indptr[1:])
+    order = np.lexsort((counts, features))
+    column_counts = counts[order].astype(np.min_scalar_type(int(counts.max(initial=0))), copy=False)
+    column_indptr = np.zeros(n_features + 1, dtype=np.int64)
+    np.bincount(features, minlength=n_features).cumsum(out=column_indptr[1:])
+    return _Columns(classes, y, column_indptr, rows[order], column_counts,
+                    row_indptr, features, counts)
 
 
 def _batches(costs: Iterable[int], limit: int) -> Iterator[slice]:
@@ -700,11 +687,12 @@ def _best_splits(
         keep = (hit != 0).nonzero()[0]  # a bool array's nonzero() is about 5x faster
         entry = ends.searchsorted(keep, side="right")
         pair = owner[entry] * m + hit[keep] - 1
-        pos = columns.row_pos[at[keep]]
-        # a column's nonzeros ascend by value, so (pair, position) order is
-        # (node, candidate, value) order
-        order = np.argsort(pair * columns.rows.size + pos)
-        pair, pos, entry = pair[order], pos[order], entry[order]
+        value = columns.row_counts[at[keep]]
+        # the kept nonzeros ascend by entry, which is by sample within a
+        # node, so a stable sort by (pair, value) gives the columns' order:
+        # (node, candidate, value), then sample
+        order = np.argsort(pair * (int(value.max(initial=0)) + 1) + value, kind="stable")
+        pair, value, entry = pair[order], value[order], entry[order]
     else:
         # every nonzero of every pair's column, pair after pair, kept where
         # its sample is the node's: its place among the node's samples, plus
@@ -721,16 +709,16 @@ def _best_splits(
         keep = (place != 0).nonzero()[0]
         pair, pos = ends.searchsorted(keep, side="right"), pos[keep]
         entry = starts[pair // m] + place[keep] - 1
-    if pos.size == 0:  # no pair reads a nonzero, so no node splits
+        value = columns.counts[pos]
+    if entry.size == 0:  # no pair reads a nonzero, so no node splits
         return pair, pair, np.zeros(0, np.int64), pair
-    value = columns.counts[pos]
 
     # one row per distinct (pair, value): first the class counts of the
     # value's samples, then those of the right side of the threshold under
     # the value: its own samples and those of the pair's later rows
     opens = _runs(pair, value)
     first = opens.nonzero()[0]
-    right = np.bincount((opens.cumsum() - 1) * k + y[columns.rows[pos]],
+    right = np.bincount((opens.cumsum() - 1) * k + y[sample[entry]],
                         weights=multiplicity[entry], minlength=first.size * k)
     right = right.astype(np.int64).reshape(first.size, k)
     pair, value = pair[first], value[first].astype(np.int64)  # a narrow unsigned sum wraps
