@@ -87,9 +87,9 @@ CHUNK_CHARS = 1 << 14
 #: candidate columns or along their samples' rows, unless a single node
 #: gathers more.  A batch's temporaries are a few arrays of that many
 #: entries, plus one table of its nodes by samples (columns) or by features
-#: (rows).  Raised from 2**15, it cut the benchmark's 50-tree fit from 0.68
-#: to 0.56 s and added 1.7 MiB to a fresh ``train-langid``'s peak RSS; the
-#: fit's traced peak is 5.9 MiB at 2**15, 9.7 MiB at 2**17 and 13.9 MiB at 2**18.
+#: (rows).  The benchmark's 50-tree fit takes 0.54 s of CPU at 2**17 and
+#: 0.64 s at 2**15; its traced peak is 9.7 MiB at 2**17, 5.9 MiB at 2**15
+#: and 13.9 MiB at 2**18.
 SEARCH_NONZEROS = 1 << 17
 #: (node, candidate) pairs of a level that the fit draws and searches at a
 #: time, unless a single node has more candidates, and (tree, sample) pairs
@@ -689,9 +689,8 @@ def _best_splits(
         pair = owner[entry] * m + hit[keep] - 1
         value = columns.row_counts[at[keep]]
         # the kept nonzeros ascend by entry, which is by sample within a
-        # node, so a stable sort by (pair, value) gives the columns' order:
-        # (node, candidate, value), then sample
-        order = np.argsort(pair * (int(value.max(initial=0)) + 1) + value, kind="stable")
+        # node, so a stable sort gives the columns' order
+        order = np.lexsort((value, pair))
         pair, value, entry = pair[order], value[order], entry[order]
     else:
         # every nonzero of every pair's column, pair after pair, kept where

@@ -590,6 +590,17 @@ class TestFitForest:
         assert_same_forest(by_columns, default)
         assert_same_forest(by_rows, default)
 
+    @pytest.mark.parametrize("max_count", [2**50, 2**61], ids=["2**50", "2**61"])
+    def test_each_search_path_gives_one_model_at_int64_counts(self, monkeypatch, max_count):
+        # Counts this wide leave no room in an int64 to combine them with
+        # anything else; thresholds stay exact while two counts sum in int64.
+        samples = _wide_count_samples(max_count)
+        default, by_columns, by_rows = _fit_on_each_path(
+            monkeypatch, samples, ForestParams(num_trees=5, seed=23))
+        assert_same_forest(by_columns, default)
+        assert_same_forest(by_rows, default)
+        assert max(max(tree.threshold) for tree in default.trees) > max_count // 11
+
     def test_default_fit_searches_along_both_paths(self, monkeypatch, benchmark_corpus):
         texts, labels, v = benchmark_corpus
         paths = []
